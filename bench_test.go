@@ -18,11 +18,11 @@ import (
 
 	"tsnoop/internal/cache"
 	"tsnoop/internal/coherence"
-	"tsnoop/internal/core"
 	"tsnoop/internal/harness"
 	"tsnoop/internal/obs"
 	"tsnoop/internal/service"
 	"tsnoop/internal/sim"
+	"tsnoop/internal/spec"
 	"tsnoop/internal/stats"
 	"tsnoop/internal/system"
 	"tsnoop/internal/topology"
@@ -163,9 +163,9 @@ func BenchmarkEnvelope(b *testing.B) {
 // benchAblation measures one TS-Snoop design knob against the baseline on
 // the torus (where ordering delay makes the knobs visible). Knobs are
 // declarative spec options, the same vocabulary the ablation sweep uses.
-func benchAblation(b *testing.B, opts ...core.Option) {
-	s := core.New("barnes",
-		append([]core.Option{core.WithNetwork(core.Torus), core.WithWarmup(1000), core.WithQuota(1000)}, opts...)...)
+func benchAblation(b *testing.B, opts ...spec.Option) {
+	s := spec.New("barnes",
+		append([]spec.Option{spec.WithNetwork(system.NetTorus), spec.WithWarmup(1000), spec.WithQuota(1000)}, opts...)...)
 	for i := 0; i < b.N; i++ {
 		run, err := s.Run()
 		if err != nil {
@@ -181,51 +181,51 @@ func BenchmarkAblationBaseline(b *testing.B) { benchAblation(b) }
 
 // BenchmarkAblationSlack0 sets the initial slack S to zero.
 func BenchmarkAblationSlack0(b *testing.B) {
-	benchAblation(b, core.WithSlack(0))
+	benchAblation(b, spec.WithSlack(0))
 }
 
 // BenchmarkAblationSlack4 sets the initial slack S to four.
 func BenchmarkAblationSlack4(b *testing.B) {
-	benchAblation(b, core.WithSlack(4))
+	benchAblation(b, spec.WithSlack(4))
 }
 
 // BenchmarkAblationNoPrefetch disables optimization 1.
 func BenchmarkAblationNoPrefetch(b *testing.B) {
-	benchAblation(b, core.WithoutPrefetch())
+	benchAblation(b, spec.WithoutPrefetch())
 }
 
 // BenchmarkAblationEarlyProcessing enables optimization 2.
 func BenchmarkAblationEarlyProcessing(b *testing.B) {
-	benchAblation(b, core.WithEarlyProcessing())
+	benchAblation(b, spec.WithEarlyProcessing())
 }
 
 // BenchmarkAblationTokens2 doubles the tokens per input port.
 func BenchmarkAblationTokens2(b *testing.B) {
-	benchAblation(b, core.WithTokensPerPort(2))
+	benchAblation(b, spec.WithTokensPerPort(2))
 }
 
 // BenchmarkAblationContention enables switch output-port contention
 // modelling (the paper's evaluation is uncontended).
 func BenchmarkAblationContention(b *testing.B) {
-	benchAblation(b, core.WithContention())
+	benchAblation(b, spec.WithContention())
 }
 
 // BenchmarkAblationMOSI upgrades TS-Snoop to MOSI: the Owned state
 // eliminates the owner-to-memory writeback on every sharing miss.
 func BenchmarkAblationMOSI(b *testing.B) {
-	benchAblation(b, core.WithMOSI())
+	benchAblation(b, spec.WithMOSI())
 }
 
 // BenchmarkAblationMulticast enables simplified multicast snooping:
 // GETS goes to a predicted destination set instead of a full broadcast,
 // cutting address traffic (the paper's first future-work direction).
 func BenchmarkAblationMulticast(b *testing.B) {
-	benchAblation(b, core.WithMulticast())
+	benchAblation(b, spec.WithMulticast())
 }
 
 // BenchmarkAblationMulticastMOSI combines both extensions.
 func BenchmarkAblationMulticastMOSI(b *testing.B) {
-	benchAblation(b, core.WithMulticast(), core.WithMOSI())
+	benchAblation(b, spec.WithMulticast(), spec.WithMOSI())
 }
 
 // benchSweep measures and renders one sweep over barnes on a fresh
@@ -349,12 +349,15 @@ func BenchmarkTraceDecodeParallel(b *testing.B) { benchTraceDecode(b, runtime.Nu
 
 // --- Micro-benchmarks of the core machinery ---
 
+// nopEvent is the EventFn the kernel micro-benchmarks dispatch.
+func nopEvent(any, any, int64) {}
+
 // BenchmarkKernelEvents measures raw event dispatch throughput.
 func BenchmarkKernelEvents(b *testing.B) {
 	k := sim.NewKernel()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		k.After(1, func() {})
+		k.AfterCall(1, nopEvent, nil, nil, 0)
 		k.Step()
 	}
 }
@@ -391,7 +394,7 @@ func BenchmarkKernelEventsProbed(b *testing.B) {
 	k.SetProbe(obs.NewProbe())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		k.After(1, func() {})
+		k.AfterCall(1, nopEvent, nil, nil, 0)
 		k.Step()
 	}
 }

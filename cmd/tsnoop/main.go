@@ -1,6 +1,6 @@
 // Command tsnoop is the unified command-line surface of the
 // timestamp-snooping reproduction. Every subcommand parses the same
-// experiment flag set — the canonical rendering of core.Spec — so flags
+// experiment flag set — the canonical rendering of spec.Spec — so flags
 // never drift between tools, and any invocation can be reproduced as a
 // Spec value, a JSON object, or a flag list.
 //

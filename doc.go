@@ -5,11 +5,11 @@
 // streams, and a harness that regenerates every table and figure in the
 // paper's evaluation.
 //
-// The public surface is one declarative value: core.Spec names everything
+// The public surface is one declarative value: spec.Spec names everything
 // an experiment needs — benchmark, protocol, network, machine size, seeds,
 // phase quotas, and the design knobs — and is built with functional
-// options (core.New("OLTP", core.WithProtocol(core.TSSnoop),
-// core.WithNodes(32))), validated in one place, and round-trippable to
+// options (spec.New("OLTP", spec.WithProtocol(system.ProtoTSSnoop),
+// spec.WithNodes(32))), validated in one place, and round-trippable to
 // JSON and to a command-line flag set. Spec.Run executes it, fanning its
 // perturbed seeds out through Spec.RunSeeds — the one implementation of
 // the paper's minimum-over-seeds rule. The harness describes grids,
@@ -40,13 +40,13 @@
 // (memory-only, or over a store directory via -cache).
 //
 // The simulation core is allocation-free at steady state: the event
-// kernel is a hand-rolled 4-ary min-heap of inline events with a typed
-// (closure-free) scheduling path, the address network recycles
-// transaction copies through free lists and keeps switch and endpoint
-// state in dense, reused slices, and the protocols pool their payload
-// messages. The network's Verify instrumentation lives behind the
+// kernel is a hand-rolled 4-ary min-heap of inline 64-byte events, each
+// a package-level function plus its arguments (no closures), the
+// address network recycles transaction copies through free lists and
+// keeps switch and endpoint state in dense, reused slices, and the
+// protocols pool their payload messages. The network's Verify instrumentation lives behind the
 // configuration and defaults off for experiment runs (re-enable with
-// -verify / core.WithVerify; results are identical either way).
+// -verify / spec.WithVerify; results are identical either way).
 // BENCH_5.json records the measured before/after numbers, and the
 // bench-regression CI job guards them via scripts/benchguard; see the
 // README's Performance section.
@@ -56,7 +56,7 @@
 // Verify hook, one branch per site when disabled — records dense-slice
 // counters and fixed log2-bucket histograms of kernel dispatch, link
 // utilization, buffer/reorder/MSHR occupancy, and token-stall behavior,
-// all keyed to simulated time, so the -metrics / core.WithMetrics block
+// all keyed to simulated time, so the -metrics / spec.WithMetrics block
 // in a run's JSON is byte-identical at any worker count. The knob
 // follows the Verify pattern through spec.Normalize: enabling telemetry
 // never changes a spec's canonical hash, and because the result store
@@ -68,7 +68,7 @@
 // "Observability" section; BENCH_7.json records the overhead envelope.
 //
 // Tracing extends both layers. Inside the simulator, -spans /
-// core.WithSpans decomposes every coherence transaction into lifecycle
+// spec.WithSpans decomposes every coherence transaction into lifecycle
 // phase spans (miss, order wait, data-after-order, address flight,
 // reorder and buffer dwell, data flight) recorded in simulated
 // picoseconds through the same nil-guarded probe sites — zero
@@ -100,8 +100,9 @@
 //
 // The command-line surface is the single cmd/tsnoop tool, whose
 // subcommands (run, grid, sweep, tables, check, trace, serve, submit,
-// version) all parse the same Spec flag set. The public entry point for
-// library use is internal/core; runnable examples live under examples/
-// (examples/spec_api walks the Spec API end to end). See README.md for
-// a quickstart.
+// version) all parse the same Spec flag set. Library use starts at
+// internal/spec (one run), internal/harness (grids, sweeps, tables), and
+// internal/service (executing them); runnable examples live under
+// examples/ (examples/spec_api walks the Spec API end to end). See
+// README.md for a quickstart.
 package tsnoop

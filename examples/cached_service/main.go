@@ -13,7 +13,10 @@ import (
 	"log"
 	"os"
 
-	"tsnoop/internal/core"
+	"tsnoop/internal/harness"
+	"tsnoop/internal/service"
+	"tsnoop/internal/spec"
+	"tsnoop/internal/system"
 )
 
 func main() {
@@ -24,7 +27,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	sv, err := core.NewService(core.ServiceConfig{Dir: dir})
+	sv, err := service.New(service.Config{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,12 +35,12 @@ func main() {
 
 	// 1. One experiment, named by its content. The canonical hash is
 	// what the store and the dedup queue key on.
-	s := core.New("barnes",
-		core.WithNodes(4),
-		core.WithWarmup(400),
-		core.WithQuota(800),
-		core.WithSeeds(2),
-		core.WithPerturbNS(3))
+	s := spec.New("barnes",
+		spec.WithNodes(4),
+		spec.WithWarmup(400),
+		spec.WithQuota(800),
+		spec.WithSeeds(2),
+		spec.WithPerturbNS(3))
 	fmt.Printf("spec address: %s\n\n", s.Canonical()[:16])
 
 	// 2. First submission simulates; the repeat is a store hit with the
@@ -65,10 +68,10 @@ func main() {
 
 	// 4. Grids stream through the same store, cell by cell in
 	// presentation order — the second pass renders without simulating.
-	e := core.ExperimentFor(s)
+	e := harness.FromSpec(s)
 	for pass := 1; pass <= 2; pass++ {
 		fmt.Printf("grid pass %d:\n", pass)
-		for cell, err := range sv.StreamGrid(ctx, e, core.Butterfly) {
+		for cell, err := range sv.StreamGrid(ctx, e, system.NetButterfly) {
 			if err != nil {
 				log.Fatal(err)
 			}

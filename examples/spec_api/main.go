@@ -1,5 +1,5 @@
 // Spec API walkthrough: the experiment surface is one declarative
-// value. This example builds a core.Spec with functional options,
+// value. This example builds a spec.Spec with functional options,
 // shows the three lossless renderings (Go value, JSON, flag list),
 // demonstrates one-line validation errors, runs the spec, and then
 // streams a grid with live per-cell progress and early cancellation —
@@ -12,7 +12,10 @@ import (
 	"fmt"
 	"log"
 
-	"tsnoop/internal/core"
+	"tsnoop/internal/harness"
+	"tsnoop/internal/service"
+	"tsnoop/internal/spec"
+	"tsnoop/internal/system"
 )
 
 func main() {
@@ -20,15 +23,15 @@ func main() {
 
 	// 1. Declare an experiment. Unset knobs keep the paper's defaults
 	// (16 nodes, slack 1, prefetch on, 4 MB caches ...).
-	s := core.New("DSS",
-		core.WithProtocol(core.TSSnoop),
-		core.WithNetwork(core.Torus),
-		core.WithSlack(4),
-		core.WithMOSI(),
-		core.WithQuota(1000),
-		core.WithWarmup(800),
-		core.WithSeeds(3),
-		core.WithPerturbNS(3),
+	s := spec.New("DSS",
+		spec.WithProtocol(system.ProtoTSSnoop),
+		spec.WithNetwork(system.NetTorus),
+		spec.WithSlack(4),
+		spec.WithMOSI(),
+		spec.WithQuota(1000),
+		spec.WithWarmup(800),
+		spec.WithSeeds(3),
+		spec.WithPerturbNS(3),
 	)
 
 	// 2. The same spec as JSON and as a flag list — both round-trip to
@@ -36,18 +39,18 @@ func main() {
 	// name the same experiment.
 	fmt.Printf("spec JSON:\n  %s\n", s.JSON())
 	fmt.Printf("spec flags:\n  tsnoop run %v\n\n", s.Args())
-	if back, err := core.FromJSON(s.JSON()); err != nil || back != s {
+	if back, err := spec.FromJSON(s.JSON()); err != nil || back != s {
 		log.Fatalf("JSON round trip broke: %v", err)
 	}
-	if back, err := core.FromArgs(s.Args()); err != nil || back != s {
+	if back, err := spec.FromArgs(s.Args()); err != nil || back != s {
 		log.Fatalf("flag round trip broke: %v", err)
 	}
 
 	// 3. Validation happens in one place and reports one-line errors.
-	if _, err := core.New("tpc-w").Run(); err != nil {
+	if _, err := spec.New("tpc-w").Run(); err != nil {
 		fmt.Printf("validation: %v\n", err)
 	}
-	if _, err := core.New("OLTP", core.WithNetwork("hypercube")).Run(); err != nil {
+	if _, err := spec.New("OLTP", spec.WithNetwork("hypercube")).Run(); err != nil {
 		fmt.Printf("validation: %v\n\n", err)
 	}
 
@@ -65,15 +68,15 @@ func main() {
 	// progress is live and a context cancels early. The spec's benchmark
 	// restricts the grid to one workload.
 	fmt.Println("\n== streaming a one-benchmark grid (butterfly) ==")
-	e := core.ExperimentFor(core.New("barnes", core.WithQuotaScale(0.2), core.WithWarmupScale(0.2)))
-	sv, err := core.NewService(core.ServiceConfig{})
+	e := harness.FromSpec(spec.New("barnes", spec.WithQuotaScale(0.2), spec.WithWarmupScale(0.2)))
+	sv, err := service.New(service.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	grid := core.NewGrid(core.Butterfly, e.Benchmarks)
-	for cell, err := range sv.StreamGrid(ctx, e, core.Butterfly) {
+	grid := harness.NewGrid(system.NetButterfly, e.Benchmarks)
+	for cell, err := range sv.StreamGrid(ctx, e, system.NetButterfly) {
 		if err != nil {
 			log.Fatal(err)
 		}

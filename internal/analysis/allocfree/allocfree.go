@@ -1,10 +1,6 @@
 // Package allocfree statically enforces the PR-5 zero-allocation
 // hot-path contract in the simulator's dispatch-critical packages:
 //
-//   - No closure may be scheduled through the legacy Kernel.At/After
-//     path: a func literal captures its environment and allocates on
-//     every scheduling. Hot code uses AtCall/AfterCall with a
-//     package-level sim.EventFn.
 //   - The `any` payload arguments of AtCall/AfterCall accept only
 //     pointer-shaped values (pointers, interfaces, funcs, maps, chans,
 //     nil): boxing a struct, slice, string or integer into an interface
@@ -39,7 +35,7 @@ import (
 // Analyzer is the allocfree pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "allocfree",
-	Doc:  "forbid closure scheduling, interface boxing, map traffic and unhoisted probe calls on the simulator's allocation-free hot paths",
+	Doc:  "forbid interface boxing, map traffic and unhoisted probe calls on the simulator's allocation-free hot paths",
 	Run:  run,
 }
 
@@ -60,9 +56,6 @@ var hotPackages = []string{
 	"tsnoop/internal/cache",
 	"tsnoop/internal/coherence",
 	"tsnoop/internal/obs",
-	// cluster code never schedules kernel events today; covering it means
-	// any future coupling to the kernel inherits the contract on day one.
-	"tsnoop/internal/cluster",
 }
 
 const hotPrefix = "tsnoop/internal/protocol/"
@@ -94,11 +87,8 @@ func run(pass *analysis.Pass) error {
 	}
 
 	// roots are the entry points of event dispatch: every function value
-	// scheduled through AtCall/AfterCall, plus the bodies of closures
-	// scheduled through At/After (flagged separately, but still walked so
-	// their map traffic is reported too).
+	// scheduled through AtCall/AfterCall.
 	roots := make(map[*types.Func]bool)
-	var closureRoots []*ast.FuncLit
 
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -107,29 +97,14 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			name, ok := kernelMethod(pass, call)
-			if !ok {
+			if !ok || len(call.Args) < 5 {
 				return true
 			}
-			switch name {
-			case "At", "After":
-				if len(call.Args) >= 2 {
-					if lit, ok := call.Args[1].(*ast.FuncLit); ok {
-						pass.Reportf(lit.Pos(),
-							"closure scheduled through the legacy Kernel.%s path allocates per event; use %sCall with a package-level sim.EventFn", name, name)
-						closureRoots = append(closureRoots, lit)
-					} else if fn := staticFunc(pass, call.Args[1]); fn != nil {
-						roots[fn] = true
-					}
-				}
-			case "AtCall", "AfterCall":
-				if len(call.Args) >= 5 {
-					if fn := staticFunc(pass, call.Args[1]); fn != nil {
-						roots[fn] = true
-					}
-					for _, arg := range call.Args[2:4] {
-						checkBoxing(pass, name, arg)
-					}
-				}
+			if fn := staticFunc(pass, call.Args[1]); fn != nil {
+				roots[fn] = true
+			}
+			for _, arg := range call.Args[2:4] {
+				checkBoxing(pass, name, arg)
 			}
 			return true
 		})
@@ -233,10 +208,6 @@ func run(pass *analysis.Pass) error {
 			checkProbe(fd.Body, false)
 		}
 	}
-	for _, lit := range closureRoots {
-		checkMapTraffic("a scheduled closure", lit.Body)
-		checkProbe(lit.Body, true)
-	}
 	return nil
 }
 
@@ -264,7 +235,7 @@ func kernelMethod(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	switch obj.Name() {
-	case "At", "After", "AtCall", "AfterCall":
+	case "AtCall", "AfterCall":
 		return obj.Name(), true
 	}
 	return "", false

@@ -1,8 +1,8 @@
 // Fixture for the allocfree analyzer: tsnoop/internal/obs is a hot-path
 // package — probe methods run inside event dispatch, so the nil-guarded
-// direct call is the only allowed shape. A closure that captures the
-// probe to schedule it through the legacy path, and map traffic inside
-// probe methods reachable from dispatch, are diagnostics.
+// direct call is the only allowed shape. A probe call through a field
+// chain or from a closure, and map traffic inside probe methods
+// reachable from dispatch, are diagnostics.
 package obs
 
 import "tsnoop/internal/sim"
@@ -57,13 +57,12 @@ func unhoisted(a0, a1 any, i0 int64) {
 func (c *component) schedule() {
 	c.k.AtCall(0, handler, c, nil, 0)
 	c.k.AtCall(0, unhoisted, c, nil, 0)
-	c.k.After(1, func() { c.probe.Event(0) }) // want `closure scheduled through the legacy Kernel.After path` `obs.Probe.Event called from a closure`
 	c.k.AtCall(0, spanning, c, nil, 0)
 }
 
-// spanning shows the nested-closure escape hatch is also closed: even
-// inside a properly scheduled EventFn, wrapping the span in a func
-// literal re-introduces a per-event allocation.
+// spanning shows the closure escape hatch is closed: even inside a
+// properly scheduled EventFn, wrapping the span in a func literal
+// re-introduces a per-event allocation.
 func spanning(a0, a1 any, i0 int64) {
 	c := a0.(*component)
 	defer func() { c.probe.Span(0, i0) }() // want `obs.Probe.Span called from a closure`

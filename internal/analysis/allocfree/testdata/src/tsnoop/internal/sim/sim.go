@@ -13,10 +13,6 @@ type Kernel struct{}
 
 func (k *Kernel) Now() Time { return 0 }
 
-func (k *Kernel) At(t Time, fn func()) { fn() }
-
-func (k *Kernel) After(d Duration, fn func()) { fn() }
-
 func (k *Kernel) AtCall(t Time, fn EventFn, a0, a1 any, i0 int64) { fn(a0, a1, i0) }
 
 func (k *Kernel) AfterCall(d Duration, fn EventFn, a0, a1 any, i0 int64) { fn(a0, a1, i0) }

@@ -1,7 +1,6 @@
 // Fixture for the allocfree analyzer: tsnoop/internal/tsnet is a
-// hot-path package, so closures on At/After, boxing into AtCall's any
-// arguments, and map traffic reachable from event dispatch are all
-// diagnostics here.
+// hot-path package, so boxing into AtCall's any arguments and map
+// traffic reachable from event dispatch are diagnostics here.
 package tsnet
 
 import "tsnoop/internal/sim"
@@ -28,21 +27,10 @@ func helper(n *node) {
 }
 
 func schedule(n *node, p *payload) {
-	n.k.At(0, func() {})    // want `closure scheduled through the legacy Kernel.At path`
-	n.k.After(1, func() {}) // want `closure scheduled through the legacy Kernel.After path`
 	n.k.AtCall(0, handler, n, nil, 0)
 	n.k.AfterCall(1, handler, *p, nil, 0) // want `AfterCall boxes a tsnoop/internal/tsnet.payload`
 	n.k.AfterCall(1, handler, nil, 42, 0) // want `AfterCall boxes a int`
 	n.k.AfterCall(1, handler, p, nil, int64(p.a+p.b))
-}
-
-// scheduledClosure's map range runs on the dispatch path even though it
-// reaches it through a (flagged) closure.
-func scheduledClosure(n *node) {
-	n.k.At(0, func() { // want `closure scheduled through the legacy Kernel.At path`
-		for range n.m { // want `map iteration in a scheduled closure`
-		}
-	})
 }
 
 // setup is not reachable from any scheduled event: construction-time

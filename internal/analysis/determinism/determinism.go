@@ -84,7 +84,6 @@ var deterministic = []string{
 	"tsnoop/internal/harness",
 	"tsnoop/internal/trace",
 	"tsnoop/internal/spec",
-	"tsnoop/internal/core",
 	"tsnoop/internal/cluster",
 	"tsnoop/internal/fault",
 }

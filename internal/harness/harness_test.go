@@ -13,6 +13,7 @@ import (
 
 	"tsnoop/internal/harness"
 	"tsnoop/internal/service"
+	"tsnoop/internal/spec"
 	"tsnoop/internal/stats"
 	"tsnoop/internal/system"
 	"tsnoop/internal/workload"
@@ -92,6 +93,24 @@ func runTable3(t *testing.T, e harness.Experiment, workers int) []harness.Table3
 		t.Fatal(err)
 	}
 	return rows
+}
+
+func TestDefaultExperimentSane(t *testing.T) {
+	e := harness.Default()
+	if e.Nodes != 16 || e.Seeds < 1 {
+		t.Fatalf("experiment = %+v", e)
+	}
+}
+
+func TestFromSpecCarriesKnobs(t *testing.T) {
+	e := harness.FromSpec(spec.New("OLTP", spec.WithNodes(4), spec.WithSeeds(2), spec.WithWorkers(1),
+		spec.WithQuotaScale(0.1), spec.WithMOSI()))
+	if e.Nodes != 4 || e.Seeds != 2 || e.QuotaScale != 0.1 {
+		t.Fatalf("experiment = %+v", e)
+	}
+	if e.Base == nil || !e.Base.MOSI {
+		t.Fatal("design knobs not carried into the experiment base")
+	}
 }
 
 func TestRunCellBasics(t *testing.T) {

@@ -41,9 +41,13 @@ func (h HistSummary) Mean() int64 {
 	return h.Sum / h.Count
 }
 
-// KernelMetrics profiles the event kernel: dispatch counts split by
-// path, per-kind counts tagged at subsystem call sites, the schedule
-// distance distribution, and the event-heap high-water mark.
+// KernelMetrics profiles the event kernel: the dispatch count, per-kind
+// counts tagged at subsystem call sites, the schedule distance
+// distribution, and the event-heap high-water mark.
+//
+// ClosureDispatches is always 0: the kernel has a single, typed event
+// path. The field stays because the Metrics JSON contract never removes
+// a key.
 type KernelMetrics struct {
 	TypedDispatches   int64       `json:"typed_dispatches"`
 	ClosureDispatches int64       `json:"closure_dispatches"`
@@ -110,8 +114,8 @@ type LatencyBreakdown struct {
 func (m *Metrics) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "metrics:\n")
-	fmt.Fprintf(&b, "  kernel      %d typed + %d closure dispatches, heap peak %d, mean schedule delay %d ps\n",
-		m.Kernel.TypedDispatches, m.Kernel.ClosureDispatches, m.Kernel.HeapPeak, m.Kernel.ScheduleDelayPS.Mean())
+	fmt.Fprintf(&b, "  kernel      %d dispatches, heap peak %d, mean schedule delay %d ps\n",
+		m.Kernel.TypedDispatches, m.Kernel.HeapPeak, m.Kernel.ScheduleDelayPS.Mean())
 	e := m.Kernel.Events
 	fmt.Fprintf(&b, "  events      link txn %d, token %d, port %d, handoff %d, data %d, l2 hit %d, send %d, retry %d\n",
 		e.LinkTxn, e.LinkToken, e.PortService, e.OrderedHandoff, e.DataMsg, e.L2Hit, e.DataSend, e.Retry)

@@ -138,10 +138,9 @@ const (
 // their own probe.
 type Probe struct {
 	// Kernel-level.
-	typedDispatch   int64
-	closureDispatch int64
-	heapPeak        int64
-	scheduleDelay   Hist
+	dispatches    int64
+	heapPeak      int64
+	scheduleDelay Hist
 
 	// Per-event-kind dispatch counts, tagged at subsystem call sites.
 	kinds [numEventKinds]int64
@@ -199,8 +198,7 @@ func (p *Probe) SizeNetwork(linkLatPS []int64, switches int) {
 // calls it between the warmup and measurement phases so a Metrics
 // snapshot covers exactly the measured window.
 func (p *Probe) Reset() {
-	p.typedDispatch = 0
-	p.closureDispatch = 0
+	p.dispatches = 0
 	p.heapPeak = 0
 	p.scheduleDelay.reset()
 	for i := range p.kinds {
@@ -229,14 +227,8 @@ func (p *Probe) Reset() {
 	}
 }
 
-// Dispatch counts one kernel dispatch, split typed vs legacy closure.
-func (p *Probe) Dispatch(typed bool) {
-	if typed {
-		p.typedDispatch++
-	} else {
-		p.closureDispatch++
-	}
-}
+// Dispatch counts one kernel dispatch.
+func (p *Probe) Dispatch() { p.dispatches++ }
 
 // ScheduleDelay records how far into the simulated future an event
 // was scheduled (t - now at schedule time, picoseconds).
@@ -352,10 +344,9 @@ func (p *Probe) Finalize(runtimePS int64) *Metrics {
 	}
 	return &Metrics{
 		Kernel: KernelMetrics{
-			TypedDispatches:   p.typedDispatch,
-			ClosureDispatches: p.closureDispatch,
-			HeapPeak:          p.heapPeak,
-			ScheduleDelayPS:   p.scheduleDelay.summary(),
+			TypedDispatches: p.dispatches,
+			HeapPeak:        p.heapPeak,
+			ScheduleDelayPS: p.scheduleDelay.summary(),
 			Events: EventCounts{
 				LinkTxn:        p.kinds[EvLinkTxn],
 				LinkToken:      p.kinds[EvLinkToken],

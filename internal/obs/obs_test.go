@@ -99,7 +99,7 @@ func TestFinalizeLinkUtilization(t *testing.T) {
 func TestResetKeepsNetworkShape(t *testing.T) {
 	p := NewProbe()
 	p.SizeNetwork([]int64{50}, 1)
-	p.Dispatch(true)
+	p.Dispatch()
 	p.Event(EvLinkTxn)
 	p.LinkTxn(0)
 	p.TokenStall(0, 10)
@@ -125,8 +125,8 @@ func TestResetKeepsNetworkShape(t *testing.T) {
 func TestMetricsJSONRoundTrip(t *testing.T) {
 	p := NewProbe()
 	p.SizeNetwork([]int64{100}, 1)
-	p.Dispatch(true)
-	p.Dispatch(false)
+	p.Dispatch()
+	p.Dispatch()
 	p.ScheduleDelay(500)
 	p.Event(EvDataMsg)
 	p.LinkTxn(0)

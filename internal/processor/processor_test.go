@@ -23,9 +23,20 @@ func (f *fakeProto) Pending() int { return 0 }
 func (f *fakeProto) Access(node int, op coherence.Op, b coherence.Block, done func(coherence.AccessResult)) {
 	f.calls++
 	hit := f.calls%2 == 0
-	f.k.After(f.lat, func() {
-		done(coherence.AccessResult{Hit: hit, Latency: f.lat})
-	})
+	c := &completion{done: done, res: coherence.AccessResult{Hit: hit, Latency: f.lat}}
+	f.k.AfterCall(f.lat, completeEvent, c, nil, 0)
+}
+
+// completion is one fake access awaiting its latency.
+type completion struct {
+	done func(coherence.AccessResult)
+	res  coherence.AccessResult
+}
+
+// completeEvent delivers the *completion in a0.
+func completeEvent(a0, _ any, _ int64) {
+	c := a0.(*completion)
+	c.done(c.res)
 }
 
 func TestProcessorExecutesQuota(t *testing.T) {

@@ -3,14 +3,22 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"tsnoop/internal/obs"
 )
 
 // countEvent is the package-level EventFn used by the allocation tests:
-// typed events must never force a closure.
+// events must never force a closure.
 func countEvent(a0, a1 any, i0 int64) {
 	*(a0.(*int)) += int(i0)
+}
+
+// snapshotSum appends the current value of the *int in a0 to the *[]int
+// in a1.
+func snapshotSum(a0, a1 any, _ int64) {
+	p := a1.(*[]int)
+	*p = append(*p, *(a0.(*int)))
 }
 
 func TestKernelTypedEvents(t *testing.T) {
@@ -20,21 +28,32 @@ func TestKernelTypedEvents(t *testing.T) {
 	k.AtCall(10, countEvent, &sum, nil, 1)
 	k.AfterCall(20, countEvent, &sum, nil, 2)
 	order := []int{}
-	k.At(10, func() { order = append(order, sum) }) // after the typed event at 10? no: FIFO at same time
+	k.AtCall(10, snapshotSum, &sum, &order, 0)
 	k.Run()
 	if sum != 6 {
 		t.Fatalf("sum = %d, want 6", sum)
 	}
-	// The closure at t=10 was scheduled after the typed event at t=10, so
-	// FIFO tie-breaking runs it second and it observes sum == 1.
+	// The snapshot at t=10 was scheduled after the count at t=10, so FIFO
+	// tie-breaking runs it second and it observes sum == 1.
 	if len(order) != 1 || order[0] != 1 {
-		t.Fatalf("closure observed sum %v, want [1]", order)
+		t.Fatalf("snapshot observed sum %v, want [1]", order)
+	}
+}
+
+// TestEventSlotSize pins the heap slot at one 64-byte cache line on
+// targets with 8-byte pointers.
+func TestEventSlotSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("slot size is pinned for 8-byte pointers")
+	}
+	if got := unsafe.Sizeof(event{}); got != 64 {
+		t.Fatalf("sizeof(event) = %d, want 64", got)
 	}
 }
 
 // TestKernelAllocs pins the allocation-free steady state: scheduling and
-// dispatching a typed event must not allocate, and neither must a
-// non-capturing closure (no interface boxing anywhere in the heap).
+// dispatching an event must not allocate (no interface boxing anywhere
+// in the heap).
 func TestKernelAllocs(t *testing.T) {
 	k := NewKernel()
 	sum := 0
@@ -48,13 +67,7 @@ func TestKernelAllocs(t *testing.T) {
 		k.AfterCall(1, countEvent, &sum, nil, 1)
 		k.Step()
 	}); a != 0 {
-		t.Errorf("typed event schedule+dispatch allocates %v/op, want 0", a)
-	}
-	if a := testing.AllocsPerRun(1000, func() {
-		k.After(1, func() {})
-		k.Step()
-	}); a != 0 {
-		t.Errorf("non-capturing closure schedule+dispatch allocates %v/op, want 0", a)
+		t.Errorf("event schedule+dispatch allocates %v/op, want 0", a)
 	}
 }
 
@@ -117,23 +130,23 @@ func TestKernelHeapOrderProperty(t *testing.T) {
 	}
 }
 
-// Same-time typed and closure events must interleave strictly FIFO.
+// Same-time events scheduled through AtCall and AfterCall, from a clock
+// past zero, must interleave strictly FIFO.
 func TestKernelMixedFIFO(t *testing.T) {
 	k := NewKernel()
+	k.RunUntil(20)
 	var order []int
-	push := func(a0, a1 any, i0 int64) {
-		p := a0.(*[]int)
-		*p = append(*p, int(i0))
-	}
 	for i := 0; i < 12; i++ {
 		if i%2 == 0 {
-			k.AtCall(50, EventFn(push), &order, nil, int64(i))
+			k.AtCall(50, appendInt, &order, nil, int64(i))
 		} else {
-			i := i
-			k.At(50, func() { order = append(order, i) })
+			k.AfterCall(30, appendInt, &order, nil, int64(i))
 		}
 	}
 	k.Run()
+	if len(order) != 12 {
+		t.Fatalf("dispatched %d events, want 12", len(order))
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("mixed same-time events not FIFO: %v", order)

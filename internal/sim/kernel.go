@@ -6,23 +6,21 @@ import (
 	"tsnoop/internal/obs"
 )
 
-// EventFn is the typed-event callback: a plain function (no closure)
-// invoked with the arguments captured at scheduling time. The hot paths
-// of the simulator — link deliveries, port service, protocol handoffs —
-// schedule typed events so that the steady state allocates nothing: a
-// package-level EventFn value, pointer receivers boxed in `any` (pointer
-// interfaces do not allocate), and one scalar slot cover every case.
+// EventFn is the event callback: a plain function (no closure) invoked
+// with the arguments captured at scheduling time. Every event — link
+// deliveries, port service, protocol handoffs — is scheduled this way,
+// so the steady state allocates nothing: a package-level EventFn value,
+// pointer receivers boxed in `any` (pointer interfaces do not allocate),
+// and one scalar slot cover every case.
 type EventFn func(a0, a1 any, i0 int64)
 
 // event is a scheduled callback, stored inline in the kernel's heap (no
-// interface boxing, no per-event allocation). Exactly one of fn and tfn
-// is set: fn is the convenience closure path, tfn the allocation-free
-// typed path.
+// interface boxing, no per-event allocation). With 8-byte pointers it is
+// exactly 64 bytes: one cache line per heap slot.
 type event struct {
 	at     Time
 	seq    uint64 // insertion order; breaks ties deterministically (FIFO)
-	fn     func()
-	tfn    EventFn
+	call   EventFn
 	a0, a1 any
 	i0     int64
 }
@@ -131,32 +129,11 @@ func (k *Kernel) popMin() event {
 	return top
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past (t less
-// than Now) panics: it would silently corrupt causality.
-func (k *Kernel) At(t Time, fn func()) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
-	}
-	if p := k.probe; p != nil {
-		p.ScheduleDelay(int64(t - k.now))
-	}
-	k.seq++
-	k.push(event{at: t, seq: k.seq, fn: fn})
-}
-
-// After schedules fn to run d picoseconds from now. Negative delays panic.
-func (k *Kernel) After(d Duration, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	k.At(k.now+d, fn)
-}
-
-// AtCall schedules the typed event fn(a0, a1, i0) at absolute time t.
-// Unlike At with a capturing closure, nothing here allocates at steady
-// state: fn should be a package-level function, a0/a1 pointers
-// (pointer-to-any conversions do not allocate), and i0 any scalar
-// payload. Scheduling in the past panics.
+// AtCall schedules the event fn(a0, a1, i0) at absolute time t. Nothing
+// here allocates at steady state: fn should be a package-level function,
+// a0/a1 pointers (pointer-to-any conversions do not allocate), and i0
+// any scalar payload. Scheduling in the past (t less than Now) panics:
+// it would silently corrupt causality.
 func (k *Kernel) AtCall(t Time, fn EventFn, a0, a1 any, i0 int64) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
@@ -165,11 +142,11 @@ func (k *Kernel) AtCall(t Time, fn EventFn, a0, a1 any, i0 int64) {
 		p.ScheduleDelay(int64(t - k.now))
 	}
 	k.seq++
-	k.push(event{at: t, seq: k.seq, tfn: fn, a0: a0, a1: a1, i0: i0})
+	k.push(event{at: t, seq: k.seq, call: fn, a0: a0, a1: a1, i0: i0})
 }
 
-// AfterCall schedules the typed event fn(a0, a1, i0) d picoseconds from
-// now. Negative delays panic.
+// AfterCall schedules the event fn(a0, a1, i0) d picoseconds from now.
+// Negative delays panic.
 func (k *Kernel) AfterCall(d Duration, fn EventFn, a0, a1 any, i0 int64) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -187,13 +164,9 @@ func (k *Kernel) Step() bool {
 	k.now = e.at
 	k.executed++
 	if p := k.probe; p != nil {
-		p.Dispatch(e.tfn != nil)
+		p.Dispatch()
 	}
-	if e.tfn != nil {
-		e.tfn(e.a0, e.a1, e.i0)
-	} else {
-		e.fn()
-	}
+	e.call(e.a0, e.a1, e.i0)
 	return true
 }
 

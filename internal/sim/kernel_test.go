@@ -5,15 +5,35 @@ import (
 	"testing/quick"
 )
 
+// The kernel tests schedule package-level EventFns, the only event path.
+
+// appendInt appends i0 to the *[]int in a0.
+func appendInt(a0, _ any, i0 int64) {
+	p := a0.(*[]int)
+	*p = append(*p, int(i0))
+}
+
+// appendNow appends the kernel a1's current time to the *[]Time in a0
+// and, when i0 > 0, schedules itself again i0 picoseconds later.
+func appendNow(a0, a1 any, i0 int64) {
+	p, k := a0.(*[]Time), a1.(*Kernel)
+	*p = append(*p, k.Now())
+	if i0 > 0 {
+		k.AfterCall(Duration(i0), appendNow, a0, a1, 0)
+	}
+}
+
+func noop(any, any, int64) {}
+
 func TestKernelZeroValueUsable(t *testing.T) {
 	var k Kernel
 	if k.Now() != 0 {
 		t.Fatalf("zero kernel Now = %v, want 0", k.Now())
 	}
-	ran := false
-	k.After(5*Nanosecond, func() { ran = true })
+	ran := 0
+	k.AfterCall(5*Nanosecond, countEvent, &ran, nil, 1)
 	k.Run()
-	if !ran {
+	if ran != 1 {
 		t.Fatal("event did not run")
 	}
 	if k.Now() != 5*Nanosecond {
@@ -24,9 +44,9 @@ func TestKernelZeroValueUsable(t *testing.T) {
 func TestKernelOrdering(t *testing.T) {
 	k := NewKernel()
 	var order []int
-	k.At(30, func() { order = append(order, 3) })
-	k.At(10, func() { order = append(order, 1) })
-	k.At(20, func() { order = append(order, 2) })
+	k.AtCall(30, appendInt, &order, nil, 3)
+	k.AtCall(10, appendInt, &order, nil, 1)
+	k.AtCall(20, appendInt, &order, nil, 2)
 	k.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -40,8 +60,7 @@ func TestKernelFIFOAtSameTime(t *testing.T) {
 	k := NewKernel()
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
-		k.At(100, func() { order = append(order, i) })
+		k.AtCall(100, appendInt, &order, nil, int64(i))
 	}
 	k.Run()
 	for i := range order {
@@ -54,10 +73,7 @@ func TestKernelFIFOAtSameTime(t *testing.T) {
 func TestKernelNestedScheduling(t *testing.T) {
 	k := NewKernel()
 	var hits []Time
-	k.At(10, func() {
-		hits = append(hits, k.Now())
-		k.After(5, func() { hits = append(hits, k.Now()) })
-	})
+	k.AtCall(10, appendNow, &hits, k, 5)
 	k.Run()
 	if len(hits) != 2 || hits[0] != 10 || hits[1] != 15 {
 		t.Fatalf("hits = %v, want [10 15]", hits)
@@ -68,7 +84,7 @@ func TestKernelRunUntil(t *testing.T) {
 	k := NewKernel()
 	count := 0
 	for i := Time(10); i <= 100; i += 10 {
-		k.At(i, func() { count++ })
+		k.AtCall(i, countEvent, &count, nil, 1)
 	}
 	k.RunUntil(50)
 	if count != 5 {
@@ -90,7 +106,7 @@ func TestKernelRunWhile(t *testing.T) {
 	k := NewKernel()
 	count := 0
 	for i := Time(1); i <= 100; i++ {
-		k.At(i, func() { count++ })
+		k.AtCall(i, countEvent, &count, nil, 1)
 	}
 	k.RunWhile(func() bool { return count < 7 })
 	if count != 7 {
@@ -100,14 +116,14 @@ func TestKernelRunWhile(t *testing.T) {
 
 func TestKernelPastSchedulingPanics(t *testing.T) {
 	k := NewKernel()
-	k.At(100, func() {})
+	k.AtCall(100, noop, nil, nil, 0)
 	k.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	k.At(50, func() {})
+	k.AtCall(50, noop, nil, nil, 0)
 }
 
 func TestKernelNegativeDelayPanics(t *testing.T) {
@@ -117,13 +133,13 @@ func TestKernelNegativeDelayPanics(t *testing.T) {
 			t.Fatal("negative delay did not panic")
 		}
 	}()
-	k.After(-1, func() {})
+	k.AfterCall(-1, noop, nil, nil, 0)
 }
 
 func TestKernelExecutedCount(t *testing.T) {
 	k := NewKernel()
 	for i := 0; i < 42; i++ {
-		k.At(Time(i), func() {})
+		k.AtCall(Time(i), noop, nil, nil, 0)
 	}
 	k.Run()
 	if k.Executed() != 42 {
@@ -138,8 +154,7 @@ func TestKernelMonotonicProperty(t *testing.T) {
 		k := NewKernel()
 		var fired []Time
 		for _, v := range raw {
-			at := Time(v)
-			k.At(at, func() { fired = append(fired, k.Now()) })
+			k.AtCall(Time(v), appendNow, &fired, k, 0)
 		}
 		k.Run()
 		for i := 1; i < len(fired); i++ {

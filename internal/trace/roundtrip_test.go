@@ -14,9 +14,9 @@ import (
 	"strings"
 	"testing"
 
-	"tsnoop/internal/core"
 	"tsnoop/internal/harness"
 	"tsnoop/internal/service"
+	"tsnoop/internal/spec"
 	"tsnoop/internal/system"
 	"tsnoop/internal/trace"
 	"tsnoop/internal/workload"
@@ -80,13 +80,13 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 	for _, bench := range workload.Names() {
 		for _, seed := range []uint64{1, 7} {
 			traceName := recordBench(t, dir, bench, 16, seed)
-			for _, proto := range []string{core.TSSnoop, core.DirClassic, core.DirOpt} {
-				live, err := core.New(bench, core.WithProtocol(proto),
-					core.WithWarmup(rtWarmup), core.WithQuota(rtMeasure), core.WithSeed(seed)).Run()
+			for _, proto := range []string{system.ProtoTSSnoop, system.ProtoDirClassic, system.ProtoDirOpt} {
+				live, err := spec.New(bench, spec.WithProtocol(proto),
+					spec.WithWarmup(rtWarmup), spec.WithQuota(rtMeasure), spec.WithSeed(seed)).Run()
 				if err != nil {
 					t.Fatal(err)
 				}
-				replay, err := core.New(traceName, core.WithProtocol(proto), core.WithSeed(seed)).Run()
+				replay, err := spec.New(traceName, spec.WithProtocol(proto), spec.WithSeed(seed)).Run()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -203,8 +203,8 @@ func TestExplicitQuotaBeatsTraceQuota(t *testing.T) {
 	if err := tr.WriteFile(path, 0); err != nil {
 		t.Fatal(err)
 	}
-	run, err := core.New("trace:"+path, core.WithNodes(4),
-		core.WithQuota(2500)).Run() // quota deliberately equal to the scheme default
+	run, err := spec.New("trace:"+path, spec.WithNodes(4),
+		spec.WithQuota(2500)).Run() // quota deliberately equal to the scheme default
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +215,8 @@ func TestExplicitQuotaBeatsTraceQuota(t *testing.T) {
 
 	// A quota beyond the recording would wrap the stream and silently
 	// measure re-walked data; that must be an error, not bogus stats.
-	if _, err := core.New("trace:"+path, core.WithNodes(4),
-		core.WithQuota(3000)).Run(); // recording holds 100+2600 per cpu
+	if _, err := spec.New("trace:"+path, spec.WithNodes(4),
+		spec.WithQuota(3000)).Run(); // recording holds 100+2600 per cpu
 	err == nil || !strings.Contains(err.Error(), "wrapped") {
 		t.Fatalf("over-quota replay: err = %v, want wrap error", err)
 	}

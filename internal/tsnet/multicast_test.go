@@ -50,24 +50,25 @@ func TestMulticastAndBroadcastShareOneOrder(t *testing.T) {
 		src int
 		seq uint64
 	}
-	expect := make(map[rec]uint64) // txn -> mask
-	for i := 0; i < 200; i++ {
+	ins := make([]injection, 200)
+	for i := range ins {
 		at := sim.Time(rng.Int63n(int64(20 * sim.Microsecond)))
 		src := rng.Intn(16)
+		ins[i] = injection{net: net, src: src}
 		if rng.Bool(0.5) {
-			mask := uint64(1)<<uint(src) | uint64(1)<<uint(rng.Intn(16)) | uint64(1)<<uint(rng.Intn(16))
-			k.At(at, func() {
-				seq := net.InjectTo(src, mask, nil)
-				expect[rec{src, seq}] = mask
-			})
-		} else {
-			k.At(at, func() {
-				seq := net.Inject(src, nil)
-				expect[rec{src, seq}] = ^uint64(0)
-			})
+			ins[i].mask = uint64(1)<<uint(src) | uint64(1)<<uint(rng.Intn(16)) | uint64(1)<<uint(rng.Intn(16))
 		}
+		k.AtCall(at, injectEvent, &ins[i], nil, 0)
 	}
 	k.RunUntil(30 * sim.Microsecond)
+	expect := make(map[rec]uint64) // txn -> mask
+	for _, in := range ins {
+		mask := in.mask
+		if mask == 0 {
+			mask = ^uint64(0)
+		}
+		expect[rec{in.src, in.seq}] = mask
+	}
 
 	// Delivery sets match the masks exactly.
 	counts := map[rec]int{}

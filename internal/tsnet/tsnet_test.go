@@ -14,6 +14,28 @@ type procRec struct {
 	seq uint64
 }
 
+// injection is one scheduled transaction from src: a broadcast when mask
+// is 0, otherwise a multicast to mask. injectEvent fills in seq and done.
+type injection struct {
+	net  *Network
+	src  int
+	mask uint64
+	seq  uint64
+	done bool
+}
+
+// injectEvent is the EventFn the tests schedule injections through; a0
+// is the *injection.
+func injectEvent(a0, _ any, _ int64) {
+	in := a0.(*injection)
+	if in.mask == 0 {
+		in.seq = in.net.Inject(in.src, nil)
+	} else {
+		in.seq = in.net.InjectTo(in.src, in.mask, nil)
+	}
+	in.done = true
+}
+
 // buildNet wires a network where every endpoint logs its ordered stream.
 func buildNet(t *testing.T, topo *topology.Topology, cfg Config) (*sim.Kernel, *Network, [][]procRec, *stats.Run) {
 	t.Helper()
@@ -159,15 +181,17 @@ func TestTotalOrderAgreementStress(t *testing.T) {
 				}
 			}
 			rng := sim.NewRand(42)
-			count := 0
-			for i := 0; i < 300; i++ {
+			ins := make([]injection, 300)
+			for i := range ins {
 				at := sim.Time(rng.Int63n(int64(30 * sim.Microsecond)))
-				src := rng.Intn(topo.Nodes())
-				k.At(at, func() { net.Inject(src, nil); count++ })
+				ins[i] = injection{net: net, src: rng.Intn(topo.Nodes())}
+				k.AtCall(at, injectEvent, &ins[i], nil, 0)
 			}
 			k.RunUntil(40 * sim.Microsecond)
-			if count != 300 {
-				t.Fatalf("%s: injected %d", name, count)
+			for i := range ins {
+				if !ins[i].done {
+					t.Fatalf("%s: injection %d never ran", name, i)
+				}
 			}
 			checkAgreement(t, logs, 300)
 		}
@@ -192,12 +216,11 @@ func TestTotalOrderUnderContention(t *testing.T) {
 			rng := sim.NewRand(7)
 			// Bursts: several sources inject at the same instant to force
 			// output-port contention in the broadcast trees.
-			for burst := 0; burst < 40; burst++ {
-				at := sim.Time(burst) * 400 * sim.Nanosecond
-				for j := 0; j < 6; j++ {
-					src := rng.Intn(topo.Nodes())
-					k.At(at, func() { net.Inject(src, nil) })
-				}
+			ins := make([]injection, 40*6)
+			for i := range ins {
+				at := sim.Time(i/6) * 400 * sim.Nanosecond
+				ins[i] = injection{net: net, src: rng.Intn(topo.Nodes())}
+				k.AtCall(at, injectEvent, &ins[i], nil, 0)
 			}
 			k.RunUntil(60 * sim.Microsecond)
 			checkAgreement(t, logs, 240)
@@ -353,10 +376,11 @@ func TestMoreTokensPerPort(t *testing.T) {
 	topo := topology.MustTorus(4, 4)
 	k, net, logs, _ := buildNet(t, topo, cfg)
 	rng := sim.NewRand(3)
-	for i := 0; i < 100; i++ {
+	ins := make([]injection, 100)
+	for i := range ins {
 		at := sim.Time(rng.Int63n(int64(10 * sim.Microsecond)))
-		src := rng.Intn(16)
-		k.At(at, func() { net.Inject(src, nil) })
+		ins[i] = injection{net: net, src: rng.Intn(16)}
+		k.AtCall(at, injectEvent, &ins[i], nil, 0)
 	}
 	k.RunUntil(15 * sim.Microsecond)
 	checkAgreement(t, logs, 100)
