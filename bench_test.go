@@ -273,6 +273,19 @@ func BenchmarkRunGridSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkRunCanonical is one spec.Default() run (OLTP, TS-Snoop,
+// 16-node butterfly): the unit of work every grid and service request
+// multiplies.
+func BenchmarkRunCanonical(b *testing.B) {
+	s := spec.Default()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRunGridParallel runs the same grid with one worker per CPU;
 // the ratio to BenchmarkRunGridSerial is the service's speedup.
 func BenchmarkRunGridParallel(b *testing.B) {
@@ -395,6 +408,24 @@ func BenchmarkKernelEventsProbed(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k.AfterCall(1, nopEvent, nil, nil, 0)
+		k.Step()
+	}
+}
+
+// BenchmarkKernelEventsLane measures schedule+dispatch on a declared
+// fixed-delay lane with a canonical-like backlog: a spec.Default() run
+// keeps about 92 events pending, most of them Dswitch link transits.
+func BenchmarkKernelEventsLane(b *testing.B) {
+	const d = 15 * sim.Nanosecond
+	k := sim.NewKernel()
+	k.Lane(d)
+	for i := 0; i < 92; i++ {
+		k.AfterCall(d, nopEvent, nil, nil, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.AfterCall(d, nopEvent, nil, nil, 0)
 		k.Step()
 	}
 }

@@ -40,13 +40,15 @@
 // (memory-only, or over a store directory via -cache).
 //
 // The simulation core is allocation-free at steady state: the event
-// kernel is a hand-rolled 4-ary min-heap of inline 64-byte events, each
-// a package-level function plus its arguments (no closures), the
-// address network recycles transaction copies through free lists and
-// keeps switch and endpoint state in dense, reused slices, and the
-// protocols pool their payload messages. The network's Verify instrumentation lives behind the
-// configuration and defaults off for experiment runs (re-enable with
-// -verify / spec.WithVerify; results are identical either way).
+// kernel keeps inline 64-byte events, each a package-level function plus
+// its arguments (no closures), in O(1) FIFO lanes for the fixed link,
+// handoff and hit delays and in a hand-rolled 4-ary min-heap for the
+// rest; the address network recycles transaction copies through free
+// lists and keeps switch and endpoint state in dense, reused slices;
+// and the protocols pool their payload messages. The network's Verify
+// instrumentation lives behind the configuration and defaults off for
+// experiment runs (re-enable with -verify / spec.WithVerify; results are
+// identical either way).
 // BENCH_5.json records the measured before/after numbers, and the
 // bench-regression CI job guards them via scripts/benchguard; see the
 // README's Performance section.

@@ -43,7 +43,8 @@ func (h HistSummary) Mean() int64 {
 
 // KernelMetrics profiles the event kernel: the dispatch count, per-kind
 // counts tagged at subsystem call sites, the schedule distance
-// distribution, and the event-heap high-water mark.
+// distribution, and the high-water mark of pending events (heap +
+// lanes), reported as heap_peak.
 //
 // ClosureDispatches is always 0: the kernel has a single, typed event
 // path. The field stays because the Metrics JSON contract never removes
@@ -51,7 +52,7 @@ func (h HistSummary) Mean() int64 {
 type KernelMetrics struct {
 	TypedDispatches   int64       `json:"typed_dispatches"`
 	ClosureDispatches int64       `json:"closure_dispatches"`
-	HeapPeak          int64       `json:"heap_peak"`
+	HeapPeak          int64       `json:"heap_peak"` // pending events (heap + lanes)
 	ScheduleDelayPS   HistSummary `json:"schedule_delay_ps"`
 	Events            EventCounts `json:"events"`
 }

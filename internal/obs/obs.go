@@ -234,7 +234,8 @@ func (p *Probe) Dispatch() { p.dispatches++ }
 // was scheduled (t - now at schedule time, picoseconds).
 func (p *Probe) ScheduleDelay(ps int64) { p.scheduleDelay.Observe(ps) }
 
-// HeapDepth tracks the event heap's high-water mark.
+// HeapDepth tracks the high-water mark of pending events (heap + lanes);
+// the kernel reports its total after every schedule.
 func (p *Probe) HeapDepth(n int) {
 	if int64(n) > p.heapPeak {
 		p.heapPeak = int64(n)

@@ -235,6 +235,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, run *stat
 		probe:  opts.Probe,
 	}
 	p.dataBytes = timing.DataMsgBytes(opts.Cache.BlockBytes)
+	k.Lane(params.L2Hit) // every hit completes L2Hit after its access
 	var ordered []int
 	if opts.Variant == Opt {
 		// DirOpt "uses point-to-point ordering on one virtual network to

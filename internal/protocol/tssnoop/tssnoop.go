@@ -211,9 +211,10 @@ type node struct {
 	mem   map[coherence.Block]*memState
 	// pred predicts the current owner per block for multicast masks,
 	// learned from snooped (always-broadcast) GETX and PUTX traffic.
-	// predFIFO implements the capacity bound's eviction order.
+	// predFIFO implements a bounded predictor's eviction order (an
+	// unbounded one, PredictorSize 0, never evicts and keeps no FIFO).
 	pred     map[coherence.Block]int
-	predFIFO []coherence.Block
+	predFIFO sim.FIFO[coherence.Block]
 
 	// mshrStore is the node's single reusable MSHR (see mshr).
 	mshrStore mshr
@@ -266,6 +267,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, run *stat
 	}
 	p.dataBytes = timing.DataMsgBytes(opts.Cache.BlockBytes)
 	p.addr = tsnet.New(k, topo, opts.Net, &run.Traffic, run)
+	k.Lane(params.L2Hit) // every hit completes L2Hit after its access
 	p.data = network.New(k, topo, params, &run.Traffic)
 	p.data.SetProbe(opts.Probe)
 	p.nodes = make([]*node, topo.Nodes())
@@ -580,11 +582,11 @@ func (n *node) snoopForeign(src int, t *addrTxn, arrived sim.Time) {
 		switch t.kind {
 		case coherence.GetX:
 			if _, known := n.pred[t.block]; !known {
-				n.predFIFO = append(n.predFIFO, t.block)
-				if max := n.p.opts.PredictorSize; max > 0 && len(n.predFIFO) > max {
-					old := n.predFIFO[0]
-					n.predFIFO = n.predFIFO[1:]
-					delete(n.pred, old)
+				if max := n.p.opts.PredictorSize; max > 0 {
+					n.predFIFO.Push(t.block)
+					if n.predFIFO.Len() > max {
+						delete(n.pred, n.predFIFO.Pop())
+					}
 				}
 			}
 			n.pred[t.block] = src

@@ -92,41 +92,142 @@ func TestKernelAllocsWithProbe(t *testing.T) {
 	}
 }
 
-// Property: the hand-rolled 4-ary heap dispatches any interleaving of
-// pushes and pops in exact (at, seq) order, including duplicates and
-// events scheduled from inside events.
-func TestKernelHeapOrderProperty(t *testing.T) {
-	f := func(raw []uint8) bool {
-		k := NewKernel()
-		var fired []Time
-		var record EventFn
-		record = func(a0, a1 any, i0 int64) {
-			fired = append(fired, k.Now())
-			if i0 > 0 { // nested scheduling from inside a typed event
-				k.AfterCall(Duration(i0), record, nil, nil, 0)
+// eqLanes are the lane delays of the equivalence property: two real
+// delays, zero, and one that also appears among the irregular ones.
+var eqLanes = []Duration{15, 4, 0, 12}
+
+// eqDelays mixes the lane delays with delays that have no lane.
+var eqDelays = []Duration{15, 15, 15, 4, 4, 0, 12, 1, 7, 16, 30, 100}
+
+// eqRec is one dispatch as the equivalence property sees it.
+type eqRec struct {
+	at  Time
+	seq uint64
+	i0  int64
+}
+
+// eqRun is one kernel under the equivalence property plus its dispatch
+// log. Nested scheduling decisions are a pure function of the
+// dispatched event's seq, so two kernels that agree so far keep making
+// the same decisions.
+type eqRun struct {
+	k      *Kernel
+	log    []eqRec
+	budget int // nested events still allowed
+}
+
+// schedule adds an event delay d from now through AtCall or AfterCall;
+// i0 carries the seq the event will get, and nest (0 or 1) in bit 40
+// asks the event to schedule children.
+func (r *eqRun) schedule(d Duration, viaAfter bool, nest int64) {
+	i0 := int64(r.k.seq+1) | nest<<40
+	if viaAfter {
+		r.k.AfterCall(d, eqEvent, r, nil, i0)
+	} else {
+		r.k.AtCall(r.k.Now()+d, eqEvent, r, nil, i0)
+	}
+}
+
+// eqEvent logs its dispatch and, when flagged and budget remains,
+// schedules up to two children with delays picked from seq.
+func eqEvent(a0, _ any, i0 int64) {
+	r := a0.(*eqRun)
+	seq := uint64(i0 & (1<<40 - 1))
+	r.log = append(r.log, eqRec{at: r.k.Now(), seq: seq, i0: i0})
+	if i0>>40 == 0 {
+		return
+	}
+	h := NewRand(seq).Uint64()
+	for c := 0; c < int(h%3) && r.budget > 0; c++ {
+		r.budget--
+		h >>= 8
+		r.schedule(eqDelays[h%uint64(len(eqDelays))], h&0x10 != 0, int64(h>>5&1))
+	}
+}
+
+// Property: a kernel with fixed-delay lanes dispatches exactly the
+// (at, seq, i0) sequence of a heap-only kernel, and agrees on Now and
+// Pending at every RunUntil cut, for random schedules mixing lane and
+// other delays, zero delays, same-time AtCall/AfterCall and nested
+// scheduling. The shared sequence is strictly increasing in (at, seq).
+func TestKernelLanesMatchHeapProperty(t *testing.T) {
+	f := func(seed uint64) bool {
+		lanes := &eqRun{k: NewKernel(), budget: 200}
+		for _, d := range eqLanes {
+			lanes.k.Lane(d)
+		}
+		heap := &eqRun{k: NewKernel(), budget: 200}
+		script := NewRand(seed)
+		for op := 0; op < 60; op++ {
+			switch script.Intn(4) {
+			case 0, 1: // a burst, often several events at one time
+				d := eqDelays[script.Intn(len(eqDelays))]
+				for j := script.Intn(4); j >= 0; j-- {
+					via, nest := script.Bool(0.5), int64(script.Intn(2))
+					lanes.schedule(d, via, nest)
+					heap.schedule(d, via, nest)
+				}
+			case 2: // a cut point
+				cut := lanes.k.Now() + Duration(script.Intn(40))
+				lanes.k.RunUntil(cut)
+				heap.k.RunUntil(cut)
+			case 3:
+				for j := script.Intn(5); j > 0; j-- {
+					if lanes.k.Step() != heap.k.Step() {
+						return false
+					}
+				}
+			}
+			if lanes.k.Now() != heap.k.Now() || lanes.k.Pending() != heap.k.Pending() {
+				return false
 			}
 		}
-		want := 0
-		for i, v := range raw {
-			k.AtCall(Time(v), record, nil, nil, int64(i%3))
-			want++
-			if i%3 != 0 {
-				want++
-			}
-		}
-		k.Run()
-		if len(fired) != want {
+		lanes.k.Run()
+		heap.k.Run()
+		if len(lanes.log) != len(heap.log) || lanes.k.Pending() != 0 || heap.k.Pending() != 0 {
 			return false
 		}
-		for i := 1; i < len(fired); i++ {
-			if fired[i] < fired[i-1] {
+		for i, r := range lanes.log {
+			if r != heap.log[i] {
 				return false
+			}
+			if i > 0 {
+				p := lanes.log[i-1]
+				if r.at < p.at || r.at == p.at && r.seq <= p.seq {
+					return false
+				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKernelLaneAllocs pins the lane path at 0 allocs/op, with and
+// without a telemetry probe, at a canonical-like depth of pending lane
+// events (the lane never drains, as while tokens circulate).
+func TestKernelLaneAllocs(t *testing.T) {
+	for _, probed := range []bool{false, true} {
+		k := NewKernel()
+		if probed {
+			k.SetProbe(obs.NewProbe())
+		}
+		k.Lane(15)
+		sum := 0
+		for i := 0; i < 96; i++ {
+			k.AfterCall(15, countEvent, &sum, nil, 1)
+		}
+		if a := testing.AllocsPerRun(1000, func() {
+			k.AfterCall(15, countEvent, &sum, nil, 1)
+			k.Step()
+		}); a != 0 {
+			t.Errorf("probe=%v: lane schedule+dispatch allocates %v/op, want 0", probed, a)
+		}
+		if k.Pending() != 96 {
+			t.Fatalf("probe=%v: Pending = %d, want 96", probed, k.Pending())
+		}
 	}
 }
 

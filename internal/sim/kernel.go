@@ -14,9 +14,9 @@ import (
 // and one scalar slot cover every case.
 type EventFn func(a0, a1 any, i0 int64)
 
-// event is a scheduled callback, stored inline in the kernel's heap (no
-// interface boxing, no per-event allocation). With 8-byte pointers it is
-// exactly 64 bytes: one cache line per heap slot.
+// event is a scheduled callback, stored inline in the kernel's heap and
+// lanes (no interface boxing, no per-event allocation). With 8-byte
+// pointers it is exactly 64 bytes: one cache line per slot.
 type event struct {
 	at     Time
 	seq    uint64 // insertion order; breaks ties deterministically (FIFO)
@@ -28,25 +28,63 @@ type event struct {
 // Kernel is a deterministic discrete-event scheduler. The zero value is
 // ready to use at time zero.
 //
-// The event queue is a hand-rolled 4-ary min-heap of inline event values
-// ordered by (at, seq). A 4-ary heap halves the tree depth of a binary
-// heap and keeps a sift-down's children adjacent in memory, and holding
-// events by value avoids the per-operation interface boxing that
-// container/heap imposes: Push/Pop through heap.Interface move every
-// event in and out of an `any`, which heap-allocates any struct larger
-// than a word.
+// Pending events wait in one of two places, and Step always dispatches
+// the least (at, seq) among them:
+//
+//   - Fixed-delay lanes (see Lane): one FIFO per declared delay d. An
+//     event scheduled exactly d after Now is appended to d's lane in
+//     O(1). Now never decreases and seq always increases, so each lane
+//     is sorted by (at, seq) for free and its head is its minimum. Link
+//     transits, network handoffs and L2 hits — nearly every event of a
+//     timestamp-snooping run — share a handful of such delays.
+//   - A hand-rolled 4-ary min-heap of inline event values for every
+//     other delay. A 4-ary heap halves the tree depth of a binary heap
+//     and keeps a sift-down's children adjacent in memory, and holding
+//     events by value avoids the per-operation interface boxing that
+//     container/heap imposes.
+//
+// Which place an event waits in never changes the dispatch order, only
+// its cost.
 type Kernel struct {
 	now    Time
 	seq    uint64
-	events []event
+	events []event // the heap: events whose delay has no lane
+	lanes  [maxLanes]lane
+	nlanes int
 	// executed counts dispatched events; useful for progress accounting
 	// and loop-detection in tests.
 	executed uint64
 	// probe is the optional telemetry hook (nil = zero overhead beyond
 	// one predictable branch per schedule/dispatch). It records dispatch
-	// counts, schedule distances, and the heap's high-water mark — all
-	// derived from simulated time, never wall clock.
+	// counts, schedule distances, and the high-water mark of pending
+	// events — all derived from simulated time, never wall clock.
 	probe *obs.Probe
+}
+
+// maxLanes bounds the fixed-delay lanes: Step compares every lane head,
+// so lanes pay off only for the few delays that dominate a run.
+const maxLanes = 4
+
+// lane is a FIFO of the events scheduled exactly d after their
+// scheduling time.
+type lane struct {
+	d Duration
+	q FIFO[event]
+}
+
+// Lane declares a fixed-delay lane: from now on, events scheduled
+// exactly d after Now skip the heap. Components declare the constant
+// delays they own when they are built. Declaring a delay twice is a
+// no-op, and declarations beyond the kernel's few lanes are ignored:
+// those events simply stay on the heap. Negative delays panic.
+func (k *Kernel) Lane(d Duration) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative lane delay %v", d))
+	}
+	if k.laneFor(d) == nil && k.nlanes < maxLanes {
+		k.lanes[k.nlanes].d = d
+		k.nlanes++
+	}
 }
 
 // SetProbe attaches (or, with nil, detaches) the telemetry probe.
@@ -61,8 +99,15 @@ func (k *Kernel) Now() Time { return k.now }
 // Executed returns the number of events dispatched so far.
 func (k *Kernel) Executed() uint64 { return k.executed }
 
-// Pending returns the number of scheduled-but-not-yet-dispatched events.
-func (k *Kernel) Pending() int { return len(k.events) }
+// Pending returns the number of scheduled-but-not-yet-dispatched events,
+// on the heap and in the lanes.
+func (k *Kernel) Pending() int {
+	n := len(k.events)
+	for i := 0; i < k.nlanes; i++ {
+		n += k.lanes[i].q.Len()
+	}
+	return n
+}
 
 // less orders events by (at, seq); seq is unique, so this is a strict
 // total order and dispatch is deterministic regardless of heap shape.
@@ -86,9 +131,6 @@ func (k *Kernel) push(e event) {
 		i = p
 	}
 	k.events = h
-	if p := k.probe; p != nil {
-		p.HeapDepth(len(h))
-	}
 }
 
 // popMin removes and returns the earliest event. The caller must have
@@ -142,7 +184,25 @@ func (k *Kernel) AtCall(t Time, fn EventFn, a0, a1 any, i0 int64) {
 		p.ScheduleDelay(int64(t - k.now))
 	}
 	k.seq++
-	k.push(event{at: t, seq: k.seq, call: fn, a0: a0, a1: a1, i0: i0})
+	e := event{at: t, seq: k.seq, call: fn, a0: a0, a1: a1, i0: i0}
+	if l := k.laneFor(t - k.now); l != nil {
+		l.q.Push(e)
+	} else {
+		k.push(e)
+	}
+	if p := k.probe; p != nil {
+		p.HeapDepth(k.Pending())
+	}
+}
+
+// laneFor returns the lane declared for delay d, or nil.
+func (k *Kernel) laneFor(d Duration) *lane {
+	for i := 0; i < k.nlanes; i++ {
+		if k.lanes[i].d == d {
+			return &k.lanes[i]
+		}
+	}
+	return nil
 }
 
 // AfterCall schedules the event fn(a0, a1, i0) d picoseconds from now.
@@ -154,19 +214,47 @@ func (k *Kernel) AfterCall(d Duration, fn EventFn, a0, a1 any, i0 int64) {
 	k.AtCall(k.now+d, fn, a0, a1, i0)
 }
 
-// Step dispatches the single earliest event, advancing the clock to its
-// timestamp. It reports false when no events remain.
-func (k *Kernel) Step() bool {
-	if len(k.events) == 0 {
-		return false
+// next returns the earliest pending event in place and where it waits:
+// a lane index, or -1 for the heap. The event is nil when none remain.
+func (k *Kernel) next() (*event, int) {
+	var min *event
+	src := -1
+	if len(k.events) > 0 {
+		min = &k.events[0]
 	}
-	e := k.popMin()
+	for i := 0; i < k.nlanes; i++ {
+		if e := k.lanes[i].q.Peek(); e != nil && (min == nil || less(e, min)) {
+			min, src = e, i
+		}
+	}
+	return min, src
+}
+
+// dispatch removes the earliest event from src (as reported by next),
+// advances the clock to its timestamp and runs it.
+func (k *Kernel) dispatch(src int) {
+	var e event
+	if src < 0 {
+		e = k.popMin()
+	} else {
+		e = k.lanes[src].q.Pop()
+	}
 	k.now = e.at
 	k.executed++
 	if p := k.probe; p != nil {
 		p.Dispatch()
 	}
 	e.call(e.a0, e.a1, e.i0)
+}
+
+// Step dispatches the single earliest event, advancing the clock to its
+// timestamp. It reports false when no events remain.
+func (k *Kernel) Step() bool {
+	e, src := k.next()
+	if e == nil {
+		return false
+	}
+	k.dispatch(src)
 	return true
 }
 
@@ -179,8 +267,12 @@ func (k *Kernel) Run() {
 // RunUntil dispatches events with timestamps <= t, then sets the clock to t.
 // Events scheduled beyond t remain pending.
 func (k *Kernel) RunUntil(t Time) {
-	for len(k.events) > 0 && k.events[0].at <= t {
-		k.Step()
+	for {
+		e, src := k.next()
+		if e == nil || e.at > t {
+			break
+		}
+		k.dispatch(src)
 	}
 	if t > k.now {
 		k.now = t

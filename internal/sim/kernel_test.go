@@ -169,6 +169,35 @@ func TestKernelMonotonicProperty(t *testing.T) {
 	}
 }
 
+// Lane declarations are idempotent, the few lanes fill in declaration
+// order, and delays declared past the limit stay on the heap.
+func TestKernelLaneDeclarations(t *testing.T) {
+	k := NewKernel()
+	for _, d := range []Duration{15, 4, 15, 0, 12, 4, 7, 9} {
+		k.Lane(d)
+	}
+	if k.nlanes != maxLanes {
+		t.Fatalf("declared %d lanes, want %d", k.nlanes, maxLanes)
+	}
+	for i, d := range []Duration{15, 4, 0, 12} {
+		if k.lanes[i].d != d {
+			t.Fatalf("lane %d has delay %v, want %v", i, k.lanes[i].d, d)
+		}
+	}
+	k.AfterCall(7, noop, nil, nil, 0)
+	k.AfterCall(15, noop, nil, nil, 0)
+	if len(k.events) != 1 || k.lanes[0].q.Len() != 1 || k.Pending() != 2 {
+		t.Fatalf("heap %d, 15ps lane %d, pending %d; want 1, 1, 2",
+			len(k.events), k.lanes[0].q.Len(), k.Pending())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative lane delay did not panic")
+		}
+	}()
+	k.Lane(-1)
+}
+
 func TestTimeString(t *testing.T) {
 	cases := []struct {
 		in   Time

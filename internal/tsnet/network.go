@@ -206,6 +206,12 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traf
 			toSwitch: l.To.Kind == topology.KindSwitch,
 			toIndex:  int32(l.To.Index),
 		}
+		// Every token and transaction hop takes its link's latency, and
+		// every handoff takes Dovh: the kernel's fixed-delay lanes.
+		k.Lane(n.links[i].lat)
+	}
+	if d := cfg.Params.Dovh; d > 0 {
+		k.Lane(d)
 	}
 	for _, sw := range topo.Switches() {
 		for pos, id := range sw.In {
