@@ -13,6 +13,7 @@ package tsnoop
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -468,6 +469,38 @@ func BenchmarkCacheOps(b *testing.B) {
 			c.Insert(blk, cache.Shared, 0)
 		}
 	}
+}
+
+// BenchmarkCacheSnoopProbe reproduces the snoop's access pattern: every
+// broadcast is Peeked in each of 16 paper-sized L2s (32 MB together, far
+// beyond a host cache), and most such probes miss. One op is one block
+// probed in all 16 caches.
+func BenchmarkCacheSnoopProbe(b *testing.B) {
+	const nodes, blocks = 16, 1 << 20
+	rng := rand.New(rand.NewSource(1))
+	caches := make([]*cache.Cache, nodes)
+	for n := range caches {
+		caches[n] = cache.MustNew(cache.DefaultConfig())
+		for i := 0; i < 2*caches[n].Sets()*caches[n].Ways(); i++ {
+			caches[n].Insert(coherence.Block(rng.Intn(blocks)), cache.Shared, 0)
+		}
+	}
+	probes := make([]coherence.Block, 1<<16)
+	for i := range probes {
+		probes[i] = coherence.Block(rng.Intn(blocks))
+	}
+	hits := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk := probes[i&(len(probes)-1)]
+		for _, c := range caches {
+			if s, _ := c.Peek(blk); s != cache.Invalid {
+				hits++
+			}
+		}
+	}
+	b.ReportMetric(float64(hits)/float64(b.N*nodes), "hit_ratio")
 }
 
 // BenchmarkTSSnoopMiss measures a full timestamp-snooping miss

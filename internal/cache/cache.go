@@ -2,6 +2,8 @@
 // 4-way set associative, 64-byte blocks in the paper's target system, with
 // true LRU replacement and MSI stable states. Transient (in-flight) states
 // live in the protocol controllers' MSHRs, not here.
+// Every broadcast is snooped by every node and most of those probes miss,
+// so a cache keeps its tags apart from the rest of each line (see Cache).
 package cache
 
 import (
@@ -43,17 +45,20 @@ func (s State) String() string {
 	}
 }
 
-// Line is one cache line's bookkeeping.
-type line struct {
-	block   coherence.Block
+// meta is one way's bookkeeping apart from its tag. A way is valid iff
+// its state is not Invalid; its tag is meaningful only then.
+type meta struct {
 	state   State
 	version uint64 // data value surrogate for the coherence checker
 	lastUse uint64 // LRU clock
 }
 
-// Cache is a set-associative cache indexed by block address.
+// Cache is a set-associative cache indexed by block address: two flat,
+// pointer-free arrays indexed by set*ways + way. A probe scans the set's
+// tags and reads meta only on a match. No tag value is reserved.
 type Cache struct {
-	sets    [][]line
+	tags    []coherence.Block
+	meta    []meta
 	setMask uint64
 	ways    int
 	clock   uint64
@@ -89,19 +94,12 @@ func New(cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("cache: %d sets is not a power of two", nSets)
 	}
 	c := &Cache{
-		sets:       make([][]line, nSets),
+		tags:       make([]coherence.Block, nLines),
+		meta:       make([]meta, nLines),
 		setMask:    uint64(nSets - 1),
 		ways:       cfg.Ways,
 		blockBytes: cfg.BlockBytes,
 		sizeBytes:  cfg.SizeBytes,
-	}
-	// One contiguous backing array for every line, sliced per set: a
-	// 4 MB cache is 16K sets, and a slice allocation per set dominated
-	// whole-simulation allocation profiles (and scattered the lines
-	// across the heap).
-	lines := make([]line, nLines)
-	for i := range c.sets {
-		c.sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	return c, nil
 }
@@ -119,38 +117,41 @@ func MustNew(cfg Config) *Cache {
 func (c *Cache) BlockBytes() int { return c.blockBytes }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-func (c *Cache) set(b coherence.Block) []line { return c.sets[uint64(b)&c.setMask] }
+// base returns the index of way 0 of b's set.
+func (c *Cache) base(b coherence.Block) int { return int(uint64(b)&c.setMask) * c.ways }
 
-func (c *Cache) find(b coherence.Block) *line {
-	set := c.set(b)
-	for i := range set {
-		if set[i].state != Invalid && set[i].block == b {
-			return &set[i]
+// find returns the index of b's valid way, or -1. It reads a way's meta
+// only when the tag matches, so a miss touches only the set's tags.
+func (c *Cache) find(b coherence.Block) int {
+	base := c.base(b)
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == b && c.meta[base+i].state != Invalid {
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
 // Lookup returns the state of block b (Invalid when absent) and its
 // version, updating LRU on a valid hit.
 func (c *Cache) Lookup(b coherence.Block) (State, uint64) {
-	if l := c.find(b); l != nil {
+	if i := c.find(b); i >= 0 {
 		c.clock++
-		l.lastUse = c.clock
-		return l.state, l.version
+		c.meta[i].lastUse = c.clock
+		return c.meta[i].state, c.meta[i].version
 	}
 	return Invalid, 0
 }
 
 // Peek is Lookup without the LRU side effect.
 func (c *Cache) Peek(b coherence.Block) (State, uint64) {
-	if l := c.find(b); l != nil {
-		return l.state, l.version
+	if i := c.find(b); i >= 0 {
+		return c.meta[i].state, c.meta[i].version
 	}
 	return Invalid, 0
 }
@@ -159,20 +160,20 @@ func (c *Cache) Peek(b coherence.Block) (State, uint64) {
 // It panics when the block is absent: protocol controllers must never
 // downgrade a line they do not hold.
 func (c *Cache) SetState(b coherence.Block, s State) {
-	l := c.find(b)
-	if l == nil {
+	i := c.find(b)
+	if i < 0 {
 		panic(fmt.Sprintf("cache: SetState(%x) on absent block", b))
 	}
-	l.state = s
+	c.meta[i].state = s
 }
 
 // SetVersion updates a resident block's version (a completed store).
 func (c *Cache) SetVersion(b coherence.Block, v uint64) {
-	l := c.find(b)
-	if l == nil {
+	i := c.find(b)
+	if i < 0 {
 		panic(fmt.Sprintf("cache: SetVersion(%x) on absent block", b))
 	}
-	l.version = v
+	c.meta[i].version = v
 }
 
 // Victim describes a line evicted by Insert.
@@ -190,13 +191,12 @@ func (c *Cache) Insert(b coherence.Block, s State, version uint64) (Victim, bool
 		panic("cache: Insert with Invalid state")
 	}
 	c.clock++
-	if l := c.find(b); l != nil {
-		l.state = s
-		l.version = version
-		l.lastUse = c.clock
+	if i := c.find(b); i >= 0 {
+		c.meta[i] = meta{state: s, version: version, lastUse: c.clock}
 		return Victim{}, false
 	}
-	set := c.set(b)
+	base := c.base(b)
+	set := c.meta[base : base+c.ways]
 	// Prefer an invalid way; otherwise evict true-LRU.
 	victim := -1
 	for i := range set {
@@ -214,10 +214,11 @@ func (c *Cache) Insert(b coherence.Block, s State, version uint64) (Victim, bool
 				victim = i
 			}
 		}
-		evicted = Victim{Block: set[victim].block, State: set[victim].state, Version: set[victim].version}
+		evicted = Victim{Block: c.tags[base+victim], State: set[victim].state, Version: set[victim].version}
 		has = true
 	}
-	set[victim] = line{block: b, state: s, version: version, lastUse: c.clock}
+	c.tags[base+victim] = b
+	set[victim] = meta{state: s, version: version, lastUse: c.clock}
 	return evicted, has
 }
 
@@ -225,23 +226,19 @@ func (c *Cache) Insert(b coherence.Block, s State, version uint64) (Victim, bool
 // and end-of-run invariant checks).
 func (c *Cache) CountState(s State) int {
 	n := 0
-	for _, set := range c.sets {
-		for _, l := range set {
-			if l.state == s {
-				n++
-			}
+	for i := range c.meta {
+		if c.meta[i].state == s {
+			n++
 		}
 	}
 	return n
 }
 
-// ForEach invokes fn for every valid line.
+// ForEach invokes fn for every valid line, in set then way order.
 func (c *Cache) ForEach(fn func(b coherence.Block, s State, version uint64)) {
-	for _, set := range c.sets {
-		for _, l := range set {
-			if l.state != Invalid {
-				fn(l.block, l.state, l.version)
-			}
+	for i, m := range c.meta {
+		if m.state != Invalid {
+			fn(c.tags[i], m.state, m.version)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -223,5 +226,227 @@ func TestOwnedState(t *testing.T) {
 	}
 	if c.CountState(Owned) != 1 {
 		t.Fatal("CountState(Owned)")
+	}
+}
+
+// refCache is the set-of-lines layout this package used before the
+// two-array rewrite: a slice of per-set slices of full lines. It is the
+// reference model TestCacheMatchesReference drives in lockstep with Cache.
+type refCache struct {
+	sets    [][]refLine
+	setMask uint64
+	clock   uint64
+}
+
+type refLine struct {
+	block   coherence.Block
+	state   State
+	version uint64
+	lastUse uint64
+}
+
+func newRef(cfg Config) *refCache {
+	nLines := cfg.SizeBytes / cfg.BlockBytes
+	nSets := nLines / cfg.Ways
+	r := &refCache{sets: make([][]refLine, nSets), setMask: uint64(nSets - 1)}
+	lines := make([]refLine, nLines)
+	for i := range r.sets {
+		r.sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
+	}
+	return r
+}
+
+func (r *refCache) find(b coherence.Block) *refLine {
+	set := r.sets[uint64(b)&r.setMask]
+	for i := range set {
+		if set[i].state != Invalid && set[i].block == b {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+func (r *refCache) Lookup(b coherence.Block) (State, uint64) {
+	if l := r.find(b); l != nil {
+		r.clock++
+		l.lastUse = r.clock
+		return l.state, l.version
+	}
+	return Invalid, 0
+}
+
+func (r *refCache) Peek(b coherence.Block) (State, uint64) {
+	if l := r.find(b); l != nil {
+		return l.state, l.version
+	}
+	return Invalid, 0
+}
+
+func (r *refCache) Insert(b coherence.Block, s State, version uint64) (Victim, bool) {
+	r.clock++
+	if l := r.find(b); l != nil {
+		l.state, l.version, l.lastUse = s, version, r.clock
+		return Victim{}, false
+	}
+	set := r.sets[uint64(b)&r.setMask]
+	victim := -1
+	for i := range set {
+		if set[i].state == Invalid {
+			victim = i
+			break
+		}
+	}
+	evicted, has := Victim{}, false
+	if victim < 0 {
+		victim = 0
+		for i := 1; i < len(set); i++ {
+			if set[i].lastUse < set[victim].lastUse {
+				victim = i
+			}
+		}
+		evicted = Victim{Block: set[victim].block, State: set[victim].state, Version: set[victim].version}
+		has = true
+	}
+	set[victim] = refLine{block: b, state: s, version: version, lastUse: r.clock}
+	return evicted, has
+}
+
+func (r *refCache) CountState(s State) int {
+	n := 0
+	for _, set := range r.sets {
+		for _, l := range set {
+			if l.state == s {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+func (r *refCache) ForEach(fn func(b coherence.Block, s State, version uint64)) {
+	for _, set := range r.sets {
+		for _, l := range set {
+			if l.state != Invalid {
+				fn(l.block, l.state, l.version)
+			}
+		}
+	}
+}
+
+type visit struct {
+	b coherence.Block
+	s State
+	v uint64
+}
+
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
+// Differential: seeded random Insert/Lookup/Peek/SetState/SetVersion
+// sequences give identical results, victims, CountState and ForEach
+// sequences on Cache and the per-set-slice reference, including the
+// blocks 0, 1<<63 and ^0 (no tag value is reserved).
+func TestCacheMatchesReference(t *testing.T) {
+	geoms := []struct {
+		cfg Config
+		ops int
+	}{
+		{Config{SizeBytes: 2 * 64, Ways: 2, BlockBytes: 64}, 5000},  // 1 set x 2 ways
+		{Config{SizeBytes: 16 * 64, Ways: 4, BlockBytes: 64}, 5000}, // 4 sets x 4 ways
+		{DefaultConfig(), 300},
+	}
+	for _, g := range geoms {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%dB_%dway_seed%d", g.cfg.SizeBytes, g.cfg.Ways, seed), func(t *testing.T) {
+				c, ref := MustNew(g.cfg), newRef(g.cfg)
+				sets := coherence.Block(c.Sets())
+				rng := rand.New(rand.NewSource(seed))
+				// A pool that crowds a few sets, so evictions happen on
+				// every geometry, plus the edge blocks.
+				pool := []coherence.Block{0, 1 << 63, ^coherence.Block(0), sets - 1, sets}
+				for len(pool) < 24 {
+					b := coherence.Block(rng.Intn(3)) + coherence.Block(rng.Intn(8))*sets
+					if rng.Intn(4) == 0 {
+						b |= 1 << 63
+					}
+					pool = append(pool, b)
+				}
+				for op := 0; op < g.ops; op++ {
+					b := pool[rng.Intn(len(pool))]
+					var desc string
+					switch k := rng.Intn(6); k {
+					case 0, 1:
+						s, v := State(1+rng.Intn(3)), rng.Uint64()
+						desc = fmt.Sprintf("Insert(%x, %v, %d)", b, s, v)
+						gv, gok := c.Insert(b, s, v)
+						wv, wok := ref.Insert(b, s, v)
+						if gv != wv || gok != wok {
+							t.Fatalf("op %d %s = %+v,%v; reference %+v,%v", op, desc, gv, gok, wv, wok)
+						}
+					case 2, 3:
+						lookup := k == 2
+						desc = fmt.Sprintf("Lookup=%v(%x)", lookup, b)
+						gs, gv := c.Peek(b)
+						ws, wv := ref.Peek(b)
+						if lookup {
+							gs, gv = c.Lookup(b)
+							ws, wv = ref.Lookup(b)
+						}
+						if gs != ws || gv != wv {
+							t.Fatalf("op %d %s = %v/%d; reference %v/%d", op, desc, gs, gv, ws, wv)
+						}
+					case 4:
+						s := State(rng.Intn(4))
+						desc = fmt.Sprintf("SetState(%x, %v)", b, s)
+						if l := ref.find(b); l != nil {
+							l.state = s
+							c.SetState(b, s)
+						} else if !panics(func() { c.SetState(b, s) }) {
+							t.Fatalf("op %d %s on absent block did not panic", op, desc)
+						}
+					case 5:
+						v := rng.Uint64()
+						desc = fmt.Sprintf("SetVersion(%x, %d)", b, v)
+						if l := ref.find(b); l != nil {
+							l.version = v
+							c.SetVersion(b, v)
+						} else if !panics(func() { c.SetVersion(b, v) }) {
+							t.Fatalf("op %d %s on absent block did not panic", op, desc)
+						}
+					}
+					for s := Invalid; s <= Modified; s++ {
+						if g, w := c.CountState(s), ref.CountState(s); g != w {
+							t.Fatalf("after op %d %s: CountState(%v) = %d, reference %d", op, desc, s, g, w)
+						}
+					}
+					var got, want []visit
+					c.ForEach(func(b coherence.Block, s State, v uint64) { got = append(got, visit{b, s, v}) })
+					ref.ForEach(func(b coherence.Block, s State, v uint64) { want = append(want, visit{b, s, v}) })
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("after op %d %s: ForEach = %v, reference %v", op, desc, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// The default 4 MB cache costs one 8-byte tag and one 24-byte meta per
+// line and nothing else: no per-set slice headers, no pointer-bearing
+// line type.
+func TestNewMemoryShape(t *testing.T) {
+	cfg := DefaultConfig()
+	lines := uint64(cfg.SizeBytes / cfg.BlockBytes)
+	limit := lines*(8+24) + 1024
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := MustNew(cfg)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("New(DefaultConfig()) allocated %d B, want <= %d B (%d lines x 32 B + 1 KiB)", got, limit, lines)
 	}
 }
