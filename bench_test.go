@@ -287,6 +287,25 @@ func BenchmarkRunCanonical(b *testing.B) {
 	}
 }
 
+// BenchmarkSystemBuild builds spec.Default()'s machine (16 nodes, TS-Snoop
+// on the butterfly) and releases it without running: the per-simulation
+// setup every grid cell and service miss pays. Released caches go back
+// to the pool, so after the first iteration no L2 arrays are allocated.
+func BenchmarkSystemBuild(b *testing.B) {
+	cfg, gen, err := spec.Default().Config()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := system.Build(cfg, gen)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Release()
+	}
+}
+
 // BenchmarkRunGridParallel runs the same grid with one worker per CPU;
 // the ratio to BenchmarkRunGridSerial is the service's speedup.
 func BenchmarkRunGridParallel(b *testing.B) {
@@ -523,7 +542,9 @@ func benchProtocolMiss(b *testing.B, proto string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.Execute()
+	if _, err := s.Execute(); err != nil {
+		b.Fatal(err)
+	}
 	done := false
 	doneFn := func(coherence.AccessResult) { done = true }
 	b.ReportAllocs()
@@ -551,7 +572,9 @@ func BenchmarkTSSnoopMissSteady(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.Execute()
+	if _, err := s.Execute(); err != nil {
+		b.Fatal(err)
+	}
 	done := false
 	doneFn := func(coherence.AccessResult) { done = true }
 	const blk = coherence.Block(1 << 22)

@@ -183,7 +183,9 @@ func stress(cs spec.Spec, ops, blocks int) (err error) {
 	if s.Proto.Pending() != 0 {
 		return fmt.Errorf("%d accesses still pending after drain", s.Proto.Pending())
 	}
-	return verifyQuiescence(s, blocks, cs.MOSI)
+	err = verifyQuiescence(s, blocks, cs.MOSI)
+	s.Release()
+	return err
 }
 
 // verifyQuiescence checks SWMR and controller agreement once traffic has

@@ -105,7 +105,12 @@ var traceRecordCmd = &command{
 				if err != nil {
 					return err
 				}
-				run := sys.Execute()
+				run, err := sys.Execute()
+				if err != nil {
+					f.Close()
+					return err
+				}
+				sys.Release()
 				if err := w.Close(); err != nil {
 					return err
 				}

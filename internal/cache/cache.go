@@ -4,10 +4,17 @@
 // live in the protocol controllers' MSHRs, not here.
 // Every broadcast is snooped by every node and most of those probes miss,
 // so a cache keeps its tags apart from the rest of each line (see Cache).
+//
+// A paper-sized cache is 2 MiB of arrays, and an experiment grid builds
+// dozens of 16-node machines. New therefore borrows its arrays from a
+// per-geometry pool, and Release hands them back once the run is over,
+// zeroed again in time proportional to the sets the run filled.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"tsnoop/internal/coherence"
 )
@@ -56,6 +63,15 @@ type meta struct {
 // Cache is a set-associative cache indexed by block address: two flat,
 // pointer-free arrays indexed by set*ways + way. A probe scans the set's
 // tags and reads meta only on a match. No tag value is reserved.
+//
+// The arrays form a slab that New borrows from a pool shared by every
+// cache of the same Config. Release zeroes the sets Insert filled, so a
+// slab comes back exactly as New would allocate it and a reused cache
+// behaves exactly like a fresh one. (Invalid meta alone would be
+// correct, since a tag counts only while its way is valid, but stale
+// tags of the same blocks make probes read meta they would otherwise
+// skip.) A cache that is never released simply leaves its slab to the
+// garbage collector.
 type Cache struct {
 	tags    []coherence.Block
 	meta    []meta
@@ -63,9 +79,41 @@ type Cache struct {
 	ways    int
 	clock   uint64
 
+	// slab owns tags and meta, plus one bit per set that Insert has
+	// filled; Release clears those sets only.
+	slab *slab
+
 	// Size bookkeeping for reports.
 	blockBytes int
 	sizeBytes  int
+}
+
+// slab is the reusable storage of one cache, and the pool it returns to.
+type slab struct {
+	tags  []coherence.Block
+	meta  []meta
+	dirty []uint64 // bit s%64 of word s/64 marks set s as filled
+	pool  *sync.Pool
+}
+
+// pools holds one slab pool per geometry. A sync.Pool rather than a
+// retained free list: idle slabs go after two garbage collections, so a
+// burst of runs does not pin its peak footprint for the process's life.
+var pools = struct {
+	sync.Mutex
+	m map[Config]*sync.Pool
+}{m: make(map[Config]*sync.Pool)}
+
+// poolFor returns cfg's slab pool, creating it on first use.
+func poolFor(cfg Config) *sync.Pool {
+	pools.Lock()
+	defer pools.Unlock()
+	p := pools.m[cfg]
+	if p == nil {
+		p = new(sync.Pool)
+		pools.m[cfg] = p
+	}
+	return p
 }
 
 // Config describes a cache geometry.
@@ -80,7 +128,9 @@ func DefaultConfig() Config {
 	return Config{SizeBytes: 4 << 20, Ways: 4, BlockBytes: 64}
 }
 
-// New constructs a cache. Geometry must be a power-of-two number of sets.
+// New constructs an empty cache, on a pooled slab when one of this
+// geometry has been released. Geometry must be a power-of-two number of
+// sets.
 func New(cfg Config) (*Cache, error) {
 	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.BlockBytes <= 0 {
 		return nil, fmt.Errorf("cache: non-positive geometry %+v", cfg)
@@ -93,11 +143,22 @@ func New(cfg Config) (*Cache, error) {
 	if nSets&(nSets-1) != 0 {
 		return nil, fmt.Errorf("cache: %d sets is not a power of two", nSets)
 	}
+	pool := poolFor(cfg)
+	s, _ := pool.Get().(*slab)
+	if s == nil {
+		s = &slab{
+			tags:  make([]coherence.Block, nLines),
+			meta:  make([]meta, nLines),
+			dirty: make([]uint64, (nSets+63)/64),
+			pool:  pool,
+		}
+	}
 	c := &Cache{
-		tags:       make([]coherence.Block, nLines),
-		meta:       make([]meta, nLines),
+		tags:       s.tags,
+		meta:       s.meta,
 		setMask:    uint64(nSets - 1),
 		ways:       cfg.Ways,
+		slab:       s,
 		blockBytes: cfg.BlockBytes,
 		sizeBytes:  cfg.SizeBytes,
 	}
@@ -219,12 +280,15 @@ func (c *Cache) Insert(b coherence.Block, s State, version uint64) (Victim, bool
 	}
 	c.tags[base+victim] = b
 	set[victim] = meta{state: s, version: version, lastUse: c.clock}
+	si := uint64(b) & c.setMask
+	c.slab.dirty[si/64] |= 1 << (si % 64)
 	return evicted, has
 }
 
 // CountState returns how many resident lines are in state s (test support
 // and end-of-run invariant checks).
 func (c *Cache) CountState(s State) int {
+	c.mustLive()
 	n := 0
 	for i := range c.meta {
 		if c.meta[i].state == s {
@@ -236,9 +300,38 @@ func (c *Cache) CountState(s State) int {
 
 // ForEach invokes fn for every valid line, in set then way order.
 func (c *Cache) ForEach(fn func(b coherence.Block, s State, version uint64)) {
+	c.mustLive()
 	for i, m := range c.meta {
 		if m.state != Invalid {
 			fn(c.tags[i], m.state, m.version)
 		}
+	}
+}
+
+// Release returns the cache's slab to its pool for the next New of the
+// same geometry, after zeroing every set Insert filled. The
+// cache is unusable afterwards: its arrays are gone, so any further use,
+// a second Release included, panics instead of touching a slab that a
+// later run may own.
+func (c *Cache) Release() {
+	c.mustLive()
+	s := c.slab
+	for w, word := range s.dirty {
+		for ; word != 0; word &= word - 1 {
+			base := (w*64 + bits.TrailingZeros64(word)) * c.ways
+			clear(s.tags[base : base+c.ways])
+			clear(s.meta[base : base+c.ways])
+		}
+	}
+	clear(s.dirty)
+	c.tags, c.meta, c.slab = nil, nil, nil
+	s.pool.Put(s)
+}
+
+// mustLive panics on a released cache, for the whole-cache walks that
+// would otherwise quietly see an empty one.
+func (c *Cache) mustLive() {
+	if c.slab == nil {
+		panic("cache: use of a released cache")
 	}
 }

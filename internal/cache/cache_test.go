@@ -311,6 +311,23 @@ func (r *refCache) Insert(b coherence.Block, s State, version uint64) (Victim, b
 	return evicted, has
 }
 
+// SetState and SetVersion panic on an absent block, as Cache's do.
+func (r *refCache) SetState(b coherence.Block, s State) {
+	l := r.find(b)
+	if l == nil {
+		panic("refCache: SetState on absent block")
+	}
+	l.state = s
+}
+
+func (r *refCache) SetVersion(b coherence.Block, v uint64) {
+	l := r.find(b)
+	if l == nil {
+		panic("refCache: SetVersion on absent block")
+	}
+	l.version = v
+}
+
 func (r *refCache) CountState(s State) int {
 	n := 0
 	for _, set := range r.sets {
@@ -333,6 +350,17 @@ func (r *refCache) ForEach(fn func(b coherence.Block, s State, version uint64)) 
 	}
 }
 
+// model is what lockstep compares: Cache and the reference layout.
+type model interface {
+	Lookup(b coherence.Block) (State, uint64)
+	Peek(b coherence.Block) (State, uint64)
+	Insert(b coherence.Block, s State, version uint64) (Victim, bool)
+	SetState(b coherence.Block, s State)
+	SetVersion(b coherence.Block, v uint64)
+	CountState(s State) int
+	ForEach(fn func(b coherence.Block, s State, version uint64))
+}
+
 type visit struct {
 	b coherence.Block
 	s State
@@ -345,108 +373,200 @@ func panics(f func()) (p bool) {
 	return false
 }
 
-// Differential: seeded random Insert/Lookup/Peek/SetState/SetVersion
-// sequences give identical results, victims, CountState and ForEach
-// sequences on Cache and the per-set-slice reference, including the
-// blocks 0, 1<<63 and ^0 (no tag value is reserved).
-func TestCacheMatchesReference(t *testing.T) {
-	geoms := []struct {
-		cfg Config
-		ops int
-	}{
-		{Config{SizeBytes: 2 * 64, Ways: 2, BlockBytes: 64}, 5000},  // 1 set x 2 ways
-		{Config{SizeBytes: 16 * 64, Ways: 4, BlockBytes: 64}, 5000}, // 4 sets x 4 ways
-		{DefaultConfig(), 300},
+// lockstep drives got and want, both of sets sets, through the same
+// seeded random Insert/Lookup/Peek/SetState (including to Invalid)/
+// SetVersion sequence and fails at the first differing result, victim,
+// panic, CountState or ForEach sequence. Its blocks crowd a few sets, so
+// evictions happen on every geometry, and include 0, 1<<63 and ^0.
+func lockstep(t *testing.T, got, want model, sets coherence.Block, seed int64, ops int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	pool := []coherence.Block{0, 1 << 63, ^coherence.Block(0), sets - 1, sets}
+	for len(pool) < 24 {
+		b := coherence.Block(rng.Intn(3)) + coherence.Block(rng.Intn(8))*sets
+		if rng.Intn(4) == 0 {
+			b |= 1 << 63
+		}
+		pool = append(pool, b)
 	}
-	for _, g := range geoms {
+	for op := 0; op < ops; op++ {
+		b := pool[rng.Intn(len(pool))]
+		var desc string
+		switch k := rng.Intn(6); k {
+		case 0, 1:
+			s, v := State(1+rng.Intn(3)), rng.Uint64()
+			desc = fmt.Sprintf("Insert(%x, %v, %d)", b, s, v)
+			gv, gok := got.Insert(b, s, v)
+			wv, wok := want.Insert(b, s, v)
+			if gv != wv || gok != wok {
+				t.Fatalf("op %d %s = %+v,%v; want %+v,%v", op, desc, gv, gok, wv, wok)
+			}
+		case 2, 3:
+			lookup := k == 2
+			desc = fmt.Sprintf("Lookup=%v(%x)", lookup, b)
+			gs, gv := got.Peek(b)
+			ws, wv := want.Peek(b)
+			if lookup {
+				gs, gv = got.Lookup(b)
+				ws, wv = want.Lookup(b)
+			}
+			if gs != ws || gv != wv {
+				t.Fatalf("op %d %s = %v/%d; want %v/%d", op, desc, gs, gv, ws, wv)
+			}
+		case 4:
+			s := State(rng.Intn(4))
+			desc = fmt.Sprintf("SetState(%x, %v)", b, s)
+			if g, w := panics(func() { got.SetState(b, s) }), panics(func() { want.SetState(b, s) }); g != w {
+				t.Fatalf("op %d %s panicked=%v; want %v", op, desc, g, w)
+			}
+		case 5:
+			v := rng.Uint64()
+			desc = fmt.Sprintf("SetVersion(%x, %d)", b, v)
+			if g, w := panics(func() { got.SetVersion(b, v) }), panics(func() { want.SetVersion(b, v) }); g != w {
+				t.Fatalf("op %d %s panicked=%v; want %v", op, desc, g, w)
+			}
+		}
+		for s := Invalid; s <= Modified; s++ {
+			if g, w := got.CountState(s), want.CountState(s); g != w {
+				t.Fatalf("after op %d %s: CountState(%v) = %d, want %d", op, desc, s, g, w)
+			}
+		}
+		var gotV, wantV []visit
+		got.ForEach(func(b coherence.Block, s State, v uint64) { gotV = append(gotV, visit{b, s, v}) })
+		want.ForEach(func(b coherence.Block, s State, v uint64) { wantV = append(wantV, visit{b, s, v}) })
+		if fmt.Sprint(gotV) != fmt.Sprint(wantV) {
+			t.Fatalf("after op %d %s: ForEach = %v, want %v", op, desc, gotV, wantV)
+		}
+	}
+}
+
+// The geometries the differential tests cover, with their op counts.
+var lockstepGeoms = []struct {
+	cfg Config
+	ops int
+}{
+	{Config{SizeBytes: 2 * 64, Ways: 2, BlockBytes: 64}, 5000},  // 1 set x 2 ways
+	{Config{SizeBytes: 16 * 64, Ways: 4, BlockBytes: 64}, 5000}, // 4 sets x 4 ways
+	{DefaultConfig(), 300},
+}
+
+// Differential: Cache and the per-set-slice reference agree on every
+// result, victim, CountState and ForEach sequence (no tag value is
+// reserved).
+func TestCacheMatchesReference(t *testing.T) {
+	for _, g := range lockstepGeoms {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%dB_%dway_seed%d", g.cfg.SizeBytes, g.cfg.Ways, seed), func(t *testing.T) {
-				c, ref := MustNew(g.cfg), newRef(g.cfg)
-				sets := coherence.Block(c.Sets())
-				rng := rand.New(rand.NewSource(seed))
-				// A pool that crowds a few sets, so evictions happen on
-				// every geometry, plus the edge blocks.
-				pool := []coherence.Block{0, 1 << 63, ^coherence.Block(0), sets - 1, sets}
-				for len(pool) < 24 {
-					b := coherence.Block(rng.Intn(3)) + coherence.Block(rng.Intn(8))*sets
-					if rng.Intn(4) == 0 {
-						b |= 1 << 63
-					}
-					pool = append(pool, b)
-				}
-				for op := 0; op < g.ops; op++ {
-					b := pool[rng.Intn(len(pool))]
-					var desc string
-					switch k := rng.Intn(6); k {
-					case 0, 1:
-						s, v := State(1+rng.Intn(3)), rng.Uint64()
-						desc = fmt.Sprintf("Insert(%x, %v, %d)", b, s, v)
-						gv, gok := c.Insert(b, s, v)
-						wv, wok := ref.Insert(b, s, v)
-						if gv != wv || gok != wok {
-							t.Fatalf("op %d %s = %+v,%v; reference %+v,%v", op, desc, gv, gok, wv, wok)
-						}
-					case 2, 3:
-						lookup := k == 2
-						desc = fmt.Sprintf("Lookup=%v(%x)", lookup, b)
-						gs, gv := c.Peek(b)
-						ws, wv := ref.Peek(b)
-						if lookup {
-							gs, gv = c.Lookup(b)
-							ws, wv = ref.Lookup(b)
-						}
-						if gs != ws || gv != wv {
-							t.Fatalf("op %d %s = %v/%d; reference %v/%d", op, desc, gs, gv, ws, wv)
-						}
-					case 4:
-						s := State(rng.Intn(4))
-						desc = fmt.Sprintf("SetState(%x, %v)", b, s)
-						if l := ref.find(b); l != nil {
-							l.state = s
-							c.SetState(b, s)
-						} else if !panics(func() { c.SetState(b, s) }) {
-							t.Fatalf("op %d %s on absent block did not panic", op, desc)
-						}
-					case 5:
-						v := rng.Uint64()
-						desc = fmt.Sprintf("SetVersion(%x, %d)", b, v)
-						if l := ref.find(b); l != nil {
-							l.version = v
-							c.SetVersion(b, v)
-						} else if !panics(func() { c.SetVersion(b, v) }) {
-							t.Fatalf("op %d %s on absent block did not panic", op, desc)
-						}
-					}
-					for s := Invalid; s <= Modified; s++ {
-						if g, w := c.CountState(s), ref.CountState(s); g != w {
-							t.Fatalf("after op %d %s: CountState(%v) = %d, reference %d", op, desc, s, g, w)
-						}
-					}
-					var got, want []visit
-					c.ForEach(func(b coherence.Block, s State, v uint64) { got = append(got, visit{b, s, v}) })
-					ref.ForEach(func(b coherence.Block, s State, v uint64) { want = append(want, visit{b, s, v}) })
-					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("after op %d %s: ForEach = %v, reference %v", op, desc, got, want)
-					}
-				}
+				c := MustNew(g.cfg)
+				lockstep(t, c, newRef(g.cfg), coherence.Block(c.Sets()), seed, g.ops)
 			})
 		}
 	}
 }
 
+// drainPool empties cfg's slab pool, so the next New allocates.
+func drainPool(cfg Config) {
+	for p := poolFor(cfg); p.Get() != nil; {
+	}
+}
+
+// reused returns a cache of geometry cfg on a slab that a different op
+// mix dirtied before Release returned it: a lockstep run of another
+// seed, then inserts of random blocks over every set. sync.Pool may drop a
+// Put (always possible, frequent under the race detector), so it retries
+// until New hands the dirtied slab back.
+func reused(t *testing.T, cfg Config, seed int64, ops int) *Cache {
+	t.Helper()
+	for try := 0; try < 20; try++ {
+		c := MustNew(cfg)
+		lockstep(t, c, newRef(cfg), coherence.Block(c.Sets()), seed, ops)
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 2*len(c.tags); i++ {
+			c.Insert(coherence.Block(rng.Uint64()), State(1+rng.Intn(3)), rng.Uint64())
+		}
+		s := c.slab
+		c.Release()
+		if r := MustNew(cfg); r.slab == s {
+			return r
+		} else {
+			r.Release()
+		}
+	}
+	t.Fatal("New never reused a released slab")
+	return nil
+}
+
+// Reuse: a released, dirtied slab comes back zeroed, and a cache on it
+// behaves exactly like a fresh one under the same seeded ops.
+func TestReleasedCacheMatchesFresh(t *testing.T) {
+	for _, g := range lockstepGeoms {
+		for seed := int64(1); seed <= 2; seed++ {
+			t.Run(fmt.Sprintf("%dB_%dway_seed%d", g.cfg.SizeBytes, g.cfg.Ways, seed), func(t *testing.T) {
+				drainPool(g.cfg)
+				fresh := MustNew(g.cfg)
+				r := reused(t, g.cfg, seed+100, g.ops/4)
+				for i := range r.tags {
+					if r.tags[i] != 0 || r.meta[i] != (meta{}) {
+						t.Fatalf("reused way %d = tag %x, meta %+v; want zero", i, r.tags[i], r.meta[i])
+					}
+				}
+				for w, word := range r.slab.dirty {
+					if word != 0 {
+						t.Fatalf("reused cache's dirty word %d = %#x", w, word)
+					}
+				}
+				lockstep(t, r, fresh, coherence.Block(r.Sets()), seed, g.ops)
+			})
+		}
+	}
+}
+
+// Every use of a released cache panics: it no longer owns its slab.
+func TestUseAfterReleasePanics(t *testing.T) {
+	uses := map[string]func(c *Cache){
+		"Lookup":     func(c *Cache) { c.Lookup(1) },
+		"Peek":       func(c *Cache) { c.Peek(1) },
+		"Insert":     func(c *Cache) { c.Insert(2, Shared, 0) },
+		"SetState":   func(c *Cache) { c.SetState(1, Shared) },
+		"SetVersion": func(c *Cache) { c.SetVersion(1, 3) },
+		"CountState": func(c *Cache) { c.CountState(Shared) },
+		"ForEach":    func(c *Cache) { c.ForEach(func(coherence.Block, State, uint64) {}) },
+	}
+	for name, use := range uses {
+		c := small()
+		c.Insert(1, Modified, 1)
+		c.Release()
+		if !panics(func() { use(c) }) {
+			t.Errorf("%s on a released cache did not panic", name)
+		}
+	}
+}
+
+func TestDoubleReleasePanics(t *testing.T) {
+	c := small()
+	c.Insert(1, Shared, 0)
+	c.Release()
+	if !panics(c.Release) {
+		t.Fatal("second Release did not panic")
+	}
+}
+
 // The default 4 MB cache costs one 8-byte tag and one 24-byte meta per
-// line and nothing else: no per-set slice headers, no pointer-bearing
-// line type.
+// line plus one dirty bit per set, and nothing else: no per-set slice
+// headers, no pointer-bearing line type. The pool is drained first, so
+// this pins a fresh slab, not a reused one.
 func TestNewMemoryShape(t *testing.T) {
 	cfg := DefaultConfig()
 	lines := uint64(cfg.SizeBytes / cfg.BlockBytes)
-	limit := lines*(8+24) + 1024
+	sets := lines / uint64(cfg.Ways)
+	limit := lines*(8+24) + sets/8 + 1024
+	drainPool(cfg)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	c := MustNew(cfg)
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(c)
 	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
-		t.Fatalf("New(DefaultConfig()) allocated %d B, want <= %d B (%d lines x 32 B + 1 KiB)", got, limit, lines)
+		t.Fatalf("New(DefaultConfig()) allocated %d B, want <= %d B (%d lines x 32 B + %d sets / 8 B + 1 KiB)", got, limit, lines, sets)
 	}
 }

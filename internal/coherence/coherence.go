@@ -87,6 +87,9 @@ type Protocol interface {
 	// Pending reports the number of in-flight operations; the harness
 	// drains to zero before reading final statistics.
 	Pending() int
+	// Release hands the protocol's node caches back to their pool once
+	// the run is over. The protocol must not be used afterwards.
+	Release()
 }
 
 // Oracle checks coherence at runtime: block versions are assigned in

@@ -113,12 +113,14 @@ func Table2(network string, workers int) ([]Table2Row, error) {
 	dnet := params.Dnet(meanHops)
 
 	// The three measurements drive independent probe kernels, so they run
-	// concurrently; each closure owns its probe environment.
+	// concurrently; each closure owns its probe environment and releases
+	// its caches when done.
 	probes := []func() sim.Time{
 		// Memory latency measured on the directory protocol (its request
 		// and response paths are exact).
 		func() sim.Time {
 			dir := newProbe(topo, system.ProtoDirOpt, params)
+			defer dir.proto.Release()
 			return meanOverPairs(nodes, func(req, home, trial int) sim.Time {
 				return dir.access(req, coherence.Load, blockFor(home, trial, nodes))
 			})
@@ -126,6 +128,7 @@ func Table2(network string, workers int) ([]Table2Row, error) {
 		// Directory 3-hop: owner takes M first, then the requester loads.
 		func() sim.Time {
 			dir3 := newProbe(topo, system.ProtoDirOpt, params)
+			defer dir3.proto.Release()
 			return meanOverPairs(nodes, func(req, owner, trial int) sim.Time {
 				home := (owner + 5) % nodes // a third party (wraps over all homes)
 				if home == req {
@@ -140,6 +143,7 @@ func Table2(network string, workers int) ([]Table2Row, error) {
 		// Timestamp snooping cache-to-cache.
 		func() sim.Time {
 			ts := newProbe(topo, system.ProtoTSSnoop, params)
+			defer ts.proto.Release()
 			return meanOverPairs(nodes, func(req, owner, trial int) sim.Time {
 				home := (owner + 5) % nodes
 				if home == req {

@@ -20,6 +20,7 @@ type fakeProto struct {
 
 func (f *fakeProto) Name() string { return "fake" }
 func (f *fakeProto) Pending() int { return 0 }
+func (f *fakeProto) Release()     {}
 func (f *fakeProto) Access(node int, op coherence.Op, b coherence.Block, done func(coherence.AccessResult)) {
 	f.calls++
 	hit := f.calls%2 == 0

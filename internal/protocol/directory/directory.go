@@ -268,6 +268,13 @@ func (p *Protocol) Name() string { return p.opts.Variant.String() }
 // Pending implements coherence.Protocol.
 func (p *Protocol) Pending() int { return p.pending }
 
+// Release implements coherence.Protocol.
+func (p *Protocol) Release() {
+	for _, n := range p.nodes {
+		n.cache.Release()
+	}
+}
+
 // Oracle returns the coherence checker in use.
 func (p *Protocol) Oracle() *coherence.Oracle { return p.oracle }
 

@@ -137,7 +137,11 @@ func (s Spec) runOneLogged(log *obs.SpanLog) (*stats.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := sys.Execute()
+	run, err := sys.Execute()
+	if err != nil {
+		return nil, err
+	}
+	sys.Release()
 	// A trace stream that ran dry wrapped around mid-run: the statistics
 	// would silently measure re-walked warm data, so fail instead.
 	if w, ok := gen.(workload.Wrapping); ok && w.Wraps() > 0 {

@@ -5,6 +5,7 @@
 package system
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -151,7 +152,17 @@ func buildTopology(network string, nodes int) (*topology.Topology, error) {
 	}
 }
 
+// ErrDeadlock reports a phase whose processors stopped issuing with
+// accesses still outstanding: the kernel ran out of events before every
+// processor reached its quota. Execute wraps it with the simulated time
+// and the protocol's pending count.
+var ErrDeadlock = errors.New("system: processors did not finish (protocol deadlock?)")
+
 // Build assembles a machine running gen. The kernel starts at time zero.
+// Each node's L2 arrays come from a pool shared by every machine of the
+// same cache geometry; Release returns them once the run is over. A
+// machine that is never released, such as one whose run failed, just
+// leaves its arrays to the garbage collector.
 func Build(cfg Config, gen workload.Generator) (*System, error) {
 	topo, err := buildTopology(cfg.Network, cfg.Nodes)
 	if err != nil {
@@ -245,9 +256,9 @@ func (c *countingGen) Next(cpu int, r *sim.Rand) workload.Access {
 // runPhase executes quota operations on every processor and returns the
 // phase's makespan (time from phase start until the last processor
 // finished).
-func (s *System) runPhase(quota int) sim.Time {
+func (s *System) runPhase(quota int) (sim.Time, error) {
 	if quota == 0 {
-		return 0
+		return 0, nil
 	}
 	start := s.K.Now()
 	remaining := s.Cfg.Nodes
@@ -265,27 +276,38 @@ func (s *System) runPhase(quota int) sim.Time {
 	}
 	s.K.RunWhile(func() bool { return remaining > 0 })
 	if remaining > 0 {
-		panic("system: processors did not finish (protocol deadlock?)")
+		return 0, fmt.Errorf("%w at %v with %d accesses pending", ErrDeadlock, s.K.Now(), s.Proto.Pending())
 	}
-	return last - start
+	return last - start, nil
 }
 
 // Execute runs warm-up, resets statistics, runs the measured phase, and
 // returns the populated Run (also available as s.Run). Runtime is the
-// measured phase's makespan.
-func (s *System) Execute() *stats.Run {
-	s.runPhase(s.Cfg.WarmupPerCPU)
+// measured phase's makespan. A phase that cannot finish returns an error
+// wrapping ErrDeadlock.
+func (s *System) Execute() (*stats.Run, error) {
+	if _, err := s.runPhase(s.Cfg.WarmupPerCPU); err != nil {
+		return nil, err
+	}
 	s.Run.Reset(s.K.Now())
 	// Reset the probe with the statistics so the telemetry snapshot
 	// covers exactly the measured window.
 	if s.probe != nil {
 		s.probe.Reset()
 	}
-	runtime := s.runPhase(s.Cfg.MeasurePerCPU)
+	runtime, err := s.runPhase(s.Cfg.MeasurePerCPU)
+	if err != nil {
+		return nil, err
+	}
 	s.Run.Runtime = runtime
 	s.Run.DataTouched = int64(len(s.touched)) * int64(s.Cfg.Cache.BlockBytes)
 	if s.probe != nil {
 		s.Run.Metrics = s.probe.Finalize(int64(runtime))
 	}
-	return s.Run
+	return s.Run, nil
 }
+
+// Release returns the machine's caches to their pool. The Run that
+// Execute returned stays valid; the machine itself must not be used
+// again.
+func (s *System) Release() { s.Proto.Release() }

@@ -1,11 +1,25 @@
 package system
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
+	"tsnoop/internal/coherence"
 	"tsnoop/internal/sim"
+	"tsnoop/internal/stats"
 	"tsnoop/internal/workload"
 )
+
+// mustExecute runs s, failing the test on a deadlock.
+func mustExecute(t *testing.T, s *System) *stats.Run {
+	t.Helper()
+	run, err := s.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
 
 func TestBuildTopologyVariants(t *testing.T) {
 	cases := []struct {
@@ -46,7 +60,7 @@ func TestExecuteDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := s.Execute()
+		r := mustExecute(t, s)
 		return r.Runtime, r.Traffic.TotalLinkBytes()
 	}
 	rt1, tr1 := run()
@@ -61,11 +75,11 @@ func TestPerturbationChangesTiming(t *testing.T) {
 	base.WarmupPerCPU = 200
 	base.MeasurePerCPU = 400
 	s1, _ := Build(base, workload.Barnes(16))
-	r1 := s1.Execute()
+	r1 := mustExecute(t, s1)
 	pert := base
 	pert.PerturbMax = 3 * sim.Nanosecond
 	s2, _ := Build(pert, workload.Barnes(16))
-	r2 := s2.Execute()
+	r2 := mustExecute(t, s2)
 	if r1.Runtime == r2.Runtime {
 		t.Fatal("perturbation had no effect on runtime")
 	}
@@ -79,7 +93,7 @@ func TestWarmupResetsStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := s.Execute()
+	r := mustExecute(t, s)
 	// Measured memory operations must be exactly the measured quota.
 	if r.MemOps != int64(cfg.MeasurePerCPU*cfg.Nodes) {
 		t.Fatalf("measured mem ops = %d, want %d", r.MemOps, cfg.MeasurePerCPU*cfg.Nodes)
@@ -108,7 +122,7 @@ func TestCacheToCacheFractionsMatchTable3(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := s.Execute()
+		run := mustExecute(t, s)
 		got := run.CacheToCacheFraction()
 		want := targets[g.Name()]
 		if got < want-tol || got > want+tol {
@@ -131,7 +145,7 @@ func TestTable3Orderings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := s.Execute()
+		run := mustExecute(t, s)
 		misses[g.Name()] = run.TotalMisses()
 		touched[g.Name()] = run.DataTouched
 	}
@@ -145,5 +159,34 @@ func TestTable3Orderings(t *testing.T) {
 	if !(touched["OLTP"] > touched["apache"] && touched["OLTP"] > touched["DSS"] &&
 		touched["barnes"] < touched["apache"] && touched["barnes"] < touched["altavista"]) {
 		t.Errorf("data-touched ordering broken: %v", touched)
+	}
+}
+
+// stuckProto accepts every access and never completes one.
+type stuckProto struct{ pending int }
+
+func (p *stuckProto) Name() string { return "stuck" }
+func (p *stuckProto) Pending() int { return p.pending }
+func (p *stuckProto) Release()     {}
+func (p *stuckProto) Access(int, coherence.Op, coherence.Block, func(coherence.AccessResult)) {
+	p.pending++
+}
+
+// A phase whose accesses never complete is a typed error, not a panic,
+// and names the simulated time and the pending count.
+func TestExecuteDeadlockIsTypedError(t *testing.T) {
+	cfg := DefaultConfig(ProtoDirOpt, NetButterfly)
+	cfg.Nodes, cfg.WarmupPerCPU, cfg.MeasurePerCPU = 4, 10, 10
+	s, err := Build(cfg, workload.Barnes(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Proto = &stuckProto{}
+	run, err := s.Execute()
+	if !errors.Is(err, ErrDeadlock) || run != nil {
+		t.Fatalf("Execute = %v, %v; want nil, ErrDeadlock", run, err)
+	}
+	if want := "with 4 accesses pending"; !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), " at ") {
+		t.Fatalf("error %q lacks the simulated time or %q", err, want)
 	}
 }

@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	go test -bench 'Kernel|Broadcast|Miss|CacheSnoopProbe' -benchmem -run '^$' . | go run ./scripts/benchguard
+//	go test -bench 'Kernel|Broadcast|Miss|CacheSnoopProbe|SystemBuild' -benchmem -run '^$' . | go run ./scripts/benchguard
 package main
 
 import (
