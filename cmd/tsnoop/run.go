@@ -134,7 +134,7 @@ func runService(ctx context.Context, s spec.Spec, cacheDir string, stderr io.Wri
 	if res.Cached {
 		fmt.Fprintf(stderr, "tsnoop: served from the result store (key %s)\n", res.Key[:12])
 	}
-	return res.Run, nil
+	return res.Run()
 }
 
 // newService opens the service the simulating subcommands execute

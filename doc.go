@@ -80,7 +80,7 @@
 // trace-event JSON openable in Perfetto. Across the service, every
 // request carries an X-Tsnoop-Trace ID minted at the cluster's entry
 // node and propagated on shard forwards; each node records wall-clock
-// phase spans (route, store_get, forward, queue_wait, simulate,
+// phase spans (store_get, route, forward, queue_wait, simulate,
 // store_write, replicate) into a bounded ring served on GET /v1/traces
 // and GET /v1/traces/{id}, a forwarded request embeds the owner's
 // spans via the X-Tsnoop-Trace-Spans response header, and submit

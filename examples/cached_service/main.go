@@ -49,7 +49,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("first:  cached=%-5v runtime=%v\n", first.Cached, first.Run.Runtime)
+	run, err := first.Run()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("first:  cached=%-5v runtime=%v\n", first.Cached, run.Runtime)
 	second, err := sv.Do(ctx, s)
 	if err != nil {
 		log.Fatal(err)

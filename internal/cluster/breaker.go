@@ -30,15 +30,15 @@ const (
 
 // breaker is one peer's circuit breaker. Closed passes traffic and
 // counts consecutive failures; at the threshold it trips open and every
-// forward is skipped (the caller degrades straight to local compute,
-// sparing the dial/retry/backoff tax on a peer already known dead).
+// forward is skipped (the caller degrades straight to local compute
+// without dialing a peer already known dead).
 // After the cooldown one probe is let through half-open: success closes
 // the breaker, failure re-opens it for another cooldown.
 //
 // The breaker reads the wall clock — cooldown expiry is inherently a
 // time concern — through an injectable now func so tests drive it
-// without sleeping. Like retry pacing, breaker timing is service-edge
-// wall clock that can never reach simulation output bytes.
+// without sleeping. Breaker timing is service-edge wall clock that can
+// never reach simulation output bytes.
 type breaker struct {
 	threshold int
 	cooldown  time.Duration

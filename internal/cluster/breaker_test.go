@@ -139,7 +139,6 @@ func TestClusterForwardBreakerLifecycle(t *testing.T) {
 		Self:             self,
 		Members:          []string{self, peer},
 		Client:           NewHTTPClient(DefaultTimeouts()),
-		Retries:          -1,
 		BreakerThreshold: 2,
 		BreakerCooldown:  5 * time.Second,
 		breakerNow:       clk.now,
@@ -208,7 +207,7 @@ func TestForwardFailpoints(t *testing.T) {
 	}))
 	defer srv.Close()
 	peer := strings.TrimPrefix(srv.URL, "http://")
-	c := twoNodeConfig(t, peer, -1)
+	c := twoNodeConfig(t, peer)
 
 	fs, err := fault.Parse("seed=1;cluster.forward.refuse=times:1;cluster.forward.5xx=times:1;cluster.forward.truncate=times:1")
 	if err != nil {

@@ -70,12 +70,12 @@ func NewHTTPClient(t Timeouts) *http.Client {
 	}
 }
 
-// sleep waits d or until ctx is cancelled. Retry pacing is a
-// wall-clock concern of the service edge and can never reach
-// simulation output bytes, which is what the marker below asserts to
-// the determinism analyzer.
+// sleep waits d or until ctx is cancelled. It only paces the injected
+// cluster.forward.latency fault: a wall-clock concern of the service
+// edge that can never reach simulation output bytes, which is what the
+// marker below asserts to the determinism analyzer.
 func sleep(ctx context.Context, d time.Duration) error {
-	//determinism:wallclock retry pacing never reaches simulation output
+	//determinism:wallclock injected forward latency never reaches simulation output
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

@@ -51,12 +51,6 @@ type Config struct {
 	Replicas int
 	// Client performs forwards (nil = NewHTTPClient(DefaultTimeouts())).
 	Client *http.Client
-	// Retries is how many times a failed forward is retried before the
-	// caller degrades to local compute (0 = 1 retry; negative = none).
-	Retries int
-	// Backoff is the delay before the first retry, doubling per attempt
-	// (0 = 100ms).
-	Backoff time.Duration
 	// BreakerThreshold is the consecutive-failure count that trips a
 	// peer's circuit breaker open (0 = DefaultBreakerThreshold;
 	// negative = breakers disabled).
@@ -81,17 +75,15 @@ var errInjectedRefuse = fmt.Errorf("fault: injected dial error: %w", syscall.ECO
 type peerCounters struct {
 	forwards int64 // misses forwarded to this peer
 	hits     int64 // forwards the peer answered from its store
-	errors   int64 // forwards that failed every attempt
+	errors   int64 // forwards that degraded to local compute
 }
 
 // Cluster is one node's view of the fleet: the shared ring plus a
 // forwarding client and its per-peer counters. All methods are safe
 // for concurrent use.
 type Cluster struct {
-	ring    *Ring
-	client  *http.Client
-	retries int
-	backoff time.Duration
+	ring   *Ring
+	client *http.Client
 
 	// breakers holds one circuit breaker per remote peer, pre-registered
 	// in New alongside the counters; the map is never written after New,
@@ -113,18 +105,7 @@ func New(cfg Config) (*Cluster, error) {
 	if client == nil {
 		client = NewHTTPClient(DefaultTimeouts())
 	}
-	retries := cfg.Retries
-	if retries == 0 {
-		retries = 1
-	}
-	if retries < 0 {
-		retries = 0
-	}
-	backoff := cfg.Backoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
-	c := &Cluster{ring: ring, client: client, retries: retries, backoff: backoff,
+	c := &Cluster{ring: ring, client: client,
 		peers: make(map[string]*peerCounters), breakers: make(map[string]*breaker)}
 	// Pre-register every peer so Stats (and the /metrics exposition) is
 	// a fixed, deterministic series set from the first scrape.
@@ -164,47 +145,34 @@ type Forwarded struct {
 
 // Forward sends one spec to its owning peer's POST /v1/runs, stamped
 // with the entry node's trace ID (empty = untraced), and returns the
-// owner's answer. Connection errors and 5xx/429 responses are retried
-// with exponential backoff; a forward that fails every attempt is
-// counted on the peer and returned as an error for the caller to
-// degrade on — the repo-wide rule is that a dead peer costs a local
-// simulation, never a failed stream.
+// owner's answer. It makes exactly one attempt: a connection error or a
+// non-200 response is counted on the peer and returned as an error for
+// the caller to degrade on — the repo-wide rule is that a dead peer
+// costs a local simulation, never a failed stream.
 //
 // A peer whose circuit breaker is open is not tried at all: Forward
 // returns ErrBreakerOpen immediately (a skip, not a forward error) so
-// the caller computes locally without paying the dial/retry tax for a
-// peer already known to be failing. Forward outcomes feed the breaker:
-// consecutive failures trip it, a successful half-open probe closes it.
+// the caller computes locally without dialing a peer already known to
+// be failing. Forward outcomes feed the breaker: consecutive failures
+// trip it, a successful half-open probe closes it.
 func (c *Cluster) Forward(ctx context.Context, peer string, specJSON []byte, traceID string) (Forwarded, error) {
 	br := c.breakers[peer]
 	if br != nil && !br.allow() {
 		return Forwarded{}, fmt.Errorf("%w: %s", ErrBreakerOpen, peer)
 	}
-	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			if serr := sleep(ctx, c.backoff<<(attempt-1)); serr != nil {
-				break
-			}
+	fwd, err := c.post(ctx, peer, specJSON, traceID)
+	if err != nil {
+		if br != nil {
+			br.failure()
 		}
-		fwd, ferr, retryable := c.forwardOnce(ctx, peer, specJSON, traceID)
-		if ferr == nil {
-			if br != nil {
-				br.success()
-			}
-			c.recordForward(peer, fwd.Disposition)
-			return fwd, nil
-		}
-		lastErr = ferr
-		if !retryable || ctx.Err() != nil {
-			break
-		}
+		c.recordError(peer)
+		return Forwarded{}, err
 	}
 	if br != nil {
-		br.failure()
+		br.success()
 	}
-	c.recordError(peer)
-	return Forwarded{}, lastErr
+	c.recordForward(peer, fwd.Disposition)
+	return fwd, nil
 }
 
 // Suspect records that peer's "successful" forward produced an
@@ -222,27 +190,26 @@ func (c *Cluster) Suspect(peer string) {
 	c.mu.Unlock()
 }
 
-// forwardOnce performs a single forwarding attempt. retryable
-// classifies the failure: connection trouble and 5xx/429 responses may
-// clear up, 4xx responses will not.
-func (c *Cluster) forwardOnce(ctx context.Context, peer string, specJSON []byte, traceID string) (fwd Forwarded, err error, retryable bool) {
+// post performs Forward's one attempt: the failpoints, then the HTTP
+// exchange.
+func (c *Cluster) post(ctx context.Context, peer string, specJSON []byte, traceID string) (Forwarded, error) {
 	if f := fault.Active(); f != nil {
 		if d := f.Delay(fault.ClusterLatency); d > 0 {
 			if serr := sleep(ctx, d); serr != nil {
-				return Forwarded{}, fmt.Errorf("cluster: forward to %s: %w", peer, serr), false
+				return Forwarded{}, fmt.Errorf("cluster: forward to %s: %w", peer, serr)
 			}
 		}
 		if f.Fire(fault.ClusterDialRefuse) {
-			return Forwarded{}, fmt.Errorf("cluster: forward to %s: %w", peer, errInjectedRefuse), true
+			return Forwarded{}, fmt.Errorf("cluster: forward to %s: %w", peer, errInjectedRefuse)
 		}
 		if f.Fire(fault.Cluster5xx) {
-			return Forwarded{}, fmt.Errorf("cluster: peer %s answered 502 Bad Gateway (injected)", peer), true
+			return Forwarded{}, fmt.Errorf("cluster: peer %s answered 502 Bad Gateway (injected)", peer)
 		}
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		"http://"+peer+"/v1/runs", bytes.NewReader(specJSON))
 	if err != nil {
-		return Forwarded{}, fmt.Errorf("cluster: forward to %s: %w", peer, err), false
+		return Forwarded{}, fmt.Errorf("cluster: forward to %s: %w", peer, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(ForwardedHeader, c.ring.Self())
@@ -251,21 +218,20 @@ func (c *Cluster) forwardOnce(ctx context.Context, peer string, specJSON []byte,
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return Forwarded{}, fmt.Errorf("cluster: forward to %s: %w", peer, err), true
+		return Forwarded{}, fmt.Errorf("cluster: forward to %s: %w", peer, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<14))
-		retry := resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500
 		return Forwarded{}, fmt.Errorf("cluster: peer %s answered %s: %s",
-			peer, resp.Status, strings.TrimSpace(string(msg))), retry
+			peer, resp.Status, strings.TrimSpace(string(msg)))
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxForwardBody+1))
 	if err != nil {
-		return Forwarded{}, fmt.Errorf("cluster: reading %s response: %w", peer, err), true
+		return Forwarded{}, fmt.Errorf("cluster: reading %s response: %w", peer, err)
 	}
 	if len(data) > maxForwardBody {
-		return Forwarded{}, fmt.Errorf("cluster: peer %s response exceeds %d bytes", peer, maxForwardBody), false
+		return Forwarded{}, fmt.Errorf("cluster: peer %s response exceeds %d bytes", peer, maxForwardBody)
 	}
 	// The cluster.forward.truncate failpoint cuts the body mid-document
 	// after a fully "successful" exchange — the garbage-answering-peer
@@ -280,7 +246,7 @@ func (c *Cluster) forwardOnce(ctx context.Context, peer string, specJSON []byte,
 		Data:        data,
 		Disposition: resp.Header.Get(cacheHeader),
 		RemoteSpans: resp.Header.Get(TraceSpansHeader),
-	}, nil, false
+	}, nil
 }
 
 // Replicate counts one peer result copied into the local LRU front.
@@ -320,14 +286,14 @@ func (c *Cluster) recordError(peer string) {
 // PeerStats is one peer's forwarding counters.
 type PeerStats struct {
 	Peer string `json:"peer"`
-	// Forwards counts misses routed to this peer (including failed
-	// attempts' final outcomes, not per-retry).
+	// Forwards counts misses routed to this peer, failed attempts
+	// included.
 	Forwards int64 `json:"forwards"`
 	// Hits counts forwards the peer answered from its store — the
 	// remote-cache-hit signal the CI smoke asserts on.
 	Hits int64 `json:"hits"`
-	// Errors counts forwards that degraded to local compute: failures on
-	// every attempt, plus "successful" forwards whose body was unusable
+	// Errors counts forwards that degraded to local compute: failed
+	// attempts, plus "successful" forwards whose body was unusable
 	// (Suspect).
 	Errors int64 `json:"errors"`
 	// Breaker is the peer's circuit-breaker state: "closed", "open", or

@@ -11,16 +11,14 @@ import (
 )
 
 // twoNodeConfig builds a cluster whose only peer is the given test
-// server, with fast retries so failure tests stay quick.
-func twoNodeConfig(t *testing.T, peerAddr string, retries int) *Cluster {
+// server.
+func twoNodeConfig(t *testing.T, peerAddr string) *Cluster {
 	t.Helper()
 	self := "127.0.0.1:1"
 	c, err := New(Config{
 		Self:    self,
 		Members: []string{self, peerAddr},
 		Client:  NewHTTPClient(DefaultTimeouts()),
-		Retries: retries,
-		Backoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +43,7 @@ func TestForwardRoundTrip(t *testing.T) {
 	}))
 	defer srv.Close()
 	peer := strings.TrimPrefix(srv.URL, "http://")
-	c := twoNodeConfig(t, peer, -1)
+	c := twoNodeConfig(t, peer)
 
 	fwd, err := c.Forward(context.Background(), peer, []byte(`{}`), "cafe0123")
 	if err != nil {
@@ -72,61 +70,61 @@ func TestForwardRoundTrip(t *testing.T) {
 	}
 }
 
-// Connection errors retry with backoff and finally surface as an error
-// plus an error counter — the caller's cue to compute locally.
+// Forward has no retry loop: a failed forward — a 503, a 429 or a
+// closed peer — makes its one attempt and then degrades, surfacing as
+// an error plus one peer error: the caller's cue to compute locally.
 func TestForwardRetriesThenDegrades(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) < 3 {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		w.Write([]byte(`{"ok":true}`))
-	}))
-	defer srv.Close()
-	peer := strings.TrimPrefix(srv.URL, "http://")
-
-	// Two retries ride out the two 503s.
-	c := twoNodeConfig(t, peer, 2)
-	if _, err := c.Forward(context.Background(), peer, []byte(`{}`), ""); err != nil {
-		t.Fatalf("forward with 2 retries: %v", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("peer saw %d attempts, want 3", got)
-	}
-
-	// A dead peer fails every attempt and lands on the error counter.
-	srv.Close()
-	if _, err := c.Forward(context.Background(), peer, []byte(`{}`), ""); err == nil {
-		t.Fatal("forward to a closed peer succeeded")
-	}
-	st := c.Stats()
-	if st.Peers[0].Errors != 1 {
-		t.Fatalf("error counter = %d, want 1 (stats: %+v)", st.Peers[0].Errors, st.Peers)
+	for _, tc := range []struct {
+		name     string
+		status   int // 0 = the peer is closed before the forward
+		attempts int64
+	}{
+		{"503", http.StatusServiceUnavailable, 1},
+		{"429", http.StatusTooManyRequests, 1},
+		{"closed peer", 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			forwardFailsOnce(t, tc.status, tc.attempts)
+		})
 	}
 }
 
 // A 400 from the peer is not retried: the spec will not get better.
 func TestForwardDoesNotRetryBadRequests(t *testing.T) {
+	forwardFailsOnce(t, http.StatusBadRequest, 1)
+}
+
+// forwardFailsOnce forwards to a peer that answers every request with
+// status (0 closes the peer first) and checks that the forward fails
+// after the given number of peer-side attempts, counting one forward and
+// one error.
+func forwardFailsOnce(t *testing.T, status int, attempts int64) {
+	t.Helper()
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		http.Error(w, `{"error":"bad spec"}`, http.StatusBadRequest)
+		http.Error(w, `{"error":"no"}`, status)
 	}))
 	defer srv.Close()
 	peer := strings.TrimPrefix(srv.URL, "http://")
-	c := twoNodeConfig(t, peer, 3)
-	if _, err := c.Forward(context.Background(), peer, []byte(`{}`), ""); err == nil {
-		t.Fatal("forward of a rejected spec succeeded")
+	c := twoNodeConfig(t, peer)
+	if status == 0 {
+		srv.Close()
 	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("peer saw %d attempts for a 400, want 1", got)
+	if _, err := c.Forward(context.Background(), peer, []byte(`{}`), ""); err == nil {
+		t.Fatal("failed forward returned no error")
+	}
+	if got := calls.Load(); got != attempts {
+		t.Fatalf("peer saw %d attempts, want %d", got, attempts)
+	}
+	if st := c.Stats(); st.Peers[0].Errors != 1 || st.Peers[0].Forwards != 1 {
+		t.Fatalf("peer stats = %+v, want 1 forward and 1 error", st.Peers)
 	}
 }
 
-// A cancelled context stops the retry loop promptly.
+// A cancelled context fails the forward promptly.
 func TestForwardHonorsContext(t *testing.T) {
-	c := twoNodeConfig(t, "127.0.0.1:9", 5)
+	c := twoNodeConfig(t, "127.0.0.1:9")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()

@@ -13,9 +13,9 @@
 // mid-stream.
 //
 // Everything here is a wall-clock-free routing decision except the
-// forwarding client's retry pacing, which is explicitly documented as
-// never reaching simulation output (see the determinism analyzer's
-// //determinism:wallclock marker).
+// breaker cooldowns and the injected forward latency, which are
+// explicitly documented as never reaching simulation output (see the
+// determinism analyzer's //determinism:wallclock marker).
 package cluster
 
 import (

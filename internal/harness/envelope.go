@@ -6,7 +6,6 @@ import (
 
 	"tsnoop/internal/system"
 	"tsnoop/internal/timing"
-	"tsnoop/internal/topology"
 )
 
 // EnvelopeRow is the Section 5 back-of-the-envelope bandwidth comparison
@@ -28,31 +27,16 @@ type EnvelopeRow struct {
 // numbers: TS 384 bytes (21*8 + 3*72), directory minimum 240 (3*8 + 3*72),
 // extra bound 60%.
 func Envelope(network string, nodes, blockBytes int) (EnvelopeRow, error) {
-	var topo *topology.Topology
-	var err error
-	var meanHops int
-	switch network {
-	case system.NetButterfly:
-		r := 2
-		for r*r < nodes {
-			r++
-		}
-		if r*r != nodes {
-			return EnvelopeRow{}, fmt.Errorf("harness: butterfly needs square nodes, got %d", nodes)
-		}
-		topo, err = topology.Butterfly(r)
-		meanHops = 3
-	case system.NetTorus:
-		topo, err = buildSquareishTorus(nodes)
-		meanHops = 2 // paper's stated mean for the 4x4
-		if err == nil && nodes != 16 {
-			meanHops = int(topo.MeanHops() + 0.5)
-		}
-	default:
-		return EnvelopeRow{}, fmt.Errorf("harness: unknown network %q", network)
-	}
+	topo, err := system.BuildTopology(network, nodes)
 	if err != nil {
 		return EnvelopeRow{}, err
+	}
+	meanHops := 3
+	if network == system.NetTorus {
+		meanHops = 2 // paper's stated mean for the 4x4
+		if nodes != 16 {
+			meanHops = int(topo.MeanHops() + 0.5)
+		}
 	}
 	data := timing.DataMsgBytes(blockBytes)
 	ts := topo.BroadcastLinks(0)*timing.CtrlBytes + meanHops*data
@@ -65,19 +49,6 @@ func Envelope(network string, nodes, blockBytes int) (EnvelopeRow, error) {
 		DirMinBytes:  dir,
 		ExtraBoundPc: 100 * (float64(ts)/float64(dir) - 1),
 	}, nil
-}
-
-func buildSquareishTorus(nodes int) (*topology.Topology, error) {
-	best := 0
-	for w := 2; w*w <= nodes; w++ {
-		if nodes%w == 0 && nodes/w >= 2 {
-			best = w
-		}
-	}
-	if best == 0 {
-		return nil, fmt.Errorf("harness: cannot factor %d into a torus", nodes)
-	}
-	return topology.Torus(best, nodes/best)
 }
 
 // RenderEnvelope renders the Section 5 envelope across block sizes and

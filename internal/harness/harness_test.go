@@ -54,7 +54,10 @@ func newService(t testing.TB, workers int) *service.Service {
 func runCell(t *testing.T, e harness.Experiment, workers int, c harness.Cell) (*stats.Run, error) {
 	t.Helper()
 	res, err := newService(t, workers).Do(context.Background(), e.CellSpec(c))
-	return res.Run, err
+	if err != nil {
+		return nil, err
+	}
+	return res.Run()
 }
 
 // runGrid streams one network's grid through a fresh service.

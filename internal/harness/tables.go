@@ -93,21 +93,13 @@ func meanOverPairs(nodes int, f func(req, partner, trial int) sim.Time) sim.Time
 // Every worker count measures identical rows.
 func Table2(network string, workers int) ([]Table2Row, error) {
 	params := timing.Default()
-	var topo *topology.Topology
-	var err error
-	var meanHops int
-	switch network {
-	case system.NetButterfly:
-		topo, err = topology.Butterfly(4)
-		meanHops = 3
-	case system.NetTorus:
-		topo, err = topology.Torus(4, 4)
-		meanHops = 2 // the paper's stated mean of 2 links
-	default:
-		return nil, fmt.Errorf("harness: unknown network %q", network)
-	}
+	topo, err := system.BuildTopology(network, 16)
 	if err != nil {
 		return nil, err
+	}
+	meanHops := 3
+	if network == system.NetTorus {
+		meanHops = 2 // the paper's stated mean of 2 links
 	}
 	nodes := topo.Nodes()
 	dnet := params.Dnet(meanHops)

@@ -43,8 +43,6 @@ func startChaosCluster(t *testing.T, n int, sim SimFunc, dirs []string) []*clust
 			Self:             members[i],
 			Members:          members,
 			Client:           cluster.NewHTTPClient(cluster.DefaultTimeouts()),
-			Retries:          -1, // loopback: a refused connection will not get better
-			Backoff:          time.Millisecond,
 			BreakerThreshold: 1,
 			BreakerCooldown:  100 * time.Millisecond,
 		})

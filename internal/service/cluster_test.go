@@ -51,8 +51,6 @@ func startCluster(t *testing.T, n int, sim SimFunc, maxCells int) []*clusterNode
 			Self:    members[i],
 			Members: members,
 			Client:  cluster.NewHTTPClient(cluster.DefaultTimeouts()),
-			Retries: -1, // loopback: a refused connection will not get better
-			Backoff: time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -209,7 +207,9 @@ func TestClusterSingleflightIsGlobal(t *testing.T) {
 }
 
 // An unreachable owner degrades to local compute: same bytes, a forward
-// error on the counters, and the response is not marked remote.
+// error on the counters, and the response is not marked remote. The
+// degraded request probes the entry node's store exactly once: one
+// miss on the counters, one store_get span on the trace.
 func TestClusterOwnerDownDegradesToLocal(t *testing.T) {
 	nodes := startCluster(t, 3, nil, 0)
 	s := specOwnedBy(t, nodes, 2)
@@ -218,6 +218,7 @@ func TestClusterOwnerDownDegradesToLocal(t *testing.T) {
 	want := readBody(t, postJSON(t, ref.URL+"/v1/runs", s.JSON()))
 
 	nodes[2].srv.Close()
+	misses := nodes[0].sv.StoreStats().Misses
 	resp := postJSON(t, nodes[0].url+"/v1/runs", s.JSON())
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run with dead owner: %s", resp.Status)
@@ -227,6 +228,20 @@ func TestClusterOwnerDownDegradesToLocal(t *testing.T) {
 	}
 	if got := readBody(t, resp); !bytes.Equal(got, want) {
 		t.Fatalf("local fallback differs from single node:\n got: %s\nwant: %s", got, want)
+	}
+	if got := nodes[0].sv.StoreStats().Misses - misses; got != 1 {
+		t.Errorf("degraded request counted %d store misses, want 1", got)
+	}
+	var tr Trace
+	getInto(t, nodes[0].url+"/v1/traces/"+resp.Header.Get("X-Tsnoop-Trace"), &tr)
+	gets := 0
+	for _, sp := range tr.Spans {
+		if sp.Name == "store_get" {
+			gets++
+		}
+	}
+	if gets != 1 {
+		t.Errorf("degraded request recorded %d store_get spans, want 1 (have %v)", gets, tr.Spans)
 	}
 	var errs int64
 	for _, p := range nodes[0].sv.ClusterStats().Peers {

@@ -126,8 +126,8 @@ func (j *job) finish(err, storeErr error, now time.Time) {
 }
 
 // Result is one answered experiment: the stable Run JSON (byte-identical
-// across store hits, in-flight joins, and the original computation), the
-// decoded run, and how the answer was produced.
+// across store hits, in-flight joins, and the original computation) and
+// how the answer was produced.
 type Result struct {
 	// Key is the spec's canonical content address.
 	Key string
@@ -136,8 +136,6 @@ type Result struct {
 	JobID string
 	// Data is the canonical stats.Run JSON.
 	Data []byte
-	// Run is the decoded result.
-	Run *stats.Run
 	// Cached reports a result served from the store without any job.
 	Cached bool
 	// Shared reports a result obtained by joining an identical in-flight
@@ -148,21 +146,24 @@ type Result struct {
 	Remote string
 }
 
+// Run decodes Data, for callers that need the structured result.
+func (r Result) Run() (*stats.Run, error) { return decodeRun(r.Data) }
+
 // flight is one in-progress computation of a key. Duplicate submissions
 // join the flight instead of re-simulating.
 type flight struct {
 	job  *job
-	done chan struct{} // closed once data/run/err are final
+	done chan struct{} // closed once data/err are final
 	data []byte
-	run  *stats.Run
 	err  error
 }
 
-// Queue is the dedup job scheduler: identical in-flight specs are
-// singleflighted onto one job, distinct specs fan out across a bounded
-// simulation pool (internal/parallel semantics: one slot per concurrent
-// simulation), finished results land in the content-addressed store,
-// and every job exposes per-seed progress.
+// Queue is the dedup job scheduler behind Service.Do's store misses:
+// identical in-flight specs are singleflighted onto one job, distinct
+// specs fan out across a bounded simulation pool (internal/parallel
+// semantics: one slot per concurrent simulation), finished results land
+// in the content-addressed store, and every job exposes per-seed
+// progress.
 //
 // A job, once started, runs on the queue's base context rather than the
 // submitting request's: a client that disconnects mid-run does not
@@ -195,12 +196,12 @@ type Queue struct {
 // DefaultKeep is the finished-job history bound when Config.Keep is 0.
 const DefaultKeep = 1024
 
-// NewQueue builds a queue over a store. workers bounds concurrent
+// newQueue builds a queue over a store. workers bounds concurrent
 // simulations (0 = one per CPU); keep bounds the retained finished-job
 // history (0 = DefaultKeep); sim is the single-simulation executor
 // (nil = Spec.RunContext); base is the lifecycle context jobs run on
 // (nil = context.Background()).
-func NewQueue(store *Store, workers, keep int, sim SimFunc, base context.Context) *Queue {
+func newQueue(store *Store, workers, keep int, sim SimFunc, base context.Context) *Queue {
 	if sim == nil {
 		sim = func(ctx context.Context, s spec.Spec) (*stats.Run, error) { return s.RunContext(ctx) }
 	}
@@ -221,37 +222,12 @@ func NewQueue(store *Store, workers, keep int, sim SimFunc, base context.Context
 	}
 }
 
-// Do answers one spec: from the store if the result exists, by joining
-// an identical in-flight job if one is running, and by scheduling a new
-// job otherwise. The returned Data is byte-identical across all three
-// paths. ctx bounds only this caller's wait — an already-started job
-// keeps running for other waiters and the store.
-func (q *Queue) Do(ctx context.Context, s spec.Spec) (Result, error) {
-	if err := s.Validate(); err != nil {
-		return Result{}, err
-	}
-	// The store's contract is byte-identical payloads per canonical key,
-	// and Normalize clears the metrics and spans knobs (an instrumented
-	// run is the same experiment), so an instrumented rendering could
-	// collide with the plain one under the same key. The service answers
-	// the experiment; telemetry stays a local-CLI concern.
-	s.Metrics = false
-	s.Spans = false
-	at := traceFrom(ctx)
-	key := s.Canonical()
-	getStart := time.Now()
-	if data, ok, err := q.store.Get(key); err != nil {
-		return Result{}, err
-	} else if ok {
-		run, err := decodeRun(data)
-		if err != nil {
-			return Result{}, fmt.Errorf("service: stored result %s is unreadable: %w", key[:12], err)
-		}
-		at.span("store_get", getStart, "hit")
-		return Result{Key: key, Data: data, Run: run, Cached: true}, nil
-	}
-	at.span("store_get", getStart, "miss")
-
+// compute answers a validated, telemetry-stripped spec whose key the
+// store missed: by joining an identical in-flight job if one is
+// running, and by scheduling a new job otherwise. The returned Data is
+// byte-identical either way. ctx bounds only this caller's wait — an
+// already-started job keeps running for other waiters and the store.
+func (q *Queue) compute(ctx context.Context, key string, s spec.Spec) (Result, error) {
 	q.mu.Lock()
 	if f, ok := q.flights[key]; ok {
 		f.job.addWaiter()
@@ -277,7 +253,7 @@ func (q *Queue) wait(ctx context.Context, key string, f *flight, shared bool) (R
 		// The job's wall-clock phases tile into the waiting request's
 		// trace; a joined request shows the shared job's phases too.
 		traceFrom(ctx).phases(st.ID, st.Spans)
-		return Result{Key: key, JobID: st.ID, Data: f.data, Run: f.run, Shared: shared}, nil
+		return Result{Key: key, JobID: st.ID, Data: f.data, Shared: shared}, nil
 	case <-ctx.Done():
 		return Result{}, ctx.Err()
 	}
@@ -339,7 +315,6 @@ func (q *Queue) execute(f *flight, s spec.Spec, key string) {
 		f.job.finish(err, nil, time.Now().UTC())
 		return
 	}
-	f.run = run
 	// A failed persist (full or read-only directory) must not discard a
 	// computed result: serve it, keep it in the LRU, and surface the
 	// store trouble on the job instead of degrading every client to 500s.

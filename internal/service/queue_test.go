@@ -25,6 +25,16 @@ func testSpec(seed uint64) spec.Spec {
 		spec.WithWarmup(-1), spec.WithQuota(50))
 }
 
+// runOf decodes a result's run for assertions on its fields.
+func runOf(t *testing.T, res Result) *stats.Run {
+	t.Helper()
+	run, err := res.Run()
+	if err != nil {
+		t.Fatalf("decoding %+v: %v", res, err)
+	}
+	return run
+}
+
 func TestQueueSingleflightsConcurrentIdenticalSpecs(t *testing.T) {
 	var calls atomic.Int64
 	gate := make(chan struct{})
@@ -33,8 +43,7 @@ func TestQueueSingleflightsConcurrentIdenticalSpecs(t *testing.T) {
 		<-gate // hold every simulation in flight until all submitters arrived
 		return &stats.Run{Runtime: 4242, MemOps: int64(s.Seed)}, nil
 	}
-	store, _ := OpenStore("", 0)
-	q := NewQueue(store, 4, 0, sim, nil)
+	sv, _ := New(Config{Sim: sim, Workers: 4})
 
 	s := testSpec(7)
 	s.Seeds = 2 // the job fans two seeds; dedup must not multiply them
@@ -49,7 +58,7 @@ func TestQueueSingleflightsConcurrentIdenticalSpecs(t *testing.T) {
 		go func(i int) {
 			started.Done()
 			defer finished.Done()
-			results[i], errs[i] = q.Do(context.Background(), s)
+			results[i], errs[i] = sv.Do(context.Background(), s)
 		}(i)
 	}
 	started.Wait()
@@ -77,7 +86,7 @@ func TestQueueSingleflightsConcurrentIdenticalSpecs(t *testing.T) {
 	}
 
 	// A later identical submission is a pure store hit: no new simulation.
-	res, err := q.Do(context.Background(), s)
+	res, err := sv.Do(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +104,12 @@ func TestQueueRunsDistinctSpecsIndependently(t *testing.T) {
 		calls.Add(1)
 		return &stats.Run{Runtime: 1, MemOps: int64(s.Seed)}, nil
 	}
-	store, _ := OpenStore("", 0)
-	q := NewQueue(store, 2, 0, sim, nil)
-	a, err := q.Do(context.Background(), testSpec(1))
+	sv, _ := New(Config{Sim: sim, Workers: 2})
+	a, err := sv.Do(context.Background(), testSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := q.Do(context.Background(), testSpec(2))
+	b, err := sv.Do(context.Background(), testSpec(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +139,10 @@ func TestQueueSeedFanOutAndProgress(t *testing.T) {
 		// Later seeds are faster, so Best must pick the last one.
 		return &stats.Run{Runtime: sim.Time(1000 - 10*int64(s.Seed))}, nil
 	}
-	store, _ := OpenStore("", 0)
-	q := NewQueue(store, 2, 0, SimFunc(sim), nil)
+	sv, _ := New(Config{Sim: sim, Workers: 2})
 	s := testSpec(5)
 	s.Seeds = 4
-	res, err := q.Do(context.Background(), s)
+	res, err := sv.Do(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +154,10 @@ func TestQueueSeedFanOutAndProgress(t *testing.T) {
 			t.Errorf("seed %d never simulated", seed)
 		}
 	}
-	if int64(res.Run.Runtime) != 1000-10*8 {
-		t.Fatalf("best run = %v, want the minimum-runtime seed (seed 8)", res.Run.Runtime)
+	if int64(runOf(t, res).Runtime) != 1000-10*8 {
+		t.Fatalf("best run = %v, want the minimum-runtime seed (seed 8)", runOf(t, res).Runtime)
 	}
-	job, ok := q.Job(res.JobID)
+	job, ok := sv.Job(res.JobID)
 	if !ok {
 		t.Fatalf("job %q not retained", res.JobID)
 	}
@@ -169,33 +176,31 @@ func TestQueueFailurePropagatesAndIsNotCached(t *testing.T) {
 		}
 		return &stats.Run{Runtime: 9}, nil
 	}
-	store, _ := OpenStore("", 0)
-	q := NewQueue(store, 1, 0, sim, nil)
+	sv, _ := New(Config{Sim: sim, Workers: 1})
 	s := testSpec(3)
-	res, err := q.Do(context.Background(), s)
+	res, err := sv.Do(context.Background(), s)
 	if !errors.Is(err, boom) {
 		t.Fatalf("Do = %+v, %v; want the simulation error", res, err)
 	}
 	// Failures never land in the store, so a retry re-runs and succeeds.
-	res, err = q.Do(context.Background(), s)
+	res, err = sv.Do(context.Background(), s)
 	if err != nil || res.Cached {
 		t.Fatalf("retry = %+v, %v; want a fresh successful run", res, err)
 	}
-	jobs := q.Jobs()
+	jobs := sv.Jobs()
 	if len(jobs) != 2 || jobs[0].State != JobFailed || jobs[0].Error == "" || jobs[1].State != JobDone {
 		t.Fatalf("job history = %+v, want [failed, done]", jobs)
 	}
 }
 
 func TestQueueRejectsInvalidSpec(t *testing.T) {
-	store, _ := OpenStore("", 0)
-	q := NewQueue(store, 1, 0, nil, nil)
+	sv, _ := New(Config{Workers: 1})
 	s := testSpec(1)
 	s.Protocol = "MOESI"
-	if _, err := q.Do(context.Background(), s); err == nil {
+	if _, err := sv.Do(context.Background(), s); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
-	if len(q.Jobs()) != 0 {
+	if len(sv.Jobs()) != 0 {
 		t.Fatal("invalid spec created a job")
 	}
 }
@@ -206,14 +211,13 @@ func TestQueueWaiterCancellationLeavesJobRunning(t *testing.T) {
 		<-gate
 		return &stats.Run{Runtime: 11}, nil
 	}
-	store, _ := OpenStore("", 0)
-	q := NewQueue(store, 1, 0, sim, nil)
+	sv, _ := New(Config{Sim: sim, Workers: 1})
 	s := testSpec(9)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := q.Do(ctx, s)
+		_, err := sv.Do(ctx, s)
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -226,7 +230,7 @@ func TestQueueWaiterCancellationLeavesJobRunning(t *testing.T) {
 	close(gate)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		res, err := q.Do(context.Background(), s)
+		res, err := sv.Do(context.Background(), s)
 		if err == nil && res.Cached {
 			break
 		}
@@ -248,14 +252,13 @@ func TestQueueDrainWaitsForOrphanedJobs(t *testing.T) {
 		<-gate
 		return &stats.Run{Runtime: 21}, nil
 	}
-	store, _ := OpenStore("", 0)
-	q := NewQueue(store, 1, 0, sim, nil)
+	sv, _ := New(Config{Sim: sim, Workers: 1})
 	s := testSpec(4)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := q.Do(ctx, s)
+		_, err := sv.Do(ctx, s)
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -264,15 +267,15 @@ func TestQueueDrainWaitsForOrphanedJobs(t *testing.T) {
 
 	short, scancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer scancel()
-	if err := q.Drain(short); !errors.Is(err, context.DeadlineExceeded) {
+	if err := sv.Drain(short); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Drain returned %v while a job was still running", err)
 	}
 	close(gate)
-	if err := q.Drain(context.Background()); err != nil {
+	if err := sv.Drain(context.Background()); err != nil {
 		t.Fatalf("Drain after completion: %v", err)
 	}
 	// The orphaned job's result landed in the store.
-	res, err := q.Do(context.Background(), s)
+	res, err := sv.Do(context.Background(), s)
 	if err != nil || !res.Cached {
 		t.Fatalf("orphaned job's result not stored: %+v, %v", res, err)
 	}
@@ -282,32 +285,31 @@ func TestQueueDrainWaitsForOrphanedJobs(t *testing.T) {
 // is still served and the store trouble lands on the job status.
 func TestQueuePutFailureStillServesResult(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sim := func(ctx context.Context, s spec.Spec) (*stats.Run, error) {
 		return &stats.Run{Runtime: 33}, nil
 	}
-	q := NewQueue(store, 1, 0, sim, nil)
+	sv, err := New(Config{Dir: dir, Sim: sim, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := testSpec(6)
 	// Occupy the shard path with a regular file so the disk write fails.
 	if err := os.WriteFile(filepath.Join(dir, s.Canonical()[:2]), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.Do(context.Background(), s)
+	res, err := sv.Do(context.Background(), s)
 	if err != nil {
 		t.Fatalf("Do failed on a store-only error: %v", err)
 	}
-	if int64(res.Run.Runtime) != 33 {
-		t.Fatalf("served run = %+v", res.Run)
+	if int64(runOf(t, res).Runtime) != 33 {
+		t.Fatalf("served run = %+v", runOf(t, res))
 	}
-	job, ok := q.Job(res.JobID)
+	job, ok := sv.Job(res.JobID)
 	if !ok || job.State != JobDone || job.StoreError == "" {
 		t.Fatalf("job = %+v, want done with a store error recorded", job)
 	}
 	// The LRU still serves the repeat even though the disk write failed.
-	res, err = q.Do(context.Background(), s)
+	res, err = sv.Do(context.Background(), s)
 	if err != nil || !res.Cached {
 		t.Fatalf("repeat after failed persist = %+v, %v; want an LRU hit", res, err)
 	}
@@ -317,14 +319,13 @@ func TestQueueHistoryEviction(t *testing.T) {
 	sim := func(ctx context.Context, s spec.Spec) (*stats.Run, error) {
 		return &stats.Run{Runtime: 1}, nil
 	}
-	store, _ := OpenStore("", 0)
-	q := NewQueue(store, 1, 3, sim, nil)
+	sv, _ := New(Config{Sim: sim, Workers: 1, Keep: 3})
 	for seed := uint64(1); seed <= 6; seed++ {
-		if _, err := q.Do(context.Background(), testSpec(seed)); err != nil {
+		if _, err := sv.Do(context.Background(), testSpec(seed)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	jobs := q.Jobs()
+	jobs := sv.Jobs()
 	if len(jobs) != 3 {
 		t.Fatalf("history holds %d jobs, want 3", len(jobs))
 	}
@@ -340,22 +341,21 @@ func TestQueueJobsSortedByID(t *testing.T) {
 	sim := func(ctx context.Context, s spec.Spec) (*stats.Run, error) {
 		return &stats.Run{Runtime: 1}, nil
 	}
-	store, _ := OpenStore("", 0)
-	q := NewQueue(store, 2, 0, sim, nil)
+	sv, _ := New(Config{Sim: sim, Workers: 2})
 	const n = 5
 	for seed := uint64(1); seed <= n; seed++ {
-		if _, err := q.Do(context.Background(), testSpec(seed)); err != nil {
+		if _, err := sv.Do(context.Background(), testSpec(seed)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Scramble the internal history list: the explicit sort, not the
 	// list's creation order, must produce the contract ordering.
-	q.mu.Lock()
-	for i, j := 0, len(q.order)-1; i < j; i, j = i+1, j-1 {
-		q.order[i], q.order[j] = q.order[j], q.order[i]
+	sv.queue.mu.Lock()
+	for i, j := 0, len(sv.queue.order)-1; i < j; i, j = i+1, j-1 {
+		sv.queue.order[i], sv.queue.order[j] = sv.queue.order[j], sv.queue.order[i]
 	}
-	q.mu.Unlock()
-	jobs := q.Jobs()
+	sv.queue.mu.Unlock()
+	jobs := sv.Jobs()
 	if len(jobs) != n {
 		t.Fatalf("retained %d jobs, want %d", len(jobs), n)
 	}
@@ -377,20 +377,19 @@ func TestQueuePanicIsolatedAndRetried(t *testing.T) {
 		}
 		return &stats.Run{Runtime: 55}, nil
 	}
-	store, _ := OpenStore("", 0)
-	q := NewQueue(store, 2, 0, sim, nil)
-	res, err := q.Do(context.Background(), testSpec(1))
+	sv, _ := New(Config{Sim: sim, Workers: 2})
+	res, err := sv.Do(context.Background(), testSpec(1))
 	if err != nil {
 		t.Fatalf("Do after a transient panic: %v", err)
 	}
-	if int64(res.Run.Runtime) != 55 {
-		t.Fatalf("retried run = %+v", res.Run)
+	if int64(runOf(t, res).Runtime) != 55 {
+		t.Fatalf("retried run = %+v", runOf(t, res))
 	}
-	job, ok := q.Job(res.JobID)
+	job, ok := sv.Job(res.JobID)
 	if !ok || job.State != JobDone {
 		t.Fatalf("job = %+v, want done", job)
 	}
-	if got := q.Stats().PanicsRecovered; got != 1 {
+	if got := sv.QueueStats().PanicsRecovered; got != 1 {
 		t.Fatalf("PanicsRecovered = %d, want 1", got)
 	}
 }
@@ -404,10 +403,9 @@ func TestQueuePersistentPanicFailsOneJob(t *testing.T) {
 		}
 		return &stats.Run{Runtime: 66}, nil
 	}
-	store, _ := OpenStore("", 0)
-	q := NewQueue(store, 1, 0, sim, nil)
+	sv, _ := New(Config{Sim: sim, Workers: 1})
 
-	res, err := q.Do(context.Background(), testSpec(3))
+	res, err := sv.Do(context.Background(), testSpec(3))
 	if err == nil {
 		t.Fatalf("poisoned spec succeeded: %+v", res)
 	}
@@ -418,17 +416,17 @@ func TestQueuePersistentPanicFailsOneJob(t *testing.T) {
 	if !strings.Contains(err.Error(), "poisoned spec") || !strings.Contains(err.Error(), "simOnce") {
 		t.Fatalf("error lacks the panic value or stack: %v", err)
 	}
-	jobs := q.Jobs()
+	jobs := sv.Jobs()
 	if len(jobs) != 1 || jobs[0].State != JobFailed || !strings.Contains(jobs[0].Error, "panicked") {
 		t.Fatalf("job history = %+v, want one failed job recording the panic", jobs)
 	}
 	// Initial attempt + retry both recovered.
-	if got := q.Stats().PanicsRecovered; got != 2 {
+	if got := sv.QueueStats().PanicsRecovered; got != 2 {
 		t.Fatalf("PanicsRecovered = %d, want 2 (attempt + retry)", got)
 	}
 	// The process — and the queue — survive: a healthy spec still runs.
-	res, err = q.Do(context.Background(), testSpec(4))
-	if err != nil || int64(res.Run.Runtime) != 66 {
+	res, err = sv.Do(context.Background(), testSpec(4))
+	if err != nil || int64(runOf(t, res).Runtime) != 66 {
 		t.Fatalf("healthy spec after a panic = %+v, %v", res, err)
 	}
 }
@@ -441,8 +439,8 @@ func TestQueueInjectedSeedPanicFault(t *testing.T) {
 	sim := func(ctx context.Context, s spec.Spec) (*stats.Run, error) {
 		return &stats.Run{Runtime: 77, MemOps: int64(s.Seed)}, nil
 	}
-	clean, _ := OpenStore("", 0)
-	ref, err := NewQueue(clean, 2, 0, sim, nil).Do(context.Background(), testSpec(8))
+	clean, _ := New(Config{Sim: sim, Workers: 2})
+	ref, err := clean.Do(context.Background(), testSpec(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,16 +450,15 @@ func TestQueueInjectedSeedPanicFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	fault.Enable(fs)
-	store, _ := OpenStore("", 0)
-	q := NewQueue(store, 2, 0, sim, nil)
-	res, err := q.Do(context.Background(), testSpec(8))
+	sv, _ := New(Config{Sim: sim, Workers: 2})
+	res, err := sv.Do(context.Background(), testSpec(8))
 	if err != nil {
 		t.Fatalf("Do under an injected panic: %v", err)
 	}
 	if !bytes.Equal(res.Data, ref.Data) {
 		t.Fatalf("injected-panic bytes %q differ from clean bytes %q", res.Data, ref.Data)
 	}
-	if got := q.Stats().PanicsRecovered; got != 1 {
+	if got := sv.QueueStats().PanicsRecovered; got != 1 {
 		t.Fatalf("PanicsRecovered = %d, want 1", got)
 	}
 }
@@ -478,11 +475,10 @@ func TestQueueInjectedSlowSeedFault(t *testing.T) {
 	sim := func(ctx context.Context, s spec.Spec) (*stats.Run, error) {
 		return &stats.Run{Runtime: 88}, nil
 	}
-	store, _ := OpenStore("", 0)
-	q := NewQueue(store, 1, 0, sim, nil)
+	sv, _ := New(Config{Sim: sim, Workers: 1})
 	start := time.Now()
-	res, err := q.Do(context.Background(), testSpec(2))
-	if err != nil || int64(res.Run.Runtime) != 88 {
+	res, err := sv.Do(context.Background(), testSpec(2))
+	if err != nil || int64(runOf(t, res).Runtime) != 88 {
 		t.Fatalf("Do under injected latency = %+v, %v", res, err)
 	}
 	if time.Since(start) < 30*time.Millisecond {

@@ -19,13 +19,14 @@
 //     presentation order as they finish, GET /v1/jobs/{id} reports
 //     progress, and GET /healthz reports store and queue counters.
 //
-// A Service optionally joins a cluster (internal/cluster): a static
-// consistent-hash ring shards the canonical key space across N serve
-// processes, misses whose key another member owns are forwarded there
-// (so the dedup queue's singleflight stays global, not per-node), the
-// returned result is replicated into this node's LRU front, and an
-// unreachable owner degrades to local compute — the stream never fails
-// and never changes a byte.
+// Do is the one answer path: it validates and keys a spec, probes the
+// store once, and hands a miss to the queue. A Service optionally joins
+// a cluster (internal/cluster): a static consistent-hash ring shards the
+// canonical key space across N serve processes, a miss whose key another
+// member owns is forwarded there in one attempt (so the dedup queue's
+// singleflight stays global, not per-node), the returned result is
+// replicated into this node's LRU front, and a failed forward degrades
+// to local compute — the stream never fails and never changes a byte.
 //
 // The same bar holds under faults (internal/fault injects them
 // deterministically): store entries carry a per-entry checksum and a
@@ -133,7 +134,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	return &Service{
 		store:       store,
-		queue:       NewQueue(store, cfg.Workers, cfg.Keep, cfg.Sim, cfg.BaseContext),
+		queue:       newQueue(store, cfg.Workers, cfg.Keep, cfg.Sim, cfg.BaseContext),
 		cluster:     cfg.Cluster,
 		shed:        cluster.NewAdmission(budget, "/v1/grids", "/v1/sweeps"),
 		version:     cfg.Version,
@@ -144,12 +145,13 @@ func New(cfg Config) (*Service, error) {
 	}, nil
 }
 
-// Do answers one spec. On a single node this is exactly Queue.Do; on a
-// cluster member the canonical key is routed first — keys this node
-// owns (and every replicated hot entry) are answered locally, misses
-// on another member's shard are forwarded to the owner so identical
-// submissions entering anywhere in the fleet singleflight onto one
-// simulation. A dead owner degrades to local compute: the answer is
+// Do answers one spec: from the store if the result exists, by joining
+// an identical in-flight job if one is running, and by scheduling a new
+// job otherwise. On a cluster member a miss is routed first — keys this
+// node owns are computed locally, keys on another member's shard are
+// forwarded once to the owner, so identical submissions entering
+// anywhere in the fleet singleflight onto one simulation. A failed
+// forward or a dead owner degrades to local compute: the answer is
 // byte-identical either way, only the forward-error counter moves.
 func (sv *Service) Do(ctx context.Context, s spec.Spec) (Result, error) {
 	return sv.do(ctx, s, false)
@@ -162,63 +164,77 @@ func (sv *Service) DoLocal(ctx context.Context, s spec.Spec) (Result, error) {
 	return sv.do(ctx, s, true)
 }
 
+// do is the one answer path: validate, key, and probe the store once,
+// then forward at most once, then compute.
 func (sv *Service) do(ctx context.Context, s spec.Spec, local bool) (Result, error) {
-	if sv.cluster == nil || local {
-		return sv.queue.Do(ctx, s)
-	}
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
-	// Same key discipline as Queue.Do: the service answers the
-	// experiment; telemetry is a local-CLI concern.
+	// The store's contract is byte-identical payloads per canonical key,
+	// and Normalize clears the metrics and spans knobs (an instrumented
+	// run is the same experiment), so an instrumented rendering could
+	// collide with the plain one under the same key. The service answers
+	// the experiment; telemetry stays a local-CLI concern.
 	s.Metrics = false
 	s.Spans = false
 	at := traceFrom(ctx)
-	routeStart := time.Now()
 	key := s.Canonical()
+	getStart := time.Now()
+	data, ok, err := sv.store.Get(key)
+	if err != nil {
+		return Result{}, err
+	}
+	if ok {
+		// A replicated hot entry or an earlier local-fallback compute
+		// answers here too, without a network hop.
+		at.span("store_get", getStart, "hit")
+		return Result{Key: key, Data: data, Cached: true}, nil
+	}
+	at.span("store_get", getStart, "miss")
+	if sv.cluster != nil && !local {
+		if res, ok := sv.forward(ctx, key, s); ok {
+			return res, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
+	}
+	return sv.queue.compute(ctx, key, s)
+}
+
+// forward routes a missed key and, when another member owns it, makes
+// one forward attempt. ok is false when this node must compute the
+// answer itself: it owns the key, the owner's breaker is open, the
+// forward failed, or the owner answered garbage. A failure is already
+// on the cluster counters (cluster_forward_error) and the breaker; a
+// dead peer costs a local simulation, never a failed stream.
+func (sv *Service) forward(ctx context.Context, key string, s spec.Spec) (res Result, ok bool) {
+	at := traceFrom(ctx)
+	routeStart := time.Now()
 	owner, remote := sv.cluster.Route(key)
 	if !remote {
 		at.span("route", routeStart, "local shard")
-		return sv.queue.Do(ctx, s)
+		return Result{}, false
 	}
 	at.span("route", routeStart, "owner "+owner)
-	// A replicated hot entry (or an earlier local-fallback compute)
-	// answers without a network hop.
-	getStart := time.Now()
-	if data, ok, err := sv.store.Get(key); err == nil && ok {
-		if run, derr := decodeRun(data); derr == nil {
-			at.span("store_get", getStart, "replicated hit")
-			return Result{Key: key, Data: data, Run: run, Cached: true}, nil
-		}
-	}
-	at.span("store_get", getStart, "miss")
 	fwdStart := time.Now()
 	fwd, err := sv.cluster.Forward(ctx, owner, s.JSON(), TraceID(ctx))
-	if err != nil {
-		if ctx.Err() != nil {
-			return Result{}, ctx.Err()
-		}
-		if errors.Is(err, cluster.ErrBreakerOpen) {
-			// The owner's breaker is open: skip straight to local compute
-			// without having paid the dial/retry tax. A skip is counted on
-			// the breaker, not as a forward error.
-			at.span("forward", fwdStart, "breaker open, computing locally")
-			return sv.queue.Do(ctx, s)
-		}
-		// Owner unreachable: a dead peer costs a local simulation,
-		// never a failed stream. The forward error is already on the
-		// cluster counters (cluster_forward_error) and the breaker.
-		at.span("forward", fwdStart, "error, degrading to local: "+err.Error())
-		return sv.queue.Do(ctx, s)
+	if errors.Is(err, cluster.ErrBreakerOpen) {
+		// A skip is counted on the breaker, not as a forward error.
+		at.span("forward", fwdStart, "breaker open, computing locally")
+		return Result{}, false
 	}
-	run, derr := decodeRun(fwd.Data)
-	if derr != nil {
+	if err != nil {
+		at.span("forward", fwdStart, "error, degrading to local: "+err.Error())
+		return Result{}, false
+	}
+	if _, err := decodeRun(fwd.Data); err != nil {
 		// A peer that answers garbage degrades exactly like a dead one —
 		// and Suspect feeds the breaker, so a peer that keeps doing it
 		// trips open despite its "successful" HTTP exchanges.
 		sv.cluster.Suspect(owner)
 		at.span("forward", fwdStart, "unreadable answer, degrading to local")
-		return sv.queue.Do(ctx, s)
+		return Result{}, false
 	}
 	at.span("forward", fwdStart, owner+" "+fwd.Disposition)
 	at.setRemote(owner, fwd.RemoteSpans)
@@ -229,11 +245,10 @@ func (sv *Service) do(ctx context.Context, s spec.Spec, local bool) (Result, err
 	return Result{
 		Key:    key,
 		Data:   fwd.Data,
-		Run:    run,
 		Remote: owner,
 		Cached: fwd.Disposition == CacheHit,
 		Shared: fwd.Disposition == CacheJoin,
-	}, nil
+	}, true
 }
 
 // SetReady flips the /readyz gate. serve marks the node ready once the
@@ -303,7 +318,10 @@ func project[T any](sv *Service, ctx context.Context, specs []spec.Spec, f func(
 		for res, err := range sv.Stream(ctx, specs) {
 			var v T
 			if err == nil {
-				v = f(i, res.Run)
+				var run *stats.Run
+				if run, err = res.Run(); err == nil {
+					v = f(i, run)
+				}
 			}
 			if !yield(v, err) || err != nil {
 				return
@@ -347,7 +365,11 @@ func (sv *Service) Table3(ctx context.Context, e harness.Experiment) ([]harness.
 		if err != nil {
 			return nil, err
 		}
-		row, err := harness.NewTable3Row(specs[len(rows)], res.Run)
+		run, err := res.Run()
+		if err != nil {
+			return nil, err
+		}
+		row, err := harness.NewTable3Row(specs[len(rows)], run)
 		if err != nil {
 			return nil, err
 		}

@@ -126,8 +126,9 @@ type System struct {
 	probe   *obs.Probe
 }
 
-// buildTopology maps (network, nodes) to a Topology.
-func buildTopology(network string, nodes int) (*topology.Topology, error) {
+// BuildTopology maps (network, nodes) to a Topology: a butterfly of
+// radix sqrt(nodes), or the most square torus factorization.
+func BuildTopology(network string, nodes int) (*topology.Topology, error) {
 	switch network {
 	case NetButterfly:
 		r := int(math.Round(math.Sqrt(float64(nodes))))
@@ -164,7 +165,7 @@ var ErrDeadlock = errors.New("system: processors did not finish (protocol deadlo
 // machine that is never released, such as one whose run failed, just
 // leaves its arrays to the garbage collector.
 func Build(cfg Config, gen workload.Generator) (*System, error) {
-	topo, err := buildTopology(cfg.Network, cfg.Nodes)
+	topo, err := BuildTopology(cfg.Network, cfg.Nodes)
 	if err != nil {
 		return nil, err
 	}

@@ -37,9 +37,9 @@ func TestBuildTopologyVariants(t *testing.T) {
 		{"ring", 16, false},
 	}
 	for _, c := range cases {
-		_, err := buildTopology(c.network, c.nodes)
+		_, err := BuildTopology(c.network, c.nodes)
 		if (err == nil) != c.ok {
-			t.Errorf("buildTopology(%s,%d) err=%v, want ok=%v", c.network, c.nodes, err, c.ok)
+			t.Errorf("BuildTopology(%s,%d) err=%v, want ok=%v", c.network, c.nodes, err, c.ok)
 		}
 	}
 }
