@@ -61,8 +61,10 @@ type meta struct {
 }
 
 // Cache is a set-associative cache indexed by block address: two flat,
-// pointer-free arrays indexed by set*ways + way. A probe scans the set's
-// tags and reads meta only on a match. No tag value is reserved.
+// pointer-free arrays indexed by set*ways + way, and one bit per set that
+// says whether Insert has filled it since New. A probe of a never-filled
+// set answers from that bit; any other scans the set's tags and reads
+// meta only on a match. No tag value is reserved.
 //
 // The arrays form a slab that New borrows from a pool shared by every
 // cache of the same Config. Release zeroes the sets Insert filled, so a
@@ -75,12 +77,13 @@ type meta struct {
 type Cache struct {
 	tags    []coherence.Block
 	meta    []meta
+	filled  []uint64 // the slab's filled bitmap
 	setMask uint64
 	ways    int
 	clock   uint64
 
-	// slab owns tags and meta, plus one bit per set that Insert has
-	// filled; Release clears those sets only.
+	// slab owns tags, meta and filled; Release clears the filled sets
+	// only.
 	slab *slab
 
 	// Size bookkeeping for reports.
@@ -90,10 +93,10 @@ type Cache struct {
 
 // slab is the reusable storage of one cache, and the pool it returns to.
 type slab struct {
-	tags  []coherence.Block
-	meta  []meta
-	dirty []uint64 // bit s%64 of word s/64 marks set s as filled
-	pool  *sync.Pool
+	tags   []coherence.Block
+	meta   []meta
+	filled []uint64 // bit s%64 of word s/64 marks set s as filled
+	pool   *sync.Pool
 }
 
 // pools holds one slab pool per geometry. A sync.Pool rather than a
@@ -147,15 +150,16 @@ func New(cfg Config) (*Cache, error) {
 	s, _ := pool.Get().(*slab)
 	if s == nil {
 		s = &slab{
-			tags:  make([]coherence.Block, nLines),
-			meta:  make([]meta, nLines),
-			dirty: make([]uint64, (nSets+63)/64),
-			pool:  pool,
+			tags:   make([]coherence.Block, nLines),
+			meta:   make([]meta, nLines),
+			filled: make([]uint64, (nSets+63)/64),
+			pool:   pool,
 		}
 	}
 	c := &Cache{
 		tags:       s.tags,
 		meta:       s.meta,
+		filled:     s.filled,
 		setMask:    uint64(nSets - 1),
 		ways:       cfg.Ways,
 		slab:       s,
@@ -186,10 +190,17 @@ func (c *Cache) Ways() int { return c.ways }
 // base returns the index of way 0 of b's set.
 func (c *Cache) base(b coherence.Block) int { return int(uint64(b)&c.setMask) * c.ways }
 
-// find returns the index of b's valid way, or -1. It reads a way's meta
-// only when the tag matches, so a miss touches only the set's tags.
+// find returns the index of b's valid way, or -1. A set that no Insert
+// has filled holds no valid way, and most snoop probes land in one: they
+// answer from the filled bitmap, a few KiB per cache, without touching a
+// tag line. Otherwise find reads a way's meta only when the tag matches,
+// so a miss touches only the set's tags.
 func (c *Cache) find(b coherence.Block) int {
-	base := c.base(b)
+	si := uint64(b) & c.setMask
+	if c.filled[si/64]&(1<<(si%64)) == 0 {
+		return -1
+	}
+	base := int(si) * c.ways
 	for i, t := range c.tags[base : base+c.ways] {
 		if t == b && c.meta[base+i].state != Invalid {
 			return base + i
@@ -281,7 +292,7 @@ func (c *Cache) Insert(b coherence.Block, s State, version uint64) (Victim, bool
 	c.tags[base+victim] = b
 	set[victim] = meta{state: s, version: version, lastUse: c.clock}
 	si := uint64(b) & c.setMask
-	c.slab.dirty[si/64] |= 1 << (si % 64)
+	c.filled[si/64] |= 1 << (si % 64)
 	return evicted, has
 }
 
@@ -316,15 +327,15 @@ func (c *Cache) ForEach(fn func(b coherence.Block, s State, version uint64)) {
 func (c *Cache) Release() {
 	c.mustLive()
 	s := c.slab
-	for w, word := range s.dirty {
+	for w, word := range s.filled {
 		for ; word != 0; word &= word - 1 {
 			base := (w*64 + bits.TrailingZeros64(word)) * c.ways
 			clear(s.tags[base : base+c.ways])
 			clear(s.meta[base : base+c.ways])
 		}
 	}
-	clear(s.dirty)
-	c.tags, c.meta, c.slab = nil, nil, nil
+	clear(s.filled)
+	c.tags, c.meta, c.filled, c.slab = nil, nil, nil, nil
 	s.pool.Put(s)
 }
 

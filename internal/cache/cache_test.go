@@ -378,21 +378,38 @@ func panics(f func()) (p bool) {
 // SetVersion sequence and fails at the first differing result, victim,
 // panic, CountState or ForEach sequence. Its blocks crowd a few sets, so
 // evictions happen on every geometry, and include 0, 1<<63 and ^0.
-func lockstep(t *testing.T, got, want model, sets coherence.Block, seed int64, ops int) {
+//
+// A sparse run instead draws its blocks from the whole 64-bit space, with
+// a few aliases in the first blocks' sets, and inserts rarely: most ops
+// probe sets that no Insert has filled, the probes the filled bitmap
+// answers without reading a tag.
+func lockstep(t *testing.T, got, want model, sets coherence.Block, seed int64, ops int, sparse bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pool := []coherence.Block{0, 1 << 63, ^coherence.Block(0), sets - 1, sets}
 	for len(pool) < 24 {
 		b := coherence.Block(rng.Intn(3)) + coherence.Block(rng.Intn(8))*sets
+		if sparse {
+			b = coherence.Block(rng.Uint64())
+		}
 		if rng.Intn(4) == 0 {
 			b |= 1 << 63
 		}
 		pool = append(pool, b)
 	}
+	if sparse {
+		for i := 0; i < 8; i++ {
+			pool = append(pool, pool[i]+coherence.Block(1+rng.Intn(4))*sets)
+		}
+	}
 	for op := 0; op < ops; op++ {
 		b := pool[rng.Intn(len(pool))]
 		var desc string
-		switch k := rng.Intn(6); k {
+		k := rng.Intn(6)
+		if sparse && k < 2 && rng.Intn(8) != 0 {
+			k += 2 // an Insert turns into a Lookup or Peek
+		}
+		switch k {
 		case 0, 1:
 			s, v := State(1+rng.Intn(3)), rng.Uint64()
 			desc = fmt.Sprintf("Insert(%x, %v, %d)", b, s, v)
@@ -440,14 +457,27 @@ func lockstep(t *testing.T, got, want model, sets coherence.Block, seed int64, o
 	}
 }
 
-// The geometries the differential tests cover, with their op counts.
-var lockstepGeoms = []struct {
-	cfg Config
-	ops int
-}{
-	{Config{SizeBytes: 2 * 64, Ways: 2, BlockBytes: 64}, 5000},  // 1 set x 2 ways
-	{Config{SizeBytes: 16 * 64, Ways: 4, BlockBytes: 64}, 5000}, // 4 sets x 4 ways
-	{DefaultConfig(), 300},
+// The geometries the differential tests cover, with their op counts and
+// whether their lockstep runs are sparse.
+var lockstepGeoms = []lockstepGeom{
+	{Config{SizeBytes: 2 * 64, Ways: 2, BlockBytes: 64}, 5000, false},  // 1 set x 2 ways
+	{Config{SizeBytes: 16 * 64, Ways: 4, BlockBytes: 64}, 5000, false}, // 4 sets x 4 ways
+	{DefaultConfig(), 300, false},
+	{DefaultConfig(), 200, true},
+}
+
+type lockstepGeom struct {
+	cfg    Config
+	ops    int
+	sparse bool
+}
+
+func (g lockstepGeom) name(seed int64) string {
+	sparse := ""
+	if g.sparse {
+		sparse = "_sparse"
+	}
+	return fmt.Sprintf("%dB_%dway%s_seed%d", g.cfg.SizeBytes, g.cfg.Ways, sparse, seed)
 }
 
 // Differential: Cache and the per-set-slice reference agree on every
@@ -456,9 +486,9 @@ var lockstepGeoms = []struct {
 func TestCacheMatchesReference(t *testing.T) {
 	for _, g := range lockstepGeoms {
 		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("%dB_%dway_seed%d", g.cfg.SizeBytes, g.cfg.Ways, seed), func(t *testing.T) {
+			t.Run(g.name(seed), func(t *testing.T) {
 				c := MustNew(g.cfg)
-				lockstep(t, c, newRef(g.cfg), coherence.Block(c.Sets()), seed, g.ops)
+				lockstep(t, c, newRef(g.cfg), coherence.Block(c.Sets()), seed, g.ops, g.sparse)
 			})
 		}
 	}
@@ -475,11 +505,12 @@ func drainPool(cfg Config) {
 // seed, then inserts of random blocks over every set. sync.Pool may drop a
 // Put (always possible, frequent under the race detector), so it retries
 // until New hands the dirtied slab back.
-func reused(t *testing.T, cfg Config, seed int64, ops int) *Cache {
+func reused(t *testing.T, g lockstepGeom, seed int64) *Cache {
 	t.Helper()
+	cfg := g.cfg
 	for try := 0; try < 20; try++ {
 		c := MustNew(cfg)
-		lockstep(t, c, newRef(cfg), coherence.Block(c.Sets()), seed, ops)
+		lockstep(t, c, newRef(cfg), coherence.Block(c.Sets()), seed, g.ops/4, g.sparse)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 2*len(c.tags); i++ {
 			c.Insert(coherence.Block(rng.Uint64()), State(1+rng.Intn(3)), rng.Uint64())
@@ -501,21 +532,21 @@ func reused(t *testing.T, cfg Config, seed int64, ops int) *Cache {
 func TestReleasedCacheMatchesFresh(t *testing.T) {
 	for _, g := range lockstepGeoms {
 		for seed := int64(1); seed <= 2; seed++ {
-			t.Run(fmt.Sprintf("%dB_%dway_seed%d", g.cfg.SizeBytes, g.cfg.Ways, seed), func(t *testing.T) {
+			t.Run(g.name(seed), func(t *testing.T) {
 				drainPool(g.cfg)
 				fresh := MustNew(g.cfg)
-				r := reused(t, g.cfg, seed+100, g.ops/4)
+				r := reused(t, g, seed+100)
 				for i := range r.tags {
 					if r.tags[i] != 0 || r.meta[i] != (meta{}) {
 						t.Fatalf("reused way %d = tag %x, meta %+v; want zero", i, r.tags[i], r.meta[i])
 					}
 				}
-				for w, word := range r.slab.dirty {
+				for w, word := range r.slab.filled {
 					if word != 0 {
-						t.Fatalf("reused cache's dirty word %d = %#x", w, word)
+						t.Fatalf("reused cache's filled word %d = %#x", w, word)
 					}
 				}
-				lockstep(t, r, fresh, coherence.Block(r.Sets()), seed, g.ops)
+				lockstep(t, r, fresh, coherence.Block(r.Sets()), seed, g.ops, g.sparse)
 			})
 		}
 	}
@@ -552,7 +583,7 @@ func TestDoubleReleasePanics(t *testing.T) {
 }
 
 // The default 4 MB cache costs one 8-byte tag and one 24-byte meta per
-// line plus one dirty bit per set, and nothing else: no per-set slice
+// line plus one filled bit per set, and nothing else: no per-set slice
 // headers, no pointer-bearing line type. The pool is drained first, so
 // this pins a fresh slab, not a reused one.
 func TestNewMemoryShape(t *testing.T) {

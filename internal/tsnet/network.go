@@ -26,6 +26,15 @@
 // and every hot-path event is a typed kernel event rather than a
 // closure. The Verify instrumentation fields live behind a debug
 // pointer that uninstrumented runs never touch.
+//
+// A switch's fan-out costs one kernel event per distinct link latency,
+// not one per link: a token propagation sends one wave event per output
+// latency (deliverTokenWave), and a cut-through switch one per latency
+// among a transaction's surviving branches (deliverTxnWave). Each wave
+// delivers on its links in port or route order, so arrivals, their
+// same-time ties and every ordered processing happen exactly as with one
+// event per link. Injections, endpoint tokens, contended departures and
+// the Dovh handoffs stay one event each.
 package tsnet
 
 import (
@@ -187,6 +196,11 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traf
 	if cfg.TokensPerPort < 1 {
 		panic("tsnet: TokensPerPort must be >= 1")
 	}
+	if cfg.Params.Dovh <= 0 {
+		// Every handoff is its own event, so no fan-out event can finish
+		// an access midway (see deliverTxnWave).
+		panic("tsnet: Params.Dovh must be positive")
+	}
 	if cfg.SerTime == 0 {
 		cfg.SerTime = cfg.Params.Dswitch
 	}
@@ -210,9 +224,7 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traf
 		// every handoff takes Dovh: the kernel's fixed-delay lanes.
 		k.Lane(n.links[i].lat)
 	}
-	if d := cfg.Params.Dovh; d > 0 {
-		k.Lane(d)
-	}
+	k.Lane(cfg.Params.Dovh)
 	for _, sw := range topo.Switches() {
 		for pos, id := range sw.In {
 			n.links[id].inPos = int32(pos)
@@ -382,9 +394,11 @@ func (n *Network) inject(src int, mask uint64, payload any) uint64 {
 // deliverTxn is the typed kernel event completing a transaction copy's
 // link transit: a0 is the Network, a1 the copy, i0 the LinkID.
 func deliverTxn(a0, a1 any, i0 int64) {
-	n := a0.(*Network)
-	t := a1.(*txn)
-	id := topology.LinkID(i0)
+	a0.(*Network).arriveTxn(topology.LinkID(i0), a1.(*txn))
+}
+
+// arriveTxn completes a transaction copy's transit of link id.
+func (n *Network) arriveTxn(id topology.LinkID, t *txn) {
 	if p := n.probe; p != nil {
 		p.Event(obs.EvLinkTxn)
 		p.LinkTxn(int(id))
@@ -397,7 +411,8 @@ func deliverTxn(a0, a1 any, i0 int64) {
 	}
 }
 
-// sendOnLink schedules delivery of a transaction copy across a link.
+// sendOnLink schedules delivery of a transaction copy across a link: an
+// injection, or a contended switch's departure.
 func (n *Network) sendOnLink(id topology.LinkID, t *txn) {
 	n.k.AfterCall(n.links[id].lat, deliverTxn, n, t, int64(id))
 }
@@ -405,8 +420,11 @@ func (n *Network) sendOnLink(id topology.LinkID, t *txn) {
 // deliverToken is the typed kernel event completing a token's link
 // transit: a0 is the Network, i0 the LinkID.
 func deliverToken(a0, a1 any, i0 int64) {
-	n := a0.(*Network)
-	id := topology.LinkID(i0)
+	a0.(*Network).arriveToken(topology.LinkID(i0))
+}
+
+// arriveToken completes a token's transit of link id.
+func (n *Network) arriveToken(id topology.LinkID) {
 	if p := n.probe; p != nil {
 		p.Event(obs.EvLinkToken)
 		p.LinkToken(int(id))
@@ -419,7 +437,8 @@ func deliverToken(a0, a1 any, i0 int64) {
 	}
 }
 
-// sendToken schedules delivery of one token across a link.
+// sendToken schedules delivery of one token across an endpoint's
+// output link. Switches send theirs as waves (deliverTokenWave).
 func (n *Network) sendToken(id topology.LinkID) {
 	n.k.AfterCall(n.links[id].lat, deliverToken, n, nil, int64(id))
 }
@@ -570,10 +589,6 @@ func (e *epState) process(q queued) {
 	// Hand off to the protocol controller after the network-exit overhead
 	// (Dovh). All handoffs share the same delay, so the controller sees
 	// transactions in exactly the logical order.
-	if d := e.net.cfg.Params.Dovh; d > 0 {
-		e.outbox.Push(q)
-		e.net.k.AfterCall(d, deliverOrdered, e, nil, 0)
-		return
-	}
-	e.handler(q.src, q.seq, q.payload, q.arrived)
+	e.outbox.Push(q)
+	e.net.k.AfterCall(e.net.cfg.Params.Dovh, deliverOrdered, e, nil, 0)
 }

@@ -11,20 +11,14 @@ import (
 // bufEntry is one broadcast-branch copy of a transaction held in a
 // switch's (logically centralized) transaction buffer, waiting for its
 // output port. Entries are stored inline in the buffer slice — the
-// transaction's fields are copied in so the arriving copy can return to
-// the free list immediately.
+// transaction is copied in so the arriving copy can return to the free
+// list immediately.
 type bufEntry struct {
-	branch  topology.Branch
-	slack   int
-	src     int
-	seq     uint64
-	mask    uint64
-	payload any
-	sent    sim.Time
+	txn
+	branch topology.Branch
 	// enq is when the copy entered the buffer (contention mode); the
 	// probe's buffer_dwell span measures enq to departure.
 	enq sim.Time
-	dbg *txnDebug
 }
 
 // swState is a network switch: token counters per input port, a
@@ -93,6 +87,13 @@ func (s *swState) arriveToken(inPos int) {
 }
 
 // arriveTxn handles a transaction copy arriving on input port in.
+//
+// A cut-through switch fans the copy out with one kernel event per
+// distinct latency among its surviving branches (see deliverTxnWave),
+// not one per branch. The pushes of one dispatch take consecutive seq
+// numbers, so no other event of the same time can fall between two
+// same-latency branches: delivering them back to back in one event keeps
+// every arrival at its picosecond and every same-time tie in its order.
 func (s *swState) arriveTxn(in topology.LinkID, t *txn) {
 	// Case 1 of the slack recurrence: entering the switch, the
 	// transaction moves past the tokens waiting on its input port, making
@@ -108,47 +109,77 @@ func (s *swState) arriveTxn(in topology.LinkID, t *txn) {
 		if b.Reach&t.mask == 0 {
 			continue // multicast pruning: nothing downstream is a destination
 		}
-		e := bufEntry{
-			branch:  *b,
-			slack:   t.slack,
-			src:     t.src,
-			seq:     t.seq,
-			mask:    t.mask,
-			payload: t.payload,
-			sent:    t.sent,
-			dbg:     t.dbg,
-		}
-		if s.net.cfg.Contention {
-			e.enq = s.net.k.Now()
-			s.buffered = append(s.buffered, e)
-			if p := s.net.probe; p != nil {
-				p.BufferOcc(len(s.buffered))
-			}
-			s.kickPort(b.Link)
-		} else {
+		if !s.net.cfg.Contention {
 			// Cut-through: zero dwell time in the buffer.
-			s.depart(&e)
+			if lat := s.net.links[b.Link].lat; !s.latBefore(branches[:i], t.mask, lat) {
+				s.net.k.AfterCall(lat, deliverTxnWave, s, t, int64(lat))
+			}
+			continue
 		}
+		s.buffered = append(s.buffered, bufEntry{txn: *t, branch: *b, enq: s.net.k.Now()})
+		if p := s.net.probe; p != nil {
+			p.BufferOcc(len(s.buffered))
+		}
+		s.kickPort(b.Link)
 	}
-	s.net.freeTxn(t)
+	if s.net.cfg.Contention {
+		// The buffer holds copies; a cut-through copy is freed by its
+		// last wave instead.
+		s.net.freeTxn(t)
+	}
 }
 
-// depart sends a branch copy on its output link, applying case 3 of the
-// recurrence: dD, the decrease in maximum remaining pipeline depth for
-// this branch relative to the longest branch.
-func (s *swState) depart(e *bufEntry) {
+// latBefore reports whether a branch among bs that survives mask has
+// latency lat: its wave event is already scheduled.
+func (s *swState) latBefore(bs []topology.Branch, mask uint64, lat sim.Duration) bool {
+	for i := range bs {
+		if bs[i].Reach&mask != 0 && s.net.links[bs[i].Link].lat == lat {
+			return true
+		}
+	}
+	return false
+}
+
+// deliverTxnWave is the typed kernel event completing a cut-through
+// fan-out's link transits of one latency: a0 is the swState, a1 the
+// arriving copy, i0 the latency. It delivers a fresh copy on every
+// surviving branch of that latency, in route order, and the event of the
+// largest latency, the last to run, frees the arriving copy.
+func deliverTxnWave(a0, a1 any, i0 int64) {
+	s := a0.(*swState)
+	t := a1.(*txn)
+	lat := sim.Duration(i0)
+	last := true
+	branches := s.routes[t.src]
+	for i := range branches {
+		b := &branches[i]
+		if b.Reach&t.mask == 0 {
+			continue
+		}
+		switch l := s.net.links[b.Link].lat; {
+		case l == lat:
+			s.net.arriveTxn(b.Link, s.branchCopy(t, b))
+		case l > lat:
+			last = false
+		}
+	}
+	if last {
+		s.net.freeTxn(t)
+	}
+}
+
+// branchCopy returns the copy of t that leaves on branch b, applying case
+// 3 of the recurrence: dD, the decrease in maximum remaining pipeline
+// depth for this branch relative to the longest branch. The debug state
+// is shared read-only by every copy of one injection.
+func (s *swState) branchCopy(t *txn, b *topology.Branch) *txn {
 	out := s.net.newTxn()
-	out.src = e.src
-	out.seq = e.seq
-	out.slack = e.slack + e.branch.DeltaD*s.net.cfg.TokensPerPort
-	out.mask = e.mask
-	out.payload = e.payload
-	out.sent = e.sent
-	out.dbg = e.dbg // read-only: every copy of one injection shares it
+	*out = *t
+	out.slack += b.DeltaD * s.net.cfg.TokensPerPort
 	if out.slack < 0 {
 		panic(fmt.Sprintf("tsnet: switch %d departing with negative slack %d", s.id, out.slack))
 	}
-	s.net.sendOnLink(e.branch.Link, out)
+	return out
 }
 
 // servePortEvent is the typed kernel event backing kickPort: a0 is the
@@ -212,7 +243,7 @@ func (s *swState) servePort(link topology.LinkID) {
 			int32(e.src), e.seq, int64(e.enq), int64(s.net.k.Now()-e.enq))
 	}
 	s.nextFree[pos] = s.net.k.Now() + s.net.cfg.SerTime
-	s.depart(&e)
+	s.net.sendOnLink(e.branch.Link, s.branchCopy(&e.txn, &e.branch))
 	// The buffer shrank: a stalled propagation may now be possible.
 	s.tryPropagate()
 	// More work for this port?
@@ -274,8 +305,37 @@ func (s *swState) tryPropagate() {
 		if p := s.net.probe; p != nil {
 			p.TokenAdvance(s.id, int64(s.net.k.Now()))
 		}
-		for _, out := range s.out {
-			s.net.sendToken(out)
+		// One event per distinct output latency: see deliverTokenWave.
+		for i, out := range s.out {
+			if lat := s.net.links[out].lat; !s.outLatBefore(i, lat) {
+				s.net.k.AfterCall(lat, deliverTokenWave, s, nil, int64(lat))
+			}
+		}
+	}
+}
+
+// outLatBefore reports whether one of the first n outputs has latency
+// lat: its token wave is already scheduled.
+func (s *swState) outLatBefore(n int, lat sim.Duration) bool {
+	for _, out := range s.out[:n] {
+		if s.net.links[out].lat == lat {
+			return true
+		}
+	}
+	return false
+}
+
+// deliverTokenWave is the typed kernel event completing one propagation's
+// token transits of one latency: a0 is the swState, i0 the latency. It
+// delivers a token on every output of that latency, in Out order: the
+// order in which tryPropagate would have scheduled one event per output,
+// on consecutive seq numbers.
+func deliverTokenWave(a0, a1 any, i0 int64) {
+	s := a0.(*swState)
+	lat := sim.Duration(i0)
+	for _, out := range s.out {
+		if s.net.links[out].lat == lat {
+			s.net.arriveToken(out)
 		}
 	}
 }

@@ -366,6 +366,16 @@ func TestBadConfigPanics(t *testing.T) {
 		}()
 		New(k, topo, cfg, &tr, nil)
 	}()
+	cfg = DefaultConfig()
+	cfg.Params.Dovh = 0
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("zero Dovh did not panic")
+			}
+		}()
+		New(k, topo, cfg, &tr, nil)
+	}()
 }
 
 func TestMoreTokensPerPort(t *testing.T) {
