@@ -195,14 +195,7 @@ func verifyQuiescence(s *system.System, blocks int, mosi bool) error {
 		var mCount, oCount, sCount int
 		dirty := -1
 		for nd := 0; nd < s.Cfg.Nodes; nd++ {
-			var st cache.State
-			switch p := s.Proto.(type) {
-			case *tssnoop.Protocol:
-				st = p.CacheState(nd, b)
-			case *directory.Protocol:
-				st = p.CacheState(nd, b)
-			}
-			switch st {
+			switch s.Core.CacheState(nd, b) {
 			case cache.Modified:
 				mCount++
 				dirty = nd

@@ -14,6 +14,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -191,6 +193,36 @@ func TestRunMetricsJSONByteStableAcrossWorkers(t *testing.T) {
 		}
 		if out != want {
 			t.Errorf("workers=%s: metrics JSON not byte-stable:\n got:\n%s\nwant:\n%s", workers, out, want)
+		}
+	}
+}
+
+// The -metrics -spans snapshot and the -trace-out span stream of a
+// TS-Snoop and a directory run. run_metrics_spans.golden and the digests
+// were captured at commit a22188d, before the protocols shared one
+// controller core, so they pin that the core moved no output byte.
+// Each trace file is ~0.6 MB, so only its SHA-256 is committed.
+func TestRunMetricsSpansGolden(t *testing.T) {
+	base := []string{"run", "-benchmark", "barnes", "-nodes", "4", "-warmup", "100", "-quota", "200"}
+	instrumented := slices.Concat(base, []string{"-metrics", "-spans", "-json"})
+	ts, _ := execTsnoop(t, slices.Concat(instrumented, []string{"-mosi", "-multicast"})...)
+	dir, _ := execTsnoop(t, slices.Concat(instrumented, []string{"-protocol", "DirClassic", "-perturb-ns", "3"})...)
+	if got, want := ts+dir, golden(t, "run_metrics_spans.golden"); got != want {
+		t.Errorf("-metrics -spans output differs from golden:\n got:\n%s\nwant:\n%s", got, want)
+	}
+
+	for _, c := range []struct{ protocol, sha256 string }{
+		{"TS-Snoop", "eb742dd2038b8e82a4e9a14cbfa08bc0fb97fd01f025b5d4770275be21ae49c6"},
+		{"DirOpt", "53f82b164912790e0a9488f1bab18566c4050453d34754a3092ce53033b67aba"},
+	} {
+		path := filepath.Join(t.TempDir(), "trace.json")
+		execTsnoop(t, slices.Concat(base, []string{"-protocol", c.protocol, "-trace-out", path})...)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != c.sha256 {
+			t.Errorf("%s: -trace-out digest %x, want %s", c.protocol, sum, c.sha256)
 		}
 	}
 }

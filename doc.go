@@ -45,7 +45,12 @@
 // handoff and hit delays and in a hand-rolled 4-ary min-heap for the
 // rest; the address network recycles transaction copies through free
 // lists and keeps switch and endpoint state in dense, reused slices;
-// and the protocols pool their payload messages. The network's Verify
+// and the protocols pool their payload messages. Both protocol families
+// embed one controller core (internal/protocol): each node's L2 and its
+// hit queue, the one L2-hit decision, the outstanding-miss count, the
+// report of a finished miss, and the point-to-point data fabric, so
+// tssnoop and directory hold only their transactions, MSHR contents and
+// home state. The network's Verify
 // instrumentation lives behind the configuration and defaults off for
 // experiment runs (re-enable with -verify / spec.WithVerify; results are
 // identical either way).

@@ -56,8 +56,10 @@ var hotPackages = []string{
 	"tsnoop/internal/cache",
 	"tsnoop/internal/coherence",
 	"tsnoop/internal/obs",
+	"tsnoop/internal/protocol",
 }
 
+// hotPrefix covers the protocols built on the core (tssnoop, directory).
 const hotPrefix = "tsnoop/internal/protocol/"
 
 func hot(path string) bool {

@@ -15,6 +15,7 @@ func TestAllocFree(t *testing.T) {
 	analysistest.Run(t, "testdata", allocfree.Analyzer,
 		"tsnoop/internal/tsnet",
 		"tsnoop/internal/obs",
+		"tsnoop/internal/protocol",
 		"tsnoop/internal/service",
 	)
 }

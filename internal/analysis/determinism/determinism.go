@@ -86,8 +86,11 @@ var deterministic = []string{
 	"tsnoop/internal/spec",
 	"tsnoop/internal/cluster",
 	"tsnoop/internal/fault",
+	"tsnoop/internal/protocol",
 }
 
+// protocolPrefix covers the protocols built on the core (tssnoop,
+// directory).
 const protocolPrefix = "tsnoop/internal/protocol/"
 
 // wallClock lists the time-package functions that read the wall clock

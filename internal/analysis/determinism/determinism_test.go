@@ -19,5 +19,6 @@ func TestDeterminism(t *testing.T) {
 		"tsnoop/internal/service",
 		"tsnoop/internal/cluster",
 		"tsnoop/internal/fault",
+		"tsnoop/internal/protocol",
 	)
 }

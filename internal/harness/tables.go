@@ -7,14 +7,11 @@ import (
 	"tsnoop/internal/cache"
 	"tsnoop/internal/coherence"
 	"tsnoop/internal/parallel"
-	"tsnoop/internal/protocol/directory"
-	"tsnoop/internal/protocol/tssnoop"
 	"tsnoop/internal/sim"
 	"tsnoop/internal/spec"
 	"tsnoop/internal/stats"
 	"tsnoop/internal/system"
 	"tsnoop/internal/timing"
-	"tsnoop/internal/topology"
 )
 
 // Table2Row is one unloaded-latency row: the paper's analytic value and
@@ -26,41 +23,30 @@ type Table2Row struct {
 }
 
 // probeEnv drives single misses through a real protocol instance.
-type probeEnv struct {
-	k     *sim.Kernel
-	proto coherence.Protocol
-}
+type probeEnv struct{ sys *system.System }
 
 func (e *probeEnv) access(node int, op coherence.Op, b coherence.Block) sim.Time {
 	var lat sim.Time
 	done := false
-	e.proto.Access(node, op, b, func(r coherence.AccessResult) { lat = r.Latency; done = true })
-	e.k.RunWhile(func() bool { return !done })
+	e.sys.Proto.Access(node, op, b, func(r coherence.AccessResult) { lat = r.Latency; done = true })
+	e.sys.K.RunWhile(func() bool { return !done })
 	return lat
 }
 
-func (e *probeEnv) settle(d sim.Duration) { e.k.RunUntil(e.k.Now() + d) }
+func (e *probeEnv) settle(d sim.Duration) { e.sys.K.RunUntil(e.sys.K.Now() + d) }
 
-func newProbe(topo *topology.Topology, proto string, params timing.Params) *probeEnv {
-	k := sim.NewKernel()
-	run := &stats.Run{}
-	cc := cache.Config{SizeBytes: 512 * 1024, Ways: 4, BlockBytes: 64}
-	var p coherence.Protocol
-	switch proto {
-	case system.ProtoTSSnoop:
-		opts := tssnoop.DefaultOptions(params)
-		opts.Cache = cc
-		p = tssnoop.New(k, topo, params, run, nil, opts)
-	case system.ProtoDirOpt:
-		opts := directory.DefaultOptions(directory.Opt)
-		opts.Cache = cc
-		p = directory.New(k, topo, params, run, nil, opts)
-	default:
-		panic("probe: unsupported protocol " + proto)
+// newProbe builds the paper's 16-node machine with 512 KB caches and
+// lets logical time reach steady state. The caller releases it.
+func newProbe(network, proto string) (*probeEnv, error) {
+	cfg := system.DefaultConfig(proto, network)
+	cfg.Cache = cache.Config{SizeBytes: 512 * 1024, Ways: 4, BlockBytes: 64}
+	sys, err := system.Build(cfg, nil)
+	if err != nil {
+		return nil, err
 	}
-	env := &probeEnv{k: k, proto: p}
-	env.settle(300 * sim.Nanosecond) // let logical time reach steady state
-	return env
+	env := &probeEnv{sys: sys}
+	env.settle(300 * sim.Nanosecond)
+	return env, nil
 }
 
 // blockFor picks the i-th fresh block homed at the given node.
@@ -93,34 +79,29 @@ func meanOverPairs(nodes int, f func(req, partner, trial int) sim.Time) sim.Time
 // Every worker count measures identical rows.
 func Table2(network string, workers int) ([]Table2Row, error) {
 	params := timing.Default()
-	topo, err := system.BuildTopology(network, 16)
-	if err != nil {
-		return nil, err
-	}
 	meanHops := 3
 	if network == system.NetTorus {
 		meanHops = 2 // the paper's stated mean of 2 links
 	}
-	nodes := topo.Nodes()
+	const nodes = 16 // the paper's machine, as system.DefaultConfig builds it
 	dnet := params.Dnet(meanHops)
 
-	// The three measurements drive independent probe kernels, so they run
-	// concurrently; each closure owns its probe environment and releases
-	// its caches when done.
-	probes := []func() sim.Time{
+	// The three measurements drive independent probe machines, so they
+	// run concurrently; each builds its own machine and releases its
+	// caches when done.
+	probes := []struct {
+		proto   string
+		measure func(e *probeEnv) sim.Time
+	}{
 		// Memory latency measured on the directory protocol (its request
 		// and response paths are exact).
-		func() sim.Time {
-			dir := newProbe(topo, system.ProtoDirOpt, params)
-			defer dir.proto.Release()
+		{system.ProtoDirOpt, func(dir *probeEnv) sim.Time {
 			return meanOverPairs(nodes, func(req, home, trial int) sim.Time {
 				return dir.access(req, coherence.Load, blockFor(home, trial, nodes))
 			})
-		},
+		}},
 		// Directory 3-hop: owner takes M first, then the requester loads.
-		func() sim.Time {
-			dir3 := newProbe(topo, system.ProtoDirOpt, params)
-			defer dir3.proto.Release()
+		{system.ProtoDirOpt, func(dir3 *probeEnv) sim.Time {
 			return meanOverPairs(nodes, func(req, owner, trial int) sim.Time {
 				home := (owner + 5) % nodes // a third party (wraps over all homes)
 				if home == req {
@@ -131,11 +112,9 @@ func Table2(network string, workers int) ([]Table2Row, error) {
 				dir3.settle(sim.Microsecond)
 				return dir3.access(req, coherence.Load, b)
 			})
-		},
+		}},
 		// Timestamp snooping cache-to-cache.
-		func() sim.Time {
-			ts := newProbe(topo, system.ProtoTSSnoop, params)
-			defer ts.proto.Release()
+		{system.ProtoTSSnoop, func(ts *probeEnv) sim.Time {
 			return meanOverPairs(nodes, func(req, owner, trial int) sim.Time {
 				home := (owner + 5) % nodes
 				if home == req {
@@ -146,10 +125,15 @@ func Table2(network string, workers int) ([]Table2Row, error) {
 				ts.settle(sim.Microsecond)
 				return ts.access(req, coherence.Load, b)
 			})
-		},
+		}},
 	}
 	measured, err := parallel.Map(workers, len(probes), func(i int) (sim.Time, error) {
-		return probes[i](), nil
+		e, err := newProbe(network, probes[i].proto)
+		if err != nil {
+			return 0, err
+		}
+		defer e.sys.Release()
+		return probes[i].measure(e), nil
 	})
 	if err != nil {
 		return nil, err

@@ -31,6 +31,7 @@ import (
 	"tsnoop/internal/coherence"
 	"tsnoop/internal/network"
 	"tsnoop/internal/obs"
+	"tsnoop/internal/protocol"
 	"tsnoop/internal/sim"
 	"tsnoop/internal/stats"
 	"tsnoop/internal/timing"
@@ -60,13 +61,14 @@ const (
 	vnetResponse = 2
 )
 
+// retryBackoff is the base delay before re-sending a nacked request
+// (DirClassic); each retry adds uniform jitter of the same magnitude.
+const retryBackoff = 60 * sim.Nanosecond
+
 // Options configures a directory protocol instance.
 type Options struct {
 	Variant Variant
 	Cache   cache.Config
-	// RetryBackoff is the base delay before re-sending a nacked request
-	// (DirClassic); each retry adds uniform jitter of the same magnitude.
-	RetryBackoff sim.Duration
 	// RetrySeed seeds the per-node backoff jitter.
 	RetrySeed uint64
 	// Probe, when non-nil, records deterministic protocol telemetry:
@@ -78,10 +80,9 @@ type Options struct {
 // DefaultOptions returns the configuration used in the paper's runs.
 func DefaultOptions(v Variant) Options {
 	return Options{
-		Variant:      v,
-		Cache:        cache.DefaultConfig(),
-		RetryBackoff: 60 * sim.Nanosecond,
-		RetrySeed:    1,
+		Variant:   v,
+		Cache:     cache.DefaultConfig(),
+		RetrySeed: 1,
 	}
 }
 
@@ -188,26 +189,14 @@ type node struct {
 	// outstanding per node (blocking processors), so the value is reset
 	// and reused rather than allocated per miss.
 	mshrStore mshr
-
-	// hitQ buffers in-flight L2-hit completions.
-	hitQ coherence.HitQueue
 }
 
 // Protocol is one directory protocol instance over a topology.
 type Protocol struct {
-	k      *sim.Kernel
-	topo   *topology.Topology
-	params timing.Params
-	run    *stats.Run
-	oracle *coherence.Oracle
-	opts   Options
+	protocol.Core // caches, L2 hits, miss reports and the three vnets
+	opts          Options
 
-	fabric *network.Fabric
-	nodes  []*node
-
-	pending   int
-	dataBytes int
-	probe     *obs.Probe // optional deterministic telemetry (Options.Probe)
+	nodes []node
 
 	// msgPool recycles message payloads: each is delivered to exactly
 	// one endpoint, which returns it to the pool on receipt, so a steady
@@ -222,42 +211,28 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, run *stat
 	if topo.Nodes() > 64 {
 		panic("directory: full bit vector limited to 64 nodes")
 	}
-	if oracle == nil {
-		oracle = coherence.NewOracle()
-	}
-	p := &Protocol{
-		k:      k,
-		topo:   topo,
-		params: params,
-		run:    run,
-		oracle: oracle,
-		opts:   opts,
-		probe:  opts.Probe,
-	}
-	p.dataBytes = timing.DataMsgBytes(opts.Cache.BlockBytes)
-	k.Lane(params.L2Hit) // every hit completes L2Hit after its access
+	p := &Protocol{opts: opts}
 	var ordered []int
 	if opts.Variant == Opt {
 		// DirOpt "uses point-to-point ordering on one virtual network to
 		// avoid nacks".
 		ordered = []int{vnetForward}
 	}
-	p.fabric = network.New(k, topo, params, &run.Traffic, ordered...)
-	p.fabric.SetProbe(opts.Probe)
-	p.nodes = make([]*node, topo.Nodes())
+	p.Init(k, topo, params, run, oracle, opts.Cache, opts.Probe, ordered...)
+	p.nodes = make([]node, topo.Nodes())
 	rng := sim.NewRand(opts.RetrySeed)
 	for i := range p.nodes {
-		n := &node{
+		n := &p.nodes[i]
+		*n = node{
 			p:        p,
 			id:       i,
-			cache:    cache.MustNew(opts.Cache),
+			cache:    p.Cache(i),
 			wb:       make(map[coherence.Block]*wbEntry),
 			dir:      make(map[coherence.Block]*dirEntry),
 			deferred: make(map[coherence.Block][]msg),
 			rng:      rng.Split(),
 		}
-		p.nodes[i] = n
-		p.fabric.Register(i, n.receive)
+		p.Fabric.Register(i, n.receive)
 	}
 	return p
 }
@@ -265,32 +240,10 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, run *stat
 // Name implements coherence.Protocol.
 func (p *Protocol) Name() string { return p.opts.Variant.String() }
 
-// Pending implements coherence.Protocol.
-func (p *Protocol) Pending() int { return p.pending }
-
-// Release implements coherence.Protocol.
-func (p *Protocol) Release() {
-	for _, n := range p.nodes {
-		n.cache.Release()
-	}
-}
-
-// Oracle returns the coherence checker in use.
-func (p *Protocol) Oracle() *coherence.Oracle { return p.oracle }
-
-// SetPerturbation installs a response-delay sampler on the fabric.
-func (p *Protocol) SetPerturbation(fn func() sim.Duration) { p.fabric.SetPerturbation(fn) }
-
-// CacheState reports the cache state of block b at a node (tests).
-func (p *Protocol) CacheState(nodeID int, b coherence.Block) cache.State {
-	s, _ := p.nodes[nodeID].cache.Peek(b)
-	return s
-}
-
 // DirectoryState reports the home directory state for b (tests): the
 // state, owner (or -1) and sharer count.
 func (p *Protocol) DirectoryState(b coherence.Block) (string, int, int) {
-	home := coherence.HomeOf(b, p.topo.Nodes())
+	home := coherence.HomeOf(b, p.Topo.Nodes())
 	e, ok := p.nodes[home].dir[b]
 	if !ok || e.state == dirU {
 		return "U", -1, 0
@@ -307,38 +260,19 @@ func (p *Protocol) DirectoryState(b coherence.Block) (string, int, int) {
 
 // Access implements coherence.Protocol.
 func (p *Protocol) Access(nodeID int, op coherence.Op, block coherence.Block, done func(coherence.AccessResult)) {
-	n := p.nodes[nodeID]
+	n := &p.nodes[nodeID]
 	if n.mshr != nil {
 		panic(fmt.Sprintf("%s: node %d access while miss outstanding", p.Name(), nodeID))
 	}
-	state, version := n.cache.Lookup(block)
-
-	hit := (op == coherence.Load && state != cache.Invalid) ||
-		(op == coherence.Store && state == cache.Modified)
-	if hit {
-		if op == coherence.Store {
-			version = p.oracle.WriteVersion(block)
-			n.cache.SetVersion(block, version)
-		}
-		p.oracle.Observe(nodeID, block, version)
-		n.hitQ.Push(done, coherence.AccessResult{Hit: true, Latency: p.params.L2Hit, Version: version})
-		p.k.AfterCall(p.params.L2Hit, coherence.DeliverHit, &n.hitQ, nil, 0)
-		if pr := p.probe; pr != nil {
-			pr.Event(obs.EvL2Hit)
-		}
+	if p.Begin(nodeID, op, block, done) {
 		return
 	}
-
 	txn := coherence.GetS
 	if op == coherence.Store {
 		txn = coherence.GetX
 	}
-	p.pending++
-	if pr := p.probe; pr != nil {
-		pr.MSHROcc(p.pending)
-	}
 	m := &n.mshrStore
-	*m = mshr{block: block, op: op, txn: txn, issuedAt: p.k.Now(), done: done}
+	*m = mshr{block: block, op: op, txn: txn, issuedAt: p.K.Now(), done: done}
 	n.mshr = m
 	n.sendRequest()
 }
@@ -360,16 +294,16 @@ func (p *Protocol) send(vnet, src, dst int, m msg) {
 
 func (p *Protocol) sendPtr(vnet, src, dst int, pm *msg) {
 	class, bytes := p.classify(*pm)
-	p.fabric.Send(vnet, src, dst, class, bytes, pm)
+	p.Fabric.Send(vnet, src, dst, class, bytes, pm)
 }
 
 // sendAt schedules a send at a future ready time.
 func (p *Protocol) sendAt(at sim.Time, vnet, src, dst int, m msg) {
-	if at <= p.k.Now() {
+	if at <= p.K.Now() {
 		p.send(vnet, src, dst, m)
 		return
 	}
-	p.k.AtCall(at, sendMsgEvent, p, p.newMsg(m), int64(vnet)<<40|int64(src)<<20|int64(dst))
+	p.K.AtCall(at, sendMsgEvent, p, p.newMsg(m), int64(vnet)<<40|int64(src)<<20|int64(dst))
 }
 
 // sendMsgEvent is the typed kernel event putting a ready message on the
@@ -390,11 +324,11 @@ func (p *Protocol) classify(m msg) (stats.Class, int) {
 	case mNack:
 		return stats.ClassNack, timing.CtrlBytes
 	case mData, mWB:
-		return stats.ClassData, p.dataBytes
+		return stats.ClassData, p.DataBytes
 	case mRevision:
 		if m.txn == coherence.GetS {
 			// The sharing writeback carries the block to memory.
-			return stats.ClassData, p.dataBytes
+			return stats.ClassData, p.DataBytes
 		}
 		return stats.ClassMisc, timing.CtrlBytes
 	default:
@@ -404,7 +338,7 @@ func (p *Protocol) classify(m msg) (stats.Class, int) {
 
 func (n *node) sendRequest() {
 	m := n.mshr
-	home := coherence.HomeOf(m.block, n.p.topo.Nodes())
+	home := coherence.HomeOf(m.block, n.p.Topo.Nodes())
 	n.p.send(vnetRequest, n.id, home, msg{kind: mReq, txn: m.txn, block: m.block, requester: n.id})
 }
 
@@ -463,7 +397,7 @@ func (n *node) homeRequest(m msg) {
 // serveRequest handles a request against a non-busy entry. The directory
 // access costs Dmem before any response or forward leaves the home.
 func (n *node) serveRequest(e *dirEntry, m msg) {
-	ready := n.p.k.Now() + n.p.params.Dmem
+	ready := n.p.K.Now() + n.p.Params.Dmem
 	switch m.txn {
 	case coherence.GetS:
 		switch e.state {
@@ -478,7 +412,7 @@ func (n *node) serveRequest(e *dirEntry, m msg) {
 			e.busy = true
 			e.busyTxn = coherence.GetS
 			e.busyReq = m.requester
-			e.busyAt = n.p.k.Now()
+			e.busyAt = n.p.K.Now()
 			n.p.sendAt(ready, vnetForward, n.id, e.owner, msg{
 				kind: mFwd, txn: coherence.GetS, block: m.block, requester: m.requester,
 			})
@@ -523,7 +457,7 @@ func (n *node) serveRequest(e *dirEntry, m msg) {
 			e.busy = true
 			e.busyTxn = coherence.GetX
 			e.busyReq = m.requester
-			e.busyAt = n.p.k.Now()
+			e.busyAt = n.p.K.Now()
 			n.p.sendAt(ready, vnetForward, n.id, e.owner, msg{
 				kind: mFwd, txn: coherence.GetX, block: m.block, requester: m.requester,
 			})
@@ -547,9 +481,9 @@ func (n *node) reqNack(m msg) {
 	if n.mshr == nil || n.mshr.block != m.block {
 		return // stale nack for an already-satisfied retry
 	}
-	n.p.run.Retries++
-	back := n.p.opts.RetryBackoff + n.rng.Duration(n.p.opts.RetryBackoff)
-	n.p.k.AfterCall(back, retryRequest, n, nil, int64(m.block))
+	n.p.Run.Retries++
+	back := retryBackoff + n.rng.Duration(retryBackoff)
+	n.p.K.AfterCall(back, retryRequest, n, nil, int64(m.block))
 }
 
 // retryRequest is the typed kernel event ending a NACK backoff: a0 is
@@ -557,7 +491,7 @@ func (n *node) reqNack(m msg) {
 // miss was satisfied or replaced in the meantime).
 func retryRequest(a0, a1 any, i0 int64) {
 	n := a0.(*node)
-	if pr := n.p.probe; pr != nil {
+	if pr := n.p.Probe; pr != nil {
 		pr.Event(obs.EvRetry)
 	}
 	if n.mshr != nil && n.mshr.block == coherence.Block(i0) {
@@ -601,12 +535,6 @@ func (n *node) maybeComplete() {
 func (n *node) complete() {
 	ms := n.mshr
 	n.mshr = nil
-	n.p.pending--
-	if pr := n.p.probe; pr != nil {
-		pr.MSHROcc(n.p.pending)
-	}
-	now := n.p.k.Now()
-
 	version := ms.version
 	if ms.txn == coherence.GetS {
 		// Skip the install when an invalidation that raced this fill was
@@ -617,28 +545,15 @@ func (n *node) complete() {
 		}
 	} else {
 		if ms.op == coherence.Store {
-			version = n.p.oracle.WriteVersion(ms.block)
+			version = n.p.Oracle().WriteVersion(ms.block)
 		}
 		n.insertLine(ms.block, cache.Modified, version)
 	}
-	// Read everything out of the MSHR before invoking the completion
-	// callback: the node's single MSHR is reused, and done may issue the
-	// next access synchronously.
-	block, supplier, latency, done := ms.block, ms.supplier, now-ms.issuedAt, ms.done
-	if pr := n.p.probe; pr != nil {
-		pr.MissWait(int64(latency))
-		// The directory protocol has no ordering point or address
-		// broadcast, so its lifecycle breakdown is the miss total only
-		// (plus the shared data-fabric flight spans).
-		pr.Span(obs.SpanMiss, int32(n.id), obs.LaneMSHR0, int32(n.id), 0, int64(ms.issuedAt), int64(latency))
-	}
-	n.p.oracle.Observe(n.id, block, version)
-	done(coherence.AccessResult{
-		Kind:    supplier,
-		Latency: latency,
-		Version: version,
-	})
-	n.p.run.AddMiss(supplier, latency)
+	// Keep the block: done may issue the next access, which reuses the
+	// MSHR. With no ordering point or address broadcast, the miss has no
+	// lifecycle phases beyond its total (and the data-fabric flights).
+	block := ms.block
+	n.p.Complete(n.id, block, ms.supplier, ms.issuedAt, version, ms.done, nil)
 
 	// Serve interventions that were waiting for this fill.
 	if dl := n.deferred[block]; len(dl) > 0 {
@@ -661,7 +576,7 @@ func (n *node) insertLine(b coherence.Block, s cache.State, version uint64) {
 		panic(fmt.Sprintf("%s: node %d duplicate writeback for %x", n.p.Name(), n.id, victim.Block))
 	}
 	n.wb[victim.Block] = &wbEntry{version: victim.Version}
-	home := coherence.HomeOf(victim.Block, n.p.topo.Nodes())
+	home := coherence.HomeOf(victim.Block, n.p.Topo.Nodes())
 	n.p.send(vnetResponse, n.id, home, msg{
 		kind: mWB, block: victim.Block, requester: n.id, version: victim.Version,
 	})
@@ -670,8 +585,8 @@ func (n *node) insertLine(b coherence.Block, s cache.State, version uint64) {
 // ownerFwd serves an intervention at the (supposed) owner.
 func (n *node) ownerFwd(m msg) {
 	state, version := n.cache.Peek(m.block)
-	ready := n.p.k.Now() + n.p.params.Dcache
-	home := coherence.HomeOf(m.block, n.p.topo.Nodes())
+	ready := n.p.K.Now() + n.p.Params.Dcache
+	home := coherence.HomeOf(m.block, n.p.Topo.Nodes())
 	switch {
 	case state == cache.Modified:
 		n.p.sendAt(ready, vnetResponse, n.id, m.requester, msg{

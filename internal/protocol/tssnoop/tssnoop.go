@@ -31,6 +31,7 @@ import (
 	"tsnoop/internal/coherence"
 	"tsnoop/internal/network"
 	"tsnoop/internal/obs"
+	"tsnoop/internal/protocol"
 	"tsnoop/internal/sim"
 	"tsnoop/internal/stats"
 	"tsnoop/internal/timing"
@@ -218,27 +219,15 @@ type node struct {
 
 	// mshrStore is the node's single reusable MSHR (see mshr).
 	mshrStore mshr
-
-	// hitQ buffers in-flight L2-hit completions.
-	hitQ coherence.HitQueue
 }
 
 // Protocol is the timestamp snooping protocol over one topology.
 type Protocol struct {
-	k      *sim.Kernel
-	topo   *topology.Topology
-	params timing.Params
-	run    *stats.Run
-	oracle *coherence.Oracle
-	opts   Options
+	protocol.Core // caches, L2 hits, miss reports and the data network
+	opts          Options
 
 	addr  *tsnet.Network
-	data  *network.Fabric
-	nodes []*node
-
-	pending   int
-	dataBytes int
-	probe     *obs.Probe // optional deterministic telemetry (Options.Probe)
+	nodes []node
 
 	// Free lists for the two pooled payload kinds (see addrTxn, dataMsg).
 	addrPool sim.Pool[addrTxn]
@@ -250,43 +239,30 @@ var _ coherence.Protocol = (*Protocol)(nil)
 // New constructs and starts the protocol over topo. oracle may be nil (a
 // fresh one is created; violations panic).
 func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, run *stats.Run, oracle *coherence.Oracle, opts Options) *Protocol {
-	if oracle == nil {
-		oracle = coherence.NewOracle()
-	}
 	if opts.Multicast && topo.Nodes() > 64 {
 		panic("tssnoop: multicast snooping limited to 64 nodes")
 	}
-	p := &Protocol{
-		k:      k,
-		topo:   topo,
-		params: params,
-		run:    run,
-		oracle: oracle,
-		opts:   opts,
-		probe:  opts.Probe,
-	}
-	p.dataBytes = timing.DataMsgBytes(opts.Cache.BlockBytes)
+	p := &Protocol{opts: opts}
+	// The address network declares its link lanes before the core's.
 	p.addr = tsnet.New(k, topo, opts.Net, &run.Traffic, run)
-	k.Lane(params.L2Hit) // every hit completes L2Hit after its access
-	p.data = network.New(k, topo, params, &run.Traffic)
-	p.data.SetProbe(opts.Probe)
-	p.nodes = make([]*node, topo.Nodes())
+	p.Init(k, topo, params, run, oracle, opts.Cache, opts.Probe)
+	p.nodes = make([]node, topo.Nodes())
 	for i := range p.nodes {
-		n := &node{
+		n := &p.nodes[i]
+		*n = node{
 			p:     p,
 			id:    i,
-			cache: cache.MustNew(opts.Cache),
+			cache: p.Cache(i),
 			wb:    make(map[coherence.Block]wbEntry),
 			mem:   make(map[coherence.Block]*memState),
 			pred:  make(map[coherence.Block]int),
 		}
-		p.nodes[i] = n
 		var peek tsnet.PeekHandler
 		if opts.EarlyProcessing {
 			peek = n.peek
 		}
 		p.addr.Register(i, n.snoop, peek)
-		p.data.Register(i, n.dataArrive)
+		p.Fabric.Register(i, n.dataArrive)
 	}
 	p.addr.Start()
 	return p
@@ -295,30 +271,13 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, run *stat
 // Name implements coherence.Protocol.
 func (p *Protocol) Name() string { return "TS-Snoop" }
 
-// Pending implements coherence.Protocol.
-func (p *Protocol) Pending() int { return p.pending }
-
-// Release implements coherence.Protocol.
-func (p *Protocol) Release() {
-	for _, n := range p.nodes {
-		n.cache.Release()
-	}
-}
-
-// Oracle returns the coherence checker in use.
-func (p *Protocol) Oracle() *coherence.Oracle { return p.oracle }
-
-// SetPerturbation installs a response-delay sampler on the data network
-// (the paper's stability methodology perturbs message responses).
-func (p *Protocol) SetPerturbation(fn func() sim.Duration) { p.data.SetPerturbation(fn) }
-
 // newAddr returns a zeroed address payload, recycled when possible.
 func (p *Protocol) newAddr() *addrTxn { return p.addrPool.Get() }
 
 // broadcastAddr broadcasts t on the address network, charging it with
 // one reference per endpoint delivery.
 func (p *Protocol) broadcastAddr(src int, t *addrTxn) {
-	t.refs = int32(p.topo.Nodes())
+	t.refs = int32(p.Topo.Nodes())
 	p.addr.Inject(src, t)
 }
 
@@ -326,7 +285,7 @@ func (p *Protocol) broadcastAddr(src int, t *addrTxn) {
 // reference per member endpoint.
 func (p *Protocol) multicastAddr(src int, t *addrTxn) {
 	mask := t.mask
-	if nodes := p.topo.Nodes(); nodes < 64 {
+	if nodes := p.Topo.Nodes(); nodes < 64 {
 		mask &= 1<<uint(nodes) - 1
 	}
 	t.refs = int32(bits.OnesCount64(mask))
@@ -352,15 +311,9 @@ func (p *Protocol) newData(block coherence.Block, toMemory bool, version uint64,
 // releaseData recycles a delivered data message.
 func (p *Protocol) releaseData(m *dataMsg) { p.dataPool.Put(m) }
 
-// Node state inspection for tests: returns cache state of block at node.
-func (p *Protocol) CacheState(nodeID int, b coherence.Block) cache.State {
-	s, _ := p.nodes[nodeID].cache.Peek(b)
-	return s
-}
-
 // MemOwner returns the Synapse owner for b at its home (-1 = memory).
 func (p *Protocol) MemOwner(b coherence.Block) int {
-	home := coherence.HomeOf(b, p.topo.Nodes())
+	home := coherence.HomeOf(b, p.Topo.Nodes())
 	ms, ok := p.nodes[home].mem[b]
 	if !ok {
 		return -1
@@ -370,31 +323,11 @@ func (p *Protocol) MemOwner(b coherence.Block) int {
 
 // Access implements coherence.Protocol.
 func (p *Protocol) Access(nodeID int, op coherence.Op, block coherence.Block, done func(coherence.AccessResult)) {
-	n := p.nodes[nodeID]
+	n := &p.nodes[nodeID]
 	if n.mshr != nil {
 		panic(fmt.Sprintf("tssnoop: node %d access while miss outstanding", nodeID))
 	}
-	state, version := n.cache.Lookup(block)
-	now := p.k.Now()
-
-	hit := false
-	switch {
-	case op == coherence.Load && state != cache.Invalid:
-		hit = true
-	case op == coherence.Store && state == cache.Modified:
-		hit = true
-	}
-	if hit {
-		if op == coherence.Store {
-			version = p.oracle.WriteVersion(block)
-			n.cache.SetVersion(block, version)
-		}
-		p.oracle.Observe(nodeID, block, version)
-		n.hitQ.Push(done, coherence.AccessResult{Hit: true, Latency: p.params.L2Hit, Version: version})
-		p.k.AfterCall(p.params.L2Hit, coherence.DeliverHit, &n.hitQ, nil, 0)
-		if pr := p.probe; pr != nil {
-			pr.Event(obs.EvL2Hit)
-		}
+	if p.Begin(nodeID, op, block, done) {
 		return
 	}
 
@@ -404,13 +337,9 @@ func (p *Protocol) Access(nodeID int, op coherence.Op, block coherence.Block, do
 	if op == coherence.Store {
 		kind = coherence.GetX
 	}
-	p.pending++
-	if pr := p.probe; pr != nil {
-		pr.MSHROcc(p.pending)
-	}
 	m := &n.mshrStore
 	obligations := m.obligations[:0]
-	*m = mshr{block: block, op: op, kind: kind, issuedAt: now, done: done}
+	*m = mshr{block: block, op: op, kind: kind, issuedAt: p.K.Now(), done: done}
 	m.obligations = obligations
 	n.mshr = m
 	t := p.newAddr()
@@ -429,7 +358,7 @@ func (p *Protocol) Access(nodeID int, op coherence.Op, block coherence.Block, do
 // multicastMask builds the predicted destination set for a GETS: the
 // requester, the home, and the predicted owner when one is known.
 func (n *node) multicastMask(block coherence.Block) uint64 {
-	mask := uint64(1)<<uint(n.id) | uint64(1)<<uint(coherence.HomeOf(block, n.p.topo.Nodes()))
+	mask := uint64(1)<<uint(n.id) | uint64(1)<<uint(coherence.HomeOf(block, n.p.Topo.Nodes()))
 	if owner, ok := n.pred[block]; ok {
 		mask |= 1 << uint(owner)
 	}
@@ -439,10 +368,10 @@ func (n *node) multicastMask(block coherence.Block) uint64 {
 // sendData transmits a data message on the data virtual network at the
 // given ready time (never before now).
 func (p *Protocol) sendData(at sim.Time, src, dst int, m *dataMsg) {
-	if at < p.k.Now() {
-		at = p.k.Now()
+	if at < p.K.Now() {
+		at = p.K.Now()
 	}
-	p.k.AtCall(at, sendDataEvent, p, m, int64(src)<<32|int64(dst))
+	p.K.AtCall(at, sendDataEvent, p, m, int64(src)<<32|int64(dst))
 }
 
 // sendDataEvent is the typed kernel event putting a ready data message on
@@ -450,11 +379,11 @@ func (p *Protocol) sendData(at sim.Time, src, dst int, m *dataMsg) {
 func sendDataEvent(a0, a1 any, i0 int64) {
 	p := a0.(*Protocol)
 	m := a1.(*dataMsg)
-	if pr := p.probe; pr != nil {
+	if pr := p.Probe; pr != nil {
 		pr.Event(obs.EvDataSend)
 	}
 	src, dst := int(i0>>32), int(i0&0xffffffff)
-	p.data.Send(0, src, dst, stats.ClassData, p.dataBytes, m)
+	p.Fabric.Send(0, src, dst, stats.ClassData, p.DataBytes, m)
 }
 
 // respondReady computes when a controller can put data on the wire for a
@@ -464,9 +393,9 @@ func sendDataEvent(a0, a1 any, i0 int64) {
 // the network-exit overhead and overlaps the wait for ordering; the
 // response is gated on the logical order either way.
 func (p *Protocol) respondReady(arrivedAt sim.Time, access sim.Duration) sim.Time {
-	now := p.k.Now()
+	now := p.K.Now()
 	if p.opts.Prefetch {
-		ready := arrivedAt + p.params.Dovh + access
+		ready := arrivedAt + p.Params.Dovh + access
 		if ready < now {
 			ready = now
 		}
@@ -496,10 +425,10 @@ func (n *node) peekConsume(src int, t *addrTxn, slackTicks int) bool {
 	if src == n.id {
 		return false
 	}
-	if coherence.HomeOf(t.block, n.p.topo.Nodes()) == n.id {
+	if coherence.HomeOf(t.block, n.p.Topo.Nodes()) == n.id {
 		return false // the home memory controller needs the total order
 	}
-	minInjectOT := n.p.opts.Net.TokensPerPort*n.p.topo.Dmax(n.id) + n.p.opts.Net.InitialSlack
+	minInjectOT := n.p.opts.Net.TokensPerPort*n.p.Topo.Dmax(n.id) + n.p.opts.Net.InitialSlack
 	if slackTicks >= minInjectOT {
 		return false
 	}
@@ -535,7 +464,7 @@ func (n *node) snoop(src int, seq uint64, payload any, arrived sim.Time) {
 	} else {
 		n.snoopForeign(t.requester, t, arrived)
 	}
-	if coherence.HomeOf(t.block, n.p.topo.Nodes()) == n.id {
+	if coherence.HomeOf(t.block, n.p.Topo.Nodes()) == n.id {
 		n.memorySide(t.requester, t, arrived)
 	}
 	n.p.releaseAddr(t)
@@ -555,7 +484,7 @@ func (n *node) snoopOwn(t *addrTxn, arrived sim.Time) {
 			panic(fmt.Sprintf("tssnoop: node %d own %v ordered without matching MSHR", n.id, t.kind))
 		}
 		m.ordered = true
-		m.orderedAt = n.p.k.Now()
+		m.orderedAt = n.p.K.Now()
 		if t.kind == coherence.GetX && !m.dataArrived {
 			// MOSI: a store upgrade whose Owned copy survived to the
 			// ordering point needs no data — the sharers invalidated on
@@ -577,8 +506,8 @@ func (n *node) snoopOwn(t *addrTxn, arrived sim.Time) {
 		}
 		delete(n.wb, t.block)
 		if !wb.stale {
-			home := coherence.HomeOf(t.block, n.p.topo.Nodes())
-			n.p.sendData(n.p.k.Now(), n.id, home, n.p.newData(t.block, true, wb.version, 0))
+			home := coherence.HomeOf(t.block, n.p.Topo.Nodes())
+			n.p.sendData(n.p.K.Now(), n.id, home, n.p.newData(t.block, true, wb.version, 0))
 		}
 	}
 }
@@ -619,8 +548,8 @@ func (n *node) snoopForeign(src int, t *addrTxn, arrived sim.Time) {
 		return
 	}
 	state, version := n.cache.Peek(t.block)
-	home := coherence.HomeOf(t.block, n.p.topo.Nodes())
-	ready := n.p.respondReady(arrived, n.p.params.Dcache)
+	home := coherence.HomeOf(t.block, n.p.Topo.Nodes())
+	ready := n.p.respondReady(arrived, n.p.Params.Dcache)
 	switch t.kind {
 	case coherence.GetS:
 		switch {
@@ -688,7 +617,7 @@ func (n *node) memorySide(src int, t *addrTxn, arrived sim.Time) {
 			// as a full broadcast on the requester's behalf; this ordered
 			// instance has no effect anywhere (the owner never saw it and
 			// every member's cache action for a GETS at S/I is a no-op).
-			n.p.run.Retries++
+			n.p.Run.Retries++
 			retry := n.p.newAddr()
 			retry.kind = coherence.GetS
 			retry.block = t.block
@@ -736,7 +665,7 @@ func (n *node) memorySide(src int, t *addrTxn, arrived sim.Time) {
 // A deferred response reads the memory version at delivery time, exactly
 // as an immediate one reads it now.
 func (n *node) memRespond(ms *memState, src int, b coherence.Block, arrived sim.Time) {
-	ready := n.p.respondReady(arrived, n.p.params.Dmem)
+	ready := n.p.respondReady(arrived, n.p.Params.Dmem)
 	if ms.dataReceived < ms.dataOwed {
 		ms.waiting = append(ms.waiting, memWait{need: ms.dataOwed, ready: ready, dst: src, block: b})
 		return
@@ -785,7 +714,7 @@ func (n *node) dataArrive(msg network.Message) {
 	}
 	m.dataArrived = true
 	m.dataVersion = d.version
-	m.dataAt = n.p.k.Now()
+	m.dataAt = n.p.K.Now()
 	m.supplier = d.supplier
 	if m.ordered {
 		n.complete(m)
@@ -796,12 +725,8 @@ func (n *node) dataArrive(msg network.Message) {
 // ownership obligations accumulated while the fill was in flight, and
 // release the processor.
 func (n *node) complete(m *mshr) {
-	now := n.p.k.Now()
+	now := n.p.K.Now()
 	n.mshr = nil
-	n.p.pending--
-	if pr := n.p.probe; pr != nil {
-		pr.MSHROcc(n.p.pending)
-	}
 
 	version := m.dataVersion
 	if m.kind == coherence.GetS {
@@ -810,15 +735,15 @@ func (n *node) complete(m *mshr) {
 		}
 	} else {
 		if m.op == coherence.Store {
-			version = n.p.oracle.WriteVersion(m.block)
+			version = n.p.Oracle().WriteVersion(m.block)
 		}
 		n.insertLine(m.block, cache.Modified, version)
 		// Apply deferred foreign requests in their ordered sequence.
-		home := coherence.HomeOf(m.block, n.p.topo.Nodes())
+		home := coherence.HomeOf(m.block, n.p.Topo.Nodes())
 		mosi := n.p.opts.UseOwnedState
 		state := cache.Modified
 		for _, ob := range m.obligations {
-			ready := now + n.p.params.Dcache
+			ready := now + n.p.Params.Dcache
 			switch ob.kind {
 			case coherence.GetS:
 				if state == cache.Modified || state == cache.Owned {
@@ -842,35 +767,25 @@ func (n *node) complete(m *mshr) {
 		}
 	}
 
-	// Read everything out of the MSHR before invoking the completion
-	// callback: the node's single MSHR is reused, and done may issue the
-	// next access synchronously.
-	block, supplier, latency, done := m.block, m.supplier, now-m.issuedAt, m.done
-	if pr := n.p.probe; pr != nil {
-		pr.MissWait(int64(latency))
-		// Lifecycle spans, all on the node's MSHR lane (tid 1; the
-		// blocking protocol has one MSHR slot per node): the whole miss,
-		// the slice spent waiting for the ordering point, and the data
-		// phase relative to it. A MOSI self-upgrade (selfData) moves no
-		// data, so it records no data phase.
-		id, lane := int32(n.id), obs.LaneMSHR0
-		pr.Span(obs.SpanMiss, id, lane, id, 0, int64(m.issuedAt), int64(latency))
-		pr.Span(obs.SpanOrderWait, id, lane, id, 0, int64(m.issuedAt), int64(m.orderedAt-m.issuedAt))
-		if !m.selfData {
-			if m.dataAt >= m.orderedAt {
-				pr.Span(obs.SpanDataAfterOrder, id, lane, id, 0, int64(m.orderedAt), int64(m.dataAt-m.orderedAt))
-			} else {
-				pr.Span(obs.SpanDataBeforeOrder, id, lane, id, 0, int64(m.dataAt), int64(m.orderedAt-m.dataAt))
-			}
-		}
+	n.p.Complete(n.id, m.block, m.supplier, m.issuedAt, version, m.done, m)
+}
+
+// Spans records the miss's lifecycle phases after its whole-miss span
+// (protocol.Phases), all on the node's MSHR lane (tid 1; the blocking
+// protocol has one MSHR slot per node): the slice spent waiting for the
+// ordering point, and the data phase relative to it. A MOSI self-upgrade
+// (selfData) moves no data, so it records no data phase.
+func (m *mshr) Spans(pr *obs.Probe, id int32) {
+	lane := obs.LaneMSHR0
+	pr.Span(obs.SpanOrderWait, id, lane, id, 0, int64(m.issuedAt), int64(m.orderedAt-m.issuedAt))
+	if m.selfData {
+		return
 	}
-	n.p.oracle.Observe(n.id, block, version)
-	done(coherence.AccessResult{
-		Kind:    supplier,
-		Latency: latency,
-		Version: version,
-	})
-	n.p.run.AddMiss(supplier, latency)
+	if m.dataAt >= m.orderedAt {
+		pr.Span(obs.SpanDataAfterOrder, id, lane, id, 0, int64(m.orderedAt), int64(m.dataAt-m.orderedAt))
+	} else {
+		pr.Span(obs.SpanDataBeforeOrder, id, lane, id, 0, int64(m.dataAt), int64(m.orderedAt-m.dataAt))
+	}
 }
 
 // insertLine fills a block, handling victim eviction: a Modified victim

@@ -92,9 +92,6 @@ type Config struct {
 	// and /v1/sweeps; past it new streams are refused with 429 +
 	// Retry-After (0 = cluster.DefaultMaxCells, negative = unlimited).
 	MaxCells int
-	// TraceKeep bounds the retained finished-request trace history on
-	// GET /v1/traces (0 = DefaultTraceKeep).
-	TraceKeep int
 }
 
 // Service is the experiment service: a store fronted by a dedup queue,
@@ -140,7 +137,7 @@ func New(cfg Config) (*Service, error) {
 		version:     cfg.Version,
 		logger:      cfg.Logger,
 		started:     time.Now(),
-		traces:      newTraceRing(cfg.TraceKeep),
+		traces:      newTraceRing(DefaultTraceKeep),
 		readyReason: "starting",
 	}, nil
 }

@@ -193,34 +193,34 @@ func newTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// traceRing retains the last cap finished traces, evicting oldest.
+// traceRing retains the last cap finished traces, evicting oldest: a
+// circular buffer, so an add costs O(1) however full the ring is.
 type traceRing struct {
 	mu   sync.Mutex
-	cap  int
-	list []Trace        // creation order, oldest first
-	byID map[string]int // id -> index in list
+	buf  []Trace        // circular once full; buf[next] is then the oldest
+	next int            // slot the next add writes
+	byID map[string]int // id -> slot of its newest retained trace
 }
 
 func newTraceRing(cap int) *traceRing {
-	if cap <= 0 {
-		cap = DefaultTraceKeep
-	}
-	return &traceRing{cap: cap, byID: make(map[string]int)}
+	return &traceRing{buf: make([]Trace, 0, cap), byID: make(map[string]int)}
 }
 
 func (r *traceRing) add(tr Trace) {
 	r.mu.Lock()
-	if len(r.list) == r.cap {
-		delete(r.byID, r.list[0].ID)
-		copy(r.list, r.list[1:])
-		r.list = r.list[:r.cap-1]
-		for id, i := range r.byID {
-			r.byID[id] = i - 1
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, tr)
+	} else {
+		// A forwarded retry can reuse an ID: the evicted trace's index
+		// entry goes only if it still names this slot, not a newer trace.
+		if old := r.buf[r.next].ID; r.byID[old] == r.next {
+			delete(r.byID, old)
 		}
+		r.buf[r.next] = tr
 	}
-	// A forwarded retry can reuse an ID; latest record wins the index.
-	r.byID[tr.ID] = len(r.list)
-	r.list = append(r.list, tr)
+	// The latest record of an ID wins the index.
+	r.byID[tr.ID] = r.next
+	r.next = (r.next + 1) % cap(r.buf)
 	r.mu.Unlock()
 }
 
@@ -232,16 +232,17 @@ func (r *traceRing) get(id string) (Trace, bool) {
 	if !ok {
 		return Trace{}, false
 	}
-	return r.list[i], true
+	return r.buf[i], true
 }
 
 // all snapshots the retained traces, newest first.
 func (r *traceRing) all() []Trace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Trace, len(r.list))
-	for i, tr := range r.list {
-		out[len(r.list)-1-i] = tr
+	n := len(r.buf)
+	out := make([]Trace, n)
+	for i := range out {
+		out[i] = r.buf[(r.next-1-i+n)%n]
 	}
 	return out
 }

@@ -248,3 +248,30 @@ func getInto(t *testing.T, url string, v any) {
 		t.Fatalf("%s: %v", url, err)
 	}
 }
+
+// A forwarded retry can reuse a trace ID. Evicting the older record must
+// not drop the index entry of the newer one it still retains, and the
+// ring keeps its newest-first order as it wraps.
+func TestTraceRingKeepsNewerDuplicate(t *testing.T) {
+	r := newTraceRing(2)
+	for i, id := range []string{"x", "x", "y"} {
+		r.add(Trace{ID: id, Status: 200 + i})
+	}
+	if tr, ok := r.get("x"); !ok || tr.Status != 201 {
+		t.Fatalf("get(x) = %+v, %v; want the newer x (status 201)", tr, ok)
+	}
+	if tr, ok := r.get("y"); !ok || tr.Status != 202 {
+		t.Fatalf("get(y) = %+v, %v; want status 202", tr, ok)
+	}
+	r.add(Trace{ID: "z", Status: 203})
+	if _, ok := r.get("x"); ok {
+		t.Fatal("x still indexed after both of its records were evicted")
+	}
+	var got []int
+	for _, tr := range r.all() {
+		got = append(got, tr.Status)
+	}
+	if len(got) != 2 || got[0] != 203 || got[1] != 202 {
+		t.Fatalf("all() statuses = %v, want [203 202]", got)
+	}
+}

@@ -71,15 +71,16 @@ func (s Spec) ConfigFor(gen workload.Generator) (system.Config, error) {
 	cfg.Nodes = s.Nodes
 	cfg.Seed = s.Seed
 	cfg.PerturbMax = sim.Duration(s.PerturbNS) * sim.Nanosecond
-	cfg.InitialSlack = s.Slack
-	cfg.TokensPerPort = s.TokensPerPort
-	cfg.Prefetch = s.Prefetch
-	cfg.EarlyProcessing = s.EarlyProcessing
-	cfg.Contention = s.Contention
-	cfg.UseOwnedState = s.MOSI
-	cfg.Multicast = s.Multicast
-	cfg.PredictorSize = s.PredictorSize
-	cfg.Verify = s.Verify
+	ts := &cfg.TSSnoop
+	ts.Net.InitialSlack = s.Slack
+	ts.Net.TokensPerPort = s.TokensPerPort
+	ts.Net.Contention = s.Contention
+	ts.Net.Verify = s.Verify
+	ts.Prefetch = s.Prefetch
+	ts.EarlyProcessing = s.EarlyProcessing
+	ts.UseOwnedState = s.MOSI
+	ts.Multicast = s.Multicast
+	ts.PredictorSize = s.PredictorSize
 	cfg.Metrics = s.Metrics
 	cfg.Spans = s.Spans
 	if s.BlockBytes > 0 {

@@ -199,9 +199,10 @@ func TestConfigAppliesKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.InitialSlack != 3 || cfg.TokensPerPort != 2 || cfg.Prefetch ||
-		!cfg.EarlyProcessing || !cfg.Contention || !cfg.UseOwnedState || !cfg.Multicast ||
-		cfg.PredictorSize != 16 || cfg.Cache.BlockBytes != 128 || cfg.Cache.SizeBytes != 1<<20 ||
+	ts := cfg.TSSnoop
+	if ts.Net.InitialSlack != 3 || ts.Net.TokensPerPort != 2 || ts.Prefetch ||
+		!ts.EarlyProcessing || !ts.Net.Contention || !ts.UseOwnedState || !ts.Multicast ||
+		ts.PredictorSize != 16 || cfg.Cache.BlockBytes != 128 || cfg.Cache.SizeBytes != 1<<20 ||
 		cfg.Seed != 9 || cfg.PerturbMax == 0 {
 		t.Fatalf("knobs not applied: %+v", cfg)
 	}

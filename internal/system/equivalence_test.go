@@ -19,7 +19,7 @@ func TestProtocolsFunctionallyEquivalent(t *testing.T) {
 	}
 	script := func(protocol, network string, mosi bool) []uint64 {
 		cfg := DefaultConfig(protocol, network)
-		cfg.UseOwnedState = mosi
+		cfg.TSSnoop.UseOwnedState = mosi
 		s, err := Build(cfg, workload.Uniform(64, 0, 10, 16))
 		if err != nil {
 			t.Fatal(err)

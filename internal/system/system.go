@@ -13,6 +13,7 @@ import (
 	"tsnoop/internal/coherence"
 	"tsnoop/internal/obs"
 	"tsnoop/internal/processor"
+	"tsnoop/internal/protocol"
 	"tsnoop/internal/protocol/directory"
 	"tsnoop/internal/protocol/tssnoop"
 	"tsnoop/internal/sim"
@@ -55,18 +56,10 @@ type Config struct {
 	// [0, PerturbMax) to protocol responses (the stability methodology).
 	PerturbMax sim.Duration
 
-	// Timestamp snooping knobs (ablations).
-	InitialSlack    int
-	TokensPerPort   int
-	Prefetch        bool
-	EarlyProcessing bool
-	Contention      bool
-	// Verify enables the address network's internal ordering assertions
-	// (tsnet.Config.Verify). Experiment runs default it off: the
-	// consensus bookkeeping costs an allocation per broadcast copy and
-	// buys nothing on a correct build. The tsnet and protocol test
-	// suites, which construct their networks directly, keep it on.
-	Verify bool
+	// TSSnoop configures timestamp snooping (the ablation knobs). Build
+	// overrides its timing, cache geometry and probes with the fields
+	// above and below.
+	TSSnoop tssnoop.Options
 	// Metrics attaches a shared obs.Probe to the kernel, the networks,
 	// and the protocol, and surfaces its snapshot as Run.Metrics after
 	// the measured phase. Everything the probe records derives from
@@ -84,19 +77,16 @@ type Config struct {
 	// Callers running seed fan-outs must not share one ring across
 	// concurrent systems; the single-seed -trace-out path owns it.
 	SpanLog *obs.SpanLog
-	// UseOwnedState upgrades TS-Snoop from MSI to MOSI (the paper's
-	// Section 3 extension; see tssnoop.Options).
-	UseOwnedState bool
-	// Multicast enables simplified multicast snooping for GETS (the
-	// paper's first future-work item; see tssnoop.Options).
-	Multicast bool
-	// PredictorSize bounds the multicast owner predictor (0 = unbounded,
-	// negative = disabled).
-	PredictorSize int
 }
 
 // DefaultConfig is the paper's machine for the given protocol/network.
+// The address network's internal ordering assertions (tsnet.Config.Verify)
+// are off: the consensus bookkeeping costs an allocation per broadcast
+// copy and buys nothing on a correct build. The tsnet and protocol test
+// suites, which construct their networks directly, keep them on.
 func DefaultConfig(protocol, network string) Config {
+	ts := tssnoop.DefaultOptions(timing.Default())
+	ts.Net.Verify = false
 	return Config{
 		Network:       network,
 		Nodes:         16,
@@ -106,9 +96,7 @@ func DefaultConfig(protocol, network string) Config {
 		WarmupPerCPU:  2500,
 		MeasurePerCPU: 2500,
 		Seed:          1,
-		InitialSlack:  1,
-		TokensPerPort: 1,
-		Prefetch:      true,
+		TSSnoop:       ts,
 	}
 }
 
@@ -118,7 +106,9 @@ type System struct {
 	K     *sim.Kernel
 	Topo  *topology.Topology
 	Proto coherence.Protocol
-	Run   *stats.Run
+	// Core is Proto's controller core: its caches and data fabric.
+	Core *protocol.Core
+	Run  *stats.Run
 
 	gen     workload.Generator
 	touched map[coherence.Block]bool
@@ -182,27 +172,16 @@ func Build(cfg Config, gen workload.Generator) (*System, error) {
 	}
 
 	var proto coherence.Protocol
+	var core *protocol.Core
 	switch cfg.Protocol {
 	case ProtoTSSnoop:
-		opts := tssnoop.DefaultOptions(cfg.Params)
-		opts.Cache = cfg.Cache
-		opts.Net.InitialSlack = cfg.InitialSlack
-		opts.Net.TokensPerPort = cfg.TokensPerPort
-		opts.Net.Contention = cfg.Contention
-		opts.Net.Verify = cfg.Verify
+		opts := cfg.TSSnoop
+		opts.Net.Params = cfg.Params
 		opts.Net.Probe = probe
+		opts.Cache = cfg.Cache
 		opts.Probe = probe
-		opts.Prefetch = cfg.Prefetch
-		opts.EarlyProcessing = cfg.EarlyProcessing
-		opts.UseOwnedState = cfg.UseOwnedState
-		opts.Multicast = cfg.Multicast
-		opts.PredictorSize = cfg.PredictorSize
 		p := tssnoop.New(k, topo, cfg.Params, run, oracle, opts)
-		if cfg.PerturbMax > 0 {
-			prng := sim.NewRand(cfg.Seed ^ 0xfeed)
-			p.SetPerturbation(func() sim.Duration { return prng.Duration(cfg.PerturbMax) })
-		}
-		proto = p
+		proto, core = p, &p.Core
 	case ProtoDirClassic, ProtoDirOpt:
 		v := directory.Classic
 		if cfg.Protocol == ProtoDirOpt {
@@ -213,13 +192,13 @@ func Build(cfg Config, gen workload.Generator) (*System, error) {
 		opts.RetrySeed = cfg.Seed ^ 0x4e7247
 		opts.Probe = probe
 		p := directory.New(k, topo, cfg.Params, run, oracle, opts)
-		if cfg.PerturbMax > 0 {
-			prng := sim.NewRand(cfg.Seed ^ 0xfeed)
-			p.SetPerturbation(func() sim.Duration { return prng.Duration(cfg.PerturbMax) })
-		}
-		proto = p
+		proto, core = p, &p.Core
 	default:
 		return nil, fmt.Errorf("system: unknown protocol %q", cfg.Protocol)
+	}
+	if cfg.PerturbMax > 0 {
+		prng := sim.NewRand(cfg.Seed ^ 0xfeed)
+		core.SetPerturbation(func() sim.Duration { return prng.Duration(cfg.PerturbMax) })
 	}
 
 	s := &System{
@@ -227,6 +206,7 @@ func Build(cfg Config, gen workload.Generator) (*System, error) {
 		K:       k,
 		Topo:    topo,
 		Proto:   proto,
+		Core:    core,
 		Run:     run,
 		gen:     gen,
 		touched: make(map[coherence.Block]bool),

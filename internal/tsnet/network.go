@@ -60,13 +60,11 @@ type Config struct {
 	// (the paper: "one (or more)"). More tokens let GT run further ahead.
 	TokensPerPort int
 	// Contention, when true, serializes each switch output port: one
-	// transaction occupies an output for SerTime. The paper's evaluation
-	// runs uncontended; contention mode exercises the buffering, token
-	// passing and stall machinery (Figure 1) and is used by ablations.
+	// transaction occupies an output for Params.Dswitch. The paper's
+	// evaluation runs uncontended; contention mode exercises the
+	// buffering, token passing and stall machinery (Figure 1) and is
+	// used by ablations.
 	Contention bool
-	// SerTime is the output-port occupancy per transaction under
-	// contention. Zero defaults to Params.Dswitch.
-	SerTime sim.Duration
 	// Verify enables internal assertions: every transaction must be
 	// processed at exactly its ordering time, with non-negative slack
 	// throughout. The tsnet and protocol test suites keep it on;
@@ -200,9 +198,6 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traf
 		// Every handoff is its own event, so no fan-out event can finish
 		// an access midway (see deliverTxnWave).
 		panic("tsnet: Params.Dovh must be positive")
-	}
-	if cfg.SerTime == 0 {
-		cfg.SerTime = cfg.Params.Dswitch
 	}
 	n := &Network{
 		k:       k,

@@ -242,7 +242,7 @@ func (s *swState) servePort(link topology.LinkID) {
 		p.Span(obs.SpanBufferDwell, -int32(s.id)-1, obs.NetLane(obs.SpanBufferDwell),
 			int32(e.src), e.seq, int64(e.enq), int64(s.net.k.Now()-e.enq))
 	}
-	s.nextFree[pos] = s.net.k.Now() + s.net.cfg.SerTime
+	s.nextFree[pos] = s.net.k.Now() + s.net.cfg.Params.Dswitch
 	s.net.sendOnLink(e.branch.Link, s.branchCopy(&e.txn, &e.branch))
 	// The buffer shrank: a stalled propagation may now be possible.
 	s.tryPropagate()
