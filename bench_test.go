@@ -461,7 +461,6 @@ func BenchmarkTsnetBroadcastProbed(b *testing.B) {
 	run := &stats.Run{}
 	cfg := tsnet.DefaultConfig()
 	cfg.Verify = false
-	cfg.Probe = probe
 	net := tsnet.New(k, topo, cfg, &run.Traffic, run)
 	delivered := 0
 	for ep := 0; ep < 16; ep++ {

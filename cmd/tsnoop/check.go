@@ -49,14 +49,6 @@ var checkCmd = &command{
 			if s.Network != "both" && !slices.Contains(spec.Networks, s.Network) {
 				return fmt.Errorf("unknown network %q (have both, %v)", s.Network, spec.Networks)
 			}
-			// Validate the machine knobs (nodes, seeds, workers, slack ...)
-			// with concrete protocol/network names substituted for the
-			// "all"/"both" matrix selectors.
-			probe := s
-			probe.Protocol, probe.Network = spec.Protocols[0], spec.Networks[0]
-			if err := probe.Validate(); err != nil {
-				return err
-			}
 			// -mosi / -multicast, when given explicitly, restrict the
 			// combination matrix the way -protocol and -network do.
 			mosiSet, mcastSet := false, false
@@ -107,10 +99,16 @@ var checkCmd = &command{
 			}
 			var jobs []job
 			for _, c := range combos {
+				combo := s
+				combo.Protocol, combo.Network = c.protocol, c.network
+				combo.MOSI, combo.Multicast = c.mosi, c.multicast
+				// Each combination is validated as the machine it builds:
+				// its shape rules depend on the protocol and network.
+				if err := combo.Validate(); err != nil {
+					return err
+				}
 				for seed := 1; seed <= s.Seeds; seed++ {
-					cs := s
-					cs.Protocol, cs.Network = c.protocol, c.network
-					cs.MOSI, cs.Multicast = c.mosi, c.multicast
+					cs := combo
 					cs.Seed = uint64(seed)
 					jobs = append(jobs, job{
 						name: fmt.Sprintf("%s/%s/mosi=%v/mcast=%v/seed=%d", c.protocol, c.network, c.mosi, c.multicast, seed),

@@ -115,6 +115,23 @@ func TestServeSubmitGridStreamsNDJSON(t *testing.T) {
 	}
 }
 
+// submit -verbose prints each server phase once: the request trace
+// already carries the job's queue_wait, simulate and store_write spans.
+func TestSubmitVerbosePrintsPhasesOnce(t *testing.T) {
+	url, shutdown := startServer(t)
+	defer shutdown()
+	_, errOut := execTsnoop(t, "submit", "-addr", url, "-benchmark", "barnes",
+		"-nodes", "4", "-warmup", "60", "-quota", "120", "-verbose")
+	if !strings.Contains(errOut, "submit: trace") {
+		t.Fatalf("-verbose printed no request trace:\n%s", errOut)
+	}
+	for _, phase := range []string{"queue_wait", "simulate", "store_write"} {
+		if n := strings.Count(errOut, phase); n != 1 {
+			t.Errorf("-verbose printed %s %d times, want once:\n%s", phase, n, errOut)
+		}
+	}
+}
+
 func TestSubmitReportsServerErrors(t *testing.T) {
 	url, shutdown := startServer(t)
 	defer shutdown()

@@ -48,9 +48,9 @@
 // and the protocols pool their payload messages. Both protocol families
 // embed one controller core (internal/protocol): each node's L2 and its
 // hit queue, the one L2-hit decision, the outstanding-miss count, the
-// report of a finished miss, and the point-to-point data fabric, so
-// tssnoop and directory hold only their transactions, MSHR contents and
-// home state. The network's Verify
+// report of a finished miss, the Oracle, and the point-to-point data
+// fabric, so tssnoop and directory hold only their transactions, MSHR
+// contents and home state. The network's Verify
 // instrumentation lives behind the configuration and defaults off for
 // experiment runs (re-enable with -verify / spec.WithVerify; results are
 // identical either way).
@@ -60,7 +60,10 @@
 //
 // Observability is deterministic and zero-overhead when off
 // (internal/obs): a nil-guarded Probe — the same discipline as the
-// Verify hook, one branch per site when disabled — records dense-slice
+// Verify hook, one branch per site when disabled — enters a run once,
+// on the kernel (sim.Kernel.SetProbe), and the address network, data
+// fabric, controller core and processors read it from there when they
+// are built. It records dense-slice
 // counters and fixed log2-bucket histograms of kernel dispatch, link
 // utilization, buffer/reorder/MSHR occupancy, and token-stall behavior,
 // all keyed to simulated time, so the -metrics / spec.WithMetrics block

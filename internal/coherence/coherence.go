@@ -95,15 +95,11 @@ type Protocol interface {
 // Oracle checks coherence at runtime: block versions are assigned in
 // write-serialization order, so the versions each processor observes for a
 // given block must be non-decreasing ("writes to the same location are
-// seen in the same order by everybody"). A violation reports through the
-// Violation callback (tests install t.Fatalf).
+// seen in the same order by everybody"). A violation panics.
 type Oracle struct {
 	nextVersion map[Block]uint64
 	lastSeen    map[oracleKey]uint64
-	// Violation is invoked on a coherence violation; when nil, the Oracle
-	// panics instead.
-	Violation func(cpu int, b Block, saw, last uint64)
-	observes  int64
+	observes    int64
 }
 
 type oracleKey struct {
@@ -127,15 +123,11 @@ func (o *Oracle) WriteVersion(b Block) uint64 {
 }
 
 // Observe records that cpu saw version v of block b and checks
-// monotonicity.
+// monotonicity: a version older than one cpu already saw panics.
 func (o *Oracle) Observe(cpu int, b Block, v uint64) {
 	o.observes++
 	key := oracleKey{cpu, b}
 	if last, ok := o.lastSeen[key]; ok && v < last {
-		if o.Violation != nil {
-			o.Violation(cpu, b, v, last)
-			return
-		}
 		panic(fmt.Sprintf("coherence: cpu %d saw block %x regress from version %d to %d", cpu, b, last, v))
 	}
 	o.lastSeen[key] = v

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -32,37 +33,31 @@ func TestOracleVersionsMonotonic(t *testing.T) {
 	}
 }
 
+// observePanic reports the value Observe(cpu, b, v) panicked with, or
+// nil.
+func observePanic(o *Oracle, cpu int, b Block, v uint64) (r any) {
+	defer func() { r = recover() }()
+	o.Observe(cpu, b, v)
+	return nil
+}
+
 func TestOracleDetectsRegression(t *testing.T) {
 	o := NewOracle()
-	var violated bool
-	o.Violation = func(cpu int, b Block, saw, last uint64) { violated = true }
 	o.WriteVersion(7)
 	o.WriteVersion(7)
 	o.Observe(3, 7, 2)
-	o.Observe(3, 7, 1) // regression
-	if !violated {
-		t.Fatal("regression not reported")
+	r := observePanic(o, 3, 7, 1) // regression
+	if msg, _ := r.(string); !strings.Contains(msg, "cpu 3 saw block 7 regress from version 2 to 1") {
+		t.Fatalf("regression not reported: panic %v", r)
 	}
 }
 
 func TestOracleSameVersionOK(t *testing.T) {
 	o := NewOracle()
-	o.Violation = func(cpu int, b Block, saw, last uint64) {
-		t.Fatal("re-observing the same version must be legal")
+	o.Observe(0, 5, 3)
+	if r := observePanic(o, 0, 5, 3); r != nil {
+		t.Fatalf("re-observing the same version must be legal: panic %v", r)
 	}
-	o.Observe(0, 5, 3)
-	o.Observe(0, 5, 3)
-}
-
-func TestOraclePanicsWithoutHandler(t *testing.T) {
-	o := NewOracle()
-	o.Observe(0, 1, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on regression without handler")
-		}
-	}()
-	o.Observe(0, 1, 4)
 }
 
 func TestStrings(t *testing.T) {

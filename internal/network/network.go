@@ -61,8 +61,8 @@ type Fabric struct {
 	// Counters for tests and reports.
 	sent int64
 
-	// probe, when non-nil, counts message-delivery dispatches
-	// (nil-guarded: bare runs pay one branch per delivery).
+	// probe is the kernel's: when non-nil, it counts message-delivery
+	// dispatches (nil-guarded: bare runs pay one branch per delivery).
 	probe *obs.Probe
 }
 
@@ -71,8 +71,9 @@ type orderKey struct {
 }
 
 // New creates a fabric over topo using the given kernel, timing parameters
-// and traffic accountant. orderedVNets lists vnet numbers that must
-// preserve point-to-point ordering.
+// and traffic accountant, recording into the kernel's probe.
+// orderedVNets lists vnet numbers that must preserve point-to-point
+// ordering.
 func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, traffic *stats.Traffic, orderedVNets ...int) *Fabric {
 	f := &Fabric{
 		k:        k,
@@ -82,6 +83,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, traffic *
 		handlers: make([]Handler, topo.Nodes()),
 		ordered:  make(map[int]bool),
 		lastAt:   make(map[orderKey]sim.Time),
+		probe:    k.Probe(),
 	}
 	for _, v := range orderedVNets {
 		f.ordered[v] = true
@@ -91,9 +93,6 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, traffic *
 
 // SetPerturbation installs a delivery-delay sampler (nil disables).
 func (f *Fabric) SetPerturbation(fn func() sim.Duration) { f.perturb = fn }
-
-// SetProbe attaches (or, with nil, detaches) the telemetry probe.
-func (f *Fabric) SetProbe(p *obs.Probe) { f.probe = p }
 
 // Register installs the message handler for endpoint dst. Each endpoint
 // must register exactly once before any Send to it arrives.

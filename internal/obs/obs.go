@@ -12,6 +12,11 @@
 // time (SizeNetwork), and histograms use fixed log2 buckets indexed
 // with bits.Len64.
 //
+// A run has one probe, attached to its kernel (sim.Kernel.SetProbe)
+// before the machine is built: the address network, the data fabric,
+// the protocol core and the processors each read it from the kernel
+// once, at construction. There is no other way in.
+//
 // Everything the probe records is keyed to simulated time (int64
 // picoseconds) or to pure event counts — never wall clock — so a
 // Metrics snapshot is a pure function of the spec and seed, and its

@@ -8,9 +8,8 @@
 package parallel
 
 import (
+	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // Workers normalizes a worker-count knob: values below 1 mean one worker
@@ -23,58 +22,20 @@ func Workers(n int) int {
 }
 
 // Map evaluates fn(0) .. fn(n-1) across at most workers goroutines and
-// returns the results in index order. workers below 1 uses one worker per
-// CPU; one worker degenerates to a plain serial loop.
+// returns the results in index order: it collects Stream's sequence.
+// workers below 1 uses one worker per CPU; one worker degenerates to a
+// plain serial loop.
 //
 // On failure Map returns the error from the lowest failing index, and
-// jobs not yet claimed are skipped. The reported error is still
-// independent of goroutine scheduling: indexes are claimed in increasing
-// order, so by the time any job fails, every lower-indexed job — in
-// particular the lowest one that would fail — has already started and
-// will record its error before Map returns.
+// jobs not yet claimed are skipped (see Stream for why the reported
+// error is independent of goroutine scheduling).
 func Map[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	if n == 0 {
-		return out, nil
-	}
-	if workers = Workers(workers); workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := range out {
-			v, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i], errs[i] = fn(i)
-				if errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+	out := make([]T, 0, max(n, 0))
+	for v, err := range Stream(context.Background(), workers, n, fn) {
 		if err != nil {
 			return nil, err
 		}
+		out = append(out, v)
 	}
 	return out, nil
 }

@@ -43,27 +43,26 @@ type Processor struct {
 	pending workload.Access
 	doneFn  func(coherence.AccessResult)
 
-	// probe is the optional telemetry hook (nil = one branch per
-	// access); issuedAt timestamps the in-flight access for its
+	// probe is the kernel's optional telemetry hook (nil = one branch
+	// per access); issuedAt timestamps the in-flight access for its
 	// lifecycle span.
 	probe    *obs.Probe
 	issuedAt sim.Time
 }
 
-// New creates a processor for node id executing quota memory operations.
+// New creates a processor for node id executing quota memory operations,
+// recording its access spans into the kernel's probe.
 func New(k *sim.Kernel, id int, proto coherence.Protocol, gen workload.Generator,
 	params timing.Params, rng *sim.Rand, run *stats.Run, quota int, onFinish func(int)) *Processor {
 	p := &Processor{
 		k: k, id: id, proto: proto, gen: gen,
 		params: params, rng: rng, run: run,
 		quota: quota, onFinish: onFinish,
+		probe: k.Probe(),
 	}
 	p.doneFn = p.accessDone
 	return p
 }
-
-// SetProbe attaches (or, with nil, detaches) the telemetry probe.
-func (p *Processor) SetProbe(pr *obs.Probe) { p.probe = pr }
 
 // Start begins execution at the current simulated time.
 func (p *Processor) Start() { p.step() }

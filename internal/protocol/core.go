@@ -8,6 +8,7 @@
 //   - each node's L2 and its queue of in-flight hits;
 //   - the one L2-hit decision (Begin);
 //   - the outstanding-miss count and its MSHR-occupancy samples;
+//   - the run's coherence Oracle, which Init creates;
 //   - the report of a finished miss to the Oracle, the statistics, the
 //     probe and the processor (Complete);
 //   - the point-to-point data fabric: TS-Snoop's data network and the
@@ -35,8 +36,9 @@ type Core struct {
 	Topo   *topology.Topology
 	Params timing.Params
 	Run    *stats.Run
-	// Probe, when non-nil, records deterministic protocol telemetry.
-	// Every call site is nil-guarded, so bare runs pay one branch.
+	// Probe is the kernel's, read once by Init. When non-nil it records
+	// deterministic protocol telemetry; every call site is nil-guarded,
+	// so bare runs pay one branch.
 	Probe *obs.Probe
 	// Fabric carries the protocol's point-to-point messages.
 	Fabric *network.Fabric
@@ -54,21 +56,18 @@ type l2 struct {
 	hits  hitQueue
 }
 
-// Init sets the core up over topo: one L2 of geometry cc per node and a
-// data fabric whose orderedVNets keep point-to-point order. oracle may
-// be nil (a fresh one is created; violations panic). The kernel has few
-// lanes and gives them out in declaration order, so a protocol that
-// declares lanes of its own (tsnet's links) builds them before Init.
-func (c *Core) Init(k *sim.Kernel, topo *topology.Topology, params timing.Params, run *stats.Run,
-	oracle *coherence.Oracle, cc cache.Config, probe *obs.Probe, orderedVNets ...int) {
-	if oracle == nil {
-		oracle = coherence.NewOracle()
-	}
-	*c = Core{K: k, Topo: topo, Params: params, Run: run, Probe: probe, oracle: oracle}
+// Init sets the core up over topo: one L2 of geometry cc per node, a
+// fresh Oracle (a violation panics), and a data fabric whose
+// orderedVNets keep point-to-point order. The core and its fabric record
+// into the kernel's probe. The kernel has few lanes and gives them out
+// in declaration order, so a protocol that declares lanes of its own
+// (tsnet's links) builds them before Init.
+func (c *Core) Init(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.Config, run *stats.Run,
+	orderedVNets ...int) {
+	*c = Core{K: k, Topo: topo, Params: params, Run: run, Probe: k.Probe(), oracle: coherence.NewOracle()}
 	c.DataBytes = timing.DataMsgBytes(cc.BlockBytes)
 	k.Lane(params.L2Hit) // every hit completes L2Hit after its access
 	c.Fabric = network.New(k, topo, params, &run.Traffic, orderedVNets...)
-	c.Fabric.SetProbe(probe)
 	c.l2 = make([]l2, topo.Nodes())
 	for i := range c.l2 {
 		c.l2[i].cache = cache.MustNew(cc)

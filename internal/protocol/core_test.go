@@ -14,8 +14,8 @@ import (
 func newCore(t *testing.T) *Core {
 	t.Helper()
 	c := &Core{}
-	c.Init(sim.NewKernel(), topology.MustButterfly(2), timing.Default(), &stats.Run{}, nil,
-		cache.Config{SizeBytes: 64 * 1024, Ways: 4, BlockBytes: 64}, nil)
+	c.Init(sim.NewKernel(), topology.MustButterfly(2), timing.Default(),
+		cache.Config{SizeBytes: 64 * 1024, Ways: 4, BlockBytes: 64}, &stats.Run{})
 	t.Cleanup(c.Release)
 	return c
 }

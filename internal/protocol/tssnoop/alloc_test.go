@@ -3,6 +3,7 @@ package tssnoop
 import (
 	"testing"
 
+	"tsnoop/internal/cache"
 	"tsnoop/internal/coherence"
 	"tsnoop/internal/obs"
 	"tsnoop/internal/sim"
@@ -22,9 +23,9 @@ func TestMissAllocs(t *testing.T) {
 	topo := topology.MustButterfly(4)
 	k := sim.NewKernel()
 	run := &stats.Run{}
-	opts := DefaultOptions(timing.Default())
+	opts := DefaultOptions()
 	opts.Net.Verify = false
-	p := New(k, topo, timing.Default(), run, nil, opts)
+	p := New(k, topo, timing.Default(), cache.DefaultConfig(), run, opts)
 	k.RunUntil(100 * sim.Nanosecond)
 
 	const block = coherence.Block(42)
@@ -59,11 +60,9 @@ func TestMissAllocsTraced(t *testing.T) {
 	probe.EnableSpans(obs.NewSpanLog(1 << 12))
 	k.SetProbe(probe)
 	run := &stats.Run{}
-	opts := DefaultOptions(timing.Default())
+	opts := DefaultOptions()
 	opts.Net.Verify = false
-	opts.Probe = probe
-	opts.Net.Probe = probe
-	p := New(k, topo, timing.Default(), run, nil, opts)
+	p := New(k, topo, timing.Default(), cache.DefaultConfig(), run, opts)
 	k.RunUntil(100 * sim.Nanosecond)
 
 	const block = coherence.Block(42)
@@ -91,9 +90,9 @@ func TestHitAllocs(t *testing.T) {
 	topo := topology.MustButterfly(4)
 	k := sim.NewKernel()
 	run := &stats.Run{}
-	opts := DefaultOptions(timing.Default())
+	opts := DefaultOptions()
 	opts.Net.Verify = false
-	p := New(k, topo, timing.Default(), run, nil, opts)
+	p := New(k, topo, timing.Default(), cache.DefaultConfig(), run, opts)
 	k.RunUntil(100 * sim.Nanosecond)
 
 	const block = coherence.Block(7)

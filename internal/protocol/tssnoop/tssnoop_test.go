@@ -22,15 +22,13 @@ func newEnv(t *testing.T, topo *topology.Topology, mutate func(*Options)) *env {
 	t.Helper()
 	k := sim.NewKernel()
 	run := &stats.Run{}
-	params := timing.Default()
-	opts := DefaultOptions(params)
-	// Small cache keeps eviction paths reachable in tests.
-	opts.Cache = cache.Config{SizeBytes: 64 * 1024, Ways: 4, BlockBytes: 64}
+	opts := DefaultOptions()
 	if mutate != nil {
 		mutate(&opts)
 	}
-	oracle := coherence.NewOracle()
-	p := New(k, topo, params, run, oracle, opts)
+	// Small cache keeps eviction paths reachable in tests.
+	cc := cache.Config{SizeBytes: 64 * 1024, Ways: 4, BlockBytes: 64}
+	p := New(k, topo, timing.Default(), cc, run, opts)
 	return &env{k: k, p: p, run: run, topo: topo}
 }
 

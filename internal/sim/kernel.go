@@ -87,8 +87,14 @@ func (k *Kernel) Lane(d Duration) {
 	}
 }
 
-// SetProbe attaches (or, with nil, detaches) the telemetry probe.
+// SetProbe attaches (or, with nil, detaches) the run's telemetry
+// probe. It is the one place a probe enters a simulation: the networks,
+// protocols and processors built on k read it once, at construction, so
+// call SetProbe before building them.
 func (k *Kernel) SetProbe(p *obs.Probe) { k.probe = p }
+
+// Probe returns the attached telemetry probe, or nil.
+func (k *Kernel) Probe() *obs.Probe { return k.probe }
 
 // NewKernel returns a kernel whose clock starts at zero.
 func NewKernel() *Kernel { return &Kernel{} }

@@ -276,5 +276,8 @@ func (s Spec) validateMachine() error {
 	if s.BlockBytes < 0 || s.CacheBytes < 0 {
 		return fmt.Errorf("spec: cache geometry must not be negative, got block %d / cache %d", s.BlockBytes, s.CacheBytes)
 	}
+	if err := system.CheckShape(s.Network, s.Nodes, s.Protocol, s.Multicast); err != nil {
+		return fmt.Errorf("spec: %w", err)
+	}
 	return nil
 }

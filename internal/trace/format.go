@@ -223,100 +223,93 @@ func Encode(t *Trace, w io.Writer, workers int) error {
 	return tw.Close()
 }
 
+// chunkRef locates one chunk of a trace image: its stream, its access
+// count and its still-encoded payload.
+type chunkRef struct {
+	cpu     int
+	count   int
+	payload []byte
+}
+
+// scan parses a trace image's header and chunk directory without
+// decoding any payload. It rejects a bad magic or version, an
+// implausible cpu count, a chunk for a cpu beyond the header's, any
+// truncation, and a chunk whose count its payload cannot hold — each
+// access encodes to at least two bytes (delta + think), so a count
+// beyond plen/2 is corrupt, and is caught before the count sizes any
+// allocation. perCPU holds each stream's access count.
+func scan(data []byte) (h Header, chunks []chunkRef, perCPU []int64, err error) {
+	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic[:]) {
+		return h, nil, nil, fmt.Errorf("trace: bad magic (not a trace file)")
+	}
+	off := len(magic)
+	next := func(field string) uint64 {
+		if err != nil {
+			return 0
+		}
+		v, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			err = fmt.Errorf("trace: corrupt %s", field)
+			return 0
+		}
+		off += n
+		return v
+	}
+	version := next("version")
+	if err == nil && version != formatVersion {
+		err = fmt.Errorf("trace: unsupported format version %d (have %d)", version, formatVersion)
+	}
+	cpus := next("cpu count")
+	if err == nil && (cpus < 1 || cpus > 1<<20) {
+		err = fmt.Errorf("trace: implausible cpu count %d", cpus)
+	}
+	nameLen := next("name length")
+	if err == nil && uint64(len(data)-off) < nameLen {
+		err = fmt.Errorf("trace: truncated name")
+	}
+	if err != nil {
+		return h, nil, nil, err
+	}
+	h.CPUs = int(cpus)
+	h.Name = string(data[off : off+int(nameLen)])
+	off += int(nameLen)
+	h.FootprintBytes = int64(next("footprint"))
+	h.WarmupPerCPU = int(next("warmup quota"))
+	h.MeasurePerCPU = int(next("measure quota"))
+	if err != nil {
+		return h, nil, nil, err
+	}
+
+	perCPU = make([]int64, h.CPUs)
+	for off < len(data) {
+		cpu := next("chunk cpu")
+		if err == nil && cpu >= cpus {
+			err = fmt.Errorf("trace: chunk for cpu %d beyond header's %d cpus", cpu, cpus)
+		}
+		count := next("chunk count")
+		plen := next("chunk payload length")
+		if err != nil {
+			return h, nil, nil, err
+		}
+		if count == 0 || uint64(len(data)-off) < plen {
+			return h, nil, nil, fmt.Errorf("trace: truncated chunk for cpu %d", cpu)
+		}
+		if count > plen/2 {
+			return h, nil, nil, fmt.Errorf("trace: chunk count %d exceeds its %d payload bytes", count, plen)
+		}
+		chunks = append(chunks, chunkRef{cpu: int(cpu), count: int(count), payload: data[off : off+int(plen)]})
+		perCPU[cpu] += int64(count)
+		off += int(plen)
+	}
+	return h, chunks, perCPU, nil
+}
+
 // Decode parses a complete trace file image. Chunk payloads decode
 // across the pool (workers as in Encode).
 func Decode(data []byte, workers int) (*Trace, error) {
-	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic[:]) {
-		return nil, fmt.Errorf("trace: bad magic (not a trace file)")
-	}
-	off := len(magic)
-	next := func(field string) (uint64, error) {
-		v, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("trace: corrupt %s", field)
-		}
-		off += n
-		return v, nil
-	}
-	version, err := next("version")
+	h, chunks, counts, err := scan(data)
 	if err != nil {
 		return nil, err
-	}
-	if version != formatVersion {
-		return nil, fmt.Errorf("trace: unsupported format version %d (have %d)", version, formatVersion)
-	}
-	cpus, err := next("cpu count")
-	if err != nil {
-		return nil, err
-	}
-	if cpus < 1 || cpus > 1<<20 {
-		return nil, fmt.Errorf("trace: implausible cpu count %d", cpus)
-	}
-	nameLen, err := next("name length")
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(data)-off) < nameLen {
-		return nil, fmt.Errorf("trace: truncated name")
-	}
-	name := string(data[off : off+int(nameLen)])
-	off += int(nameLen)
-	footprint, err := next("footprint")
-	if err != nil {
-		return nil, err
-	}
-	warmup, err := next("warmup quota")
-	if err != nil {
-		return nil, err
-	}
-	measure, err := next("measure quota")
-	if err != nil {
-		return nil, err
-	}
-	h := Header{
-		CPUs:           int(cpus),
-		Name:           name,
-		FootprintBytes: int64(footprint),
-		WarmupPerCPU:   int(warmup),
-		MeasurePerCPU:  int(measure),
-	}
-
-	// Scan chunk boundaries (cheap), then decode payloads in parallel.
-	type chunkRef struct {
-		cpu     int
-		count   int
-		payload []byte
-	}
-	var chunks []chunkRef
-	counts := make([]int64, h.CPUs)
-	for off < len(data) {
-		cpu, err := next("chunk cpu")
-		if err != nil {
-			return nil, err
-		}
-		if cpu >= uint64(h.CPUs) {
-			return nil, fmt.Errorf("trace: chunk for cpu %d beyond header's %d cpus", cpu, h.CPUs)
-		}
-		count, err := next("chunk count")
-		if err != nil {
-			return nil, err
-		}
-		plen, err := next("chunk payload length")
-		if err != nil {
-			return nil, err
-		}
-		if count == 0 || uint64(len(data)-off) < plen {
-			return nil, fmt.Errorf("trace: truncated chunk for cpu %d", cpu)
-		}
-		// Each access encodes to at least two bytes (delta + think), so a
-		// count beyond plen/2 is corrupt — checked before the count sizes
-		// any allocation.
-		if count > plen/2 {
-			return nil, fmt.Errorf("trace: chunk count %d exceeds its %d payload bytes", count, plen)
-		}
-		chunks = append(chunks, chunkRef{cpu: int(cpu), count: int(count), payload: data[off : off+int(plen)]})
-		counts[cpu] += int64(count)
-		off += int(plen)
 	}
 	decoded, err := parallel.Map(workers, len(chunks), func(i int) ([]workload.Access, error) {
 		accs, err := decodePayload(chunks[i].payload, chunks[i].count)
@@ -357,79 +350,18 @@ func (s *Stat) Accesses() int64 {
 }
 
 // StatFile reads a trace's header and chunk directory only — payloads
-// are skipped, so this is cheap even for large traces.
+// are skipped, so this is cheap even for large traces. It rejects what
+// Decode rejects, with errors naming path.
 func StatFile(path string) (*Stat, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic[:]) {
-		return nil, fmt.Errorf("%s: bad magic (not a trace file)", path)
+	h, _, perCPU, err := scan(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	off := len(magic)
-	next := func(field string) (uint64, error) {
-		v, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%s: corrupt %s", path, field)
-		}
-		off += n
-		return v, nil
-	}
-	var vals [3]uint64
-	for i, f := range []string{"version", "cpu count", "name length"} {
-		if vals[i], err = next(f); err != nil {
-			return nil, err
-		}
-	}
-	if vals[0] != formatVersion {
-		return nil, fmt.Errorf("%s: unsupported format version %d", path, vals[0])
-	}
-	cpus, nameLen := vals[1], vals[2]
-	if cpus < 1 || cpus > 1<<20 || uint64(len(data)-off) < nameLen {
-		return nil, fmt.Errorf("%s: corrupt header", path)
-	}
-	name := string(data[off : off+int(nameLen)])
-	off += int(nameLen)
-	var rest [3]uint64
-	for i, f := range []string{"footprint", "warmup quota", "measure quota"} {
-		if rest[i], err = next(f); err != nil {
-			return nil, err
-		}
-	}
-	st := &Stat{
-		Header: Header{
-			CPUs: int(cpus), Name: name, FootprintBytes: int64(rest[0]),
-			WarmupPerCPU: int(rest[1]), MeasurePerCPU: int(rest[2]),
-		},
-		PerCPU:    make([]int64, cpus),
-		FileBytes: int64(len(data)),
-	}
-	for off < len(data) {
-		cpu, err := next("chunk cpu")
-		if err != nil {
-			return nil, err
-		}
-		if cpu >= cpus {
-			return nil, fmt.Errorf("%s: chunk for cpu %d beyond header's %d cpus", path, cpu, cpus)
-		}
-		count, err := next("chunk count")
-		if err != nil {
-			return nil, err
-		}
-		plen, err := next("chunk payload length")
-		if err != nil {
-			return nil, err
-		}
-		if uint64(len(data)-off) < plen {
-			return nil, fmt.Errorf("%s: truncated chunk for cpu %d", path, cpu)
-		}
-		if count == 0 || count > plen/2 {
-			return nil, fmt.Errorf("%s: chunk count %d exceeds its %d payload bytes", path, count, plen)
-		}
-		st.PerCPU[cpu] += int64(count)
-		off += int(plen)
-	}
-	return st, nil
+	return &Stat{Header: h, PerCPU: perCPU, FileBytes: int64(len(data))}, nil
 }
 
 // WriteFile encodes t to path (workers as in Encode).

@@ -3,8 +3,10 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tsnoop/internal/coherence"
@@ -119,9 +121,20 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		{"bad magic", append([]byte("NOTTRACE"), data[8:]...)},
 		{"truncated", data[:len(data)-3]},
 		{"oversized chunk count", hugeCount},
+		{"implausible cpu count", append(append([]byte{}, data[:9]...), 0)},
+		{"chunk beyond cpus", append(append([]byte{}, valid[:len(valid)-5]...), 1, 1, 2, 0, 0)},
 	} {
 		if _, err := Decode(tc.data, 1); err == nil {
 			t.Errorf("%s: decode accepted corrupt input", tc.name)
+		}
+		// StatFile reads the same header and chunk directory, so it must
+		// reject the same inputs, naming the file.
+		path := filepath.Join(t.TempDir(), "corrupt.tstrace")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := StatFile(path); err == nil || !strings.HasPrefix(err.Error(), path+": trace: ") {
+			t.Errorf("%s: StatFile error %v, want one naming %s", tc.name, err, path)
 		}
 	}
 }

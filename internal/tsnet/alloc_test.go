@@ -62,7 +62,6 @@ func TestBroadcastAllocsWithProbe(t *testing.T) {
 	run := &stats.Run{}
 	cfg := DefaultConfig()
 	cfg.Verify = false
-	cfg.Probe = probe
 	net := New(k, topo, cfg, &run.Traffic, run)
 	delivered := 0
 	for ep := 0; ep < topo.Nodes(); ep++ {
@@ -102,7 +101,6 @@ func TestBroadcastAllocsTraced(t *testing.T) {
 	run := &stats.Run{}
 	cfg := DefaultConfig()
 	cfg.Verify = false
-	cfg.Probe = probe
 	net := New(k, topo, cfg, &run.Traffic, run)
 	delivered := 0
 	for ep := 0; ep < topo.Nodes(); ep++ {
