@@ -59,6 +59,11 @@ var gridCmd = &command{
 			if len(e.Protocols) > 0 && !*jsonOut {
 				return fmt.Errorf("grid -protocol requires -json (the figures need all three protocols)")
 			}
+			for _, net := range nets {
+				if err := e.ValidateGrid(net); err != nil {
+					return err
+				}
+			}
 			// Each cell goes through the service: with -cache, cells
 			// computed on any earlier run (or by a server sharing the
 			// directory) render without simulation.

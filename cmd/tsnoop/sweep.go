@@ -59,6 +59,9 @@ var sweepCmd = &command{
 			if err != nil {
 				return err
 			}
+			if err := sw.Validate(); err != nil {
+				return err
+			}
 			sv, err := newService(ctx, *cacheDir, s.Workers)
 			if err != nil {
 				return err

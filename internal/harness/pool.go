@@ -49,6 +49,18 @@ func (e Experiment) CellSpec(c Cell) spec.Spec {
 	return s
 }
 
+// ValidateGrid checks the spec of every cell of network's grid, so a
+// machine that one of the grid's protocols cannot build fails before
+// any cell runs.
+func (e Experiment) ValidateGrid(network string) error {
+	for _, c := range e.Cells(network) {
+		if err := e.CellSpec(c).Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Cells enumerates the benchmark x protocol cells of one network's grid
 // in presentation order — the order grid streams yield results in.
 func (e Experiment) Cells(network string) []Cell {

@@ -57,6 +57,17 @@ func (s *Sweep) Render(pts []SweepPoint) (string, error) {
 	return s.render(pts)
 }
 
+// Validate checks every point's spec, so a point whose machine cannot
+// be built fails before any point runs.
+func (s *Sweep) Validate() error {
+	for _, p := range s.Points {
+		if err := p.Spec.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // SweepKinds lists the measured sweep kinds NewSweep accepts (the
 // Section 5 analytic envelope is RenderEnvelope, no simulation).
 func SweepKinds() []string { return []string{"nodes", "blocksize", "ablation"} }

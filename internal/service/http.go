@@ -205,18 +205,23 @@ func (sv *Service) handleGrids(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// An empty benchmark means the paper's five; validate the machine
-	// shape against a concrete one so bad requests fail before the
-	// stream commits a 200.
+	// An empty benchmark means the paper's five; validate the spec
+	// against a concrete one, then every cell's machine (each protocol
+	// has its own node limit), so bad requests fail before the stream
+	// commits a 200.
 	probe := s
 	if probe.Benchmark == "" {
 		probe.Benchmark = spec.Benchmarks()[0]
 	}
-	if err := probe.Validate(); err != nil {
+	e := harness.FromSpec(s)
+	err := probe.Validate()
+	if err == nil {
+		err = e.ValidateGrid(s.Network)
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	e := harness.FromSpec(s)
 	release, ok := sv.admit(w, "/v1/grids", len(e.Cells(s.Network)))
 	if !ok {
 		return
@@ -258,6 +263,9 @@ func (sv *Service) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	}
 	e := harness.FromSpec(s)
 	sw, err := e.NewSweep(req.Sweep, s.Benchmark, s.Network)
+	if err == nil {
+		err = sw.Validate()
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
