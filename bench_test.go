@@ -450,6 +450,25 @@ func BenchmarkKernelEventsLane(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelBatch measures one item through a sim.Batch, schedule
+// plus dispatch: sixteen adjacent items on a declared lane share each
+// kernel event, as the address network's same-instant hops do.
+func BenchmarkKernelBatch(b *testing.B) {
+	const d = 15 * sim.Nanosecond
+	k := sim.NewKernel()
+	k.Lane(d)
+	n := 0
+	batch := sim.NewBatch(k, func(int) { n++ })
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		batch.Add(d, i)
+		if i%16 == 15 {
+			k.Step()
+		}
+	}
+	k.Run()
+}
+
 // BenchmarkTsnetBroadcastProbed is BenchmarkTsnetBroadcast with a
 // telemetry probe wired through the kernel and the address network —
 // the full -metrics recording cost on the hottest simulated path.

@@ -201,6 +201,9 @@ func TestRunMetricsJSONByteStableAcrossWorkers(t *testing.T) {
 // TS-Snoop and a directory run. run_metrics_spans.golden and the digests
 // were captured at commit a22188d, before the protocols shared one
 // controller core, so they pin that the core moved no output byte.
+// Since then only the TS-Snoop run's three kernel keys moved, when the
+// address network began batching same-instant work: typed_dispatches,
+// heap_peak and schedule_delay_ps count real kernel events.
 // Each trace file is ~0.6 MB, so only its SHA-256 is committed.
 func TestRunMetricsSpansGolden(t *testing.T) {
 	base := []string{"run", "-benchmark", "barnes", "-nodes", "4", "-warmup", "100", "-quota", "200"}

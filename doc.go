@@ -43,7 +43,10 @@
 // kernel keeps inline 64-byte events, each a package-level function plus
 // its arguments (no closures), in O(1) FIFO lanes for the fixed link,
 // handoff and hit delays and in a hand-rolled 4-ary min-heap for the
-// rest; the address network recycles transaction copies through free
+// rest; the address network sends its link hops, token echoes and
+// ordered handoffs through kernel batches (sim.Batch), so each run of
+// same-instant network work is one kernel dispatch with no change to
+// tie order; it recycles transaction copies through free
 // lists and keeps switch and endpoint state in dense, reused slices;
 // and the protocols pool their payload messages. Both protocol families
 // embed one controller core (internal/protocol): each node's L2 and its

@@ -98,21 +98,16 @@ type Protocol interface {
 // seen in the same order by everybody"). A violation panics.
 type Oracle struct {
 	nextVersion map[Block]uint64
-	lastSeen    map[oracleKey]uint64
-	observes    int64
-}
-
-type oracleKey struct {
-	cpu int
-	b   Block
+	// lastSeen[cpu] maps each block to the newest version cpu saw. A
+	// map per CPU, keyed by block alone, takes the runtime's 64-bit
+	// fast path; the maps are made as CPUs first observe.
+	lastSeen []map[Block]uint64
+	observes int64
 }
 
 // NewOracle returns an empty checker.
 func NewOracle() *Oracle {
-	return &Oracle{
-		nextVersion: make(map[Block]uint64),
-		lastSeen:    make(map[oracleKey]uint64),
-	}
+	return &Oracle{nextVersion: make(map[Block]uint64)}
 }
 
 // WriteVersion allocates the next version of b, in the order the protocol
@@ -126,11 +121,18 @@ func (o *Oracle) WriteVersion(b Block) uint64 {
 // monotonicity: a version older than one cpu already saw panics.
 func (o *Oracle) Observe(cpu int, b Block, v uint64) {
 	o.observes++
-	key := oracleKey{cpu, b}
-	if last, ok := o.lastSeen[key]; ok && v < last {
-		panic(fmt.Sprintf("coherence: cpu %d saw block %x regress from version %d to %d", cpu, b, last, v))
+	for cpu >= len(o.lastSeen) {
+		o.lastSeen = append(o.lastSeen, make(map[Block]uint64))
 	}
-	o.lastSeen[key] = v
+	seen := o.lastSeen[cpu]
+	last, ok := seen[b]
+	if ok && v <= last {
+		if v < last {
+			panic(fmt.Sprintf("coherence: cpu %d saw block %x regress from version %d to %d", cpu, b, last, v))
+		}
+		return
+	}
+	seen[b] = v
 }
 
 // Observations returns the number of Observe calls (test sanity checks).

@@ -45,6 +45,18 @@ type event struct {
 //
 // Which place an event waits in never changes the dispatch order, only
 // its cost.
+//
+// A Batch lets one event carry several items of work, each of which
+// would otherwise be its own event. An item added with delay d joins a
+// pending batch event only if that event is at Now+d and is the last
+// event pushed on d's lane (for a delay with no lane, the last event
+// the kernel scheduled), so nothing could dispatch between them (see
+// Batch.Add): a batch runs its items in exactly the order their own
+// events would have had, and Step may run several items. RunWhile's condition is
+// checked between a batch's items as it is between events: when it
+// turns false, the rest of the batch keeps its place and runs first on
+// the next Step, Run, RunUntil or RunWhile, ahead of every event the
+// finished items scheduled.
 type Kernel struct {
 	now    Time
 	seq    uint64
@@ -59,6 +71,15 @@ type Kernel struct {
 	// counts, schedule distances, and the high-water mark of pending
 	// events — all derived from simulated time, never wall clock.
 	probe *obs.Probe
+	// cur is the batch whose event was dispatched last while it still
+	// has items to run, or nil. Its items precede every pending event.
+	cur batchRunner
+}
+
+// batchRunner is a Batch whose event the kernel has dispatched.
+type batchRunner interface {
+	// runItem runs the event's next item and reports whether any remain.
+	runItem() bool
 }
 
 // maxLanes bounds the fixed-delay lanes: Step compares every lane head,
@@ -68,8 +89,9 @@ const maxLanes = 4
 // lane is a FIFO of the events scheduled exactly d after their
 // scheduling time.
 type lane struct {
-	d Duration
-	q FIFO[event]
+	d    Duration
+	tail uint64 // seq of the last event pushed: see Batch.Add
+	q    FIFO[event]
 }
 
 // Lane declares a fixed-delay lane: from now on, events scheduled
@@ -106,8 +128,18 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Executed() uint64 { return k.executed }
 
 // Pending returns the number of scheduled-but-not-yet-dispatched events,
-// on the heap and in the lanes.
+// on the heap and in the lanes, plus a batch event with items left to
+// run (one cut short by RunWhile, or the one running now).
 func (k *Kernel) Pending() int {
+	n := k.queued()
+	if k.cur != nil {
+		n++
+	}
+	return n
+}
+
+// queued returns the number of events on the heap and in the lanes.
+func (k *Kernel) queued() int {
 	n := len(k.events)
 	for i := 0; i < k.nlanes; i++ {
 		n += k.lanes[i].q.Len()
@@ -193,11 +225,12 @@ func (k *Kernel) AtCall(t Time, fn EventFn, a0, a1 any, i0 int64) {
 	e := event{at: t, seq: k.seq, call: fn, a0: a0, a1: a1, i0: i0}
 	if l := k.laneFor(t - k.now); l != nil {
 		l.q.Push(e)
+		l.tail = k.seq
 	} else {
 		k.push(e)
 	}
 	if p := k.probe; p != nil {
-		p.HeapDepth(k.Pending())
+		p.HeapDepth(k.queued())
 	}
 }
 
@@ -218,6 +251,29 @@ func (k *Kernel) AfterCall(d Duration, fn EventFn, a0, a1 any, i0 int64) {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	k.AtCall(k.now+d, fn, a0, a1, i0)
+}
+
+// laneTail returns the seq of the last event pushed on d's lane, or 0
+// when d has no lane.
+func (k *Kernel) laneTail(d Duration) uint64 {
+	if l := k.laneFor(d); l != nil {
+		return l.tail
+	}
+	return 0
+}
+
+// runItem runs the current batch event's next item.
+func (k *Kernel) runItem() {
+	if !k.cur.runItem() {
+		k.cur = nil
+	}
+}
+
+// finishBatch runs the rest of the current batch event, if any.
+func (k *Kernel) finishBatch() {
+	for k.cur != nil {
+		k.runItem()
+	}
 }
 
 // next returns the earliest pending event in place and where it waits:
@@ -254,13 +310,19 @@ func (k *Kernel) dispatch(src int) {
 }
 
 // Step dispatches the single earliest event, advancing the clock to its
-// timestamp. It reports false when no events remain.
+// timestamp; a batch event runs all its items. It reports false when no
+// events remain.
 func (k *Kernel) Step() bool {
+	if k.cur != nil {
+		k.finishBatch()
+		return true
+	}
 	e, src := k.next()
 	if e == nil {
 		return false
 	}
 	k.dispatch(src)
+	k.finishBatch()
 	return true
 }
 
@@ -273,12 +335,16 @@ func (k *Kernel) Run() {
 // RunUntil dispatches events with timestamps <= t, then sets the clock to t.
 // Events scheduled beyond t remain pending.
 func (k *Kernel) RunUntil(t Time) {
+	if k.now <= t {
+		k.finishBatch()
+	}
 	for {
 		e, src := k.next()
 		if e == nil || e.at > t {
 			break
 		}
 		k.dispatch(src)
+		k.finishBatch()
 	}
 	if t > k.now {
 		k.now = t
@@ -287,8 +353,19 @@ func (k *Kernel) RunUntil(t Time) {
 
 // RunWhile dispatches events while cond() holds and events remain. It is
 // the main loop used by the harness ("run until every processor has
-// finished its quota").
+// finished its quota"). It checks cond between a batch event's items
+// too, so no item runs after cond turns false.
 func (k *Kernel) RunWhile(cond func() bool) {
-	for cond() && k.Step() {
+	for cond() {
+		if k.cur == nil {
+			e, src := k.next()
+			if e == nil {
+				return
+			}
+			k.dispatch(src)
+		}
+		if k.cur != nil {
+			k.runItem()
+		}
 	}
 }

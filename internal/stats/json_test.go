@@ -30,9 +30,9 @@ func populatedRun() *Run {
 	r.OrderingDelay.Observe(11)
 	r.OrderingDelay.Observe(13)
 	r.OrderingDelay.Observe(17)
-	r.ReorderOccupancy.Set(10, 3)
-	r.ReorderOccupancy.Set(20, 9)
-	r.ReorderOccupancy.Set(30, 0)
+	r.ReorderOccupancy.Set(3)
+	r.ReorderOccupancy.Set(9)
+	r.ReorderOccupancy.Set(0)
 	r.Traffic.Add(ClassData, 3, 72)
 	r.Traffic.Add(ClassData, 2, 72)
 	r.Traffic.Add(ClassRequest, 4, 8)

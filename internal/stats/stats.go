@@ -125,20 +125,16 @@ func (l *Latency) Min() sim.Time { return l.min }
 // Max returns the largest sample.
 func (l *Latency) Max() sim.Time { return l.max }
 
-// Occupancy tracks a time-weighted buffer occupancy (used to evaluate the
+// Occupancy tracks the peak of a buffer occupancy (used to evaluate the
 // early-processing optimization's effect on reorder-queue pressure).
+// Every endpoint reports into one level, so only the peak means
+// anything: it is the deepest any one queue got.
 type Occupancy struct {
-	current    int
-	max        int
-	weightedPS float64 // integral of occupancy over time, in entry-picoseconds
-	lastChange sim.Time
+	max int
 }
 
-// Set updates the occupancy level at time now.
-func (o *Occupancy) Set(now sim.Time, level int) {
-	o.weightedPS += float64(o.current) * float64(now-o.lastChange)
-	o.lastChange = now
-	o.current = level
+// Set reports the current occupancy level.
+func (o *Occupancy) Set(level int) {
 	if level > o.max {
 		o.max = level
 	}
@@ -146,15 +142,6 @@ func (o *Occupancy) Set(now sim.Time, level int) {
 
 // Max returns the peak occupancy.
 func (o *Occupancy) Max() int { return o.max }
-
-// Mean returns the time-weighted mean occupancy through time end.
-func (o *Occupancy) Mean(end sim.Time) float64 {
-	total := o.weightedPS + float64(o.current)*float64(end-o.lastChange)
-	if end <= 0 {
-		return 0
-	}
-	return total / float64(end)
-}
 
 // Run aggregates everything measured during one simulation.
 type Run struct {
@@ -203,15 +190,11 @@ type Run struct {
 	Metrics *obs.Metrics
 }
 
-// Reset zeroes all counters at simulated time now, preserving identity so
-// pointers held by protocols and networks stay valid. The harness resets
-// after the warm-up phase ("all of the workloads were run once for
-// warm-up and then again for measurement").
-func (r *Run) Reset(now sim.Time) {
-	occ := r.ReorderOccupancy
-	*r = Run{}
-	r.ReorderOccupancy = Occupancy{current: occ.current, lastChange: now}
-}
+// Reset zeroes all counters, preserving identity so pointers held by
+// protocols and networks stay valid. The harness resets after the
+// warm-up phase ("all of the workloads were run once for warm-up and
+// then again for measurement").
+func (r *Run) Reset() { *r = Run{} }
 
 // AddMiss records a completed miss of the given kind with its latency.
 func (r *Run) AddMiss(kind MissKind, lat sim.Time) {

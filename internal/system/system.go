@@ -273,7 +273,9 @@ func (c *countingGen) Name() string          { return c.inner.Name() }
 func (c *countingGen) FootprintBytes() int64 { return c.inner.FootprintBytes() }
 func (c *countingGen) Next(cpu int, r *sim.Rand) workload.Access {
 	a := c.inner.Next(cpu, r)
-	c.touched[a.Block] = true
+	if !c.touched[a.Block] {
+		c.touched[a.Block] = true
+	}
 	return a
 }
 
@@ -312,7 +314,7 @@ func (s *System) Execute() (*stats.Run, error) {
 	if _, err := s.runPhase(s.Cfg.WarmupPerCPU); err != nil {
 		return nil, err
 	}
-	s.Run.Reset(s.K.Now())
+	s.Run.Reset()
 	// Reset the probe with the statistics so the telemetry snapshot
 	// covers exactly the measured window.
 	if s.probe != nil {

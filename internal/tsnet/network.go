@@ -23,18 +23,33 @@
 // copies come from a free list and return to it when consumed, per-port
 // switch state lives in dense slices indexed by local port position,
 // the endpoint reorder queues are hand-rolled heaps of inline values,
-// and every hot-path event is a typed kernel event rather than a
-// closure. The Verify instrumentation fields live behind a debug
+// and all hot-path work is typed kernel events and batch items rather
+// than closures. The Verify instrumentation fields live behind a debug
 // pointer that uninstrumented runs never touch.
 //
-// A switch's fan-out costs one kernel event per distinct link latency,
-// not one per link: a token propagation sends one wave event per output
-// latency (deliverTokenWave), and a cut-through switch one per latency
-// among a transaction's surviving branches (deliverTxnWave). Each wave
-// delivers on its links in port or route order, so arrivals, their
-// same-time ties and every ordered processing happen exactly as with one
-// event per link. Injections, endpoint tokens, contended departures and
-// the Dovh handoffs stay one event each.
+// All of the network's fixed-delay work goes through two sim.Batch
+// values, so a run of same-instant work costs one kernel dispatch:
+//
+//   - the hop batch carries every link transit: injections, contended
+//     departures, endpoint token echoes, and the fan-out waves. A switch
+//     fans out one wave item per distinct link latency, not one per
+//     link: a token propagation sends one per output latency, a
+//     cut-through switch one per latency among a transaction's surviving
+//     branches. Each wave delivers on its links in port or route order,
+//     as one event per link would have.
+//   - the handoff batch carries every ordered handoff to a controller;
+//     one batch serves the whole network, since every handoff takes
+//     Dovh.
+//
+// sim.Batch runs each item exactly where its own event would have run,
+// so arrivals, their same-time ties and every ordered processing happen
+// as with one event per link and per handoff.
+//
+// A token hop does O(1) work: a switch counts its empty input ports and
+// propagates exactly when that count reaches zero, only a contended
+// switch (the only kind that buffers) scans its buffer for zero slack,
+// and an endpoint caches its reorder queue's earliest due tick, so a
+// tick with nothing due never touches the heap.
 package tsnet
 
 import (
@@ -178,10 +193,14 @@ type Network struct {
 	// one branch per site.
 	probe *obs.Probe
 
-	switches  []*swState
-	endpoints []*epState
+	switches  []swState
+	endpoints []epState
 	nextSeq   []uint64
 	links     []linkMeta
+
+	// hops carries every link transit, handoffs every ordered handoff.
+	hops     *sim.Batch[hop]
+	handoffs *sim.Batch[handoff]
 
 	// txnPool recycles uninstrumented transaction copies. Verify copies
 	// are never pooled: their debug state may outlive the copy in panic
@@ -205,8 +224,9 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traf
 		panic("tsnet: TokensPerPort must be >= 1")
 	}
 	if cfg.Params.Dovh <= 0 {
-		// Every handoff is its own event, so no fan-out event can finish
-		// an access midway (see deliverTxnWave).
+		// A handoff is its own batch item, never part of a fan-out wave,
+		// so no wave can finish an access midway: RunWhile's condition
+		// is checked between items.
 		panic("tsnet: Params.Dovh must be positive")
 	}
 	n := &Network{
@@ -218,6 +238,8 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traf
 		probe:   k.Probe(),
 		nextSeq: make([]uint64, topo.Nodes()),
 	}
+	n.hops = sim.NewBatch(k, n.runHop)
+	n.handoffs = sim.NewBatch(k, n.runHandoff)
 	n.links = make([]linkMeta, len(topo.Links()))
 	for i, l := range topo.Links() {
 		n.links[i] = linkMeta{
@@ -247,13 +269,14 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traf
 		}
 		n.probe.SizeNetwork(latPS, topo.NumSwitches())
 	}
-	n.switches = make([]*swState, topo.NumSwitches())
+	g := newGrouper(n)
+	n.switches = make([]swState, topo.NumSwitches())
 	for i := range n.switches {
-		n.switches[i] = newSwState(n, i)
+		n.switches[i].init(n, i, g)
 	}
-	n.endpoints = make([]*epState, topo.Nodes())
+	n.endpoints = make([]epState, topo.Nodes())
 	for i := range n.endpoints {
-		n.endpoints[i] = &epState{net: n, id: i}
+		n.endpoints[i] = epState{net: n, id: i, queue: newReorderQueue()}
 	}
 	return n
 }
@@ -273,7 +296,7 @@ func (n *Network) freeTxn(t *txn) {
 // Register installs the ordered handler (required) and the optional peek
 // handler for endpoint ep.
 func (n *Network) Register(ep int, ordered OrderedHandler, peek PeekHandler) {
-	e := n.endpoints[ep]
+	e := &n.endpoints[ep]
 	if e.handler != nil {
 		panic(fmt.Sprintf("tsnet: endpoint %d registered twice", ep))
 	}
@@ -289,12 +312,15 @@ func (n *Network) Start() {
 		panic("tsnet: Start called twice")
 	}
 	n.started = true
-	for _, sw := range n.switches {
-		for i := range sw.tokens {
-			sw.tokens[i] = n.cfg.TokensPerPort
+	for i := range n.switches {
+		sw := &n.switches[i]
+		for j := range sw.tokens {
+			sw.tokens[j] = n.cfg.TokensPerPort
 		}
+		sw.empty = 0
 	}
-	for _, e := range n.endpoints {
+	for i := range n.endpoints {
+		e := &n.endpoints[i]
 		// Initial tokens mimic a legal snapshot of a running system: a
 		// token per input port is either in flight on a real link or
 		// standing at the next consumer. For an endpoint whose ejection
@@ -316,14 +342,15 @@ func (n *Network) Start() {
 // switches attempt their first propagation.
 func startNetwork(a0, a1 any, i0 int64) {
 	n := a0.(*Network)
-	for _, e := range n.endpoints {
+	for i := range n.endpoints {
+		e := &n.endpoints[i]
 		for e.credits > 0 {
 			e.credits--
 			e.tick()
 		}
 	}
-	for _, sw := range n.switches {
-		sw.tryPropagate()
+	for i := range n.switches {
+		n.switches[i].tryPropagate()
 	}
 }
 
@@ -396,10 +423,37 @@ func (n *Network) inject(src int, mask uint64, payload any) uint64 {
 	return seq
 }
 
-// deliverTxn is the typed kernel event completing a transaction copy's
-// link transit: a0 is the Network, a1 the copy, i0 the LinkID.
-func deliverTxn(a0, a1 any, i0 int64) {
-	a0.(*Network).arriveTxn(topology.LinkID(i0), a1.(*txn))
+// hopKind says what a hop item delivers.
+type hopKind uint8
+
+const (
+	hopTxn       hopKind = iota // a transaction copy over link id
+	hopToken                    // an endpoint's token over link id
+	hopTokenWave                // switch id's tokens on output group g
+	hopTxnWave                  // switch id's copies of t on route group g
+)
+
+// hop is one link-transit item of the hop batch. For the waves, id is
+// the switch and g the index of its latency group.
+type hop struct {
+	kind hopKind
+	id   int32
+	g    int32
+	t    *txn
+}
+
+// runHop completes a hop item's link transits.
+func (n *Network) runHop(h hop) {
+	switch h.kind {
+	case hopTxn:
+		n.arriveTxn(topology.LinkID(h.id), h.t)
+	case hopToken:
+		n.arriveToken(topology.LinkID(h.id))
+	case hopTokenWave:
+		n.switches[h.id].deliverTokens(h.g)
+	case hopTxnWave:
+		n.switches[h.id].deliverTxns(h.g, h.t)
+	}
 }
 
 // arriveTxn completes a transaction copy's transit of link id.
@@ -419,13 +473,8 @@ func (n *Network) arriveTxn(id topology.LinkID, t *txn) {
 // sendOnLink schedules delivery of a transaction copy across a link: an
 // injection, or a contended switch's departure.
 func (n *Network) sendOnLink(id topology.LinkID, t *txn) {
-	n.k.AfterCall(n.links[id].lat, deliverTxn, n, t, int64(id))
-}
-
-// deliverToken is the typed kernel event completing a token's link
-// transit: a0 is the Network, i0 the LinkID.
-func deliverToken(a0, a1 any, i0 int64) {
-	a0.(*Network).arriveToken(topology.LinkID(i0))
+	// The hop item owns the copy until its arrival consumes it.
+	n.hops.Add(n.links[id].lat, hop{kind: hopTxn, id: int32(id), t: t}) //pool:owned
 }
 
 // arriveToken completes a token's transit of link id.
@@ -443,9 +492,9 @@ func (n *Network) arriveToken(id topology.LinkID) {
 }
 
 // sendToken schedules delivery of one token across an endpoint's
-// output link. Switches send theirs as waves (deliverTokenWave).
+// output link. Switches send theirs as waves (swState.deliverTokens).
 func (n *Network) sendToken(id topology.LinkID) {
-	n.k.AfterCall(n.links[id].lat, deliverToken, n, nil, int64(id))
+	n.hops.Add(n.links[id].lat, hop{kind: hopToken, id: int32(id)})
 }
 
 // epState is an endpoint network interface: a one-input, one-output node
@@ -459,12 +508,6 @@ type epState struct {
 	queue   reorderQueue
 	handler OrderedHandler
 	peek    PeekHandler
-
-	// outbox holds transactions whose ordered processing is complete but
-	// whose handler handoff is still in its Dovh network-exit delay. All
-	// handoffs share that one delay, so deliveries are strictly FIFO
-	// (see sim.FIFO) and a queue replaces a closure per handoff.
-	outbox sim.FIFO[queued]
 }
 
 func (e *epState) arriveToken() {
@@ -488,15 +531,11 @@ func (e *epState) arriveToken() {
 // order.
 func (e *epState) tick() {
 	e.gt++
-	for {
-		q, ok := e.queue.popDue(e.gt - 1)
-		if !ok {
-			break
-		}
-		e.process(q)
+	for e.queue.due < e.gt {
+		e.process(e.queue.pop())
 	}
 	if e.net.run != nil {
-		e.net.run.ReorderOccupancy.Set(e.net.k.Now(), e.queue.len())
+		e.net.run.ReorderOccupancy.Set(e.queue.len())
 	}
 	if p := e.net.probe; p != nil {
 		p.ReorderOcc(e.queue.len())
@@ -550,7 +589,7 @@ func (e *epState) arriveTxn(t *txn) {
 		arrived: e.net.k.Now(),
 	})
 	if e.net.run != nil {
-		e.net.run.ReorderOccupancy.Set(e.net.k.Now(), e.queue.len())
+		e.net.run.ReorderOccupancy.Set(e.queue.len())
 	}
 	if p := e.net.probe; p != nil {
 		p.ReorderOcc(e.queue.len())
@@ -562,17 +601,19 @@ func (e *epState) arriveTxn(t *txn) {
 	e.net.freeTxn(t)
 }
 
-// deliverOrdered is the typed kernel event completing a handler handoff
-// after the network-exit overhead: a0 is the epState. Handoffs pop from
-// the endpoint's outbox in FIFO order, which matches event order because
-// every handoff shares the same Dovh delay.
-func deliverOrdered(a0, a1 any, i0 int64) {
-	e := a0.(*epState)
-	if p := e.net.probe; p != nil {
+// handoff is one item of the handoff batch: endpoint e hands q to its
+// controller.
+type handoff struct {
+	e *epState
+	q queued
+}
+
+// runHandoff completes a handoff after the network-exit overhead.
+func (n *Network) runHandoff(h handoff) {
+	if p := n.probe; p != nil {
 		p.Event(obs.EvOrderedHandoff)
 	}
-	q := e.outbox.Pop()
-	e.handler(q.src, q.seq, q.payload, q.arrived)
+	h.e.handler(h.q.src, h.q.seq, h.q.payload, h.q.arrived)
 }
 
 func (e *epState) process(q queued) {
@@ -594,6 +635,5 @@ func (e *epState) process(q queued) {
 	// Hand off to the protocol controller after the network-exit overhead
 	// (Dovh). All handoffs share the same delay, so the controller sees
 	// transactions in exactly the logical order.
-	e.outbox.Push(q)
-	e.net.k.AfterCall(e.net.cfg.Params.Dovh, deliverOrdered, e, nil, 0)
+	e.net.handoffs.Add(e.net.cfg.Params.Dovh, handoff{e: e, q: q})
 }

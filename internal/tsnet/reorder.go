@@ -1,6 +1,8 @@
 package tsnet
 
 import (
+	"math"
+
 	"tsnoop/internal/sim"
 )
 
@@ -41,10 +43,14 @@ func (a *queued) before(b *queued) bool {
 // endpoint. It is a hand-rolled 4-ary min-heap of inline queued values:
 // no container/heap interface boxing, no per-entry allocation, and one
 // backing array reused for the life of the endpoint (vacated slots are
-// zeroed so dead payloads are not retained).
+// zeroed so dead payloads are not retained). due caches the head's due
+// tick, so a tick with nothing due never touches the heap.
 type reorderQueue struct {
-	h []queued
+	h   []queued
+	due uint64 // h[0].dueTick, or MaxUint64 when empty
 }
+
+func newReorderQueue() reorderQueue { return reorderQueue{due: math.MaxUint64} }
 
 func (q *reorderQueue) push(e queued) {
 	h := append(q.h, e)
@@ -58,15 +64,13 @@ func (q *reorderQueue) push(e queued) {
 		i = p
 	}
 	q.h = h
+	q.due = h[0].dueTick
 }
 
-// popDue removes and returns the highest-priority transaction whose due
-// tick is <= gt; ok is false when none is due.
-func (q *reorderQueue) popDue(gt uint64) (e queued, ok bool) {
+// pop removes and returns the highest-priority transaction. The queue
+// must not be empty.
+func (q *reorderQueue) pop() queued {
 	h := q.h
-	if len(h) == 0 || h[0].dueTick > gt {
-		return queued{}, false
-	}
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
@@ -95,7 +99,11 @@ func (q *reorderQueue) popDue(gt uint64) (e queued, ok bool) {
 		h[i], h[min] = h[min], h[i]
 		i = min
 	}
-	return top, true
+	q.due = math.MaxUint64
+	if n > 0 {
+		q.due = h[0].dueTick
+	}
+	return top
 }
 
 func (q *reorderQueue) len() int { return len(q.h) }

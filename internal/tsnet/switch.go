@@ -39,11 +39,18 @@ type swState struct {
 	out []topology.LinkID // the switch's output links (shared with topology)
 
 	tokens []int // token counter per input port, indexed by In position
+	// empty counts the input ports holding no token: the switch may
+	// propagate exactly when it is zero.
+	empty int
 
 	// routes[src] is the branch list a transaction from src takes at this
 	// switch (nil when the switch is not on src's broadcast tree),
 	// flattened from the topology's per-tree route maps at construction.
 	routes [][]topology.Branch
+	// fans[src] is routes[src] grouped by link latency, and waves the
+	// outputs grouped the same way: one wave item per group.
+	fans  [][]latGroup
+	waves []latGroup
 
 	// buffered holds branch copies waiting for an output port (only
 	// non-empty in contention mode; uncontended switches are cut-through).
@@ -58,22 +65,95 @@ type swState struct {
 	props uint64
 }
 
-func newSwState(n *Network, id int) *swState {
+// init builds switch id, taking its latency groups from g.
+func (s *swState) init(n *Network, id int, g *grouper) {
 	spec := n.topo.Switches()[id]
-	s := &swState{
+	*s = swState{
 		net:      n,
 		id:       id,
 		in:       spec.In,
 		out:      spec.Out,
 		tokens:   make([]int, len(spec.In)),
+		empty:    len(spec.In),
 		nextFree: make([]sim.Time, len(spec.Out)),
 		pending:  make([]bool, len(spec.Out)),
 		routes:   make([][]topology.Branch, n.topo.Nodes()),
+		fans:     g.fans[id*n.topo.Nodes() : (id+1)*n.topo.Nodes()],
 	}
 	for src := 0; src < n.topo.Nodes(); src++ {
 		s.routes[src] = n.topo.BroadcastTree(src).Route[id]
+		s.fans[src] = g.group(s.routes[src])
 	}
-	return s
+	s.waves = g.group(g.outs[id])
+}
+
+// latGroup is one link latency among a fan-out's branches, with the
+// union of those branches' reach.
+type latGroup struct {
+	lat   sim.Duration
+	reach uint64
+}
+
+// grouper builds every switch's latency groups into one array sized up
+// front, so a network's groups cost a handful of allocations.
+type grouper struct {
+	links  []linkMeta
+	fans   [][]latGroup        // per (switch, source)
+	groups []latGroup          // backs every fans and waves entry
+	outs   [][]topology.Branch // each switch's outputs, as branches
+}
+
+func newGrouper(n *Network) *grouper {
+	g := &grouper{
+		links: n.links,
+		fans:  make([][]latGroup, n.topo.NumSwitches()*n.topo.Nodes()),
+		outs:  make([][]topology.Branch, n.topo.NumSwitches()),
+	}
+	outs := make([]topology.Branch, 0, len(n.links))
+	size := 0
+	count := func(sim.Duration, uint64) { size++ }
+	for id, sw := range n.topo.Switches() {
+		for src := 0; src < n.topo.Nodes(); src++ {
+			g.eachLatency(n.topo.BroadcastTree(src).Route[id], count)
+		}
+		for _, out := range sw.Out {
+			outs = append(outs, topology.Branch{Link: out, Reach: ^uint64(0)})
+		}
+		g.outs[id] = outs[len(outs)-len(sw.Out):]
+		g.eachLatency(g.outs[id], count)
+	}
+	g.groups = make([]latGroup, 0, size)
+	return g
+}
+
+// eachLatency calls fn once per distinct link latency among bs, in
+// order of each latency's first branch, with the union of its reach.
+func (g *grouper) eachLatency(bs []topology.Branch, fn func(sim.Duration, uint64)) {
+next:
+	for i, b := range bs {
+		lat := g.links[b.Link].lat
+		for _, c := range bs[:i] {
+			if g.links[c.Link].lat == lat {
+				continue next
+			}
+		}
+		reach := uint64(0)
+		for _, c := range bs[i:] {
+			if g.links[c.Link].lat == lat {
+				reach |= c.Reach
+			}
+		}
+		fn(lat, reach)
+	}
+}
+
+// group returns bs's latency groups.
+func (g *grouper) group(bs []topology.Branch) []latGroup {
+	start := len(g.groups)
+	g.eachLatency(bs, func(lat sim.Duration, reach uint64) {
+		g.groups = append(g.groups, latGroup{lat: lat, reach: reach})
+	})
+	return g.groups[start:len(g.groups):len(g.groups)]
 }
 
 // GT returns the switch's guarantee time (tokens propagated).
@@ -83,16 +163,21 @@ func (s *swState) GT() uint64 { return s.props }
 // inPos of the switch's In list.
 func (s *swState) arriveToken(inPos int) {
 	s.tokens[inPos]++
-	s.tryPropagate()
+	if s.tokens[inPos] == 1 {
+		s.empty--
+	}
+	if s.empty == 0 {
+		s.tryPropagate()
+	}
 }
 
 // arriveTxn handles a transaction copy arriving on input port in.
 //
-// A cut-through switch fans the copy out with one kernel event per
-// distinct latency among its surviving branches (see deliverTxnWave),
-// not one per branch. The pushes of one dispatch take consecutive seq
-// numbers, so no other event of the same time can fall between two
-// same-latency branches: delivering them back to back in one event keeps
+// A cut-through switch fans the copy out with one wave item per latency
+// group that survives multicast pruning (see deliverTxns), not one per
+// branch. One event per branch would have taken consecutive seq
+// numbers, so no other work of the same time could fall between two
+// same-latency branches: delivering them back to back in one item keeps
 // every arrival at its picosecond and every same-time tie in its order.
 func (s *swState) arriveTxn(in topology.LinkID, t *txn) {
 	// Case 1 of the slack recurrence: entering the switch, the
@@ -104,17 +189,20 @@ func (s *swState) arriveTxn(in topology.LinkID, t *txn) {
 	if branches == nil {
 		panic(fmt.Sprintf("tsnet: switch %d has no route for source %d", s.id, t.src))
 	}
+	if !s.net.cfg.Contention {
+		// Cut-through: zero dwell time in the buffer. The wave items own
+		// the copy, and the last of them frees it.
+		for g := range s.fans[t.src] {
+			if grp := &s.fans[t.src][g]; grp.reach&t.mask != 0 {
+				s.net.hops.Add(grp.lat, hop{kind: hopTxnWave, id: int32(s.id), g: int32(g), t: t}) //pool:owned
+			}
+		}
+		return
+	}
 	for i := range branches {
 		b := &branches[i]
 		if b.Reach&t.mask == 0 {
 			continue // multicast pruning: nothing downstream is a destination
-		}
-		if !s.net.cfg.Contention {
-			// Cut-through: zero dwell time in the buffer.
-			if lat := s.net.links[b.Link].lat; !s.latBefore(branches[:i], t.mask, lat) {
-				s.net.k.AfterCall(lat, deliverTxnWave, s, t, int64(lat))
-			}
-			continue
 		}
 		s.buffered = append(s.buffered, bufEntry{txn: *t, branch: *b, enq: s.net.k.Now()})
 		if p := s.net.probe; p != nil {
@@ -122,50 +210,29 @@ func (s *swState) arriveTxn(in topology.LinkID, t *txn) {
 		}
 		s.kickPort(b.Link)
 	}
-	if s.net.cfg.Contention {
-		// The buffer holds copies; a cut-through copy is freed by its
-		// last wave instead.
-		s.net.freeTxn(t)
-	}
+	// The buffer holds copies.
+	s.net.freeTxn(t)
 }
 
-// latBefore reports whether a branch among bs that survives mask has
-// latency lat: its wave event is already scheduled.
-func (s *swState) latBefore(bs []topology.Branch, mask uint64, lat sim.Duration) bool {
-	for i := range bs {
-		if bs[i].Reach&mask != 0 && s.net.links[bs[i].Link].lat == lat {
-			return true
-		}
-	}
-	return false
-}
-
-// deliverTxnWave is the typed kernel event completing a cut-through
-// fan-out's link transits of one latency: a0 is the swState, a1 the
-// arriving copy, i0 the latency. It delivers a fresh copy on every
-// surviving branch of that latency, in route order, and the event of the
-// largest latency, the last to run, frees the arriving copy.
-func deliverTxnWave(a0, a1 any, i0 int64) {
-	s := a0.(*swState)
-	t := a1.(*txn)
-	lat := sim.Duration(i0)
-	last := true
+// deliverTxns completes a cut-through fan-out's link transits of latency
+// group g: a fresh copy of t on every branch of that latency that
+// survives pruning, in route order. The wave of the largest latency,
+// the last to run, frees t.
+func (s *swState) deliverTxns(g int32, t *txn) {
+	fans := s.fans[t.src]
+	lat := fans[g].lat
 	branches := s.routes[t.src]
 	for i := range branches {
-		b := &branches[i]
-		if b.Reach&t.mask == 0 {
-			continue
-		}
-		switch l := s.net.links[b.Link].lat; {
-		case l == lat:
+		if b := &branches[i]; b.Reach&t.mask != 0 && s.net.links[b.Link].lat == lat {
 			s.net.arriveTxn(b.Link, s.branchCopy(t, b))
-		case l > lat:
-			last = false
 		}
 	}
-	if last {
-		s.net.freeTxn(t)
+	for i := range fans {
+		if fans[i].lat > lat && fans[i].reach&t.mask != 0 {
+			return
+		}
 	}
+	s.net.freeTxn(t)
 }
 
 // branchCopy returns the copy of t that leaves on branch b, applying case
@@ -263,40 +330,22 @@ func (s *swState) servePort(link topology.LinkID) {
 // them, making them later in logical time), and decrements every input's
 // token counter.
 func (s *swState) tryPropagate() {
-	for {
-		ok := true
-		for _, c := range s.tokens {
-			if c == 0 {
-				ok = false
-				break
-			}
-		}
-		stalledOnTxn := false
-		if ok {
-			for i := range s.buffered {
-				if s.buffered[i].slack == 0 {
-					// The S >= 0 invariant prohibits tokens from moving
-					// past zero-slack transactions: stall GT until the
-					// transaction departs.
-					ok = false
-					stalledOnTxn = true
-					break
-				}
-			}
-		}
-		if !ok {
+	for s.empty == 0 {
+		// Only a contended switch buffers, so only it can stall.
+		if s.net.cfg.Contention && s.zeroSlackBuffered() {
 			// A token-wait episode starts when propagation is blocked by
 			// a zero-slack buffered transaction (not by a mere token
 			// shortage) and ends at the next successful propagation.
-			if stalledOnTxn {
-				if p := s.net.probe; p != nil {
-					p.TokenStall(s.id, int64(s.net.k.Now()))
-				}
+			if p := s.net.probe; p != nil {
+				p.TokenStall(s.id, int64(s.net.k.Now()))
 			}
 			return
 		}
 		for i := range s.tokens {
 			s.tokens[i]--
+			if s.tokens[i] == 0 {
+				s.empty++
+			}
 		}
 		for i := range s.buffered {
 			s.buffered[i].slack--
@@ -305,34 +354,30 @@ func (s *swState) tryPropagate() {
 		if p := s.net.probe; p != nil {
 			p.TokenAdvance(s.id, int64(s.net.k.Now()))
 		}
-		// One event per distinct output latency: see deliverTokenWave.
-		for i, out := range s.out {
-			if lat := s.net.links[out].lat; !s.outLatBefore(i, lat) {
-				s.net.k.AfterCall(lat, deliverTokenWave, s, nil, int64(lat))
-			}
+		// One wave item per distinct output latency: see deliverTokens.
+		for g := range s.waves {
+			s.net.hops.Add(s.waves[g].lat, hop{kind: hopTokenWave, id: int32(s.id), g: int32(g)})
 		}
 	}
 }
 
-// outLatBefore reports whether one of the first n outputs has latency
-// lat: its token wave is already scheduled.
-func (s *swState) outLatBefore(n int, lat sim.Duration) bool {
-	for _, out := range s.out[:n] {
-		if s.net.links[out].lat == lat {
+// zeroSlackBuffered reports whether a buffered transaction has zero
+// slack: the S >= 0 invariant prohibits tokens from moving past it, so
+// GT stalls until the transaction departs.
+func (s *swState) zeroSlackBuffered() bool {
+	for i := range s.buffered {
+		if s.buffered[i].slack == 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// deliverTokenWave is the typed kernel event completing one propagation's
-// token transits of one latency: a0 is the swState, i0 the latency. It
-// delivers a token on every output of that latency, in Out order: the
-// order in which tryPropagate would have scheduled one event per output,
-// on consecutive seq numbers.
-func deliverTokenWave(a0, a1 any, i0 int64) {
-	s := a0.(*swState)
-	lat := sim.Duration(i0)
+// deliverTokens completes one propagation's token transits of output
+// latency group g: a token on every output of that latency, in Out
+// order, as one event per output would have delivered them.
+func (s *swState) deliverTokens(g int32) {
+	lat := s.waves[g].lat
 	for _, out := range s.out {
 		if s.net.links[out].lat == lat {
 			s.net.arriveToken(out)

@@ -29,7 +29,7 @@ func TestDebugTokens2(t *testing.T) {
 	}
 	fmt.Println()
 	for sw := 0; sw < 16; sw++ {
-		s := net.switches[sw]
+		s := &net.switches[sw]
 		fmt.Printf("sw%d props=%d tokens=", sw, s.props)
 		for pos, in := range topo.Switches()[sw].In {
 			l := topo.Link(in)
