@@ -582,7 +582,18 @@ func benchProtocolMiss(b *testing.B, proto string) {
 // allocation-free regime the simulation spends its time in; the
 // allocation-budget test TestMissAllocs pins it at zero.
 func BenchmarkTSSnoopMissSteady(b *testing.B) {
-	cfg := system.DefaultConfig(system.ProtoTSSnoop, system.NetButterfly)
+	benchProtocolMissSteady(b, system.ProtoTSSnoop)
+}
+
+// BenchmarkDirectoryMissSteady is BenchmarkTSSnoopMissSteady on DirOpt:
+// a warm three-hop GETX miss, pinned at zero allocations by
+// TestDirectoryMissAllocs.
+func BenchmarkDirectoryMissSteady(b *testing.B) {
+	benchProtocolMissSteady(b, system.ProtoDirOpt)
+}
+
+func benchProtocolMissSteady(b *testing.B, proto string) {
+	cfg := system.DefaultConfig(proto, system.NetButterfly)
 	cfg.WarmupPerCPU = 1
 	cfg.MeasurePerCPU = 1
 	gen := workload.Uniform(1<<20, 0.0, 10, 16)

@@ -47,13 +47,15 @@
 // ordered handoffs through kernel batches (sim.Batch), so each run of
 // same-instant network work is one kernel dispatch with no change to
 // tie order; it recycles transaction copies through free
-// lists and keeps switch and endpoint state in dense, reused slices;
-// and the protocols pool their payload messages. Both protocol families
-// embed one controller core (internal/protocol): each node's L2 and its
-// hit queue, the one L2-hit decision, the outstanding-miss count, the
-// report of a finished miss, the Oracle, and the point-to-point data
-// fabric, so tssnoop and directory hold only their transactions, MSHR
-// contents and home state. The network's Verify
+// lists and keeps switch and endpoint state in dense, reused slices.
+// Protocol messages travel by value: the point-to-point data fabric
+// (network.Fabric[P]) delivers typed payloads as batch items, and each
+// protocol's ready-time sends are items of its own batch. Both protocol
+// families embed one controller core (internal/protocol.Core[P]): each
+// node's L2, the batch completing its hits, the one L2-hit decision,
+// the outstanding-miss count, the report of a finished miss, the
+// Oracle, and the data fabric, so tssnoop and directory hold only their
+// transactions, MSHR contents and home state. The network's Verify
 // instrumentation lives behind the configuration and defaults off for
 // experiment runs (re-enable with -verify / spec.WithVerify; results are
 // identical either way).

@@ -6,7 +6,8 @@
 //     nil): boxing a struct, slice, string or integer into an interface
 //     allocates per event.
 //   - Functions reachable from event dispatch (anything scheduled as an
-//     EventFn, plus everything they call inside the package) may not
+//     EventFn, every sim.Batch's item runner, plus everything they call
+//     inside the package) may not
 //     allocate maps or iterate maps: per-event map allocation defeats
 //     the allocation budget, and map iteration order would additionally
 //     break byte-identical determinism.
@@ -89,13 +90,19 @@ func run(pass *analysis.Pass) error {
 	}
 
 	// roots are the entry points of event dispatch: every function value
-	// scheduled through AtCall/AfterCall.
+	// scheduled through AtCall/AfterCall, and every batch's item runner.
 	roots := make(map[*types.Func]bool)
 
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
+				return true
+			}
+			if isNewBatch(pass, call) && len(call.Args) == 2 {
+				if fn := staticFunc(pass, call.Args[1]); fn != nil {
+					roots[fn] = true
+				}
 				return true
 			}
 			name, ok := kernelMethod(pass, call)
@@ -243,6 +250,21 @@ func kernelMethod(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
+// isNewBatch reports whether call is sim.NewBatch, whose second
+// argument runs every item of the batch inside a kernel dispatch.
+func isNewBatch(pass *analysis.Pass, call *ast.CallExpr) bool {
+	fun := call.Fun
+	if ix, ok := fun.(*ast.IndexExpr); ok { // explicit type argument
+		fun = ix.X
+	}
+	sel, ok := fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	obj, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+	return ok && obj.Pkg() != nil && obj.Pkg().Path() == simPath && obj.Name() == "NewBatch"
+}
+
 // probeMethod reports whether call invokes a method of obs.Probe,
 // returning the selector (whose X is the receiver expression the shape
 // rules inspect) and the method name.
@@ -282,7 +304,7 @@ func staticFunc(pass *analysis.Pass, e ast.Expr) *types.Func {
 		}
 	case *ast.SelectorExpr:
 		if fn, ok := pass.Info.Uses[e.Sel].(*types.Func); ok {
-			return fn
+			return fn.Origin() // a generic receiver's method as declared
 		}
 	case *ast.ParenExpr:
 		return staticFunc(pass, e.X)

@@ -6,22 +6,38 @@ package protocol
 
 import "tsnoop/internal/sim"
 
-type core struct {
+type core[P any] struct {
 	k     *sim.Kernel
 	ready map[int]bool
+	hits  *sim.Batch[int]
+	sends *sim.Batch[P]
 }
 
-// deliverHit is scheduled through AfterCall below, so everything it
+// retryRequest is scheduled through AfterCall below, so everything it
 // statically calls is dispatch-reachable.
-func deliverHit(a0, a1 any, i0 int64) {
-	a0.(*core).drain()
+func retryRequest(a0, a1 any, i0 int64) {
+	a0.(*core[int]).drain()
 }
 
-func (c *core) drain() {
+func (c *core[P]) drain() {
 	for range c.ready { // want `map iteration in drain`
 	}
 }
 
-func (c *core) begin() {
-	c.k.AfterCall(1, deliverHit, c, nil, 0)
+// completeHit runs every item of a batch, inside a kernel dispatch.
+func completeHit(int) {
+	_ = map[int]bool{} // want `map literal allocated in completeHit`
+}
+
+// runSend is a generic receiver's batch runner.
+func (c *core[P]) runSend(P) {
+	c.ready = make(map[int]bool) // want `map allocated in runSend`
+}
+
+// begin runs at build time: its own map is no diagnostic.
+func (c *core[P]) begin() {
+	c.ready = make(map[int]bool)
+	c.hits = sim.NewBatch(c.k, completeHit)
+	c.sends = sim.NewBatch[P](c.k, c.runSend)
+	c.k.AfterCall(1, retryRequest, c, nil, 0)
 }

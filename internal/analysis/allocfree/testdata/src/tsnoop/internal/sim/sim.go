@@ -22,3 +22,9 @@ type Pool[T any] struct{ free []*T }
 func (p *Pool[T]) Get() *T { return new(T) }
 
 func (p *Pool[T]) Put(v *T) {}
+
+type Batch[T any] struct{ run func(T) }
+
+func NewBatch[T any](k *Kernel, run func(T)) *Batch[T] { return &Batch[T]{run: run} }
+
+func (b *Batch[T]) Add(d Duration, item T) { b.run(item) }

@@ -33,7 +33,7 @@ type Block uint64
 // TxnKind enumerates coherence transaction kinds. The paper's protocols
 // "support several transactions (e.g., get an S copy, get an M copy,
 // writeback an M copy)".
-type TxnKind int
+type TxnKind uint8
 
 // Transaction kinds.
 const (

@@ -11,6 +11,11 @@
 // A virtual network may be declared point-to-point ordered (DirOpt's
 // forwarded-request network); deliveries on an ordered vnet never overtake
 // earlier sends between the same endpoints, even under perturbation.
+//
+// A Fabric[P] carries payloads of one type P by value: every message in
+// flight is an item of one sim.Batch, delivered at its arrival time in
+// exactly the order one kernel event per message would give, so a
+// steady stream of sends allocates nothing and needs no free list.
 package network
 
 import (
@@ -23,22 +28,20 @@ import (
 	"tsnoop/internal/topology"
 )
 
-// Message is a delivered network message.
-type Message struct {
-	VNet     int
+// Message is a delivered network message. The fabric carries its
+// payload of type P by value; it arrives at the current time.
+type Message[P any] struct {
 	Src, Dst int
-	Class    stats.Class
-	Bytes    int
-	Payload  any
 	SentAt   sim.Time
-	ArriveAt sim.Time
+	Payload  P
 }
 
 // Handler consumes messages delivered to one endpoint.
-type Handler func(m Message)
+type Handler[P any] func(m Message[P])
 
-// Fabric is an unloaded-latency point-to-point network.
-type Fabric struct {
+// Fabric is an unloaded-latency point-to-point network carrying
+// payloads of type P.
+type Fabric[P any] struct {
 	k       *sim.Kernel
 	topo    *topology.Topology
 	params  timing.Params
@@ -49,20 +52,21 @@ type Fabric struct {
 	// responses and reports the minimum runtime over several seeds.
 	perturb func() sim.Duration
 
-	handlers []Handler
-	ordered  map[int]bool
-	lastAt   map[orderKey]sim.Time
+	handlers []Handler[P]
+	// ordered has bit v set when vnet v keeps point-to-point order;
+	// lastAt, made only then, holds each ordered stream's last arrival.
+	ordered uint64
+	lastAt  map[orderKey]sim.Time
 
-	// msgPool recycles in-flight message envelopes: a delivery returns
-	// its envelope to the pool before invoking the handler, so a steady
-	// stream of sends allocates nothing.
-	msgPool sim.Pool[Message]
+	// deliveries holds every message in flight, by value: one item per
+	// message, delivered at its arrival time.
+	deliveries *sim.Batch[Message[P]]
 
 	// Counters for tests and reports.
 	sent int64
 
-	// probe is the kernel's: when non-nil, it counts message-delivery
-	// dispatches (nil-guarded: bare runs pay one branch per delivery).
+	// probe is the kernel's: when non-nil, it counts message deliveries
+	// (nil-guarded: bare runs pay one branch per delivery).
 	probe *obs.Probe
 }
 
@@ -72,31 +76,33 @@ type orderKey struct {
 
 // New creates a fabric over topo using the given kernel, timing parameters
 // and traffic accountant, recording into the kernel's probe.
-// orderedVNets lists vnet numbers that must preserve point-to-point
-// ordering.
-func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, traffic *stats.Traffic, orderedVNets ...int) *Fabric {
-	f := &Fabric{
+// orderedVNets lists vnet numbers (below 64) that must preserve
+// point-to-point ordering.
+func New[P any](k *sim.Kernel, topo *topology.Topology, params timing.Params, traffic *stats.Traffic, orderedVNets ...int) *Fabric[P] {
+	f := &Fabric[P]{
 		k:        k,
 		topo:     topo,
 		params:   params,
 		traffic:  traffic,
-		handlers: make([]Handler, topo.Nodes()),
-		ordered:  make(map[int]bool),
-		lastAt:   make(map[orderKey]sim.Time),
+		handlers: make([]Handler[P], topo.Nodes()),
 		probe:    k.Probe(),
 	}
+	f.deliveries = sim.NewBatch(k, f.deliver)
 	for _, v := range orderedVNets {
-		f.ordered[v] = true
+		f.ordered |= 1 << uint(v)
+	}
+	if f.ordered != 0 {
+		f.lastAt = make(map[orderKey]sim.Time)
 	}
 	return f
 }
 
 // SetPerturbation installs a delivery-delay sampler (nil disables).
-func (f *Fabric) SetPerturbation(fn func() sim.Duration) { f.perturb = fn }
+func (f *Fabric[P]) SetPerturbation(fn func() sim.Duration) { f.perturb = fn }
 
 // Register installs the message handler for endpoint dst. Each endpoint
 // must register exactly once before any Send to it arrives.
-func (f *Fabric) Register(dst int, h Handler) {
+func (f *Fabric[P]) Register(dst int, h Handler[P]) {
 	if f.handlers[dst] != nil {
 		panic(fmt.Sprintf("network: endpoint %d registered twice", dst))
 	}
@@ -104,15 +110,15 @@ func (f *Fabric) Register(dst int, h Handler) {
 }
 
 // Topology returns the fabric's topology.
-func (f *Fabric) Topology() *topology.Topology { return f.topo }
+func (f *Fabric[P]) Topology() *topology.Topology { return f.topo }
 
 // Sent returns the number of messages sent so far.
-func (f *Fabric) Sent() int64 { return f.sent }
+func (f *Fabric[P]) Sent() int64 { return f.sent }
 
 // Send transmits a message. Latency is the unloaded Dovh + hops*Dswitch
 // (plus perturbation); a message to self costs Dovh (network-interface
 // loopback) and no link traffic.
-func (f *Fabric) Send(vnet, src, dst int, class stats.Class, bytes int, payload any) {
+func (f *Fabric[P]) Send(vnet, src, dst int, class stats.Class, bytes int, payload P) {
 	if f.handlers[dst] == nil {
 		panic(fmt.Sprintf("network: send to unregistered endpoint %d", dst))
 	}
@@ -121,51 +127,37 @@ func (f *Fabric) Send(vnet, src, dst int, class stats.Class, bytes int, payload 
 	if f.perturb != nil {
 		lat += f.perturb()
 	}
-	arrive := f.k.Now() + lat
-	if len(f.ordered) > 0 && f.ordered[vnet] {
+	now := f.k.Now()
+	arrive := now + lat
+	if f.ordered&(1<<uint(vnet)) != 0 {
 		key := orderKey{vnet, src, dst}
 		if prev := f.lastAt[key]; arrive < prev {
 			arrive = prev
 		}
 		f.lastAt[key] = arrive
 	}
-	if hops > 0 {
-		f.traffic.Add(class, hops, bytes)
-	} else {
-		// Local messages still count once for message statistics but
-		// occupy zero links.
-		f.traffic.Add(class, 0, bytes)
-	}
+	// A local message still counts once for message statistics but
+	// occupies zero links.
+	f.traffic.Add(class, hops, bytes)
 	f.sent++
-	pm := f.msgPool.Get()
-	*pm = Message{
-		VNet: vnet, Src: src, Dst: dst,
-		Class: class, Bytes: bytes, Payload: payload,
-		SentAt: f.k.Now(), ArriveAt: arrive,
-	}
-	f.k.AtCall(arrive, deliverMsg, f, pm, 0)
+	f.deliveries.Add(arrive-now, Message[P]{Src: src, Dst: dst, SentAt: now, Payload: payload})
 }
 
-// deliverMsg is the typed kernel event completing a message transit: a0
-// is the Fabric, a1 the pooled envelope. The envelope is copied out and
-// recycled before the handler runs, so handlers may re-enter Send.
-func deliverMsg(a0, a1 any, i0 int64) {
-	f := a0.(*Fabric)
-	pm := a1.(*Message)
+// deliver completes a message transit, handing the message to its
+// destination's handler.
+func (f *Fabric[P]) deliver(m Message[P]) {
 	if p := f.probe; p != nil {
 		p.Event(obs.EvDataMsg)
 		// data_flight: the message's unloaded transit, observed at the
 		// destination.
-		p.Span(obs.SpanDataFlight, int32(pm.Dst), obs.NetLane(obs.SpanDataFlight),
-			int32(pm.Src), 0, int64(pm.SentAt), int64(pm.ArriveAt-pm.SentAt))
+		p.Span(obs.SpanDataFlight, int32(m.Dst), obs.NetLane(obs.SpanDataFlight),
+			int32(m.Src), 0, int64(m.SentAt), int64(f.k.Now()-m.SentAt))
 	}
-	m := *pm
-	f.msgPool.Put(pm)
 	f.handlers[m.Dst](m)
 }
 
 // UnloadedLatency reports the fabric's latency between two endpoints
 // without sending anything; used by the Table 2 analytic checks.
-func (f *Fabric) UnloadedLatency(src, dst int) sim.Duration {
+func (f *Fabric[P]) UnloadedLatency(src, dst int) sim.Duration {
 	return f.params.Dnet(f.topo.Hops(src, dst))
 }

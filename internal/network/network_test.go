@@ -9,11 +9,11 @@ import (
 	"tsnoop/internal/topology"
 )
 
-func newTestFabric(t *testing.T, topo *topology.Topology, ordered ...int) (*sim.Kernel, *Fabric, *stats.Traffic) {
+func newTestFabric(t *testing.T, topo *topology.Topology, ordered ...int) (*sim.Kernel, *Fabric[int], *stats.Traffic) {
 	t.Helper()
 	k := sim.NewKernel()
 	var tr stats.Traffic
-	f := New(k, topo, timing.Default(), &tr, ordered...)
+	f := New[int](k, topo, timing.Default(), &tr, ordered...)
 	return k, f, &tr
 }
 
@@ -39,19 +39,19 @@ func TestTorusUnloadedLatencies(t *testing.T) {
 func TestSendDeliversWithLatency(t *testing.T) {
 	k, f, _ := newTestFabric(t, topology.MustButterfly(4))
 	var at sim.Time
-	var got Message
-	f.Register(5, func(m Message) { at = k.Now(); got = m })
+	var got Message[int]
+	f.Register(5, func(m Message[int]) { at = k.Now(); got = m })
 	for i := 0; i < 16; i++ {
 		if i != 5 {
-			f.Register(i, func(Message) {})
+			f.Register(i, func(Message[int]) {})
 		}
 	}
-	f.Send(0, 2, 5, stats.ClassData, timing.DataBytes, "hello")
+	f.Send(0, 2, 5, stats.ClassData, timing.DataBytes, 42)
 	k.Run()
 	if at != 49*sim.Nanosecond {
 		t.Fatalf("arrival = %v, want 49ns", at)
 	}
-	if got.Payload.(string) != "hello" || got.Src != 2 || got.Dst != 5 {
+	if got.Payload != 42 || got.Src != 2 || got.Dst != 5 {
 		t.Fatalf("message = %+v", got)
 	}
 }
@@ -59,8 +59,8 @@ func TestSendDeliversWithLatency(t *testing.T) {
 func TestSendLocalIsLoopback(t *testing.T) {
 	k, f, tr := newTestFabric(t, topology.MustTorus(4, 4))
 	var at sim.Time
-	f.Register(3, func(m Message) { at = k.Now() })
-	f.Send(0, 3, 3, stats.ClassRequest, timing.CtrlBytes, nil)
+	f.Register(3, func(m Message[int]) { at = k.Now() })
+	f.Send(0, 3, 3, stats.ClassRequest, timing.CtrlBytes, 0)
 	k.Run()
 	if at != 4*sim.Nanosecond {
 		t.Fatalf("local arrival = %v, want Dovh=4ns", at)
@@ -75,8 +75,8 @@ func TestSendLocalIsLoopback(t *testing.T) {
 
 func TestTrafficChargesLinksTimesBytes(t *testing.T) {
 	k, f, tr := newTestFabric(t, topology.MustButterfly(4))
-	f.Register(9, func(Message) {})
-	f.Send(1, 0, 9, stats.ClassData, timing.DataBytes, nil)
+	f.Register(9, func(Message[int]) {})
+	f.Send(1, 0, 9, stats.ClassData, timing.DataBytes, 0)
 	k.Run()
 	if got := tr.LinkBytes(stats.ClassData); got != 3*72 {
 		t.Fatalf("data link bytes = %d, want 216", got)
@@ -90,7 +90,7 @@ func TestOrderedVNetNeverReorders(t *testing.T) {
 	i := 0
 	f.SetPerturbation(func() sim.Duration { d := delays[i%len(delays)]; i++; return d })
 	var got []int
-	f.Register(1, func(m Message) { got = append(got, m.Payload.(int)) })
+	f.Register(1, func(m Message[int]) { got = append(got, m.Payload) })
 	for n := 0; n < 5; n++ {
 		f.Send(2, 0, 1, stats.ClassMisc, timing.CtrlBytes, n)
 	}
@@ -111,7 +111,7 @@ func TestUnorderedVNetCanReorder(t *testing.T) {
 	i := 0
 	f.SetPerturbation(func() sim.Duration { d := delays[i%len(delays)]; i++; return d })
 	var got []int
-	f.Register(1, func(m Message) { got = append(got, m.Payload.(int)) })
+	f.Register(1, func(m Message[int]) { got = append(got, m.Payload) })
 	f.Send(0, 0, 1, stats.ClassMisc, timing.CtrlBytes, 0)
 	f.Send(0, 0, 1, stats.ClassMisc, timing.CtrlBytes, 1)
 	k.Run()
@@ -122,13 +122,13 @@ func TestUnorderedVNetCanReorder(t *testing.T) {
 
 func TestDoubleRegisterPanics(t *testing.T) {
 	_, f, _ := newTestFabric(t, topology.MustTorus(4, 4))
-	f.Register(0, func(Message) {})
+	f.Register(0, func(Message[int]) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double register did not panic")
 		}
 	}()
-	f.Register(0, func(Message) {})
+	f.Register(0, func(Message[int]) {})
 }
 
 func TestSendToUnregisteredPanics(t *testing.T) {
@@ -138,15 +138,15 @@ func TestSendToUnregisteredPanics(t *testing.T) {
 			t.Fatal("send to unregistered endpoint did not panic")
 		}
 	}()
-	f.Send(0, 0, 1, stats.ClassMisc, 8, nil)
+	f.Send(0, 0, 1, stats.ClassMisc, 8, 0)
 }
 
 func TestPerturbationAddsDelay(t *testing.T) {
 	k, f, _ := newTestFabric(t, topology.MustButterfly(4))
 	f.SetPerturbation(func() sim.Duration { return 3 * sim.Nanosecond })
 	var at sim.Time
-	f.Register(4, func(Message) { at = k.Now() })
-	f.Send(0, 0, 4, stats.ClassData, 72, nil)
+	f.Register(4, func(Message[int]) { at = k.Now() })
+	f.Send(0, 0, 4, stats.ClassData, 72, 0)
 	k.Run()
 	if at != 52*sim.Nanosecond {
 		t.Fatalf("arrival = %v, want 52ns", at)
@@ -155,12 +155,44 @@ func TestPerturbationAddsDelay(t *testing.T) {
 
 func TestSentCounter(t *testing.T) {
 	k, f, _ := newTestFabric(t, topology.MustTorus(4, 4))
-	f.Register(1, func(Message) {})
+	f.Register(1, func(Message[int]) {})
 	for i := 0; i < 7; i++ {
-		f.Send(0, 0, 1, stats.ClassMisc, 8, nil)
+		f.Send(0, 0, 1, stats.ClassMisc, 8, 0)
 	}
 	k.Run()
 	if f.Sent() != 7 {
 		t.Fatalf("Sent = %d, want 7", f.Sent())
+	}
+}
+
+// A warm send and delivery allocates nothing, with perturbation giving
+// every message its own delay and an ordered vnet in use: messages
+// travel by value, and the delivery batch keeps one open record for all
+// the delays without a lane.
+func TestSendDeliverAllocs(t *testing.T) {
+	k, f, _ := newTestFabric(t, topology.MustTorus(4, 4), 1)
+	rng := sim.NewRand(5)
+	f.SetPerturbation(func() sim.Duration { return rng.Duration(3 * sim.Nanosecond) })
+	got := 0
+	for i := range 16 {
+		f.Register(i, func(m Message[int]) { got += m.Payload })
+	}
+	step := func() {
+		for vnet := range 2 {
+			for dst := range 16 {
+				f.Send(vnet, 0, dst, stats.ClassMisc, timing.CtrlBytes, 1)
+				f.Send(vnet, dst, 0, stats.ClassMisc, timing.CtrlBytes, 1)
+			}
+		}
+		k.Run()
+	}
+	for range 4 {
+		step()
+	}
+	if a := testing.AllocsPerRun(100, step); a != 0 {
+		t.Errorf("warm send+deliver allocates %v/op, want 0", a)
+	}
+	if want := 105 * 64; got != want {
+		t.Fatalf("delivered %d messages, want %d", got, want)
 	}
 }

@@ -5,14 +5,15 @@
 // protocol is in use (Sections 4.2–4.3). Only the miss path differs.
 // So the core owns what is shared:
 //
-//   - each node's L2 and its queue of in-flight hits;
+//   - each node's L2, and one sim.Batch completing every node's hits;
 //   - the one L2-hit decision (Begin);
 //   - the outstanding-miss count and its MSHR-occupancy samples;
 //   - the run's coherence Oracle, which Init creates;
 //   - the report of a finished miss to the Oracle, the statistics, the
 //     probe and the processor (Complete);
 //   - the point-to-point data fabric: TS-Snoop's data network and the
-//     directories' three virtual networks.
+//     directories' three virtual networks. A Core[P] carries protocol
+//     messages of type P by value.
 //
 // The protocol packages (tssnoop, directory) keep only their
 // transactions, MSHR contents and home state.
@@ -29,9 +30,10 @@ import (
 	"tsnoop/internal/topology"
 )
 
-// Core is the protocol-independent part of a coherence controller. A
-// protocol embeds it by value and calls Init from its constructor.
-type Core struct {
+// Core is the protocol-independent part of a coherence controller whose
+// fabric carries messages of type P. A protocol embeds it by value and
+// calls Init from its constructor.
+type Core[P any] struct {
 	K      *sim.Kernel
 	Topo   *topology.Topology
 	Params timing.Params
@@ -41,20 +43,25 @@ type Core struct {
 	// so bare runs pay one branch.
 	Probe *obs.Probe
 	// Fabric carries the protocol's point-to-point messages.
-	Fabric *network.Fabric
+	Fabric *network.Fabric[P]
 	// DataBytes is the size of a message carrying one block.
 	DataBytes int
 
-	oracle  *coherence.Oracle
-	l2      []l2 // one per node
+	oracle *coherence.Oracle
+	caches []*cache.Cache // one per node
+	// hits completes every node's L2 hits, L2Hit after each access.
+	hits    *sim.Batch[hit]
 	pending int
 }
 
-// l2 is one node's cache and its in-flight hits.
-type l2 struct {
-	cache *cache.Cache
-	hits  hitQueue
+// hit is an L2 hit's completion.
+type hit struct {
+	done   func(coherence.AccessResult)
+	result coherence.AccessResult
 }
+
+// completeHit fires a hit's completion.
+func completeHit(h hit) { h.done(h.result) }
 
 // Init sets the core up over topo: one L2 of geometry cc per node, a
 // fresh Oracle (a violation panics), and a data fabric whose
@@ -62,20 +69,21 @@ type l2 struct {
 // into the kernel's probe. The kernel has few lanes and gives them out
 // in declaration order, so a protocol that declares lanes of its own
 // (tsnet's links) builds them before Init.
-func (c *Core) Init(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.Config, run *stats.Run,
+func (c *Core[P]) Init(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.Config, run *stats.Run,
 	orderedVNets ...int) {
-	*c = Core{K: k, Topo: topo, Params: params, Run: run, Probe: k.Probe(), oracle: coherence.NewOracle()}
+	*c = Core[P]{K: k, Topo: topo, Params: params, Run: run, Probe: k.Probe(), oracle: coherence.NewOracle()}
 	c.DataBytes = timing.DataMsgBytes(cc.BlockBytes)
 	k.Lane(params.L2Hit) // every hit completes L2Hit after its access
-	c.Fabric = network.New(k, topo, params, &run.Traffic, orderedVNets...)
-	c.l2 = make([]l2, topo.Nodes())
-	for i := range c.l2 {
-		c.l2[i].cache = cache.MustNew(cc)
+	c.hits = sim.NewBatch(k, completeHit)
+	c.Fabric = network.New[P](k, topo, params, &run.Traffic, orderedVNets...)
+	c.caches = make([]*cache.Cache, topo.Nodes())
+	for i := range c.caches {
+		c.caches[i] = cache.MustNew(cc)
 	}
 }
 
 // Cache returns node id's L2.
-func (c *Core) Cache(id int) *cache.Cache { return c.l2[id].cache }
+func (c *Core[P]) Cache(id int) *cache.Cache { return c.caches[id] }
 
 // Begin starts op on block b at node id. An L2 hit is a load of any
 // valid copy or a store to a Modified one. It completes here: a store
@@ -83,17 +91,16 @@ func (c *Core) Cache(id int) *cache.Cache { return c.l2[id].cache }
 // fires L2Hit later, and Begin returns true. On a miss Begin counts one
 // more outstanding miss and returns false; the protocol then owns the
 // miss until it reports it to Complete.
-func (c *Core) Begin(id int, op coherence.Op, b coherence.Block, done func(coherence.AccessResult)) bool {
-	n := &c.l2[id]
-	state, version := n.cache.Lookup(b)
+func (c *Core[P]) Begin(id int, op coherence.Op, b coherence.Block, done func(coherence.AccessResult)) bool {
+	l2 := c.caches[id]
+	state, version := l2.Lookup(b)
 	if (op == coherence.Load && state != cache.Invalid) || (op == coherence.Store && state == cache.Modified) {
 		if op == coherence.Store {
 			version = c.oracle.WriteVersion(b)
-			n.cache.SetVersion(b, version)
+			l2.SetVersion(b, version)
 		}
 		c.oracle.Observe(id, b, version)
-		n.hits.q.Push(pendingHit{done: done, result: coherence.AccessResult{Hit: true, Latency: c.Params.L2Hit, Version: version}})
-		c.K.AfterCall(c.Params.L2Hit, deliverHit, &n.hits, nil, 0)
+		c.hits.Add(c.Params.L2Hit, hit{done: done, result: coherence.AccessResult{Hit: true, Latency: c.Params.L2Hit, Version: version}})
 		if pr := c.Probe; pr != nil {
 			pr.Event(obs.EvL2Hit)
 		}
@@ -121,7 +128,7 @@ type Phases interface {
 // outstanding count drops first, because done may issue the node's next
 // access at once. The protocol must read everything it needs out of its
 // MSHR before calling Complete.
-func (c *Core) Complete(id int, b coherence.Block, supplier stats.MissKind, issuedAt sim.Time, version uint64,
+func (c *Core[P]) Complete(id int, b coherence.Block, supplier stats.MissKind, issuedAt sim.Time, version uint64,
 	done func(coherence.AccessResult), phases Phases) {
 	c.pending--
 	latency := c.K.Now() - issuedAt
@@ -139,46 +146,26 @@ func (c *Core) Complete(id int, b coherence.Block, supplier stats.MissKind, issu
 }
 
 // Pending reports the number of outstanding misses (coherence.Protocol).
-func (c *Core) Pending() int { return c.pending }
+func (c *Core[P]) Pending() int { return c.pending }
 
 // Release hands the node caches back to their pool
 // (coherence.Protocol).
-func (c *Core) Release() {
-	for i := range c.l2 {
-		c.l2[i].cache.Release()
+func (c *Core[P]) Release() {
+	for _, l2 := range c.caches {
+		l2.Release()
 	}
 }
 
 // Oracle returns the coherence checker in use.
-func (c *Core) Oracle() *coherence.Oracle { return c.oracle }
+func (c *Core[P]) Oracle() *coherence.Oracle { return c.oracle }
 
 // CacheState reports the cache state of block b at node id (tests and
 // the stress checker).
-func (c *Core) CacheState(id int, b coherence.Block) cache.State {
-	s, _ := c.l2[id].cache.Peek(b)
+func (c *Core[P]) CacheState(id int, b coherence.Block) cache.State {
+	s, _ := c.caches[id].Peek(b)
 	return s
 }
 
 // SetPerturbation installs a delivery-delay sampler on the data fabric:
 // the paper's stability methodology perturbs message responses.
-func (c *Core) SetPerturbation(fn func() sim.Duration) { c.Fabric.SetPerturbation(fn) }
-
-// hitQueue buffers a node's in-flight L2-hit completions. Every hit
-// shares the one L2Hit latency, so completions deliver in strict FIFO
-// order (see sim.FIFO): Begin pushes the completion and schedules
-// deliverHit as a typed kernel event, replacing a closure per hit.
-type hitQueue struct {
-	q sim.FIFO[pendingHit]
-}
-
-type pendingHit struct {
-	done   func(coherence.AccessResult)
-	result coherence.AccessResult
-}
-
-// deliverHit is the typed kernel event (sim.EventFn) completing the
-// oldest queued hit: a0 is the *hitQueue.
-func deliverHit(a0, a1 any, i0 int64) {
-	p := a0.(*hitQueue).q.Pop()
-	p.done(p.result)
-}
+func (c *Core[P]) SetPerturbation(fn func() sim.Duration) { c.Fabric.SetPerturbation(fn) }

@@ -11,9 +11,9 @@ import (
 	"tsnoop/internal/topology"
 )
 
-func newCore(t *testing.T) *Core {
+func newCore(t *testing.T) *Core[struct{}] {
 	t.Helper()
-	c := &Core{}
+	c := &Core[struct{}]{}
 	c.Init(sim.NewKernel(), topology.MustButterfly(2), timing.Default(),
 		cache.Config{SizeBytes: 64 * 1024, Ways: 4, BlockBytes: 64}, &stats.Run{})
 	t.Cleanup(c.Release)

@@ -73,7 +73,7 @@ type Options struct {
 }
 
 // message kinds on the three virtual networks.
-type msgKind int
+type msgKind uint8
 
 const (
 	mReq      msgKind = iota // requester -> home: GETS/GETX
@@ -87,19 +87,21 @@ const (
 	mWBAck                   // home -> owner
 )
 
+// msg is a protocol message, sent by value. Its byte-sized fields come
+// first, so a message fits in 40 bytes.
 type msg struct {
-	kind      msgKind
-	txn       coherence.TxnKind
+	kind msgKind
+	txn  coherence.TxnKind
+	// keepCopy on a GETS revision: whether the old owner retained a
+	// shared copy (false when it supplied from its writeback buffer).
+	keepCopy  bool
+	supplier  stats.MissKind
 	block     coherence.Block
 	requester int
 	version   uint64
 	// ackCount rides on mData (Classic GETX): invalidation acks the
 	// requester must collect before completing.
 	ackCount int
-	supplier stats.MissKind
-	// keepCopy on a GETS revision: whether the old owner retained a
-	// shared copy (false when it supplied from its writeback buffer).
-	keepCopy bool
 }
 
 // dirState is the home directory entry state.
@@ -179,15 +181,18 @@ type node struct {
 
 // Protocol is one directory protocol instance over a topology.
 type Protocol struct {
-	protocol.Core // caches, L2 hits, miss reports and the three vnets
-	opts          Options
+	protocol.Core[msg] // caches, L2 hits, miss reports and the three vnets
+	opts               Options
 
 	nodes []node
+	// sends puts each message that waits for a ready time on the wire.
+	sends *sim.Batch[pendingSend]
+}
 
-	// msgPool recycles message payloads: each is delivered to exactly
-	// one endpoint, which returns it to the pool on receipt, so a steady
-	// stream of protocol messages allocates nothing.
-	msgPool sim.Pool[msg]
+// pendingSend is a message waiting for its ready time.
+type pendingSend struct {
+	vnet, src, dst int
+	m              msg
 }
 
 var _ coherence.Protocol = (*Protocol)(nil)
@@ -206,6 +211,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.
 		ordered = []int{vnetForward}
 	}
 	p.Init(k, topo, params, cc, run, ordered...)
+	p.sends = sim.NewBatch(k, p.runSend)
 	p.nodes = make([]node, topo.Nodes())
 	rng := sim.NewRand(opts.RetrySeed)
 	for i := range p.nodes {
@@ -264,42 +270,23 @@ func (p *Protocol) Access(nodeID int, op coherence.Op, block coherence.Block, do
 	n.sendRequest()
 }
 
-// newMsg returns a pooled message payload holding m.
-func (p *Protocol) newMsg(m msg) *msg {
-	pm := p.msgPool.Get()
-	*pm = m
-	return pm
-}
-
-// releaseMsg recycles a delivered message payload.
-func (p *Protocol) releaseMsg(pm *msg) { p.msgPool.Put(pm) }
-
 // send transmits a protocol message, charging the right traffic class.
 func (p *Protocol) send(vnet, src, dst int, m msg) {
-	p.sendPtr(vnet, src, dst, p.newMsg(m))
+	class, bytes := p.classify(m)
+	p.Fabric.Send(vnet, src, dst, class, bytes, m)
 }
 
-func (p *Protocol) sendPtr(vnet, src, dst int, pm *msg) {
-	class, bytes := p.classify(*pm)
-	p.Fabric.Send(vnet, src, dst, class, bytes, pm)
-}
-
-// sendAt schedules a send at a future ready time.
+// sendAt sends a message at its ready time: at once when that is now.
 func (p *Protocol) sendAt(at sim.Time, vnet, src, dst int, m msg) {
 	if at <= p.K.Now() {
 		p.send(vnet, src, dst, m)
 		return
 	}
-	p.K.AtCall(at, sendMsgEvent, p, p.newMsg(m), int64(vnet)<<40|int64(src)<<20|int64(dst))
+	p.sends.Add(at-p.K.Now(), pendingSend{vnet: vnet, src: src, dst: dst, m: m})
 }
 
-// sendMsgEvent is the typed kernel event putting a ready message on the
-// wire: a0 is the Protocol, a1 the pooled message, i0 packs
-// (vnet, src, dst) in 20-bit fields.
-func sendMsgEvent(a0, a1 any, i0 int64) {
-	p := a0.(*Protocol)
-	p.sendPtr(int(i0>>40), int(i0>>20)&0xfffff, int(i0&0xfffff), a1.(*msg))
-}
+// runSend puts a ready message on the wire.
+func (p *Protocol) runSend(s pendingSend) { p.send(s.vnet, s.src, s.dst, s.m) }
 
 // classify maps messages to Figure 4's traffic classes: Data for
 // block-carrying messages, Nack for nacks, Request for GETS/GETX, and
@@ -330,11 +317,8 @@ func (n *node) sendRequest() {
 }
 
 // receive dispatches a delivered message.
-func (n *node) receive(nm network.Message) {
-	pm := nm.Payload.(*msg)
-	m := *pm
-	n.p.releaseMsg(pm)
-	switch m.kind {
+func (n *node) receive(nm network.Message[msg]) {
+	switch m := nm.Payload; m.kind {
 	case mReq:
 		n.homeRequest(m)
 	case mNack:

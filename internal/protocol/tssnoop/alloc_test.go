@@ -17,7 +17,7 @@ import (
 // every access is a cache-to-cache GETX miss — broadcast, global
 // ordering, foreign snoop supplying the data, memory-side owner update,
 // data-network delivery, and MSHR completion. Once the block's memory
-// state and the payload free lists are warm, the whole path must not
+// state and the address-payload free list are warm, the whole path must not
 // allocate. Uninstrumented network (Verify off), as experiment runs use.
 func TestMissAllocs(t *testing.T) {
 	topo := topology.MustButterfly(4)
@@ -85,7 +85,7 @@ func TestMissAllocsTraced(t *testing.T) {
 }
 
 // TestHitAllocs pins the L2-hit fast path: lookup, oracle observation,
-// and the delayed completion through the node's hit queue.
+// and the delayed completion through the core's hit batch.
 func TestHitAllocs(t *testing.T) {
 	topo := topology.MustButterfly(4)
 	k := sim.NewKernel()

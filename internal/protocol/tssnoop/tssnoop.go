@@ -107,12 +107,11 @@ type addrTxn struct {
 	refs       int32
 }
 
-// dataMsg travels on the unordered data virtual network. Messages are
-// pooled: exactly one endpoint receives each, and dataArrive recycles it.
+// dataMsg travels on the unordered data virtual network, by value.
 type dataMsg struct {
 	block    coherence.Block
-	toMemory bool
 	version  uint64
+	toMemory bool
 	supplier stats.MissKind // classification for the requester
 }
 
@@ -211,15 +210,22 @@ type node struct {
 
 // Protocol is the timestamp snooping protocol over one topology.
 type Protocol struct {
-	protocol.Core // caches, L2 hits, miss reports and the data network
-	opts          Options
+	protocol.Core[dataMsg] // caches, L2 hits, miss reports and the data network
+	opts                   Options
 
 	addr  *tsnet.Network
 	nodes []node
+	// sends puts each data message on the wire at its ready time.
+	sends *sim.Batch[pendingSend]
 
-	// Free lists for the two pooled payload kinds (see addrTxn, dataMsg).
+	// addrPool is the free list of address payloads (see addrTxn).
 	addrPool sim.Pool[addrTxn]
-	dataPool sim.Pool[dataMsg]
+}
+
+// pendingSend is a data message waiting for its ready time.
+type pendingSend struct {
+	src, dst int
+	m        dataMsg
 }
 
 var _ coherence.Protocol = (*Protocol)(nil)
@@ -235,6 +241,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.
 	// The address network declares its link lanes before the core's.
 	p.addr = tsnet.New(k, topo, tsnet.Config{Params: params, Design: opts.Net}, &run.Traffic, run)
 	p.Init(k, topo, params, cc, run)
+	p.sends = sim.NewBatch(k, p.runSend)
 	p.nodes = make([]node, topo.Nodes())
 	for i := range p.nodes {
 		n := &p.nodes[i]
@@ -289,16 +296,6 @@ func (p *Protocol) releaseAddr(t *addrTxn) {
 		p.addrPool.Put(t)
 	}
 }
-
-// newData returns a data message from the free list.
-func (p *Protocol) newData(block coherence.Block, toMemory bool, version uint64, supplier stats.MissKind) *dataMsg {
-	m := p.dataPool.Get()
-	*m = dataMsg{block: block, toMemory: toMemory, version: version, supplier: supplier}
-	return m
-}
-
-// releaseData recycles a delivered data message.
-func (p *Protocol) releaseData(m *dataMsg) { p.dataPool.Put(m) }
 
 // MemOwner returns the Synapse owner for b at its home (-1 = memory).
 func (p *Protocol) MemOwner(b coherence.Block) int {
@@ -355,24 +352,18 @@ func (n *node) multicastMask(block coherence.Block) uint64 {
 }
 
 // sendData transmits a data message on the data virtual network at the
-// given ready time (never before now).
-func (p *Protocol) sendData(at sim.Time, src, dst int, m *dataMsg) {
-	if at < p.K.Now() {
-		at = p.K.Now()
-	}
-	p.K.AtCall(at, sendDataEvent, p, m, int64(src)<<32|int64(dst))
+// given ready time (never before now). The send always waits for its
+// own turn, even when it is ready now.
+func (p *Protocol) sendData(at sim.Time, src, dst int, m dataMsg) {
+	p.sends.Add(max(at-p.K.Now(), 0), pendingSend{src: src, dst: dst, m: m})
 }
 
-// sendDataEvent is the typed kernel event putting a ready data message on
-// the wire: a0 is the Protocol, a1 the message, i0 packs (src, dst).
-func sendDataEvent(a0, a1 any, i0 int64) {
-	p := a0.(*Protocol)
-	m := a1.(*dataMsg)
+// runSend puts a ready data message on the wire.
+func (p *Protocol) runSend(s pendingSend) {
 	if pr := p.Probe; pr != nil {
 		pr.Event(obs.EvDataSend)
 	}
-	src, dst := int(i0>>32), int(i0&0xffffffff)
-	p.Fabric.Send(0, src, dst, stats.ClassData, p.DataBytes, m)
+	p.Fabric.Send(0, s.src, s.dst, stats.ClassData, p.DataBytes, s.m)
 }
 
 // respondReady computes when a controller can put data on the wire for a
@@ -496,7 +487,7 @@ func (n *node) snoopOwn(t *addrTxn, arrived sim.Time) {
 		delete(n.wb, t.block)
 		if !wb.stale {
 			home := coherence.HomeOf(t.block, n.p.Topo.Nodes())
-			n.p.sendData(n.p.K.Now(), n.id, home, n.p.newData(t.block, true, wb.version, 0))
+			n.p.sendData(n.p.K.Now(), n.id, home, dataMsg{block: t.block, toMemory: true, version: wb.version})
 		}
 	}
 }
@@ -543,7 +534,7 @@ func (n *node) snoopForeign(src int, t *addrTxn, arrived sim.Time) {
 	case coherence.GetS:
 		switch {
 		case state == cache.Modified:
-			n.p.sendData(ready, n.id, src, n.p.newData(t.block, false, version, stats.MissCacheToCache))
+			n.p.sendData(ready, n.id, src, dataMsg{block: t.block, version: version, supplier: stats.MissCacheToCache})
 			if n.p.opts.UseOwnedState {
 				// MOSI: retain ownership in Owned; no memory writeback.
 				n.cache.SetState(t.block, cache.Owned)
@@ -551,23 +542,23 @@ func (n *node) snoopForeign(src int, t *addrTxn, arrived sim.Time) {
 				// MSI: the owner supplies the requester and writes back
 				// to memory, which becomes the owner again (two data
 				// messages).
-				n.p.sendData(ready, n.id, home, n.p.newData(t.block, true, version, 0))
+				n.p.sendData(ready, n.id, home, dataMsg{block: t.block, toMemory: true, version: version})
 				n.cache.SetState(t.block, cache.Shared)
 			}
 		case state == cache.Owned:
 			// MOSI: the Owned copy supplies every subsequent reader.
-			n.p.sendData(ready, n.id, src, n.p.newData(t.block, false, version, stats.MissCacheToCache))
+			n.p.sendData(ready, n.id, src, dataMsg{block: t.block, version: version, supplier: stats.MissCacheToCache})
 		default:
 			if wb, ok := n.wb[t.block]; ok && !wb.stale {
 				// The block is in our writeback buffer: we are still the
 				// owner in logical order; supply from the buffer.
-				n.p.sendData(ready, n.id, src, n.p.newData(t.block, false, wb.version, stats.MissCacheToCache))
+				n.p.sendData(ready, n.id, src, dataMsg{block: t.block, version: wb.version, supplier: stats.MissCacheToCache})
 				if !n.p.opts.UseOwnedState {
 					// MSI: ownership returns to memory now; squash the
 					// PUTX. MOSI keeps ownership with the buffer until
 					// the PUTX itself is ordered, mirroring the memory
 					// controller's view.
-					n.p.sendData(ready, n.id, home, n.p.newData(t.block, true, wb.version, 0))
+					n.p.sendData(ready, n.id, home, dataMsg{block: t.block, toMemory: true, version: wb.version})
 					wb.stale = true
 					n.wb[t.block] = wb
 				}
@@ -576,13 +567,13 @@ func (n *node) snoopForeign(src int, t *addrTxn, arrived sim.Time) {
 	case coherence.GetX:
 		switch {
 		case state == cache.Modified || state == cache.Owned:
-			n.p.sendData(ready, n.id, src, n.p.newData(t.block, false, version, stats.MissCacheToCache))
+			n.p.sendData(ready, n.id, src, dataMsg{block: t.block, version: version, supplier: stats.MissCacheToCache})
 			n.cache.SetState(t.block, cache.Invalid)
 		case state == cache.Shared:
 			n.cache.SetState(t.block, cache.Invalid)
 		default:
 			if wb, ok := n.wb[t.block]; ok && !wb.stale {
-				n.p.sendData(ready, n.id, src, n.p.newData(t.block, false, wb.version, stats.MissCacheToCache))
+				n.p.sendData(ready, n.id, src, dataMsg{block: t.block, version: wb.version, supplier: stats.MissCacheToCache})
 				wb.stale = true
 				n.wb[t.block] = wb
 			}
@@ -659,15 +650,13 @@ func (n *node) memRespond(ms *memState, src int, b coherence.Block, arrived sim.
 		ms.waiting = append(ms.waiting, memWait{need: ms.dataOwed, ready: ready, dst: src, block: b})
 		return
 	}
-	n.p.sendData(ready, n.id, src, n.p.newData(b, false, ms.version, stats.MissFromMemory))
+	n.p.sendData(ready, n.id, src, dataMsg{block: b, version: ms.version, supplier: stats.MissFromMemory})
 }
 
 // dataArrive handles data network deliveries: either a writeback into
 // memory or the fill for this node's outstanding miss.
-func (n *node) dataArrive(msg network.Message) {
-	pd := msg.Payload.(*dataMsg)
-	d := *pd
-	n.p.releaseData(pd)
+func (n *node) dataArrive(msg network.Message[dataMsg]) {
+	d := msg.Payload
 	if d.toMemory {
 		// The entry may not exist yet when the sender's endpoint runs
 		// physically ahead of ours; create it as memory-owned, exactly as
@@ -693,7 +682,7 @@ func (n *node) dataArrive(msg network.Message) {
 		for len(ms.waiting) > 0 && ms.waiting[0].need <= ms.dataReceived {
 			w := ms.waiting[0]
 			ms.waiting = ms.waiting[1:]
-			n.p.sendData(w.ready, n.id, w.dst, n.p.newData(w.block, false, ms.version, stats.MissFromMemory))
+			n.p.sendData(w.ready, n.id, w.dst, dataMsg{block: w.block, version: ms.version, supplier: stats.MissFromMemory})
 		}
 		return
 	}
@@ -736,17 +725,17 @@ func (n *node) complete(m *mshr) {
 			switch ob.kind {
 			case coherence.GetS:
 				if state == cache.Modified || state == cache.Owned {
-					n.p.sendData(ready, n.id, ob.src, n.p.newData(m.block, false, version, stats.MissCacheToCache))
+					n.p.sendData(ready, n.id, ob.src, dataMsg{block: m.block, version: version, supplier: stats.MissCacheToCache})
 					if mosi {
 						state = cache.Owned
 					} else {
-						n.p.sendData(ready, n.id, home, n.p.newData(m.block, true, version, 0))
+						n.p.sendData(ready, n.id, home, dataMsg{block: m.block, toMemory: true, version: version})
 						state = cache.Shared
 					}
 				}
 			case coherence.GetX:
 				if state == cache.Modified || state == cache.Owned {
-					n.p.sendData(ready, n.id, ob.src, n.p.newData(m.block, false, version, stats.MissCacheToCache))
+					n.p.sendData(ready, n.id, ob.src, dataMsg{block: m.block, version: version, supplier: stats.MissCacheToCache})
 				}
 				state = cache.Invalid
 			}

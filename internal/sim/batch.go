@@ -29,8 +29,12 @@ type Batch[T any] struct {
 	groups []batchGroup[T]
 	free   []int32
 	cur    int32 // the group of the dispatched event
-	// open holds, per delay, the event an item of that delay may join.
-	open []batchOpen
+	// open holds the event an item may join: open[i] for the kernel's
+	// lane i, and open[maxLanes] for every delay without a lane. Only
+	// the kernel's last-scheduled event can be joined on such a delay,
+	// so one record serves them all, however many distinct delays the
+	// batch uses.
+	open [maxLanes + 1]batchOpen
 }
 
 // batchGroup holds the items of one batch event.
@@ -40,9 +44,9 @@ type batchGroup[T any] struct {
 	items []T
 }
 
-// batchOpen names the last event a batch scheduled with delay d.
+// batchOpen names the last event a batch scheduled on one lane, or
+// without a lane.
 type batchOpen struct {
-	d   Duration
 	at  Time
 	seq uint64
 	g   int32
@@ -65,29 +69,21 @@ func (b *Batch[T]) Add(d Duration, item T) {
 	}
 	k := b.k
 	at := k.now + d
-	o := b.openFor(d)
-	if o.at == at && o.seq != 0 && b.groups[o.g].seq == o.seq && (o.seq == k.seq || o.seq == k.laneTail(d)) {
+	li := k.laneIndex(d)
+	o, last := &b.open[maxLanes], k.seq
+	if li >= 0 {
+		o, last = &b.open[li], k.lanes[li].tail
+	}
+	if o.at == at && o.seq != 0 && b.groups[o.g].seq == o.seq && o.seq == last {
 		g := &b.groups[o.g]
 		g.items = append(g.items, item)
 		return
 	}
 	gi := b.group()
 	b.groups[gi].items = append(b.groups[gi].items, item)
-	k.AtCall(at, b.call, nil, nil, int64(gi))
+	k.schedule(at, li, b.call, nil, nil, int64(gi))
 	b.groups[gi].seq = k.seq
-	*o = batchOpen{d: d, at: at, seq: k.seq, g: gi}
-}
-
-// openFor returns the open-event record for delay d, adding one the
-// first time d is used.
-func (b *Batch[T]) openFor(d Duration) *batchOpen {
-	for i := range b.open {
-		if b.open[i].d == d {
-			return &b.open[i]
-		}
-	}
-	b.open = append(b.open, batchOpen{d: d})
-	return &b.open[len(b.open)-1]
+	*o = batchOpen{at: at, seq: k.seq, g: gi}
 }
 
 // group returns a free item group, recycled when possible.

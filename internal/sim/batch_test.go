@@ -20,7 +20,8 @@ type batchWorld struct {
 }
 
 // Lane delays 10 and 0, heap delays 7 and 25: items and plain events
-// draw from all four.
+// draw from all four, and a draw of 25 stretches to one of 64 distinct
+// heap delays.
 var batchDelays = []Duration{0, 7, 10, 25}
 
 func newBatchWorld(seed uint64, batched bool) *batchWorld {
@@ -72,6 +73,9 @@ func (w *batchWorld) spawn(id int) {
 	r := NewRand(w.seed*1_000_003 + uint64(id+1_000_000))
 	for range 3 {
 		d := batchDelays[r.Intn(len(batchDelays))]
+		if d == 25 {
+			d += Duration(r.Intn(64))
+		}
 		switch x := r.Intn(10); {
 		case x < 3:
 			w.add(x%2, d)
@@ -128,10 +132,28 @@ func TestBatchMatchesOneEventPerItem(t *testing.T) {
 		if got.k.Executed() >= ref.k.Executed() {
 			t.Errorf("seed %d: batched run dispatched %d events, one event per item %d", seed, got.k.Executed(), ref.k.Executed())
 		}
+		// One record per lane and one for every delay without a lane,
+		// however many distinct delays the items used.
+		for i, b := range got.b {
+			if n := openRecords(b); n > got.k.nlanes+1 {
+				t.Errorf("seed %d: batch %d keeps %d open records, want at most %d", seed, i, n, got.k.nlanes+1)
+			}
+		}
 	}
 	if cuts == 0 {
 		t.Fatal("no RunWhile stopped inside a batch: the stop rule went untested")
 	}
+}
+
+// openRecords counts the records b keeps of events its items may join.
+func openRecords[T any](b *Batch[T]) int {
+	n := 0
+	for _, o := range b.open {
+		if o.seq != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func firstDiff(a, b []string) int {

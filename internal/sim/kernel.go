@@ -103,7 +103,7 @@ func (k *Kernel) Lane(d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative lane delay %v", d))
 	}
-	if k.laneFor(d) == nil && k.nlanes < maxLanes {
+	if k.laneIndex(d) < 0 && k.nlanes < maxLanes {
 		k.lanes[k.nlanes].d = d
 		k.nlanes++
 	}
@@ -218,12 +218,19 @@ func (k *Kernel) AtCall(t Time, fn EventFn, a0, a1 any, i0 int64) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
+	k.schedule(t, k.laneIndex(t-k.now), fn, a0, a1, i0)
+}
+
+// schedule queues the event fn(a0, a1, i0) at t, no earlier than Now,
+// on lane li, the lane of its delay, or on the heap when li is -1.
+func (k *Kernel) schedule(t Time, li int, fn EventFn, a0, a1 any, i0 int64) {
 	if p := k.probe; p != nil {
 		p.ScheduleDelay(int64(t - k.now))
 	}
 	k.seq++
 	e := event{at: t, seq: k.seq, call: fn, a0: a0, a1: a1, i0: i0}
-	if l := k.laneFor(t - k.now); l != nil {
+	if li >= 0 {
+		l := &k.lanes[li]
 		l.q.Push(e)
 		l.tail = k.seq
 	} else {
@@ -234,14 +241,14 @@ func (k *Kernel) AtCall(t Time, fn EventFn, a0, a1 any, i0 int64) {
 	}
 }
 
-// laneFor returns the lane declared for delay d, or nil.
-func (k *Kernel) laneFor(d Duration) *lane {
+// laneIndex returns the index of the lane declared for delay d, or -1.
+func (k *Kernel) laneIndex(d Duration) int {
 	for i := 0; i < k.nlanes; i++ {
 		if k.lanes[i].d == d {
-			return &k.lanes[i]
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // AfterCall schedules the event fn(a0, a1, i0) d picoseconds from now.
@@ -251,15 +258,6 @@ func (k *Kernel) AfterCall(d Duration, fn EventFn, a0, a1 any, i0 int64) {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	k.AtCall(k.now+d, fn, a0, a1, i0)
-}
-
-// laneTail returns the seq of the last event pushed on d's lane, or 0
-// when d has no lane.
-func (k *Kernel) laneTail(d Duration) uint64 {
-	if l := k.laneFor(d); l != nil {
-		return l.tail
-	}
-	return 0
 }
 
 // runItem runs the current batch event's next item.

@@ -1,7 +1,8 @@
 package sim
 
-// Pool is a free list for the hot-path payload types (transaction
-// copies, network messages): single-threaded, LIFO, zero-on-release.
+// Pool is a free list for the hot-path payloads shared by reference
+// (tsnet transaction copies, TS-Snoop address transactions):
+// single-threaded, LIFO, zero-on-release.
 // Get returns a zeroed *T; Put zeroes the value before recycling it so
 // a pooled object can never retain payload references (the one rule
 // every call site used to repeat by hand).

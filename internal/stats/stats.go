@@ -74,7 +74,7 @@ func (t *Traffic) TotalLinkBytes() int64 {
 }
 
 // MissKind classifies a completed L2 miss.
-type MissKind int
+type MissKind uint8
 
 // Miss kinds. A cache-to-cache miss is the paper's "3-hop miss": the data
 // was supplied by another processor's cache rather than by memory. An

@@ -13,7 +13,6 @@ import (
 	"tsnoop/internal/coherence"
 	"tsnoop/internal/obs"
 	"tsnoop/internal/processor"
-	"tsnoop/internal/protocol"
 	"tsnoop/internal/protocol/directory"
 	"tsnoop/internal/protocol/tssnoop"
 	"tsnoop/internal/sim"
@@ -107,13 +106,20 @@ type System struct {
 	Topo  *topology.Topology
 	Proto coherence.Protocol
 	// Core is Proto's controller core: its caches and data fabric.
-	Core *protocol.Core
+	Core controller
 	Run  *stats.Run
 
 	gen     workload.Generator
 	touched map[coherence.Block]bool
 	rngs    []*sim.Rand
 	probe   *obs.Probe
+}
+
+// controller is what a machine uses of its protocol's protocol.Core,
+// whatever message type the core's fabric carries.
+type controller interface {
+	CacheState(id int, b coherence.Block) cache.State
+	SetPerturbation(fn func() sim.Duration)
 }
 
 // MaxNodes is the largest machine Build builds: 16 times the paper's
@@ -224,7 +230,7 @@ func Build(cfg Config, gen workload.Generator) (*System, error) {
 	}
 
 	var proto coherence.Protocol
-	var core *protocol.Core
+	var core controller
 	switch cfg.Protocol {
 	case ProtoTSSnoop:
 		p := tssnoop.New(k, topo, cfg.Params, cfg.Cache, run, cfg.TSSnoop)
