@@ -458,7 +458,7 @@ func BenchmarkKernelBatch(b *testing.B) {
 	k := sim.NewKernel()
 	k.Lane(d)
 	n := 0
-	batch := sim.NewBatch(k, func(int) { n++ })
+	batch := sim.NewBatch(k, func(*int) { n++ })
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		batch.Add(d, i)

@@ -1,9 +1,8 @@
 // Command tsvet is the repo's static-analysis gate: it runs the
-// standard `go vet` suite plus the four custom analyzers that enforce
+// standard `go vet` suite plus the three custom analyzers that enforce
 // the simulator's load-bearing invariants —
 //
 //	allocfree      zero-allocation hot-path scheduling
-//	pooldiscipline sim.Pool Get/Put balance and pointer ownership
 //	determinism    byte-identical reproducibility of the simulation core
 //	canonicalspec  spec.Spec canonical-JSON key stability
 //
@@ -26,13 +25,11 @@ import (
 	"tsnoop/internal/analysis/allocfree"
 	"tsnoop/internal/analysis/canonicalspec"
 	"tsnoop/internal/analysis/determinism"
-	"tsnoop/internal/analysis/pooldiscipline"
 )
 
 // Analyzers is the tsvet suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
 	allocfree.Analyzer,
-	pooldiscipline.Analyzer,
 	determinism.Analyzer,
 	canonicalspec.Analyzer,
 }

@@ -101,17 +101,15 @@
 // Neither knob moves a spec's canonical hash. See the README's
 // "Tracing" section.
 //
-// Those invariants — the zero-alloc hot path, pool hygiene,
-// byte-identical determinism, and the stability of the canonical spec
-// hash — are enforced statically, not just by tests: internal/analysis
-// hosts four purpose-built analyzers (allocfree, pooldiscipline,
-// determinism, canonicalspec) on a self-contained, stdlib-only mirror
-// of the golang.org/x/tools/go/analysis API, and the cmd/tsvet
-// multichecker runs them together with go vet as a required CI job.
-// Deliberate exceptions are declared in the code: //pool:owned marks an
-// ownership hand-off, //determinism:unordered marks an
-// order-insensitive map loop. See the README's "Static analysis"
-// section.
+// Those invariants — the zero-alloc hot path, byte-identical
+// determinism, and the stability of the canonical spec hash — are
+// enforced statically, not just by tests: internal/analysis hosts three
+// purpose-built analyzers (allocfree, determinism, canonicalspec) on a
+// self-contained, stdlib-only mirror of the golang.org/x/tools/go/analysis
+// API, and the cmd/tsvet multichecker runs them together with go vet as
+// a required CI job. Deliberate exceptions are declared in the code:
+// //determinism:unordered marks an order-insensitive map loop. See the
+// README's "Static analysis" section.
 //
 // The command-line surface is the single cmd/tsnoop tool, whose
 // subcommands (run, grid, sweep, tables, check, trace, serve, submit,

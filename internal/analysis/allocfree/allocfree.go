@@ -293,20 +293,25 @@ func probeMethod(pass *analysis.Pass, call *ast.CallExpr) (*ast.SelectorExpr, st
 }
 
 // staticFunc resolves an expression to the *types.Func it statically
-// names: a plain identifier, a method selector on a concrete receiver,
-// or a qualified package function. Function values that flow through
-// variables or interfaces resolve to nil.
+// names, as declared: a plain identifier, a method selector on a
+// concrete receiver, a qualified package function, or an explicit
+// instantiation of any of these (f[P], f[P, Q]). Function values that
+// flow through variables or interfaces resolve to nil.
 func staticFunc(pass *analysis.Pass, e ast.Expr) *types.Func {
 	switch e := e.(type) {
 	case *ast.Ident:
 		if fn, ok := pass.Info.Uses[e].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	case *ast.SelectorExpr:
 		if fn, ok := pass.Info.Uses[e.Sel].(*types.Func); ok {
 			return fn.Origin() // a generic receiver's method as declared
 		}
 	case *ast.ParenExpr:
+		return staticFunc(pass, e.X)
+	case *ast.IndexExpr:
+		return staticFunc(pass, e.X)
+	case *ast.IndexListExpr:
 		return staticFunc(pass, e.X)
 	}
 	return nil

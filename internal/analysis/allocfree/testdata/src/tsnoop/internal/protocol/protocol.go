@@ -25,13 +25,32 @@ func (c *core[P]) drain() {
 }
 
 // completeHit runs every item of a batch, inside a kernel dispatch.
-func completeHit(int) {
+func completeHit(*int) {
 	_ = map[int]bool{} // want `map literal allocated in completeHit`
+	clearPair[int, string]()
+}
+
+// clearPair is reached only through an explicit two-parameter
+// instantiation.
+func clearPair[K comparable, V any]() {
+	_ = make(map[K]V) // want `map allocated in clearPair`
 }
 
 // runSend is a generic receiver's batch runner.
-func (c *core[P]) runSend(P) {
+func (c *core[P]) runSend(*P) {
 	c.ready = make(map[int]bool) // want `map allocated in runSend`
+	flush[P](c)
+}
+
+// flush is reached only through an explicit instantiation.
+func flush[P any](c *core[P]) {
+	c.ready = map[int]bool{} // want `map literal allocated in flush`
+}
+
+// retryAs is scheduled only as an explicit instantiation.
+func retryAs[P any](a0, a1 any, i0 int64) {
+	for range a0.(*core[P]).ready { // want `map iteration in retryAs`
+	}
 }
 
 // begin runs at build time: its own map is no diagnostic.
@@ -40,4 +59,5 @@ func (c *core[P]) begin() {
 	c.hits = sim.NewBatch(c.k, completeHit)
 	c.sends = sim.NewBatch[P](c.k, c.runSend)
 	c.k.AfterCall(1, retryRequest, c, nil, 0)
+	c.k.AfterCall(2, retryAs[P], c, nil, 0)
 }

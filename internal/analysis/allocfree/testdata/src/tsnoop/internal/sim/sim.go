@@ -17,14 +17,8 @@ func (k *Kernel) AtCall(t Time, fn EventFn, a0, a1 any, i0 int64) { fn(a0, a1, i
 
 func (k *Kernel) AfterCall(d Duration, fn EventFn, a0, a1 any, i0 int64) { fn(a0, a1, i0) }
 
-type Pool[T any] struct{ free []*T }
+type Batch[T any] struct{ run func(*T) }
 
-func (p *Pool[T]) Get() *T { return new(T) }
+func NewBatch[T any](k *Kernel, run func(*T)) *Batch[T] { return &Batch[T]{run: run} }
 
-func (p *Pool[T]) Put(v *T) {}
-
-type Batch[T any] struct{ run func(T) }
-
-func NewBatch[T any](k *Kernel, run func(T)) *Batch[T] { return &Batch[T]{run: run} }
-
-func (b *Batch[T]) Add(d Duration, item T) { b.run(item) }
+func (b *Batch[T]) Add(d Duration, item T) { b.run(&item) }

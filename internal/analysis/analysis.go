@@ -3,9 +3,9 @@
 // standard library's go/ast, go/types and the go command (this module
 // vendors no third-party code). It exists to enforce the repo's
 // load-bearing simulator invariants at "compile time" — the analyzers
-// in the sibling packages (allocfree, pooldiscipline, determinism,
-// canonicalspec) encode rules that PR 5 established but previously
-// guarded only at runtime via allocation budgets and golden outputs.
+// in the sibling packages (allocfree, determinism, canonicalspec)
+// encode rules that PR 5 established but previously guarded only at
+// runtime via allocation budgets and golden outputs.
 //
 // The API mirrors go/analysis deliberately: an Analyzer holds a name,
 // a doc string and a Run function; Run receives a Pass with the
@@ -69,7 +69,7 @@ type lineComments map[int]string
 
 // CommentOn returns the comment text on the given line of pos's file
 // ("" when none). Analyzers use it for suppression markers such as
-// //pool:owned: a marker counts when it sits on the flagged line or on
+// //determinism:unordered: a marker counts when it sits on the flagged line or on
 // the line directly above it (use MarkerAt for that convention).
 func (p *Pass) CommentOn(pos token.Pos, line int) string {
 	tf := p.Fset.File(pos)
@@ -98,7 +98,7 @@ func (p *Pass) CommentOn(pos token.Pos, line int) string {
 	return lc[line]
 }
 
-// MarkerAt reports whether marker (e.g. "//pool:owned") appears on
+// MarkerAt reports whether marker (e.g. "//determinism:unordered") appears on
 // pos's line or the line immediately above — the two placements the
 // suppression convention accepts.
 func (p *Pass) MarkerAt(pos token.Pos, marker string) bool {

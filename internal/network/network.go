@@ -145,7 +145,7 @@ func (f *Fabric[P]) Send(vnet, src, dst int, class stats.Class, bytes int, paylo
 
 // deliver completes a message transit, handing the message to its
 // destination's handler.
-func (f *Fabric[P]) deliver(m Message[P]) {
+func (f *Fabric[P]) deliver(m *Message[P]) {
 	if p := f.probe; p != nil {
 		p.Event(obs.EvDataMsg)
 		// data_flight: the message's unloaded transit, observed at the
@@ -153,7 +153,7 @@ func (f *Fabric[P]) deliver(m Message[P]) {
 		p.Span(obs.SpanDataFlight, int32(m.Dst), obs.NetLane(obs.SpanDataFlight),
 			int32(m.Src), 0, int64(m.SentAt), int64(f.k.Now()-m.SentAt))
 	}
-	f.handlers[m.Dst](m)
+	f.handlers[m.Dst](*m)
 }
 
 // UnloadedLatency reports the fabric's latency between two endpoints

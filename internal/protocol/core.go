@@ -61,7 +61,7 @@ type hit struct {
 }
 
 // completeHit fires a hit's completion.
-func completeHit(h hit) { h.done(h.result) }
+func completeHit(h *hit) { h.done(h.result) }
 
 // Init sets the core up over topo: one L2 of geometry cc per node, a
 // fresh Oracle (a violation panics), and a data fabric whose

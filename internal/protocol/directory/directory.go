@@ -286,7 +286,7 @@ func (p *Protocol) sendAt(at sim.Time, vnet, src, dst int, m msg) {
 }
 
 // runSend puts a ready message on the wire.
-func (p *Protocol) runSend(s pendingSend) { p.send(s.vnet, s.src, s.dst, s.m) }
+func (p *Protocol) runSend(s *pendingSend) { p.send(s.vnet, s.src, s.dst, s.m) }
 
 // classify maps messages to Figure 4's traffic classes: Data for
 // block-carrying messages, Nack for nacks, Request for GETS/GETX, and

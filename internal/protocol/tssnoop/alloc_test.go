@@ -13,38 +13,95 @@ import (
 )
 
 // TestMissAllocs pins the allocation-free steady state of a full
-// timestamp-snooping miss: two nodes ping-pong stores to one block, so
-// every access is a cache-to-cache GETX miss — broadcast, global
-// ordering, foreign snoop supplying the data, memory-side owner update,
-// data-network delivery, and MSHR completion. Once the block's memory
-// state and the address-payload free list are warm, the whole path must not
+// timestamp-snooping miss on every address-network handler. Each case
+// rotates accesses to one block among nodes so that every access
+// misses: broadcast or multicast, global ordering, foreign snoops,
+// memory-side owner update, data-network delivery, and MSHR completion.
+// Once the block's memory state is warm, the whole path must not
 // allocate. Uninstrumented network (Verify off), as experiment runs use.
 func TestMissAllocs(t *testing.T) {
-	topo := topology.MustButterfly(4)
-	k := sim.NewKernel()
-	run := &stats.Run{}
-	opts := DefaultOptions()
-	opts.Net.Verify = false
-	p := New(k, topo, timing.Default(), cache.DefaultConfig(), run, opts)
-	k.RunUntil(100 * sim.Nanosecond)
-
-	const block = coherence.Block(42)
-	done := false
-	doneFn := func(coherence.AccessResult) { done = true }
-	node := 0
-	miss := func() {
-		done = false
-		p.Access(node, coherence.Store, block, doneFn)
-		node = 1 - node
-		k.RunWhile(func() bool { return !done })
+	type access struct {
+		node int
+		op   coherence.Op
 	}
-	// Warm up: touch the block from both nodes, fill the free lists.
-	for i := 0; i < 8; i++ {
-		miss()
-	}
+	cases := []struct {
+		name   string
+		mutate func(*Options)
+		ops    []access
+		// covered counts the events of the path the case covers; the
+		// measured misses must add to it.
+		covered func(*stats.Run) int64
+	}{{
+		// Two nodes ping-pong stores: every access is a cache-to-cache
+		// GETX miss through the ordered handler.
+		name: "store ping-pong",
+		ops:  []access{{0, coherence.Store}, {1, coherence.Store}},
+	}, {
+		// Nodes holding the block in I consume the GETX on arrival: the
+		// peek handler's path.
+		name:    "early processing",
+		mutate:  func(o *Options) { o.EarlyProcessing = true },
+		ops:     []access{{0, coherence.Store}, {1, coherence.Store}},
+		covered: func(r *stats.Run) int64 { return r.EarlyProcessed },
+	}, {
+		// Without owner prediction, node 1's multicast GETS misses owner
+		// 0, so the home re-broadcasts it: the reinjected transaction.
+		name: "multicast retry",
+		mutate: func(o *Options) {
+			o.Multicast = true
+			o.PredictorSize = -1
+		},
+		ops:     []access{{0, coherence.Store}, {1, coherence.Load}},
+		covered: func(r *stats.Run) int64 { return r.Retries },
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			topo := topology.MustButterfly(4)
+			k := sim.NewKernel()
+			run := &stats.Run{}
+			opts := DefaultOptions()
+			opts.Net.Verify = false
+			if tc.mutate != nil {
+				tc.mutate(&opts)
+			}
+			p := New(k, topo, timing.Default(), cache.DefaultConfig(), run, opts)
+			k.RunUntil(100 * sim.Nanosecond)
 
-	if allocs := testing.AllocsPerRun(200, miss); allocs != 0 {
-		t.Errorf("steady-state TS-Snoop miss allocates %v/op, want 0", allocs)
+			const block = coherence.Block(42)
+			done, hits := false, 0
+			doneFn := func(r coherence.AccessResult) {
+				done = true
+				if r.Hit {
+					hits++
+				}
+			}
+			next := 0
+			miss := func() {
+				done = false
+				a := tc.ops[next]
+				p.Access(a.node, a.op, block, doneFn)
+				next = (next + 1) % len(tc.ops)
+				k.RunWhile(func() bool { return !done })
+			}
+			// Warm up: touch the block from every node of the rotation.
+			for i := 0; i < 8; i++ {
+				miss()
+			}
+
+			var before int64
+			if tc.covered != nil {
+				before = tc.covered(run)
+			}
+			if allocs := testing.AllocsPerRun(200, miss); allocs != 0 {
+				t.Errorf("steady-state TS-Snoop miss allocates %v/op, want 0", allocs)
+			}
+			if hits != 0 {
+				t.Errorf("%d accesses hit, want every access to miss", hits)
+			}
+			if tc.covered != nil && tc.covered(run) == before {
+				t.Error("the measured misses never took the covered path")
+			}
+		})
 	}
 }
 

@@ -25,7 +25,6 @@ package tssnoop
 
 import (
 	"fmt"
-	"math/bits"
 
 	"tsnoop/internal/cache"
 	"tsnoop/internal/coherence"
@@ -85,26 +84,21 @@ func DefaultOptions() Options {
 	return Options{Net: tsnet.DefaultConfig().Design, Prefetch: true}
 }
 
-// addrTxn is the payload carried on the address network. requester is the
-// protocol-level requester: it differs from the tsnet source only for
-// multicast retries, which the home re-issues on the requester's behalf.
-//
-// One addrTxn is shared by every endpoint delivery of one injection (the
-// address network passes the payload pointer through); refs counts the
-// remaining deliveries and returns the transaction to the protocol's
-// free list when the last endpoint has consumed it, so a steady-state
-// miss allocates no payloads.
+// addrTxn travels on the address network, by value, in every copy of
+// every transaction: its fields are packed into 24 bytes. requester is
+// the protocol-level requester: it differs from the tsnet source only
+// for multicast retries, which the home re-issues on the requester's
+// behalf.
 type addrTxn struct {
-	kind      coherence.TxnKind
-	block     coherence.Block
-	requester int
+	block coherence.Block
 	// mask is the multicast destination set (all ones for broadcasts);
 	// the home audits it against the owner state.
-	mask uint64
+	mask      uint64
+	requester int32
+	kind      coherence.TxnKind
 	// reinjected marks a home-issued full-broadcast retry of a failed
 	// multicast.
 	reinjected bool
-	refs       int32
 }
 
 // dataMsg travels on the unordered data virtual network, by value.
@@ -213,13 +207,10 @@ type Protocol struct {
 	protocol.Core[dataMsg] // caches, L2 hits, miss reports and the data network
 	opts                   Options
 
-	addr  *tsnet.Network
+	addr  *tsnet.Network[addrTxn]
 	nodes []node
 	// sends puts each data message on the wire at its ready time.
 	sends *sim.Batch[pendingSend]
-
-	// addrPool is the free list of address payloads (see addrTxn).
-	addrPool sim.Pool[addrTxn]
 }
 
 // pendingSend is a data message waiting for its ready time.
@@ -239,7 +230,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.
 	}
 	p := &Protocol{opts: opts}
 	// The address network declares its link lanes before the core's.
-	p.addr = tsnet.New(k, topo, tsnet.Config{Params: params, Design: opts.Net}, &run.Traffic, run)
+	p.addr = tsnet.NewOf[addrTxn](k, topo, tsnet.Config{Params: params, Design: opts.Net}, &run.Traffic, run)
 	p.Init(k, topo, params, cc, run)
 	p.sends = sim.NewBatch(k, p.runSend)
 	p.nodes = make([]node, topo.Nodes())
@@ -253,7 +244,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.
 			mem:   make(map[coherence.Block]*memState),
 			pred:  make(map[coherence.Block]int),
 		}
-		var peek tsnet.PeekHandler
+		var peek tsnet.PeekHandler[addrTxn]
 		if opts.EarlyProcessing {
 			peek = n.peek
 		}
@@ -266,36 +257,6 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.
 
 // Name implements coherence.Protocol.
 func (p *Protocol) Name() string { return "TS-Snoop" }
-
-// newAddr returns a zeroed address payload, recycled when possible.
-func (p *Protocol) newAddr() *addrTxn { return p.addrPool.Get() }
-
-// broadcastAddr broadcasts t on the address network, charging it with
-// one reference per endpoint delivery.
-func (p *Protocol) broadcastAddr(src int, t *addrTxn) {
-	t.refs = int32(p.Topo.Nodes())
-	p.addr.Inject(src, t)
-}
-
-// multicastAddr multicasts t to its destination mask, charging one
-// reference per member endpoint.
-func (p *Protocol) multicastAddr(src int, t *addrTxn) {
-	mask := t.mask
-	if nodes := p.Topo.Nodes(); nodes < 64 {
-		mask &= 1<<uint(nodes) - 1
-	}
-	t.refs = int32(bits.OnesCount64(mask))
-	p.addr.InjectTo(src, t.mask, t)
-}
-
-// releaseAddr drops one endpoint's reference; the last consumer returns
-// the payload to the free list.
-func (p *Protocol) releaseAddr(t *addrTxn) {
-	t.refs--
-	if t.refs == 0 {
-		p.addrPool.Put(t)
-	}
-}
 
 // MemOwner returns the Synapse owner for b at its home (-1 = memory).
 func (p *Protocol) MemOwner(b coherence.Block) int {
@@ -328,17 +289,13 @@ func (p *Protocol) Access(nodeID int, op coherence.Op, block coherence.Block, do
 	*m = mshr{block: block, op: op, kind: kind, issuedAt: p.K.Now(), done: done}
 	m.obligations = obligations
 	n.mshr = m
-	t := p.newAddr()
-	t.kind = kind
-	t.block = block
-	t.requester = nodeID
-	t.mask = ^uint64(0)
+	t := addrTxn{kind: kind, block: block, requester: int32(nodeID), mask: ^uint64(0)}
 	if p.opts.Multicast && kind == coherence.GetS {
 		t.mask = n.multicastMask(block)
-		p.multicastAddr(nodeID, t)
+		p.addr.InjectTo(nodeID, t.mask, t)
 		return
 	}
-	p.broadcastAddr(nodeID, t)
+	p.addr.Inject(nodeID, t)
 }
 
 // multicastMask builds the predicted destination set for a GETS: the
@@ -359,7 +316,7 @@ func (p *Protocol) sendData(at sim.Time, src, dst int, m dataMsg) {
 }
 
 // runSend puts a ready data message on the wire.
-func (p *Protocol) runSend(s pendingSend) {
+func (p *Protocol) runSend(s *pendingSend) {
 	if pr := p.Probe; pr != nil {
 		pr.Event(obs.EvDataSend)
 	}
@@ -390,18 +347,7 @@ func (p *Protocol) respondReady(arrivedAt sim.Time, access sim.Duration) sim.Tim
 // this node could inject from now on can order before it — guaranteed when
 // the arrival slack is strictly below the OT distance of a fresh
 // injection.
-func (n *node) peek(src int, seq uint64, payload any, slackTicks int) bool {
-	t := payload.(*addrTxn)
-	if consumed := n.peekConsume(src, t, slackTicks); consumed {
-		// A consumed transaction's ordered handler never fires: this is
-		// the endpoint's one use of the payload.
-		n.p.releaseAddr(t)
-		return true
-	}
-	return false
-}
-
-func (n *node) peekConsume(src int, t *addrTxn, slackTicks int) bool {
+func (n *node) peek(src int, seq uint64, t addrTxn, slackTicks int) bool {
 	if src == n.id {
 		return false
 	}
@@ -437,17 +383,16 @@ func (n *node) peekConsume(src int, t *addrTxn, slackTicks int) bool {
 // snoop processes one transaction from the global logical order: first the
 // cache-controller side, then (when this node is the block's home) the
 // memory-controller side.
-func (n *node) snoop(src int, seq uint64, payload any, arrived sim.Time) {
-	t := payload.(*addrTxn)
-	if t.requester == n.id {
-		n.snoopOwn(t, arrived)
+func (n *node) snoop(src int, seq uint64, t addrTxn, arrived sim.Time) {
+	req := int(t.requester)
+	if req == n.id {
+		n.snoopOwn(&t, arrived)
 	} else {
-		n.snoopForeign(t.requester, t, arrived)
+		n.snoopForeign(req, &t, arrived)
 	}
 	if coherence.HomeOf(t.block, n.p.Topo.Nodes()) == n.id {
-		n.memorySide(t.requester, t, arrived)
+		n.memorySide(req, &t, arrived)
 	}
-	n.p.releaseAddr(t)
 }
 
 func (n *node) snoopOwn(t *addrTxn, arrived sim.Time) {
@@ -598,13 +543,13 @@ func (n *node) memorySide(src int, t *addrTxn, arrived sim.Time) {
 			// instance has no effect anywhere (the owner never saw it and
 			// every member's cache action for a GETS at S/I is a no-op).
 			n.p.Run.Retries++
-			retry := n.p.newAddr()
-			retry.kind = coherence.GetS
-			retry.block = t.block
-			retry.requester = src
-			retry.mask = ^uint64(0)
-			retry.reinjected = true
-			n.p.broadcastAddr(n.id, retry)
+			n.p.addr.Inject(n.id, addrTxn{
+				kind:       coherence.GetS,
+				block:      t.block,
+				requester:  int32(src),
+				mask:       ^uint64(0),
+				reinjected: true,
+			})
 			return
 		}
 		if ms.owner == -1 {
@@ -780,14 +725,10 @@ func (n *node) insertLine(b coherence.Block, s cache.State, version uint64) {
 			panic(fmt.Sprintf("tssnoop: node %d duplicate writeback for %x", n.id, victim.Block))
 		}
 		n.wb[victim.Block] = wbEntry{version: victim.Version}
-		put := n.p.newAddr()
-		put.kind = coherence.PutX
-		put.block = victim.Block
 		// The requester must name the evicting node: snoop dispatches
 		// own-vs-foreign on it, so leaving it zero would misroute every
 		// writeback from a node other than 0 (node 0 would claim it and
 		// panic on its missing writeback entry).
-		put.requester = n.id
-		n.p.broadcastAddr(n.id, put)
+		n.p.addr.Inject(n.id, addrTxn{kind: coherence.PutX, block: victim.Block, requester: int32(n.id)})
 	}
 }

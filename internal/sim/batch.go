@@ -21,9 +21,13 @@ import "fmt"
 // Items may add items, with delay 0 into the running event too. The
 // kernel runs a dispatched event's items one by one, checking RunWhile's
 // condition between them (see Kernel).
+//
+// Items are held by value and run in place: the runner gets a pointer
+// to the item's own slot, so a large item is never copied out to run.
+// The pointer is valid only until the runner returns.
 type Batch[T any] struct {
 	k   *Kernel
-	run func(T)
+	run func(*T)
 	// call is b.dispatch, taken once: every method value allocates.
 	call   EventFn
 	groups []batchGroup[T]
@@ -54,7 +58,7 @@ type batchOpen struct {
 
 // NewBatch returns a batch on k whose items are run by run. run is
 // called once per item, with the clock at the item's time.
-func NewBatch[T any](k *Kernel, run func(T)) *Batch[T] {
+func NewBatch[T any](k *Kernel, run func(*T)) *Batch[T] {
 	b := &Batch[T]{k: k, run: run}
 	b.call = b.dispatch
 	return b
@@ -109,9 +113,10 @@ func (b *Batch[T]) dispatch(_, _ any, i0 int64) {
 // finished group goes back to the free list.
 func (b *Batch[T]) runItem() bool {
 	g := &b.groups[b.cur]
-	item := g.items[g.next]
 	g.next++
-	b.run(item)
+	// An item the runner adds may move g.items; the slot it runs from
+	// stays intact until the group is cleared below.
+	b.run(&g.items[g.next-1])
 	if g = &b.groups[b.cur]; g.next < len(g.items) {
 		return true
 	}

@@ -29,7 +29,7 @@ func newBatchWorld(seed uint64, batched bool) *batchWorld {
 	w.k.Lane(10)
 	w.k.Lane(0)
 	for i := range w.b {
-		w.b[i] = NewBatch(w.k, w.runItem)
+		w.b[i] = NewBatch(w.k, func(id *int) { w.runItem(*id) })
 	}
 	return w
 }
@@ -178,7 +178,7 @@ func window(log []string, i int) []string {
 func TestBatchStopResumesFirst(t *testing.T) {
 	k := NewKernel()
 	var got []int
-	b := NewBatch(k, func(i int) { got = append(got, i) })
+	b := NewBatch(k, func(i *int) { got = append(got, *i) })
 	for i := 1; i <= 4; i++ {
 		b.Add(5, i)
 	}
@@ -199,7 +199,7 @@ func TestBatchAllocs(t *testing.T) {
 	k := NewKernel()
 	k.Lane(3)
 	n := 0
-	b := NewBatch(k, func(int) { n++ })
+	b := NewBatch(k, func(*int) { n++ })
 	step := func() {
 		for i := range 4 {
 			b.Add(3, i)

@@ -12,8 +12,8 @@ import (
 // TestBroadcastAllocs pins the allocation-free steady state of the
 // address network: an uncontended broadcast — injection, 21 link
 // deliveries, 16 reorder insertions, ordered handler handoffs, and the
-// token traffic interleaved with it — must not allocate once the free
-// lists and backing arrays are warm. Uninstrumented configuration
+// token traffic interleaved with it — must not allocate once the
+// backing arrays are warm. Uninstrumented configuration
 // (Verify off), as experiment runs use.
 func TestBroadcastAllocs(t *testing.T) {
 	topo := topology.MustButterfly(4)
@@ -28,7 +28,7 @@ func TestBroadcastAllocs(t *testing.T) {
 	}
 	net.Start()
 	k.RunUntil(100 * sim.Nanosecond)
-	// Warm the pools: a few broadcasts populate the txn free list, the
+	// Warm up: a few broadcasts size the batches' item slices, the
 	// reorder heaps, and the endpoint outboxes.
 	src := 0
 	for i := 0; i < 8; i++ {

@@ -19,19 +19,21 @@
 // them at their ordering time, identically ordered everywhere (ties broken
 // by source ID then per-source sequence).
 //
-// The implementation is allocation-free at steady state: transaction
-// copies come from a free list and return to it when consumed, per-port
-// switch state lives in dense slices indexed by local port position,
-// the endpoint reorder queues are hand-rolled heaps of inline values,
-// and all hot-path work is typed kernel events and batch items rather
+// The implementation is allocation-free at steady state. The network is
+// generic in its payload type P, and every transaction copy travels by
+// value: in a hop item, in a switch's buffer and in an endpoint's
+// reorder queue. Per-port switch state lives in dense slices indexed by
+// local port position, the endpoint reorder queues are hand-rolled
+// heaps of inline values, and all hot-path work is batch items rather
 // than closures. The Verify instrumentation fields live behind a debug
 // pointer that uninstrumented runs never touch.
 //
-// All of the network's fixed-delay work goes through two sim.Batch
-// values, so a run of same-instant work costs one kernel dispatch:
+// All of the network's work goes through two sim.Batch values, so a run
+// of same-instant work costs one kernel dispatch:
 //
-//   - the hop batch carries every link transit: injections, contended
-//     departures, endpoint token echoes, and the fan-out waves. A switch
+//   - the hop batch carries every link transit (injections, contended
+//     departures, endpoint token echoes, and the fan-out waves), each
+//     contended port's service and the start of logical time. A switch
 //     fans out one wave item per distinct link latency, not one per
 //     link: a token propagation sends one per output latency, a
 //     cut-through switch one per latency among a transaction's surviving
@@ -112,7 +114,7 @@ func DefaultConfig() Config {
 }
 
 // OrderedHandler receives transactions in the global logical order.
-type OrderedHandler func(src int, seq uint64, payload any, arrived sim.Time)
+type OrderedHandler[P any] func(src int, seq uint64, payload P, arrived sim.Time)
 
 // PeekHandler observes a transaction when it arrives at an endpoint,
 // before its ordering time. Implements the paper's optimization hooks:
@@ -127,7 +129,7 @@ type OrderedHandler func(src int, seq uint64, payload any, arrived sim.Time)
 // node could inject from now on can possibly order before this one, i.e.
 // when slackTicks is strictly below the minimum OT distance of a fresh
 // injection (TokensPerPort*Dmax + InitialSlack).
-type PeekHandler func(src int, seq uint64, payload any, slackTicks int) (consumed bool)
+type PeekHandler[P any] func(src int, seq uint64, payload P, slackTicks int) (consumed bool)
 
 // otCell is shared by all broadcast copies of one transaction; under
 // Verify it checks that every endpoint computes the identical ordering
@@ -146,24 +148,21 @@ type txnDebug struct {
 	cell *otCell // cross-endpoint ordering-time consensus
 }
 
-// txn is an in-flight copy of an address transaction. Broadcast fan-out
-// duplicates the copy per branch; each copy carries its own slack. mask is
-// the destination set (all ones for a broadcast): switches prune branches
-// whose reach does not intersect it, which never changes a surviving
-// copy's path, so ordering times remain globally consistent between
-// multicasts and broadcasts.
-//
-// Uninstrumented copies (dbg == nil) are recycled through the Network's
-// free list the moment they are consumed — on switch fan-out and on
-// endpoint arrival — so a steady-state broadcast allocates nothing.
-type txn struct {
-	src     int
+// txn is an in-flight copy of an address transaction, held by value.
+// Broadcast fan-out duplicates the copy per branch; each copy carries
+// its own slack. mask is the destination set (all ones for a
+// broadcast): switches prune branches whose reach does not intersect
+// it, which never changes a surviving copy's path, so ordering times
+// remain globally consistent between multicasts and broadcasts. src and
+// slack are int32, last, to keep the hop items that carry copies small.
+type txn[P any] struct {
 	seq     uint64
-	slack   int
 	mask    uint64
-	payload any
+	payload P
 	sent    sim.Time
 	dbg     *txnDebug
+	src     int32
+	slack   int32
 }
 
 // linkMeta is the precomputed per-link delivery information consulted on
@@ -179,13 +178,14 @@ type linkMeta struct {
 	outPos   int32 // position in From-switch's Out list (when From is a switch)
 }
 
-// Network is a timestamp-snooping address network over a topology.
-type Network struct {
+// Network is a timestamp-snooping address network over a topology,
+// carrying payloads of type P.
+type Network[P any] struct {
 	k       *sim.Kernel
 	topo    *topology.Topology
 	cfg     Config
 	traffic *stats.Traffic
-	run     *stats.Run // optional; ordering-delay and occupancy stats
+	run     *stats.Run // ordering-delay and occupancy stats
 	// probe is the kernel's, read once by New. When non-nil it records
 	// deterministic telemetry: per-link transit counts, buffer and
 	// reorder-queue occupancy, and token stall episodes. Every call site
@@ -193,19 +193,14 @@ type Network struct {
 	// one branch per site.
 	probe *obs.Probe
 
-	switches  []swState
-	endpoints []epState
+	switches  []swState[P]
+	endpoints []epState[P]
 	nextSeq   []uint64
 	links     []linkMeta
 
-	// hops carries every link transit, handoffs every ordered handoff.
-	hops     *sim.Batch[hop]
-	handoffs *sim.Batch[handoff]
-
-	// txnPool recycles uninstrumented transaction copies. Verify copies
-	// are never pooled: their debug state may outlive the copy in panic
-	// messages.
-	txnPool sim.Pool[txn]
+	// hops carries every hop item, handoffs every ordered handoff.
+	hops     *sim.Batch[hop[P]]
+	handoffs *sim.Batch[handoff[P]]
 
 	started bool
 
@@ -214,9 +209,14 @@ type Network struct {
 	TestHook func(ep, src int, seq uint64, gt, ot uint64)
 }
 
-// New builds the address network, recording into the kernel's probe.
-// run may be nil.
-func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traffic, run *stats.Run) *Network {
+// New builds an address network whose payloads are untyped; see NewOf.
+func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traffic, run *stats.Run) *Network[any] {
+	return NewOf[any](k, topo, cfg, traffic, run)
+}
+
+// NewOf builds the address network for payloads of type P, recording
+// into the kernel's probe.
+func NewOf[P any](k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traffic, run *stats.Run) *Network[P] {
 	if cfg.InitialSlack < 0 {
 		panic("tsnet: negative initial slack")
 	}
@@ -229,7 +229,7 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traf
 		// is checked between items.
 		panic("tsnet: Params.Dovh must be positive")
 	}
-	n := &Network{
+	n := &Network[P]{
 		k:       k,
 		topo:    topo,
 		cfg:     cfg,
@@ -269,33 +269,21 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traf
 		}
 		n.probe.SizeNetwork(latPS, topo.NumSwitches())
 	}
-	g := newGrouper(n)
-	n.switches = make([]swState, topo.NumSwitches())
+	g := newGrouper(topo, n.links)
+	n.switches = make([]swState[P], topo.NumSwitches())
 	for i := range n.switches {
 		n.switches[i].init(n, i, g)
 	}
-	n.endpoints = make([]epState, topo.Nodes())
+	n.endpoints = make([]epState[P], topo.Nodes())
 	for i := range n.endpoints {
-		n.endpoints[i] = epState{net: n, id: i, queue: newReorderQueue()}
+		n.endpoints[i] = epState[P]{net: n, id: i, queue: newReorderQueue[P]()}
 	}
 	return n
 }
 
-// newTxn returns a zeroed transaction copy, recycled when possible.
-func (n *Network) newTxn() *txn { return n.txnPool.Get() }
-
-// freeTxn recycles a consumed transaction copy. Verify copies are left
-// for the garbage collector: their consensus cell is shared.
-func (n *Network) freeTxn(t *txn) {
-	if t.dbg != nil {
-		return
-	}
-	n.txnPool.Put(t)
-}
-
 // Register installs the ordered handler (required) and the optional peek
 // handler for endpoint ep.
-func (n *Network) Register(ep int, ordered OrderedHandler, peek PeekHandler) {
+func (n *Network[P]) Register(ep int, ordered OrderedHandler[P], peek PeekHandler[P]) {
 	e := &n.endpoints[ep]
 	if e.handler != nil {
 		panic(fmt.Sprintf("tsnet: endpoint %d registered twice", ep))
@@ -307,7 +295,7 @@ func (n *Network) Register(ep int, ordered OrderedHandler, peek PeekHandler) {
 // Start seeds the initial tokens ("each node and switch begin operation
 // with one (or more) tokens on each input port") and begins logical time.
 // Call after all endpoints are registered.
-func (n *Network) Start() {
+func (n *Network[P]) Start() {
 	if n.started {
 		panic("tsnet: Start called twice")
 	}
@@ -332,16 +320,13 @@ func (n *Network) Start() {
 			e.credits = n.cfg.TokensPerPort
 		}
 	}
-	// Kick the system: endpoints tick on their initial credits; switches
-	// attempt their first propagation.
-	n.k.AtCall(n.k.Now(), startNetwork, n, nil, 0)
+	// Kick the system at the current time (see start).
+	n.hops.Add(0, hop[P]{kind: hopStart})
 }
 
-// startNetwork is the typed kernel event that kicks the system at start
-// time: a0 is the Network. Endpoints tick on their initial credits and
-// switches attempt their first propagation.
-func startNetwork(a0, a1 any, i0 int64) {
-	n := a0.(*Network)
+// start kicks the system at start time: endpoints tick on their initial
+// credits and switches attempt their first propagation.
+func (n *Network[P]) start() {
 	for i := range n.endpoints {
 		e := &n.endpoints[i]
 		for e.credits > 0 {
@@ -355,16 +340,16 @@ func startNetwork(a0, a1 any, i0 int64) {
 }
 
 // GT returns endpoint ep's guarantee time (ticks performed).
-func (n *Network) GT(ep int) uint64 { return n.endpoints[ep].gt }
+func (n *Network[P]) GT(ep int) uint64 { return n.endpoints[ep].gt }
 
 // QueueLen returns the current reorder-queue depth at endpoint ep.
-func (n *Network) QueueLen(ep int) int { return n.endpoints[ep].queue.len() }
+func (n *Network[P]) QueueLen(ep int) int { return n.endpoints[ep].queue.len() }
 
 // Inject broadcasts an address transaction from src. It returns the
 // per-source sequence number that, with src, names the transaction in the
 // global order. The traffic accountant is charged for the whole broadcast
 // tree at injection.
-func (n *Network) Inject(src int, payload any) uint64 {
+func (n *Network[P]) Inject(src int, payload P) uint64 {
 	return n.inject(src, ^uint64(0), payload)
 }
 
@@ -374,7 +359,7 @@ func (n *Network) Inject(src int, payload any) uint64 {
 // broadcast would — only the delivery set shrinks — so multicasts and
 // broadcasts interleave in one total order (the property multicast
 // snooping depends on). Traffic is charged for the pruned tree only.
-func (n *Network) InjectTo(src int, mask uint64, payload any) uint64 {
+func (n *Network[P]) InjectTo(src int, mask uint64, payload P) uint64 {
 	if n.topo.Nodes() > 64 {
 		panic("tsnet: multicast limited to 64 endpoints")
 	}
@@ -384,7 +369,7 @@ func (n *Network) InjectTo(src int, mask uint64, payload any) uint64 {
 	return n.inject(src, mask, payload)
 }
 
-func (n *Network) inject(src int, mask uint64, payload any) uint64 {
+func (n *Network[P]) inject(src int, mask uint64, payload P) uint64 {
 	if !n.started {
 		panic("tsnet: Inject before Start")
 	}
@@ -402,13 +387,14 @@ func (n *Network) inject(src int, mask uint64, payload any) uint64 {
 	// ticks: Dmax and every dD are scaled accordingly (k=1 reproduces the
 	// paper's presentation exactly).
 	k := n.cfg.TokensPerPort
-	t := n.newTxn()
-	t.src = src
-	t.seq = seq
-	t.slack = n.cfg.InitialSlack + tree.InjectDeltaD*k
-	t.mask = mask
-	t.payload = payload
-	t.sent = n.k.Now()
+	t := txn[P]{
+		src:     int32(src),
+		seq:     seq,
+		slack:   int32(n.cfg.InitialSlack + tree.InjectDeltaD*k),
+		mask:    mask,
+		payload: payload,
+		sent:    n.k.Now(),
+	}
 	if n.cfg.Verify {
 		// OT = GT_source + Dmax + S, in endpoint tick units. (Standing
 		// tokens on a zero-cost injection link can shift the realized
@@ -419,11 +405,11 @@ func (n *Network) inject(src int, mask uint64, payload any) uint64 {
 			cell: &otCell{},
 		}
 	}
-	n.sendOnLink(n.topo.EndpointOut(src), t)
+	n.sendOnLink(n.topo.EndpointOut(src), &t)
 	return seq
 }
 
-// hopKind says what a hop item delivers.
+// hopKind says what a hop item does.
 type hopKind uint8
 
 const (
@@ -431,33 +417,41 @@ const (
 	hopToken                    // an endpoint's token over link id
 	hopTokenWave                // switch id's tokens on output group g
 	hopTxnWave                  // switch id's copies of t on route group g
+	hopServe                    // switch id serves its output link g
+	hopStart                    // the network starts logical time
 )
 
-// hop is one link-transit item of the hop batch. For the waves, id is
-// the switch and g the index of its latency group.
-type hop struct {
+// hop is one item of the hop batch. For the waves, id is the switch and
+// g the index of its latency group; for a port service, g is the output
+// link. The item holds its copy t by value and runs in place.
+type hop[P any] struct {
 	kind hopKind
 	id   int32
 	g    int32
-	t    *txn
+	t    txn[P]
 }
 
-// runHop completes a hop item's link transits.
-func (n *Network) runHop(h hop) {
+// runHop runs a hop item.
+func (n *Network[P]) runHop(h *hop[P]) {
 	switch h.kind {
 	case hopTxn:
-		n.arriveTxn(topology.LinkID(h.id), h.t)
+		n.arriveTxn(topology.LinkID(h.id), &h.t)
 	case hopToken:
 		n.arriveToken(topology.LinkID(h.id))
 	case hopTokenWave:
 		n.switches[h.id].deliverTokens(h.g)
 	case hopTxnWave:
-		n.switches[h.id].deliverTxns(h.g, h.t)
+		n.switches[h.id].deliverTxns(h.g, &h.t)
+	case hopServe:
+		n.switches[h.id].servePort(topology.LinkID(h.g))
+	case hopStart:
+		n.start()
 	}
 }
 
-// arriveTxn completes a transaction copy's transit of link id.
-func (n *Network) arriveTxn(id topology.LinkID, t *txn) {
+// arriveTxn completes a transaction copy's transit of link id. The
+// receiving switch may change t's slack.
+func (n *Network[P]) arriveTxn(id topology.LinkID, t *txn[P]) {
 	if p := n.probe; p != nil {
 		p.Event(obs.EvLinkTxn)
 		p.LinkTxn(int(id))
@@ -472,13 +466,12 @@ func (n *Network) arriveTxn(id topology.LinkID, t *txn) {
 
 // sendOnLink schedules delivery of a transaction copy across a link: an
 // injection, or a contended switch's departure.
-func (n *Network) sendOnLink(id topology.LinkID, t *txn) {
-	// The hop item owns the copy until its arrival consumes it.
-	n.hops.Add(n.links[id].lat, hop{kind: hopTxn, id: int32(id), t: t}) //pool:owned
+func (n *Network[P]) sendOnLink(id topology.LinkID, t *txn[P]) {
+	n.hops.Add(n.links[id].lat, hop[P]{kind: hopTxn, id: int32(id), t: *t})
 }
 
 // arriveToken completes a token's transit of link id.
-func (n *Network) arriveToken(id topology.LinkID) {
+func (n *Network[P]) arriveToken(id topology.LinkID) {
 	if p := n.probe; p != nil {
 		p.Event(obs.EvLinkToken)
 		p.LinkToken(int(id))
@@ -493,24 +486,24 @@ func (n *Network) arriveToken(id topology.LinkID) {
 
 // sendToken schedules delivery of one token across an endpoint's
 // output link. Switches send theirs as waves (swState.deliverTokens).
-func (n *Network) sendToken(id topology.LinkID) {
-	n.hops.Add(n.links[id].lat, hop{kind: hopToken, id: int32(id)})
+func (n *Network[P]) sendToken(id topology.LinkID) {
+	n.hops.Add(n.links[id].lat, hop[P]{kind: hopToken, id: int32(id)})
 }
 
 // epState is an endpoint network interface: a one-input, one-output node
 // that maintains its GT the same way switches do and sorts arriving
 // transactions back into the global order.
-type epState struct {
-	net     *Network
+type epState[P any] struct {
+	net     *Network[P]
 	id      int
 	gt      uint64
 	credits int
-	queue   reorderQueue
-	handler OrderedHandler
-	peek    PeekHandler
+	queue   reorderQueue[P]
+	handler OrderedHandler[P]
+	peek    PeekHandler[P]
 }
 
-func (e *epState) arriveToken() {
+func (e *epState[P]) arriveToken() {
 	// Endpoints consume tokens immediately: each token is one GT tick.
 	e.tick()
 }
@@ -529,21 +522,20 @@ func (e *epState) arriveToken() {
 // endpoint; draining OT <= GT could split same-OT transactions across
 // batches differently at different endpoints and invert the tie-break
 // order.
-func (e *epState) tick() {
+func (e *epState[P]) tick() {
 	e.gt++
 	for e.queue.due < e.gt {
-		e.process(e.queue.pop())
+		e.process(&e.queue.h[0])
+		e.queue.pop()
 	}
-	if e.net.run != nil {
-		e.net.run.ReorderOccupancy.Set(e.queue.len())
-	}
+	e.net.run.ReorderOccupancy.Set(e.queue.len())
 	if p := e.net.probe; p != nil {
 		p.ReorderOcc(e.queue.len())
 	}
 	e.net.sendToken(e.net.topo.EndpointOut(e.id))
 }
 
-func (e *epState) arriveTxn(t *txn) {
+func (e *epState[P]) arriveTxn(t *txn[P]) {
 	if t.slack < 0 {
 		panic(fmt.Sprintf("tsnet: negative slack %d at endpoint %d", t.slack, e.id))
 	}
@@ -568,11 +560,8 @@ func (e *epState) arriveTxn(t *txn) {
 		}
 	}
 	if e.peek != nil {
-		if e.peek(t.src, t.seq, t.payload, t.slack) {
-			if e.net.run != nil {
-				e.net.run.EarlyProcessed++
-			}
-			e.net.freeTxn(t)
+		if e.peek(int(t.src), t.seq, t.payload, int(t.slack)) {
+			e.net.run.EarlyProcessed++
 			return
 		}
 	}
@@ -581,53 +570,48 @@ func (e *epState) arriveTxn(t *txn) {
 	// key order at every endpoint guarantees the orders agree globally,
 	// which immediate on-arrival processing could violate for same-OT
 	// transactions arriving in different physical orders.
-	e.queue.push(queued{
+	e.queue.push(queued[P]{
 		dueTick: due,
 		src:     t.src,
 		seq:     t.seq,
 		payload: t.payload,
 		arrived: e.net.k.Now(),
 	})
-	if e.net.run != nil {
-		e.net.run.ReorderOccupancy.Set(e.queue.len())
-	}
+	e.net.run.ReorderOccupancy.Set(e.queue.len())
 	if p := e.net.probe; p != nil {
 		p.ReorderOcc(e.queue.len())
 		// One addr_flight span per endpoint delivery: this copy's
 		// injection-to-arrival transit, observed at the arriving node.
-		p.Span(obs.SpanAddrFlight, int32(e.id), obs.NetLane(obs.SpanAddrFlight), int32(t.src), t.seq,
+		p.Span(obs.SpanAddrFlight, int32(e.id), obs.NetLane(obs.SpanAddrFlight), t.src, t.seq,
 			int64(t.sent), int64(e.net.k.Now()-t.sent))
 	}
-	e.net.freeTxn(t)
 }
 
 // handoff is one item of the handoff batch: endpoint e hands q to its
 // controller.
-type handoff struct {
-	e *epState
-	q queued
+type handoff[P any] struct {
+	e *epState[P]
+	q queued[P]
 }
 
 // runHandoff completes a handoff after the network-exit overhead.
-func (n *Network) runHandoff(h handoff) {
+func (n *Network[P]) runHandoff(h *handoff[P]) {
 	if p := n.probe; p != nil {
 		p.Event(obs.EvOrderedHandoff)
 	}
-	h.e.handler(h.q.src, h.q.seq, h.q.payload, h.q.arrived)
+	h.e.handler(int(h.q.src), h.q.seq, h.q.payload, h.q.arrived)
 }
 
-func (e *epState) process(q queued) {
-	if e.net.run != nil {
-		e.net.run.OrderingDelay.Observe(e.net.k.Now() - q.arrived)
-	}
+func (e *epState[P]) process(q *queued[P]) {
+	e.net.run.OrderingDelay.Observe(e.net.k.Now() - q.arrived)
 	if p := e.net.probe; p != nil {
 		// reorder_dwell: physical arrival to in-order processing at
 		// this endpoint's reorder queue.
-		p.Span(obs.SpanReorderDwell, int32(e.id), obs.NetLane(obs.SpanReorderDwell), int32(q.src), q.seq,
+		p.Span(obs.SpanReorderDwell, int32(e.id), obs.NetLane(obs.SpanReorderDwell), q.src, q.seq,
 			int64(q.arrived), int64(e.net.k.Now()-q.arrived))
 	}
 	if e.net.TestHook != nil {
-		e.net.TestHook(e.id, q.src, q.seq, e.gt, q.dueTick)
+		e.net.TestHook(e.id, int(q.src), q.seq, e.gt, q.dueTick)
 	}
 	if e.handler == nil {
 		panic(fmt.Sprintf("tsnet: endpoint %d has no ordered handler", e.id))
@@ -635,5 +619,5 @@ func (e *epState) process(q queued) {
 	// Hand off to the protocol controller after the network-exit overhead
 	// (Dovh). All handoffs share the same delay, so the controller sees
 	// transactions in exactly the logical order.
-	e.net.handoffs.Add(e.net.cfg.Params.Dovh, handoff{e: e, q: q})
+	e.net.handoffs.Add(e.net.cfg.Params.Dovh, handoff[P]{e: e, q: *q})
 }

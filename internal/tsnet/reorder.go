@@ -8,7 +8,7 @@ import (
 
 // queued is one address transaction waiting at an endpoint for its
 // ordering time.
-type queued struct {
+type queued[P any] struct {
 	// dueTick is the endpoint guarantee-time tick at which the
 	// transaction's slack reaches zero: GT(arrival) + slack(arrival).
 	// Because every enqueued transaction's slack decrements together on
@@ -16,10 +16,10 @@ type queued struct {
 	// the paper's "decrement the slack of still-enqueued transactions"
 	// and avoids rekeying the whole queue every tick.
 	dueTick uint64
-	src     int
 	seq     uint64
-	payload any
+	payload P
 	arrived sim.Time
+	src     int32
 }
 
 // before orders queue entries by (ordering time, source ID, per-source
@@ -28,7 +28,7 @@ type queued struct {
 // ties with a function of source ID numbers." The key is unique per
 // entry, so the pop order is a deterministic total order regardless of
 // heap shape.
-func (a *queued) before(b *queued) bool {
+func (a *queued[P]) before(b *queued[P]) bool {
 	if a.dueTick != b.dueTick {
 		return a.dueTick < b.dueTick
 	}
@@ -45,14 +45,14 @@ func (a *queued) before(b *queued) bool {
 // backing array reused for the life of the endpoint (vacated slots are
 // zeroed so dead payloads are not retained). due caches the head's due
 // tick, so a tick with nothing due never touches the heap.
-type reorderQueue struct {
-	h   []queued
+type reorderQueue[P any] struct {
+	h   []queued[P]
 	due uint64 // h[0].dueTick, or MaxUint64 when empty
 }
 
-func newReorderQueue() reorderQueue { return reorderQueue{due: math.MaxUint64} }
+func newReorderQueue[P any]() reorderQueue[P] { return reorderQueue[P]{due: math.MaxUint64} }
 
-func (q *reorderQueue) push(e queued) {
+func (q *reorderQueue[P]) push(e queued[P]) {
 	h := append(q.h, e)
 	i := len(h) - 1
 	for i > 0 {
@@ -67,14 +67,13 @@ func (q *reorderQueue) push(e queued) {
 	q.due = h[0].dueTick
 }
 
-// pop removes and returns the highest-priority transaction. The queue
-// must not be empty.
-func (q *reorderQueue) pop() queued {
+// pop removes the highest-priority transaction, h[0]. The queue must
+// not be empty.
+func (q *reorderQueue[P]) pop() {
 	h := q.h
-	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = queued{}
+	h[n] = queued[P]{}
 	h = h[:n]
 	q.h = h
 	i := 0
@@ -103,7 +102,6 @@ func (q *reorderQueue) pop() queued {
 	if n > 0 {
 		q.due = h[0].dueTick
 	}
-	return top
 }
 
-func (q *reorderQueue) len() int { return len(q.h) }
+func (q *reorderQueue[P]) len() int { return len(q.h) }

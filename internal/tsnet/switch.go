@@ -10,11 +10,9 @@ import (
 
 // bufEntry is one broadcast-branch copy of a transaction held in a
 // switch's (logically centralized) transaction buffer, waiting for its
-// output port. Entries are stored inline in the buffer slice — the
-// transaction is copied in so the arriving copy can return to the free
-// list immediately.
-type bufEntry struct {
-	txn
+// output port. Entries are stored inline in the buffer slice.
+type bufEntry[P any] struct {
+	txn[P]
 	branch topology.Branch
 	// enq is when the copy entered the buffer (contention mode); the
 	// probe's buffer_dwell span measures enq to departure.
@@ -31,8 +29,8 @@ type bufEntry struct {
 // Network's precomputed link metadata), so the hot path performs no map
 // operations and the buffer reuses one backing array for the life of the
 // run.
-type swState struct {
-	net *Network
+type swState[P any] struct {
+	net *Network[P]
 	id  int
 
 	in  []topology.LinkID // the switch's input links (shared with topology)
@@ -54,7 +52,7 @@ type swState struct {
 
 	// buffered holds branch copies waiting for an output port (only
 	// non-empty in contention mode; uncontended switches are cut-through).
-	buffered []bufEntry
+	buffered []bufEntry[P]
 
 	// Per-output-port serialization state (contention mode), indexed by
 	// Out position.
@@ -66,9 +64,9 @@ type swState struct {
 }
 
 // init builds switch id, taking its latency groups from g.
-func (s *swState) init(n *Network, id int, g *grouper) {
+func (s *swState[P]) init(n *Network[P], id int, g *grouper) {
 	spec := n.topo.Switches()[id]
-	*s = swState{
+	*s = swState[P]{
 		net:      n,
 		id:       id,
 		in:       spec.In,
@@ -103,18 +101,18 @@ type grouper struct {
 	outs   [][]topology.Branch // each switch's outputs, as branches
 }
 
-func newGrouper(n *Network) *grouper {
+func newGrouper(topo *topology.Topology, links []linkMeta) *grouper {
 	g := &grouper{
-		links: n.links,
-		fans:  make([][]latGroup, n.topo.NumSwitches()*n.topo.Nodes()),
-		outs:  make([][]topology.Branch, n.topo.NumSwitches()),
+		links: links,
+		fans:  make([][]latGroup, topo.NumSwitches()*topo.Nodes()),
+		outs:  make([][]topology.Branch, topo.NumSwitches()),
 	}
-	outs := make([]topology.Branch, 0, len(n.links))
+	outs := make([]topology.Branch, 0, len(links))
 	size := 0
 	count := func(sim.Duration, uint64) { size++ }
-	for id, sw := range n.topo.Switches() {
-		for src := 0; src < n.topo.Nodes(); src++ {
-			g.eachLatency(n.topo.BroadcastTree(src).Route[id], count)
+	for id, sw := range topo.Switches() {
+		for src := 0; src < topo.Nodes(); src++ {
+			g.eachLatency(topo.BroadcastTree(src).Route[id], count)
 		}
 		for _, out := range sw.Out {
 			outs = append(outs, topology.Branch{Link: out, Reach: ^uint64(0)})
@@ -157,11 +155,11 @@ func (g *grouper) group(bs []topology.Branch) []latGroup {
 }
 
 // GT returns the switch's guarantee time (tokens propagated).
-func (s *swState) GT() uint64 { return s.props }
+func (s *swState[P]) GT() uint64 { return s.props }
 
 // arriveToken handles a token arriving on the input port at position
 // inPos of the switch's In list.
-func (s *swState) arriveToken(inPos int) {
+func (s *swState[P]) arriveToken(inPos int) {
 	s.tokens[inPos]++
 	if s.tokens[inPos] == 1 {
 		s.empty--
@@ -179,22 +177,21 @@ func (s *swState) arriveToken(inPos int) {
 // numbers, so no other work of the same time could fall between two
 // same-latency branches: delivering them back to back in one item keeps
 // every arrival at its picosecond and every same-time tie in its order.
-func (s *swState) arriveTxn(in topology.LinkID, t *txn) {
+func (s *swState[P]) arriveTxn(in topology.LinkID, t *txn[P]) {
 	// Case 1 of the slack recurrence: entering the switch, the
 	// transaction moves past the tokens waiting on its input port, making
 	// it earlier in logical time; slack increases to hold OT invariant.
-	t.slack += s.tokens[s.net.links[in].inPos]
+	t.slack += int32(s.tokens[s.net.links[in].inPos])
 
 	branches := s.routes[t.src]
 	if branches == nil {
 		panic(fmt.Sprintf("tsnet: switch %d has no route for source %d", s.id, t.src))
 	}
 	if !s.net.cfg.Contention {
-		// Cut-through: zero dwell time in the buffer. The wave items own
-		// the copy, and the last of them frees it.
+		// Cut-through: zero dwell time in the buffer.
 		for g := range s.fans[t.src] {
 			if grp := &s.fans[t.src][g]; grp.reach&t.mask != 0 {
-				s.net.hops.Add(grp.lat, hop{kind: hopTxnWave, id: int32(s.id), g: int32(g), t: t}) //pool:owned
+				s.net.hops.Add(grp.lat, hop[P]{kind: hopTxnWave, id: int32(s.id), g: int32(g), t: *t})
 			}
 		}
 		return
@@ -204,64 +201,44 @@ func (s *swState) arriveTxn(in topology.LinkID, t *txn) {
 		if b.Reach&t.mask == 0 {
 			continue // multicast pruning: nothing downstream is a destination
 		}
-		s.buffered = append(s.buffered, bufEntry{txn: *t, branch: *b, enq: s.net.k.Now()})
+		s.buffered = append(s.buffered, bufEntry[P]{txn: *t, branch: *b, enq: s.net.k.Now()})
 		if p := s.net.probe; p != nil {
 			p.BufferOcc(len(s.buffered))
 		}
 		s.kickPort(b.Link)
 	}
-	// The buffer holds copies.
-	s.net.freeTxn(t)
 }
 
 // deliverTxns completes a cut-through fan-out's link transits of latency
-// group g: a fresh copy of t on every branch of that latency that
-// survives pruning, in route order. The wave of the largest latency,
-// the last to run, frees t.
-func (s *swState) deliverTxns(g int32, t *txn) {
-	fans := s.fans[t.src]
-	lat := fans[g].lat
+// group g: t on every branch of that latency that survives pruning, in
+// route order. Each branch's copy is t itself, its slack rewritten in
+// place for the branch.
+func (s *swState[P]) deliverTxns(g int32, t *txn[P]) {
+	lat := s.fans[t.src][g].lat
+	slack := t.slack
 	branches := s.routes[t.src]
 	for i := range branches {
 		if b := &branches[i]; b.Reach&t.mask != 0 && s.net.links[b.Link].lat == lat {
-			s.net.arriveTxn(b.Link, s.branchCopy(t, b))
+			t.slack = s.branchSlack(slack, b)
+			s.net.arriveTxn(b.Link, t)
 		}
 	}
-	for i := range fans {
-		if fans[i].lat > lat && fans[i].reach&t.mask != 0 {
-			return
-		}
-	}
-	s.net.freeTxn(t)
 }
 
-// branchCopy returns the copy of t that leaves on branch b, applying case
-// 3 of the recurrence: dD, the decrease in maximum remaining pipeline
-// depth for this branch relative to the longest branch. The debug state
-// is shared read-only by every copy of one injection.
-func (s *swState) branchCopy(t *txn, b *topology.Branch) *txn {
-	out := s.net.newTxn()
-	*out = *t
-	out.slack += b.DeltaD * s.net.cfg.TokensPerPort
-	if out.slack < 0 {
-		panic(fmt.Sprintf("tsnet: switch %d departing with negative slack %d", s.id, out.slack))
+// branchSlack returns the slack of a copy leaving on branch b, applying
+// case 3 of the recurrence: dD, the decrease in maximum remaining
+// pipeline depth for this branch relative to the longest branch.
+func (s *swState[P]) branchSlack(slack int32, b *topology.Branch) int32 {
+	slack += int32(b.DeltaD * s.net.cfg.TokensPerPort)
+	if slack < 0 {
+		panic(fmt.Sprintf("tsnet: switch %d departing with negative slack %d", s.id, slack))
 	}
-	return out
-}
-
-// servePortEvent is the typed kernel event backing kickPort: a0 is the
-// swState, i0 the output LinkID.
-func servePortEvent(a0, a1 any, i0 int64) {
-	s := a0.(*swState)
-	if p := s.net.probe; p != nil {
-		p.Event(obs.EvPortService)
-	}
-	s.servePort(topology.LinkID(i0))
+	return slack
 }
 
 // kickPort schedules a service attempt for an output port (contention
 // mode). At most one attempt is pending per port.
-func (s *swState) kickPort(link topology.LinkID) {
+func (s *swState[P]) kickPort(link topology.LinkID) {
 	pos := s.net.links[link].outPos
 	if s.pending[pos] {
 		return
@@ -272,14 +249,17 @@ func (s *swState) kickPort(link topology.LinkID) {
 	if at < now {
 		at = now
 	}
-	s.net.k.AtCall(at, servePortEvent, s, nil, int64(link))
+	s.net.hops.Add(at-now, hop[P]{kind: hopServe, id: int32(s.id), g: int32(link)})
 }
 
 // servePort dequeues the highest-priority waiting copy for link and sends
 // it. "The arbitration logic gives precedence to zero-slack transactions,
 // to speed token passing" — implemented as lowest-slack-first, stable by
 // arrival.
-func (s *swState) servePort(link topology.LinkID) {
+func (s *swState[P]) servePort(link topology.LinkID) {
+	if p := s.net.probe; p != nil {
+		p.Event(obs.EvPortService)
+	}
 	pos := s.net.links[link].outPos
 	s.pending[pos] = false
 	best := -1
@@ -299,7 +279,7 @@ func (s *swState) servePort(link topology.LinkID) {
 	// vacated tail slot is zeroed so it does not retain payload references.
 	n := len(s.buffered) - 1
 	copy(s.buffered[best:], s.buffered[best+1:])
-	s.buffered[n] = bufEntry{}
+	s.buffered[n] = bufEntry[P]{}
 	s.buffered = s.buffered[:n]
 	if p := s.net.probe; p != nil {
 		p.BufferOcc(len(s.buffered))
@@ -310,7 +290,8 @@ func (s *swState) servePort(link topology.LinkID) {
 			int32(e.src), e.seq, int64(e.enq), int64(s.net.k.Now()-e.enq))
 	}
 	s.nextFree[pos] = s.net.k.Now() + s.net.cfg.Params.Dswitch
-	s.net.sendOnLink(e.branch.Link, s.branchCopy(&e.txn, &e.branch))
+	e.slack = s.branchSlack(e.slack, &e.branch)
+	s.net.sendOnLink(e.branch.Link, &e.txn)
 	// The buffer shrank: a stalled propagation may now be possible.
 	s.tryPropagate()
 	// More work for this port?
@@ -329,7 +310,7 @@ func (s *swState) servePort(link topology.LinkID) {
 // buffered transactions (case 2 of the recurrence: the token moves past
 // them, making them later in logical time), and decrements every input's
 // token counter.
-func (s *swState) tryPropagate() {
+func (s *swState[P]) tryPropagate() {
 	for s.empty == 0 {
 		// Only a contended switch buffers, so only it can stall.
 		if s.net.cfg.Contention && s.zeroSlackBuffered() {
@@ -356,7 +337,7 @@ func (s *swState) tryPropagate() {
 		}
 		// One wave item per distinct output latency: see deliverTokens.
 		for g := range s.waves {
-			s.net.hops.Add(s.waves[g].lat, hop{kind: hopTokenWave, id: int32(s.id), g: int32(g)})
+			s.net.hops.Add(s.waves[g].lat, hop[P]{kind: hopTokenWave, id: int32(s.id), g: int32(g)})
 		}
 	}
 }
@@ -364,7 +345,7 @@ func (s *swState) tryPropagate() {
 // zeroSlackBuffered reports whether a buffered transaction has zero
 // slack: the S >= 0 invariant prohibits tokens from moving past it, so
 // GT stalls until the transaction departs.
-func (s *swState) zeroSlackBuffered() bool {
+func (s *swState[P]) zeroSlackBuffered() bool {
 	for i := range s.buffered {
 		if s.buffered[i].slack == 0 {
 			return true
@@ -376,7 +357,7 @@ func (s *swState) zeroSlackBuffered() bool {
 // deliverTokens completes one propagation's token transits of output
 // latency group g: a token on every output of that latency, in Out
 // order, as one event per output would have delivered them.
-func (s *swState) deliverTokens(g int32) {
+func (s *swState[P]) deliverTokens(g int32) {
 	lat := s.waves[g].lat
 	for _, out := range s.out {
 		if s.net.links[out].lat == lat {

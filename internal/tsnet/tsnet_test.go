@@ -17,7 +17,7 @@ type procRec struct {
 // injection is one scheduled transaction from src: a broadcast when mask
 // is 0, otherwise a multicast to mask. injectEvent fills in seq and done.
 type injection struct {
-	net  *Network
+	net  *Network[any]
 	src  int
 	mask uint64
 	seq  uint64
@@ -37,7 +37,7 @@ func injectEvent(a0, _ any, _ int64) {
 }
 
 // buildNet wires a network where every endpoint logs its ordered stream.
-func buildNet(t *testing.T, topo *topology.Topology, cfg Config) (*sim.Kernel, *Network, [][]procRec, *stats.Run) {
+func buildNet(t *testing.T, topo *topology.Topology, cfg Config) (*sim.Kernel, *Network[any], [][]procRec, *stats.Run) {
 	t.Helper()
 	k := sim.NewKernel()
 	run := &stats.Run{}
@@ -316,7 +316,7 @@ func TestInjectBeforeStartPanics(t *testing.T) {
 	topo := topology.MustButterfly(4)
 	k := sim.NewKernel()
 	var tr stats.Traffic
-	net := New(k, topo, DefaultConfig(), &tr, nil)
+	net := New(k, topo, DefaultConfig(), &tr, &stats.Run{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Inject before Start did not panic")
@@ -329,7 +329,7 @@ func TestDoubleStartPanics(t *testing.T) {
 	topo := topology.MustButterfly(4)
 	k := sim.NewKernel()
 	var tr stats.Traffic
-	net := New(k, topo, DefaultConfig(), &tr, nil)
+	net := New(k, topo, DefaultConfig(), &tr, &stats.Run{})
 	for ep := 0; ep < 16; ep++ {
 		net.Register(ep, func(int, uint64, any, sim.Time) {}, nil)
 	}
@@ -354,7 +354,7 @@ func TestBadConfigPanics(t *testing.T) {
 				t.Error("negative slack did not panic")
 			}
 		}()
-		New(k, topo, cfg, &tr, nil)
+		New(k, topo, cfg, &tr, &stats.Run{})
 	}()
 	cfg = DefaultConfig()
 	cfg.TokensPerPort = 0
@@ -364,7 +364,7 @@ func TestBadConfigPanics(t *testing.T) {
 				t.Error("zero tokens did not panic")
 			}
 		}()
-		New(k, topo, cfg, &tr, nil)
+		New(k, topo, cfg, &tr, &stats.Run{})
 	}()
 	cfg = DefaultConfig()
 	cfg.Params.Dovh = 0
@@ -374,7 +374,7 @@ func TestBadConfigPanics(t *testing.T) {
 				t.Error("zero Dovh did not panic")
 			}
 		}()
-		New(k, topo, cfg, &tr, nil)
+		New(k, topo, cfg, &tr, &stats.Run{})
 	}()
 }
 
