@@ -385,7 +385,8 @@ func BenchmarkTraceDecodeParallel(b *testing.B) { benchTraceDecode(b, runtime.Nu
 // nopEvent is the EventFn the kernel micro-benchmarks dispatch.
 func nopEvent(any, any, int64) {}
 
-// BenchmarkKernelEvents measures raw event dispatch throughput.
+// BenchmarkKernelEvents measures raw event dispatch throughput through
+// AfterCall, whose every call is a one-item batch group.
 func BenchmarkKernelEvents(b *testing.B) {
 	k := sim.NewKernel()
 	b.ReportAllocs()

@@ -39,15 +39,15 @@
 // tables subcommands execute through the same service in-process
 // (memory-only, or over a store directory via -cache).
 //
-// The simulation core is allocation-free at steady state: the event
-// kernel keeps inline 64-byte events, each a package-level function plus
-// its arguments (no closures), in O(1) FIFO lanes for the fixed link,
+// The simulation core is allocation-free at steady state: each kernel
+// event is a pointer-free 24-byte record naming a group of items of a
+// kernel batch (sim.Batch), held in O(1) FIFO lanes for the fixed link,
 // handoff and hit delays and in a hand-rolled 4-ary min-heap for the
-// rest; the address network sends its link hops, token echoes and
-// ordered handoffs through kernel batches (sim.Batch), so each run of
-// same-instant network work is one kernel dispatch with no change to
-// tie order; it recycles transaction copies through free
-// lists and keeps switch and endpoint state in dense, reused slices.
+// rest. Processor think time, NACK backoffs and the address network's
+// link hops, token echoes and ordered handoffs are all batch items, so
+// each run of same-instant network work is one kernel dispatch with no
+// change to tie order; the network carries transaction copies by value
+// and keeps switch and endpoint state in dense, reused slices.
 // Protocol messages travel by value: the point-to-point data fabric
 // (network.Fabric[P]) delivers typed payloads as batch items, and each
 // protocol's ready-time sends are items of its own batch. Both protocol

@@ -1,13 +1,12 @@
 // Package allocfree statically enforces the PR-5 zero-allocation
 // hot-path contract in the simulator's dispatch-critical packages:
 //
-//   - The `any` payload arguments of AtCall/AfterCall accept only
-//     pointer-shaped values (pointers, interfaces, funcs, maps, chans,
-//     nil): boxing a struct, slice, string or integer into an interface
-//     allocates per event.
-//   - Functions reachable from event dispatch (anything scheduled as an
-//     EventFn, every sim.Batch's item runner, plus everything they call
-//     inside the package) may not
+//   - Outside package sim, nothing calls Kernel.AtCall/AfterCall: their
+//     `any` arguments box payloads and each call is an unjoinable
+//     event, so they are a convenience for tests and tools only.
+//     Simulation work is scheduled as items of a sim.Batch.
+//   - Functions reachable from event dispatch (every sim.Batch's item
+//     runner, plus everything it calls inside the package) may not
 //     allocate maps or iterate maps: per-event map allocation defeats
 //     the allocation budget, and map iteration order would additionally
 //     break byte-identical determinism.
@@ -36,7 +35,7 @@ import (
 // Analyzer is the allocfree pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "allocfree",
-	Doc:  "forbid interface boxing, map traffic and unhoisted probe calls on the simulator's allocation-free hot paths",
+	Doc:  "forbid AtCall/AfterCall, map traffic and unhoisted probe calls on the simulator's allocation-free hot paths",
 	Run:  run,
 }
 
@@ -89,8 +88,8 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	// roots are the entry points of event dispatch: every function value
-	// scheduled through AtCall/AfterCall, and every batch's item runner.
+	// roots are the entry points of event dispatch: every batch's item
+	// runner.
 	roots := make(map[*types.Func]bool)
 
 	for _, f := range pass.Files {
@@ -103,17 +102,9 @@ func run(pass *analysis.Pass) error {
 				if fn := staticFunc(pass, call.Args[1]); fn != nil {
 					roots[fn] = true
 				}
-				return true
-			}
-			name, ok := kernelMethod(pass, call)
-			if !ok || len(call.Args) < 5 {
-				return true
-			}
-			if fn := staticFunc(pass, call.Args[1]); fn != nil {
-				roots[fn] = true
-			}
-			for _, arg := range call.Args[2:4] {
-				checkBoxing(pass, name, arg)
+			} else if name, ok := kernelMethod(pass, call); ok && pass.Pkg.Path() != simPath {
+				pass.Reportf(call.Pos(),
+					"%s in a hot-path package: it boxes its arguments into an event nothing joins; schedule the work as an item of a sim.Batch", name)
 			}
 			return true
 		})
@@ -200,7 +191,7 @@ func run(pass *analysis.Pass) error {
 			}
 			if inClosure {
 				pass.Reportf(call.Pos(),
-					"obs.Probe.%s called from a closure on the dispatch path: the closure captures the probe and allocates per event; emit spans from a package-level sim.EventFn behind a nil guard", name)
+					"obs.Probe.%s called from a closure on the dispatch path: the closure captures the probe and allocates per event; emit spans from the batch runner behind a nil guard", name)
 				return true
 			}
 			if _, ident := sel.X.(*ast.Ident); !ident {
@@ -220,8 +211,8 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// kernelMethod reports whether call invokes a scheduling method of
-// sim.Kernel, returning the method name.
+// kernelMethod reports whether call invokes sim.Kernel's AtCall or
+// AfterCall, returning the method name.
 func kernelMethod(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -315,26 +306,4 @@ func staticFunc(pass *analysis.Pass, e ast.Expr) *types.Func {
 		return staticFunc(pass, e.X)
 	}
 	return nil
-}
-
-// checkBoxing reports a value whose conversion to the any parameter of
-// AtCall/AfterCall would heap-allocate.
-func checkBoxing(pass *analysis.Pass, method string, arg ast.Expr) {
-	tv, ok := pass.Info.Types[arg]
-	if !ok {
-		return
-	}
-	if tv.IsNil() {
-		return
-	}
-	switch tv.Type.Underlying().(type) {
-	case *types.Pointer, *types.Interface, *types.Signature, *types.Map, *types.Chan:
-		return
-	case *types.Basic:
-		if tv.Type.Underlying().(*types.Basic).Kind() == types.UnsafePointer {
-			return
-		}
-	}
-	pass.Reportf(arg.Pos(),
-		"%s boxes a %s into its any argument, allocating per event; pass a pointer (or fold scalars into the int64 slot)", method, tv.Type)
 }

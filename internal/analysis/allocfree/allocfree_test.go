@@ -8,9 +8,9 @@ import (
 )
 
 // TestAllocFree checks the positive diagnostics in the hot-path fixture
-// packages and, via the service fixture (which boxes payloads and
-// touches maps on scheduled events without a single want comment), that
-// the analyzer is scoped to the hot-path packages.
+// packages and, via the service fixture (which calls AtCall/AfterCall
+// and touches maps on scheduled events without a single want comment),
+// that the analyzer is scoped to the hot-path packages.
 func TestAllocFree(t *testing.T) {
 	analysistest.Run(t, "testdata", allocfree.Analyzer,
 		"tsnoop/internal/tsnet",

@@ -20,8 +20,7 @@ func (p *Probe) Event(kind int) { p.counts[kind]++ }
 func (p *Probe) Span(kind int, durPS int64) { p.counts[kind] += durPS }
 
 // label is dispatch-reachable through handler below, so its map
-// allocation is a diagnostic even though label itself is never
-// scheduled.
+// allocation is a diagnostic even though label itself runs no batch.
 func (p *Probe) label() {
 	p.labels = make(map[string]int64) // want `map allocated in label`
 }
@@ -29,16 +28,16 @@ func (p *Probe) label() {
 type component struct {
 	k     *sim.Kernel
 	probe *Probe
+	dur   int64
 }
 
-// handler is the blessed pattern: a package-level EventFn whose probe
-// use is nil-guarded, costing one branch when telemetry is off. No
+// handler is the blessed pattern: a batch runner whose probe use is
+// nil-guarded, costing one branch when telemetry is off. No
 // diagnostics on the guard or the call.
-func handler(a0, a1 any, i0 int64) {
-	c := a0.(*component)
+func handler(c *component) {
 	if p := c.probe; p != nil {
 		p.Event(0)
-		p.Span(0, i0)
+		p.Span(0, c.dur)
 		p.label()
 	}
 }
@@ -46,28 +45,26 @@ func handler(a0, a1 any, i0 int64) {
 // unhoisted is dispatch-reachable; calling the probe through the field
 // chain skips the hoisted nil guard the discipline requires. The
 // guarded direct call below it is the blessed shape.
-func unhoisted(a0, a1 any, i0 int64) {
-	c := a0.(*component)
-	c.probe.Span(0, i0) // want `obs.Probe.Span called through a field chain`
+func unhoisted(c *component) {
+	c.probe.Span(0, c.dur) // want `obs.Probe.Span called through a field chain`
 	if p := c.probe; p != nil {
-		p.Span(1, i0)
+		p.Span(1, c.dur)
 	}
 }
 
 func (c *component) schedule() {
-	c.k.AtCall(0, handler, c, nil, 0)
-	c.k.AtCall(0, unhoisted, c, nil, 0)
-	c.k.AtCall(0, spanning, c, nil, 0)
+	sim.NewBatch(c.k, handler)
+	sim.NewBatch(c.k, unhoisted)
+	sim.NewBatch(c.k, spanning)
 }
 
 // spanning shows the closure escape hatch is closed: even inside a
-// properly scheduled EventFn, wrapping the span in a func literal
-// re-introduces a per-event allocation.
-func spanning(a0, a1 any, i0 int64) {
-	c := a0.(*component)
-	defer func() { c.probe.Span(0, i0) }() // want `obs.Probe.Span called from a closure`
+// batch runner, wrapping the span in a func literal re-introduces a
+// per-event allocation.
+func spanning(c *component) {
+	defer func() { c.probe.Span(0, c.dur) }() // want `obs.Probe.Span called from a closure`
 	if p := c.probe; p != nil {
-		p.Span(0, i0)
+		p.Span(0, c.dur)
 	}
 }
 

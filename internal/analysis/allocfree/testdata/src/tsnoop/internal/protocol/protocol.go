@@ -13,10 +13,10 @@ type core[P any] struct {
 	sends *sim.Batch[P]
 }
 
-// retryRequest is scheduled through AfterCall below, so everything it
-// statically calls is dispatch-reachable.
-func retryRequest(a0, a1 any, i0 int64) {
-	a0.(*core[int]).drain()
+// retryRequest runs every item of a batch built below, so everything
+// it statically calls is dispatch-reachable.
+func retryRequest(c *core[int]) {
+	c.drain()
 }
 
 func (c *core[P]) drain() {
@@ -47,9 +47,9 @@ func flush[P any](c *core[P]) {
 	c.ready = map[int]bool{} // want `map literal allocated in flush`
 }
 
-// retryAs is scheduled only as an explicit instantiation.
-func retryAs[P any](a0, a1 any, i0 int64) {
-	for range a0.(*core[P]).ready { // want `map iteration in retryAs`
+// retryAs is a batch runner only as an explicit instantiation.
+func retryAs[P any](c *core[P]) {
+	for range c.ready { // want `map iteration in retryAs`
 	}
 }
 
@@ -58,6 +58,6 @@ func (c *core[P]) begin() {
 	c.ready = make(map[int]bool)
 	c.hits = sim.NewBatch(c.k, completeHit)
 	c.sends = sim.NewBatch[P](c.k, c.runSend)
-	c.k.AfterCall(1, retryRequest, c, nil, 0)
-	c.k.AfterCall(2, retryAs[P], c, nil, 0)
+	sim.NewBatch(c.k, retryRequest)
+	sim.NewBatch(c.k, retryAs[P])
 }

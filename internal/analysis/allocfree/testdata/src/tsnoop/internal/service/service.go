@@ -1,6 +1,7 @@
 // Fixture proving the allocfree analyzer is scoped to the hot-path
-// packages: the service package schedules events that box payloads and
-// allocate and iterate maps freely without diagnostics.
+// packages: the service package calls AtCall/AfterCall, boxing
+// payloads, and its events allocate and iterate maps, all without
+// diagnostics.
 package service
 
 import "tsnoop/internal/sim"

@@ -1,6 +1,6 @@
 // Fixture for the allocfree analyzer: tsnoop/internal/tsnet is a
-// hot-path package, so boxing into AtCall's any arguments and map
-// traffic reachable from event dispatch are diagnostics here.
+// hot-path package, so every AtCall/AfterCall and map traffic reachable
+// from event dispatch are diagnostics here.
 package tsnet
 
 import "tsnoop/internal/sim"
@@ -12,10 +12,9 @@ type node struct {
 
 type payload struct{ a, b int }
 
-// handler is scheduled through AtCall below, so it and everything it
-// statically calls is dispatch-reachable.
-func handler(a0, a1 any, i0 int64) {
-	n := a0.(*node)
+// handler runs every item of the batch built below, so it and
+// everything it statically calls is dispatch-reachable.
+func handler(n *node) {
 	n.m = make(map[int]int) // want `map allocated in handler`
 	for range n.m {         // want `map iteration in handler`
 	}
@@ -26,15 +25,20 @@ func helper(n *node) {
 	n.m = map[int]int{1: 2} // want `map literal allocated in helper`
 }
 
+func tick(a0, a1 any, i0 int64) {}
+
+// schedule builds handler's batch; the kernel's own events are banned
+// here, boxing or not.
 func schedule(n *node, p *payload) {
-	n.k.AtCall(0, handler, n, nil, 0)
-	n.k.AfterCall(1, handler, *p, nil, 0) // want `AfterCall boxes a tsnoop/internal/tsnet.payload`
-	n.k.AfterCall(1, handler, nil, 42, 0) // want `AfterCall boxes a int`
-	n.k.AfterCall(1, handler, p, nil, int64(p.a+p.b))
+	sim.NewBatch(n.k, handler).Add(0, *n)
+	n.k.AtCall(0, tick, n, nil, 0)                 // want `AtCall in a hot-path package`
+	n.k.AfterCall(1, tick, *p, nil, 0)             // want `AfterCall in a hot-path package`
+	n.k.AfterCall(1, tick, nil, 42, 0)             // want `AfterCall in a hot-path package`
+	n.k.AfterCall(1, tick, p, nil, int64(p.a+p.b)) // want `AfterCall in a hot-path package`
 }
 
-// setup is not reachable from any scheduled event: construction-time
-// map allocation and iteration are fine.
+// setup is not reachable from any batch: construction-time map
+// allocation and iteration are fine.
 func setup(n *node) {
 	n.m = make(map[int]int)
 	for range n.m {

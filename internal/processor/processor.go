@@ -36,10 +36,12 @@ type Processor struct {
 
 	onFinish func(id int)
 
-	// pending is the access issued by the next issue event, and doneFn
-	// the completion callback handed to the protocol — both stored on the
-	// processor so the per-operation think/issue/complete cycle schedules
-	// only typed events and allocates nothing.
+	// think ends each think period by issuing pending; doneFn is the
+	// completion callback handed to the protocol. All three live on the
+	// processor so the per-operation think/issue/complete cycle
+	// allocates nothing. At most one think is pending, so no item joins
+	// another and each think period is one kernel event.
+	think   *sim.Batch[*Processor]
 	pending workload.Access
 	doneFn  func(coherence.AccessResult)
 
@@ -60,6 +62,7 @@ func New(k *sim.Kernel, id int, proto coherence.Protocol, gen workload.Generator
 		quota: quota, onFinish: onFinish,
 		probe: k.Probe(),
 	}
+	p.think = sim.NewBatch(k, issueAccess)
 	p.doneFn = p.accessDone
 	return p
 }
@@ -85,13 +88,13 @@ func (p *Processor) step() {
 	p.pending = p.gen.Next(p.id, p.rng)
 	think := sim.Duration(p.pending.Think) * p.params.InstrTime
 	p.run.Instructions += int64(p.pending.Think)
-	p.k.AfterCall(think, issueAccess, p, nil, 0)
+	p.think.Add(think, p)
 }
 
-// issueAccess is the typed kernel event ending a think period: a0 is the
-// Processor, which issues its pending memory operation.
-func issueAccess(a0, a1 any, i0 int64) {
-	p := a0.(*Processor)
+// issueAccess ends a think period: the processor issues its pending
+// memory operation.
+func issueAccess(pp **Processor) {
+	p := *pp
 	p.run.MemOps++
 	p.issuedAt = p.k.Now()
 	p.proto.Access(p.id, p.pending.Op, p.pending.Block, p.doneFn)

@@ -11,11 +11,14 @@ import (
 )
 
 // fakeProto completes every access after a fixed latency, alternating
-// hits and misses.
+// hits and misses. A processor has one access outstanding, so one
+// completion record serves them all.
 type fakeProto struct {
 	k     *sim.Kernel
 	lat   sim.Duration
 	calls int
+	done  func(coherence.AccessResult)
+	res   coherence.AccessResult
 }
 
 func (f *fakeProto) Name() string { return "fake" }
@@ -23,21 +26,14 @@ func (f *fakeProto) Pending() int { return 0 }
 func (f *fakeProto) Release()     {}
 func (f *fakeProto) Access(node int, op coherence.Op, b coherence.Block, done func(coherence.AccessResult)) {
 	f.calls++
-	hit := f.calls%2 == 0
-	c := &completion{done: done, res: coherence.AccessResult{Hit: hit, Latency: f.lat}}
-	f.k.AfterCall(f.lat, completeEvent, c, nil, 0)
+	f.done, f.res = done, coherence.AccessResult{Hit: f.calls%2 == 0, Latency: f.lat}
+	f.k.AfterCall(f.lat, completeEvent, f, nil, 0)
 }
 
-// completion is one fake access awaiting its latency.
-type completion struct {
-	done func(coherence.AccessResult)
-	res  coherence.AccessResult
-}
-
-// completeEvent delivers the *completion in a0.
+// completeEvent completes the access of the *fakeProto in a0.
 func completeEvent(a0, _ any, _ int64) {
-	c := a0.(*completion)
-	c.done(c.res)
+	f := a0.(*fakeProto)
+	f.done(f.res)
 }
 
 func TestProcessorExecutesQuota(t *testing.T) {
@@ -101,5 +97,30 @@ func TestProcessorZeroQuotaFinishesImmediately(t *testing.T) {
 	p.Start()
 	if !p.Finished() || !called {
 		t.Fatal("zero-quota processor did not finish synchronously")
+	}
+}
+
+// TestProcessorCycleAllocs pins the think -> issue -> complete cycle at
+// 0 allocs/op once warm: the think period is an item of the processor's
+// batch and the completion callback is bound once, at construction.
+func TestProcessorCycleAllocs(t *testing.T) {
+	k := sim.NewKernel()
+	run := &stats.Run{}
+	proto := &fakeProto{k: k, lat: 100 * sim.Nanosecond}
+	gen := workload.Uniform(1024, 0.3, 20, 1)
+	p := New(k, 0, proto, gen, timing.Default(), sim.NewRand(4), run, 1<<30, nil)
+	p.Start()
+	cycle := func() {
+		want := p.Executed() + 1
+		k.RunWhile(func() bool { return p.Executed() < want })
+	}
+	for range 16 {
+		cycle()
+	}
+	if a := testing.AllocsPerRun(1000, cycle); a != 0 {
+		t.Errorf("think/issue/complete cycle allocates %v/op, want 0", a)
+	}
+	if p.Executed() != 16+1001 || run.MemOps != 16+1001 {
+		t.Fatalf("executed %d, issued %d; want 1017 each", p.Executed(), run.MemOps)
 	}
 }

@@ -187,6 +187,15 @@ type Protocol struct {
 	nodes []node
 	// sends puts each message that waits for a ready time on the wire.
 	sends *sim.Batch[pendingSend]
+	// retries re-sends each nacked request after its backoff.
+	retries *sim.Batch[retry]
+}
+
+// retry is a nacked request waiting out its backoff: the node and the
+// block whose miss it retries.
+type retry struct {
+	node  int32
+	block coherence.Block
 }
 
 // pendingSend is a message waiting for its ready time.
@@ -212,6 +221,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.
 	}
 	p.Init(k, topo, params, cc, run, ordered...)
 	p.sends = sim.NewBatch(k, p.runSend)
+	p.retries = sim.NewBatch(k, p.runRetry)
 	p.nodes = make([]node, topo.Nodes())
 	rng := sim.NewRand(opts.RetrySeed)
 	for i := range p.nodes {
@@ -454,18 +464,16 @@ func (n *node) reqNack(m msg) {
 	}
 	n.p.Run.Retries++
 	back := retryBackoff + n.rng.Duration(retryBackoff)
-	n.p.K.AfterCall(back, retryRequest, n, nil, int64(m.block))
+	n.p.retries.Add(back, retry{node: int32(n.id), block: m.block})
 }
 
-// retryRequest is the typed kernel event ending a NACK backoff: a0 is
-// the node, i0 the block whose miss is being retried (skipped when the
-// miss was satisfied or replaced in the meantime).
-func retryRequest(a0, a1 any, i0 int64) {
-	n := a0.(*node)
-	if pr := n.p.Probe; pr != nil {
+// runRetry ends a NACK backoff by re-sending the node's request, unless
+// its miss was satisfied or replaced in the meantime.
+func (p *Protocol) runRetry(r *retry) {
+	if pr := p.Probe; pr != nil {
 		pr.Event(obs.EvRetry)
 	}
-	if n.mshr != nil && n.mshr.block == coherence.Block(i0) {
+	if n := &p.nodes[r.node]; n.mshr != nil && n.mshr.block == r.block {
 		n.sendRequest()
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -40,15 +42,36 @@ func TestKernelTypedEvents(t *testing.T) {
 	}
 }
 
-// TestEventSlotSize pins the heap slot at one 64-byte cache line on
-// targets with 8-byte pointers.
+// TestEventSlotSize pins the heap and lane slot: 24 bytes holding
+// exactly (at, seq, batch, group), with no pointer, func or interface
+// anywhere in it, so the garbage collector never scans the queues.
 func TestEventSlotSize(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("slot size is pinned for 8-byte pointers")
+	if got := unsafe.Sizeof(event{}); got != 24 {
+		t.Fatalf("sizeof(event) = %d, want 24", got)
 	}
-	if got := unsafe.Sizeof(event{}); got != 64 {
-		t.Fatalf("sizeof(event) = %d, want 64", got)
+	et := reflect.TypeOf(event{})
+	var names []string
+	for i := range et.NumField() {
+		names = append(names, et.Field(i).Name)
 	}
+	if want := []string{"at", "seq", "batch", "group"}; !slices.Equal(names, want) {
+		t.Fatalf("event fields %v, want %v", names, want)
+	}
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Func, reflect.Interface,
+			reflect.Map, reflect.Chan, reflect.Slice, reflect.String:
+			t.Errorf("event holds a %v", typ)
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				walk(typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(typ.Elem())
+		}
+	}
+	walk(et)
 }
 
 // TestKernelAllocs pins the allocation-free steady state: scheduling and

@@ -4,8 +4,9 @@ import "fmt"
 
 // Batch coalesces a component's fixed-delay work into as few kernel
 // events as the dispatch order allows. Each item of work would
-// otherwise be its own event; a batch event runs several items, in the
-// order they were added, inside one dispatch.
+// otherwise be its own event; a batch event runs a group of items, in
+// the order they were added, inside one dispatch. Every kernel event is
+// such a group.
 //
 // The rule that keeps this exact is Add's adjacency test. An item added
 // at Now with delay d joins the batch's pending event E only if E is at
@@ -26,13 +27,11 @@ import "fmt"
 // to the item's own slot, so a large item is never copied out to run.
 // The pointer is valid only until the runner returns.
 type Batch[T any] struct {
-	k   *Kernel
-	run func(*T)
-	// call is b.dispatch, taken once: every method value allocates.
-	call   EventFn
+	k      *Kernel
+	run    func(*T)
+	id     int32 // the batch's index in the kernel's table
 	groups []batchGroup[T]
 	free   []int32
-	cur    int32 // the group of the dispatched event
 	// open holds the event an item may join: open[i] for the kernel's
 	// lane i, and open[maxLanes] for every delay without a lane. Only
 	// the kernel's last-scheduled event can be joined on such a delay,
@@ -59,8 +58,8 @@ type batchOpen struct {
 // NewBatch returns a batch on k whose items are run by run. run is
 // called once per item, with the clock at the item's time.
 func NewBatch[T any](k *Kernel, run func(*T)) *Batch[T] {
-	b := &Batch[T]{k: k, run: run}
-	b.call = b.dispatch
+	b := &Batch[T]{k: k, run: run, id: int32(len(k.batches))}
+	k.batches = append(k.batches, b)
 	return b
 }
 
@@ -83,11 +82,19 @@ func (b *Batch[T]) Add(d Duration, item T) {
 		g.items = append(g.items, item)
 		return
 	}
-	gi := b.group()
-	b.groups[gi].items = append(b.groups[gi].items, item)
-	k.schedule(at, li, b.call, nil, nil, int64(gi))
-	b.groups[gi].seq = k.seq
+	gi := b.push(at, li, item)
 	*o = batchOpen{at: at, seq: k.seq, g: gi}
+}
+
+// push schedules item at t on lane li (-1 for the heap) as the first
+// item of a new event, and returns its group.
+func (b *Batch[T]) push(t Time, li int, item T) int32 {
+	gi := b.group()
+	g := &b.groups[gi]
+	g.items = append(g.items, item)
+	b.k.schedule(t, li, b.id, gi)
+	g.seq = b.k.seq
+	return gi
 }
 
 // group returns a free item group, recycled when possible.
@@ -101,27 +108,27 @@ func (b *Batch[T]) group() int32 {
 	return int32(len(b.groups) - 1)
 }
 
-// dispatch is the batch's kernel event: i0 is the item group. It hands
-// the group to the kernel, whose run loop runs the items (see runItem).
-func (b *Batch[T]) dispatch(_, _ any, i0 int64) {
-	b.cur = int32(i0)
-	b.k.cur = b
-}
-
-// runItem runs the next item of the dispatched group and reports whether
-// any remain; the kernel checks RunWhile's condition between items. A
+// runItem runs the next item of group gi and reports whether any
+// remain; the kernel checks RunWhile's condition between items. A
 // finished group goes back to the free list.
-func (b *Batch[T]) runItem() bool {
-	g := &b.groups[b.cur]
+func (b *Batch[T]) runItem(gi int32) bool {
+	g := &b.groups[gi]
 	g.next++
 	// An item the runner adds may move g.items; the slot it runs from
 	// stays intact until the group is cleared below.
 	b.run(&g.items[g.next-1])
-	if g = &b.groups[b.cur]; g.next < len(g.items) {
+	if g = &b.groups[gi]; g.next < len(g.items) {
 		return true
 	}
-	clear(g.items)
+	// Drop the items' references. A one-item group, the common case,
+	// zeroes its slot inline instead of through clear's runtime call.
+	if len(g.items) == 1 {
+		var zero T
+		g.items[0] = zero
+	} else {
+		clear(g.items)
+	}
 	*g = batchGroup[T]{items: g.items[:0]}
-	b.free = append(b.free, b.cur)
+	b.free = append(b.free, gi)
 	return false
 }

@@ -6,23 +6,19 @@ import (
 	"tsnoop/internal/obs"
 )
 
-// EventFn is the event callback: a plain function (no closure) invoked
-// with the arguments captured at scheduling time. Every event — link
-// deliveries, port service, protocol handoffs — is scheduled this way,
-// so the steady state allocates nothing: a package-level EventFn value,
-// pointer receivers boxed in `any` (pointer interfaces do not allocate),
-// and one scalar slot cover every case.
+// EventFn is the callback of AtCall and AfterCall: a plain function
+// invoked with the arguments captured at scheduling time.
 type EventFn func(a0, a1 any, i0 int64)
 
-// event is a scheduled callback, stored inline in the kernel's heap and
-// lanes (no interface boxing, no per-event allocation). With 8-byte
-// pointers it is exactly 64 bytes: one cache line per slot.
+// event is a pending batch group (see Batch): the index of its batch in
+// the kernel's table and of the group in the batch. It holds no
+// pointer, so the heap and the lanes are never scanned by the garbage
+// collector, and with 24 bytes a slot is cheap to copy.
 type event struct {
-	at     Time
-	seq    uint64 // insertion order; breaks ties deterministically (FIFO)
-	call   EventFn
-	a0, a1 any
-	i0     int64
+	at    Time
+	seq   uint64 // insertion order; breaks ties deterministically (FIFO)
+	batch int32
+	group int32
 }
 
 // Kernel is a deterministic discrete-event scheduler. The zero value is
@@ -46,17 +42,19 @@ type event struct {
 // Which place an event waits in never changes the dispatch order, only
 // its cost.
 //
-// A Batch lets one event carry several items of work, each of which
-// would otherwise be its own event. An item added with delay d joins a
-// pending batch event only if that event is at Now+d and is the last
-// event pushed on d's lane (for a delay with no lane, the last event
-// the kernel scheduled), so nothing could dispatch between them (see
-// Batch.Add): a batch runs its items in exactly the order their own
-// events would have had, and Step may run several items. RunWhile's condition is
-// checked between a batch's items as it is between events: when it
-// turns false, the rest of the batch keeps its place and runs first on
+// Every event is a group of one or more items of a Batch, which lets
+// one event carry several items of work, each of which would otherwise
+// be its own event. An item added with delay d joins a pending group
+// only if that group's event is at Now+d and is the last event pushed
+// on d's lane (for a delay with no lane, the last event the kernel
+// scheduled), so nothing could dispatch between them (see Batch.Add): a
+// batch runs its items in exactly the order their own events would
+// have had, and Step may run several items. RunWhile's condition is
+// checked between a group's items as it is between events: when it
+// turns false, the rest of the group keeps its place and runs first on
 // the next Step, Run, RunUntil or RunWhile, ahead of every event the
-// finished items scheduled.
+// finished items scheduled. AtCall and AfterCall, a convenience for
+// tests and tools, schedule a one-item group that nothing joins.
 type Kernel struct {
 	now    Time
 	seq    uint64
@@ -70,16 +68,19 @@ type Kernel struct {
 	// one predictable branch per schedule/dispatch). It records dispatch
 	// counts, schedule distances, and the high-water mark of pending
 	// events — all derived from simulated time, never wall clock.
-	probe *obs.Probe
-	// cur is the batch whose event was dispatched last while it still
-	// has items to run, or nil. Its items precede every pending event.
-	cur batchRunner
+	probe   *obs.Probe
+	batches []batchRunner // every batch built on k, indexed by event.batch
+	// cur is the batch whose group curGroup was dispatched last and still
+	// has items to run, or nil. Those items precede every pending event.
+	cur      batchRunner
+	curGroup int32
+	calls    *Batch[call] // AtCall's one-item groups, built on first use
 }
 
-// batchRunner is a Batch whose event the kernel has dispatched.
+// batchRunner is a Batch as the kernel sees it.
 type batchRunner interface {
-	// runItem runs the event's next item and reports whether any remain.
-	runItem() bool
+	// runItem runs group g's next item and reports whether any remain.
+	runItem(g int32) bool
 }
 
 // maxLanes bounds the fixed-delay lanes: Step compares every lane head,
@@ -128,8 +129,8 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Executed() uint64 { return k.executed }
 
 // Pending returns the number of scheduled-but-not-yet-dispatched events,
-// on the heap and in the lanes, plus a batch event with items left to
-// run (one cut short by RunWhile, or the one running now).
+// on the heap and in the lanes, plus a group with items left to run
+// (one cut short by RunWhile, or the one running now).
 func (k *Kernel) Pending() int {
 	n := k.queued()
 	if k.cur != nil {
@@ -172,15 +173,12 @@ func (k *Kernel) push(e event) {
 }
 
 // popMin removes and returns the earliest event. The caller must have
-// checked that the heap is non-empty. The vacated tail slot is zeroed so
-// the heap's backing array does not retain references to dead callbacks
-// and payloads.
+// checked that the heap is non-empty.
 func (k *Kernel) popMin() event {
 	h := k.events
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{}
 	h = h[:n]
 	k.events = h
 	// Sift down: swap with the smallest of up to four children.
@@ -209,26 +207,38 @@ func (k *Kernel) popMin() event {
 	return top
 }
 
-// AtCall schedules the event fn(a0, a1, i0) at absolute time t. Nothing
-// here allocates at steady state: fn should be a package-level function,
-// a0/a1 pointers (pointer-to-any conversions do not allocate), and i0
-// any scalar payload. Scheduling in the past (t less than Now) panics:
-// it would silently corrupt causality.
+// AtCall schedules fn(a0, a1, i0) at absolute time t, as a one-item
+// group that no later call joins, so Pending and Executed count each
+// call. It is a convenience for tests and tools: simulation components
+// schedule their work as items of their own Batch. Scheduling in the
+// past (t less than Now) panics: it would silently corrupt causality.
 func (k *Kernel) AtCall(t Time, fn EventFn, a0, a1 any, i0 int64) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
-	k.schedule(t, k.laneIndex(t-k.now), fn, a0, a1, i0)
+	if k.calls == nil {
+		k.calls = NewBatch(k, runCall)
+	}
+	k.calls.push(t, k.laneIndex(t-k.now), call{fn, a0, a1, i0})
 }
 
-// schedule queues the event fn(a0, a1, i0) at t, no earlier than Now,
-// on lane li, the lane of its delay, or on the heap when li is -1.
-func (k *Kernel) schedule(t Time, li int, fn EventFn, a0, a1 any, i0 int64) {
+// call is one AtCall event.
+type call struct {
+	fn     EventFn
+	a0, a1 any
+	i0     int64
+}
+
+func runCall(c *call) { c.fn(c.a0, c.a1, c.i0) }
+
+// schedule queues an event for group g of batch b at t, no earlier than
+// Now, on lane li, the lane of its delay, or on the heap when li is -1.
+func (k *Kernel) schedule(t Time, li int, b, g int32) {
 	if p := k.probe; p != nil {
 		p.ScheduleDelay(int64(t - k.now))
 	}
 	k.seq++
-	e := event{at: t, seq: k.seq, call: fn, a0: a0, a1: a1, i0: i0}
+	e := event{at: t, seq: k.seq, batch: b, group: g}
 	if li >= 0 {
 		l := &k.lanes[li]
 		l.q.Push(e)
@@ -251,8 +261,8 @@ func (k *Kernel) laneIndex(d Duration) int {
 	return -1
 }
 
-// AfterCall schedules the event fn(a0, a1, i0) d picoseconds from now.
-// Negative delays panic.
+// AfterCall schedules fn(a0, a1, i0) d picoseconds from now, as AtCall
+// does. Negative delays panic.
 func (k *Kernel) AfterCall(d Duration, fn EventFn, a0, a1 any, i0 int64) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -260,14 +270,14 @@ func (k *Kernel) AfterCall(d Duration, fn EventFn, a0, a1 any, i0 int64) {
 	k.AtCall(k.now+d, fn, a0, a1, i0)
 }
 
-// runItem runs the current batch event's next item.
+// runItem runs the current group's next item.
 func (k *Kernel) runItem() {
-	if !k.cur.runItem() {
+	if !k.cur.runItem(k.curGroup) {
 		k.cur = nil
 	}
 }
 
-// finishBatch runs the rest of the current batch event, if any.
+// finishBatch runs the rest of the current group, if any.
 func (k *Kernel) finishBatch() {
 	for k.cur != nil {
 		k.runItem()
@@ -291,7 +301,7 @@ func (k *Kernel) next() (*event, int) {
 }
 
 // dispatch removes the earliest event from src (as reported by next),
-// advances the clock to its timestamp and runs it.
+// advances the clock to its timestamp and makes its group current.
 func (k *Kernel) dispatch(src int) {
 	var e event
 	if src < 0 {
@@ -304,11 +314,11 @@ func (k *Kernel) dispatch(src int) {
 	if p := k.probe; p != nil {
 		p.Dispatch()
 	}
-	e.call(e.a0, e.a1, e.i0)
+	k.cur, k.curGroup = k.batches[e.batch], e.group
 }
 
 // Step dispatches the single earliest event, advancing the clock to its
-// timestamp; a batch event runs all its items. It reports false when no
+// timestamp, and runs all its group's items. It reports false when no
 // events remain.
 func (k *Kernel) Step() bool {
 	if k.cur != nil {
@@ -351,8 +361,8 @@ func (k *Kernel) RunUntil(t Time) {
 
 // RunWhile dispatches events while cond() holds and events remain. It is
 // the main loop used by the harness ("run until every processor has
-// finished its quota"). It checks cond between a batch event's items
-// too, so no item runs after cond turns false.
+// finished its quota"). It checks cond between a group's items too, so
+// no item runs after cond turns false.
 func (k *Kernel) RunWhile(cond func() bool) {
 	for cond() {
 		if k.cur == nil {
@@ -362,8 +372,6 @@ func (k *Kernel) RunWhile(cond func() bool) {
 			}
 			k.dispatch(src)
 		}
-		if k.cur != nil {
-			k.runItem()
-		}
+		k.runItem()
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"testing/quick"
 )
 
-// The kernel tests schedule package-level EventFns, the only event path.
+// The kernel tests schedule package-level EventFns through AtCall and
+// AfterCall: each call is a one-item batch group that nothing joins, so
+// these tests see one event per call.
 
 // appendInt appends i0 to the *[]int in a0.
 func appendInt(a0, _ any, i0 int64) {
