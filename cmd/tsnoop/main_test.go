@@ -205,7 +205,10 @@ func TestRunMetricsJSONByteStableAcrossWorkers(t *testing.T) {
 // the TS-Snoop run's typed_dispatches, heap_peak and schedule_delay_ps
 // when the address network began batching same-instant work, and the
 // DirClassic run's typed_dispatches and schedule_delay_ps when message
-// deliveries, ready-time sends and L2-hit completions joined batches.
+// deliveries, ready-time sends and L2-hit completions joined batches, and
+// the TS-Snoop run's typed_dispatches and schedule_delay_ps when every
+// processor's think periods became items of one batch, so same-instant
+// think items of different processors join.
 // Each trace file is ~0.6 MB, so only its SHA-256 is committed.
 func TestRunMetricsSpansGolden(t *testing.T) {
 	base := []string{"run", "-benchmark", "barnes", "-nodes", "4", "-warmup", "100", "-quota", "200"}

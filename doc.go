@@ -48,6 +48,9 @@
 // each run of same-instant network work is one kernel dispatch with no
 // change to tie order; the network carries transaction copies by value
 // and keeps switch and endpoint state in dense, reused slices.
+// system.Build assembles each machine once, every run input (response
+// perturbation included) a constructor argument; its processors share
+// one think batch, and each phase only re-arms their quotas.
 // Protocol messages travel by value: the point-to-point data fabric
 // (network.Fabric[P]) delivers typed payloads as batch items, and each
 // protocol's ready-time sends are items of its own batch. Both protocol

@@ -62,9 +62,6 @@ type Fabric[P any] struct {
 	// message, delivered at its arrival time.
 	deliveries *sim.Batch[Message[P]]
 
-	// Counters for tests and reports.
-	sent int64
-
 	// probe is the kernel's: when non-nil, it counts message deliveries
 	// (nil-guarded: bare runs pay one branch per delivery).
 	probe *obs.Probe
@@ -75,15 +72,18 @@ type orderKey struct {
 }
 
 // New creates a fabric over topo using the given kernel, timing parameters
-// and traffic accountant, recording into the kernel's probe.
+// and traffic accountant, recording into the kernel's probe. perturb,
+// when non-nil, samples an extra delay for every message.
 // orderedVNets lists vnet numbers (below 64) that must preserve
 // point-to-point ordering.
-func New[P any](k *sim.Kernel, topo *topology.Topology, params timing.Params, traffic *stats.Traffic, orderedVNets ...int) *Fabric[P] {
+func New[P any](k *sim.Kernel, topo *topology.Topology, params timing.Params, traffic *stats.Traffic,
+	perturb func() sim.Duration, orderedVNets ...int) *Fabric[P] {
 	f := &Fabric[P]{
 		k:        k,
 		topo:     topo,
 		params:   params,
 		traffic:  traffic,
+		perturb:  perturb,
 		handlers: make([]Handler[P], topo.Nodes()),
 		probe:    k.Probe(),
 	}
@@ -97,9 +97,6 @@ func New[P any](k *sim.Kernel, topo *topology.Topology, params timing.Params, tr
 	return f
 }
 
-// SetPerturbation installs a delivery-delay sampler (nil disables).
-func (f *Fabric[P]) SetPerturbation(fn func() sim.Duration) { f.perturb = fn }
-
 // Register installs the message handler for endpoint dst. Each endpoint
 // must register exactly once before any Send to it arrives.
 func (f *Fabric[P]) Register(dst int, h Handler[P]) {
@@ -108,12 +105,6 @@ func (f *Fabric[P]) Register(dst int, h Handler[P]) {
 	}
 	f.handlers[dst] = h
 }
-
-// Topology returns the fabric's topology.
-func (f *Fabric[P]) Topology() *topology.Topology { return f.topo }
-
-// Sent returns the number of messages sent so far.
-func (f *Fabric[P]) Sent() int64 { return f.sent }
 
 // Send transmits a message. Latency is the unloaded Dovh + hops*Dswitch
 // (plus perturbation); a message to self costs Dovh (network-interface
@@ -139,7 +130,6 @@ func (f *Fabric[P]) Send(vnet, src, dst int, class stats.Class, bytes int, paylo
 	// A local message still counts once for message statistics but
 	// occupies zero links.
 	f.traffic.Add(class, hops, bytes)
-	f.sent++
 	f.deliveries.Add(arrive-now, Message[P]{Src: src, Dst: dst, SentAt: now, Payload: payload})
 }
 

@@ -9,17 +9,17 @@ import (
 	"tsnoop/internal/topology"
 )
 
-func newTestFabric(t *testing.T, topo *topology.Topology, ordered ...int) (*sim.Kernel, *Fabric[int], *stats.Traffic) {
+func newTestFabric(t *testing.T, topo *topology.Topology, perturb func() sim.Duration, ordered ...int) (*sim.Kernel, *Fabric[int], *stats.Traffic) {
 	t.Helper()
 	k := sim.NewKernel()
 	var tr stats.Traffic
-	f := New[int](k, topo, timing.Default(), &tr, ordered...)
+	f := New[int](k, topo, timing.Default(), &tr, perturb, ordered...)
 	return k, f, &tr
 }
 
 func TestButterflyUnloadedLatency(t *testing.T) {
 	// Table 2: one-way latency on the butterfly is Dovh + 3*Dswitch = 49 ns.
-	_, f, _ := newTestFabric(t, topology.MustButterfly(4))
+	_, f, _ := newTestFabric(t, topology.MustButterfly(4), nil)
 	if got := f.UnloadedLatency(0, 15); got != 49*sim.Nanosecond {
 		t.Fatalf("latency = %v, want 49ns", got)
 	}
@@ -27,7 +27,7 @@ func TestButterflyUnloadedLatency(t *testing.T) {
 
 func TestTorusUnloadedLatencies(t *testing.T) {
 	// Table 2: torus one-way latency is Dovh + [0,4]*Dswitch.
-	_, f, _ := newTestFabric(t, topology.MustTorus(4, 4))
+	_, f, _ := newTestFabric(t, topology.MustTorus(4, 4), nil)
 	if got := f.UnloadedLatency(0, 1); got != 19*sim.Nanosecond {
 		t.Fatalf("1-hop latency = %v, want 19ns", got)
 	}
@@ -37,7 +37,7 @@ func TestTorusUnloadedLatencies(t *testing.T) {
 }
 
 func TestSendDeliversWithLatency(t *testing.T) {
-	k, f, _ := newTestFabric(t, topology.MustButterfly(4))
+	k, f, _ := newTestFabric(t, topology.MustButterfly(4), nil)
 	var at sim.Time
 	var got Message[int]
 	f.Register(5, func(m Message[int]) { at = k.Now(); got = m })
@@ -57,7 +57,7 @@ func TestSendDeliversWithLatency(t *testing.T) {
 }
 
 func TestSendLocalIsLoopback(t *testing.T) {
-	k, f, tr := newTestFabric(t, topology.MustTorus(4, 4))
+	k, f, tr := newTestFabric(t, topology.MustTorus(4, 4), nil)
 	var at sim.Time
 	f.Register(3, func(m Message[int]) { at = k.Now() })
 	f.Send(0, 3, 3, stats.ClassRequest, timing.CtrlBytes, 0)
@@ -74,7 +74,7 @@ func TestSendLocalIsLoopback(t *testing.T) {
 }
 
 func TestTrafficChargesLinksTimesBytes(t *testing.T) {
-	k, f, tr := newTestFabric(t, topology.MustButterfly(4))
+	k, f, tr := newTestFabric(t, topology.MustButterfly(4), nil)
 	f.Register(9, func(Message[int]) {})
 	f.Send(1, 0, 9, stats.ClassData, timing.DataBytes, 0)
 	k.Run()
@@ -84,11 +84,11 @@ func TestTrafficChargesLinksTimesBytes(t *testing.T) {
 }
 
 func TestOrderedVNetNeverReorders(t *testing.T) {
-	k, f, _ := newTestFabric(t, topology.MustTorus(4, 4), 2)
 	// Perturbation that would reorder: big delay first, zero after.
 	delays := []sim.Duration{100 * sim.Nanosecond, 0, 0, 0, 0}
 	i := 0
-	f.SetPerturbation(func() sim.Duration { d := delays[i%len(delays)]; i++; return d })
+	k, f, _ := newTestFabric(t, topology.MustTorus(4, 4),
+		func() sim.Duration { d := delays[i%len(delays)]; i++; return d }, 2)
 	var got []int
 	f.Register(1, func(m Message[int]) { got = append(got, m.Payload) })
 	for n := 0; n < 5; n++ {
@@ -106,10 +106,10 @@ func TestOrderedVNetNeverReorders(t *testing.T) {
 }
 
 func TestUnorderedVNetCanReorder(t *testing.T) {
-	k, f, _ := newTestFabric(t, topology.MustTorus(4, 4))
 	delays := []sim.Duration{100 * sim.Nanosecond, 0}
 	i := 0
-	f.SetPerturbation(func() sim.Duration { d := delays[i%len(delays)]; i++; return d })
+	k, f, _ := newTestFabric(t, topology.MustTorus(4, 4),
+		func() sim.Duration { d := delays[i%len(delays)]; i++; return d })
 	var got []int
 	f.Register(1, func(m Message[int]) { got = append(got, m.Payload) })
 	f.Send(0, 0, 1, stats.ClassMisc, timing.CtrlBytes, 0)
@@ -121,7 +121,7 @@ func TestUnorderedVNetCanReorder(t *testing.T) {
 }
 
 func TestDoubleRegisterPanics(t *testing.T) {
-	_, f, _ := newTestFabric(t, topology.MustTorus(4, 4))
+	_, f, _ := newTestFabric(t, topology.MustTorus(4, 4), nil)
 	f.Register(0, func(Message[int]) {})
 	defer func() {
 		if recover() == nil {
@@ -132,7 +132,7 @@ func TestDoubleRegisterPanics(t *testing.T) {
 }
 
 func TestSendToUnregisteredPanics(t *testing.T) {
-	_, f, _ := newTestFabric(t, topology.MustTorus(4, 4))
+	_, f, _ := newTestFabric(t, topology.MustTorus(4, 4), nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("send to unregistered endpoint did not panic")
@@ -142,8 +142,7 @@ func TestSendToUnregisteredPanics(t *testing.T) {
 }
 
 func TestPerturbationAddsDelay(t *testing.T) {
-	k, f, _ := newTestFabric(t, topology.MustButterfly(4))
-	f.SetPerturbation(func() sim.Duration { return 3 * sim.Nanosecond })
+	k, f, _ := newTestFabric(t, topology.MustButterfly(4), func() sim.Duration { return 3 * sim.Nanosecond })
 	var at sim.Time
 	f.Register(4, func(Message[int]) { at = k.Now() })
 	f.Send(0, 0, 4, stats.ClassData, 72, 0)
@@ -153,26 +152,13 @@ func TestPerturbationAddsDelay(t *testing.T) {
 	}
 }
 
-func TestSentCounter(t *testing.T) {
-	k, f, _ := newTestFabric(t, topology.MustTorus(4, 4))
-	f.Register(1, func(Message[int]) {})
-	for i := 0; i < 7; i++ {
-		f.Send(0, 0, 1, stats.ClassMisc, 8, 0)
-	}
-	k.Run()
-	if f.Sent() != 7 {
-		t.Fatalf("Sent = %d, want 7", f.Sent())
-	}
-}
-
 // A warm send and delivery allocates nothing, with perturbation giving
 // every message its own delay and an ordered vnet in use: messages
 // travel by value, and the delivery batch keeps one open record for all
 // the delays without a lane.
 func TestSendDeliverAllocs(t *testing.T) {
-	k, f, _ := newTestFabric(t, topology.MustTorus(4, 4), 1)
 	rng := sim.NewRand(5)
-	f.SetPerturbation(func() sim.Duration { return rng.Duration(3 * sim.Nanosecond) })
+	k, f, _ := newTestFabric(t, topology.MustTorus(4, 4), func() sim.Duration { return rng.Duration(3 * sim.Nanosecond) }, 1)
 	got := 0
 	for i := range 16 {
 		f.Register(i, func(m Message[int]) { got += m.Payload })

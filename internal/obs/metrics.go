@@ -57,7 +57,9 @@ type KernelMetrics struct {
 	Events            EventCounts `json:"events"`
 }
 
-// EventCounts breaks dispatches down by EventKind.
+// EventCounts breaks dispatches down by EventKind. LinkTxn and
+// LinkToken are the link-transit totals, NetworkMetrics'
+// LinkTxnTransits and LinkTokenTransits.
 type EventCounts struct {
 	LinkTxn        int64 `json:"link_txn"`
 	LinkToken      int64 `json:"link_token"`

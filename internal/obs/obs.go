@@ -110,15 +110,12 @@ func (h *Hist) reset() { *h = Hist{} }
 // — so each subsystem tags its own dispatches at the call site.
 type EventKind uint8
 
+// Link transits are not kinds: LinkTxn and LinkToken count them per
+// link, and Finalize sums those.
 const (
-	// EvLinkTxn is an address transaction finishing a link transit
-	// in tsnet.
-	EvLinkTxn EventKind = iota
-	// EvLinkToken is an isotach token finishing a link transit.
-	EvLinkToken
 	// EvPortService is a switch serving a buffered transaction on a
 	// contended output port.
-	EvPortService
+	EvPortService EventKind = iota
 	// EvOrderedHandoff is a reorder queue handing a transaction to
 	// the endpoint in timestamp order.
 	EvOrderedHandoff
@@ -354,8 +351,8 @@ func (p *Probe) Finalize(runtimePS int64) *Metrics {
 			HeapPeak:        p.heapPeak,
 			ScheduleDelayPS: p.scheduleDelay.summary(),
 			Events: EventCounts{
-				LinkTxn:        p.kinds[EvLinkTxn],
-				LinkToken:      p.kinds[EvLinkToken],
+				LinkTxn:        txn,
+				LinkToken:      tok,
 				PortService:    p.kinds[EvPortService],
 				OrderedHandoff: p.kinds[EvOrderedHandoff],
 				DataMsg:        p.kinds[EvDataMsg],

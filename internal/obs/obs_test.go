@@ -100,7 +100,6 @@ func TestResetKeepsNetworkShape(t *testing.T) {
 	p := NewProbe()
 	p.SizeNetwork([]int64{50}, 1)
 	p.Dispatch()
-	p.Event(EvLinkTxn)
 	p.LinkTxn(0)
 	p.TokenStall(0, 10)
 	p.MSHROcc(3)

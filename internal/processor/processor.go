@@ -18,15 +18,32 @@ import (
 	"tsnoop/internal/workload"
 )
 
+// Set is one machine's processors, built once; Start re-arms them for
+// each phase. Every think period of every processor is an item of one
+// batch naming the processor by its index, so think periods of
+// different processors that end at one instant may share a kernel event,
+// still in the order one event each would give.
+type Set struct {
+	k        *sim.Kernel
+	proto    *coherence.Protocol // the caller's protocol slot, read at every issue
+	gen      workload.Generator
+	params   timing.Params
+	run      *stats.Run
+	onFinish func(id int)
+	think    *sim.Batch[int32]
+	procs    []Processor
+
+	// probe is the kernel's optional telemetry hook (nil = one branch
+	// per access).
+	probe *obs.Probe
+}
+
 // Processor drives one node's memory operations.
 type Processor struct {
-	k      *sim.Kernel
-	id     int
-	proto  coherence.Protocol
-	gen    workload.Generator
-	params timing.Params
-	rng    *sim.Rand
-	run    *stats.Run
+	set  *Set
+	slot int32 // index in set.procs: the think batch's item
+	id   int
+	rng  *sim.Rand
 
 	quota    int
 	executed int
@@ -34,37 +51,51 @@ type Processor struct {
 	// FinishedAt is the simulated time the quota completed.
 	FinishedAt sim.Time
 
-	onFinish func(id int)
-
-	// think ends each think period by issuing pending; doneFn is the
-	// completion callback handed to the protocol. All three live on the
-	// processor so the per-operation think/issue/complete cycle
-	// allocates nothing. At most one think is pending, so no item joins
-	// another and each think period is one kernel event.
-	think   *sim.Batch[*Processor]
-	pending workload.Access
-	doneFn  func(coherence.AccessResult)
-
-	// probe is the kernel's optional telemetry hook (nil = one branch
-	// per access); issuedAt timestamps the in-flight access for its
-	// lifecycle span.
-	probe    *obs.Probe
+	// pending is the access the current think period ends by issuing,
+	// doneFn its completion callback, bound once so the
+	// think/issue/complete cycle allocates nothing, and issuedAt its
+	// issue time, for its lifecycle span.
+	pending  workload.Access
+	doneFn   func(coherence.AccessResult)
 	issuedAt sim.Time
 }
 
-// New creates a processor for node id executing quota memory operations,
-// recording its access spans into the kernel's probe.
+// NewSet builds one processor per stream of rngs: processor i is node i
+// and draws from rngs[i]. Processors issue through *proto and record
+// their access spans into the kernel's probe. onFinish, when non-nil,
+// is called with a processor's id when it completes its quota.
+func NewSet(k *sim.Kernel, proto *coherence.Protocol, gen workload.Generator, params timing.Params,
+	run *stats.Run, onFinish func(int), rngs []*sim.Rand) *Set {
+	s := &Set{
+		k: k, proto: proto, gen: gen, params: params, run: run,
+		onFinish: onFinish, probe: k.Probe(), procs: make([]Processor, len(rngs)),
+	}
+	s.think = sim.NewBatch(k, s.issueAccess)
+	for i := range s.procs {
+		p := &s.procs[i]
+		p.set, p.slot, p.id, p.rng = s, int32(i), i, rngs[i]
+		p.doneFn = p.accessDone
+	}
+	return s
+}
+
+// New creates a lone processor for node id executing quota memory
+// operations.
 func New(k *sim.Kernel, id int, proto coherence.Protocol, gen workload.Generator,
 	params timing.Params, rng *sim.Rand, run *stats.Run, quota int, onFinish func(int)) *Processor {
-	p := &Processor{
-		k: k, id: id, proto: proto, gen: gen,
-		params: params, rng: rng, run: run,
-		quota: quota, onFinish: onFinish,
-		probe: k.Probe(),
-	}
-	p.think = sim.NewBatch(k, issueAccess)
-	p.doneFn = p.accessDone
+	p := &NewSet(k, &proto, gen, params, run, onFinish, []*sim.Rand{rng}).procs[0]
+	p.id, p.quota = id, quota
 	return p
+}
+
+// Start begins a phase at the current simulated time: every processor
+// executes quota more memory operations.
+func (s *Set) Start(quota int) {
+	for i := range s.procs {
+		p := &s.procs[i]
+		p.quota, p.executed, p.finished = quota, 0, false
+		p.step()
+	}
 }
 
 // Start begins execution at the current simulated time.
@@ -77,37 +108,39 @@ func (p *Processor) Finished() bool { return p.finished }
 func (p *Processor) Executed() int { return p.executed }
 
 func (p *Processor) step() {
+	s := p.set
 	if p.executed >= p.quota {
 		p.finished = true
-		p.FinishedAt = p.k.Now()
-		if p.onFinish != nil {
-			p.onFinish(p.id)
+		p.FinishedAt = s.k.Now()
+		if s.onFinish != nil {
+			s.onFinish(p.id)
 		}
 		return
 	}
-	p.pending = p.gen.Next(p.id, p.rng)
-	think := sim.Duration(p.pending.Think) * p.params.InstrTime
-	p.run.Instructions += int64(p.pending.Think)
-	p.think.Add(think, p)
+	p.pending = s.gen.Next(p.id, p.rng)
+	think := sim.Duration(p.pending.Think) * s.params.InstrTime
+	s.run.Instructions += int64(p.pending.Think)
+	s.think.Add(think, p.slot)
 }
 
-// issueAccess ends a think period: the processor issues its pending
-// memory operation.
-func issueAccess(pp **Processor) {
-	p := *pp
-	p.run.MemOps++
-	p.issuedAt = p.k.Now()
-	p.proto.Access(p.id, p.pending.Op, p.pending.Block, p.doneFn)
+// issueAccess ends a think period: the processor in slot i issues its
+// pending memory operation.
+func (s *Set) issueAccess(i *int32) {
+	p := &s.procs[*i]
+	s.run.MemOps++
+	p.issuedAt = s.k.Now()
+	(*s.proto).Access(p.id, p.pending.Op, p.pending.Block, p.doneFn)
 }
 
 // accessDone is the completion callback for every access this processor
 // issues (stored once in doneFn so issuing allocates no closure).
 func (p *Processor) accessDone(r coherence.AccessResult) {
+	s := p.set
 	if r.Hit {
-		p.run.L2Hits++
+		s.run.L2Hits++
 	}
-	if pr := p.probe; pr != nil {
-		now := p.k.Now()
+	if pr := s.probe; pr != nil {
+		now := s.k.Now()
 		pr.Span(obs.SpanAccess, int32(p.id), obs.LaneCPU, int32(p.id), 0,
 			int64(p.issuedAt), int64(now-p.issuedAt))
 	}

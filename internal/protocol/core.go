@@ -65,17 +65,19 @@ func completeHit(h *hit) { h.done(h.result) }
 
 // Init sets the core up over topo: one L2 of geometry cc per node, a
 // fresh Oracle (a violation panics), and a data fabric whose
-// orderedVNets keep point-to-point order. The core and its fabric record
+// orderedVNets keep point-to-point order and whose messages take the
+// extra delay perturb samples, when it is non-nil (the paper's stability
+// methodology perturbs message responses). The core and its fabric record
 // into the kernel's probe. The kernel has few lanes and gives them out
 // in declaration order, so a protocol that declares lanes of its own
 // (tsnet's links) builds them before Init.
 func (c *Core[P]) Init(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.Config, run *stats.Run,
-	orderedVNets ...int) {
+	perturb func() sim.Duration, orderedVNets ...int) {
 	*c = Core[P]{K: k, Topo: topo, Params: params, Run: run, Probe: k.Probe(), oracle: coherence.NewOracle()}
 	c.DataBytes = timing.DataMsgBytes(cc.BlockBytes)
 	k.Lane(params.L2Hit) // every hit completes L2Hit after its access
 	c.hits = sim.NewBatch(k, completeHit)
-	c.Fabric = network.New[P](k, topo, params, &run.Traffic, orderedVNets...)
+	c.Fabric = network.New[P](k, topo, params, &run.Traffic, perturb, orderedVNets...)
 	c.caches = make([]*cache.Cache, topo.Nodes())
 	for i := range c.caches {
 		c.caches[i] = cache.MustNew(cc)
@@ -165,7 +167,3 @@ func (c *Core[P]) CacheState(id int, b coherence.Block) cache.State {
 	s, _ := c.caches[id].Peek(b)
 	return s
 }
-
-// SetPerturbation installs a delivery-delay sampler on the data fabric:
-// the paper's stability methodology perturbs message responses.
-func (c *Core[P]) SetPerturbation(fn func() sim.Duration) { c.Fabric.SetPerturbation(fn) }

@@ -156,17 +156,15 @@ type mshr struct {
 	sawInval     bool
 }
 
-type wbEntry struct {
-	version uint64
-}
-
 type node struct {
 	p     *Protocol
 	id    int
 	cache *cache.Cache
 	mshr  *mshr
-	wb    map[coherence.Block]*wbEntry
-	dir   map[coherence.Block]*dirEntry
+	// wb is the writeback buffer: each evicted Modified block's version,
+	// held until the home acknowledges the writeback.
+	wb  map[coherence.Block]uint64
+	dir map[coherence.Block]*dirEntry
 	// deferred holds interventions that arrived before this node's own
 	// GETX completed (the home granted ownership while the fill was still
 	// in flight).
@@ -207,8 +205,10 @@ type pendingSend struct {
 var _ coherence.Protocol = (*Protocol)(nil)
 
 // New constructs a directory protocol over topo, with one L2 of geometry
-// cc per node. It records into the kernel's probe.
-func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.Config, run *stats.Run, opts Options) *Protocol {
+// cc per node. perturb, when non-nil, samples an extra delay for every
+// message. It records into the kernel's probe.
+func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.Config, run *stats.Run,
+	perturb func() sim.Duration, opts Options) *Protocol {
 	if topo.Nodes() > 64 {
 		panic("directory: full bit vector limited to 64 nodes")
 	}
@@ -219,7 +219,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.
 		// avoid nacks".
 		ordered = []int{vnetForward}
 	}
-	p.Init(k, topo, params, cc, run, ordered...)
+	p.Init(k, topo, params, cc, run, perturb, ordered...)
 	p.sends = sim.NewBatch(k, p.runSend)
 	p.retries = sim.NewBatch(k, p.runRetry)
 	p.nodes = make([]node, topo.Nodes())
@@ -230,7 +230,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.
 			p:        p,
 			id:       i,
 			cache:    p.Cache(i),
-			wb:       make(map[coherence.Block]*wbEntry),
+			wb:       make(map[coherence.Block]uint64),
 			dir:      make(map[coherence.Block]*dirEntry),
 			deferred: make(map[coherence.Block][]msg),
 			rng:      rng.Split(),
@@ -286,12 +286,8 @@ func (p *Protocol) send(vnet, src, dst int, m msg) {
 	p.Fabric.Send(vnet, src, dst, class, bytes, m)
 }
 
-// sendAt sends a message at its ready time: at once when that is now.
+// sendAt sends a message at its ready time, which is later than now.
 func (p *Protocol) sendAt(at sim.Time, vnet, src, dst int, m msg) {
-	if at <= p.K.Now() {
-		p.send(vnet, src, dst, m)
-		return
-	}
 	p.sends.Add(at-p.K.Now(), pendingSend{vnet: vnet, src: src, dst: dst, m: m})
 }
 
@@ -554,7 +550,7 @@ func (n *node) insertLine(b coherence.Block, s cache.State, version uint64) {
 	if _, dup := n.wb[victim.Block]; dup {
 		panic(fmt.Sprintf("%s: node %d duplicate writeback for %x", n.p.Name(), n.id, victim.Block))
 	}
-	n.wb[victim.Block] = &wbEntry{version: victim.Version}
+	n.wb[victim.Block] = victim.Version
 	home := coherence.HomeOf(victim.Block, n.p.Topo.Nodes())
 	n.p.send(vnetResponse, n.id, home, msg{
 		kind: mWB, block: victim.Block, requester: n.id, version: victim.Version,
@@ -566,6 +562,7 @@ func (n *node) ownerFwd(m msg) {
 	state, version := n.cache.Peek(m.block)
 	ready := n.p.K.Now() + n.p.Params.Dcache
 	home := coherence.HomeOf(m.block, n.p.Topo.Nodes())
+	wb, inWB := n.wb[m.block]
 	switch {
 	case state == cache.Modified:
 		n.p.sendAt(ready, vnetResponse, n.id, m.requester, msg{
@@ -582,16 +579,15 @@ func (n *node) ownerFwd(m msg) {
 				kind: mRevision, txn: coherence.GetX, block: m.block, version: version,
 			})
 		}
-	case n.wb[m.block] != nil:
+	case inWB:
 		// Evicted but not yet acknowledged: supply from the writeback
 		// buffer; the home will squash the writeback when it completes
 		// this episode.
-		wb := n.wb[m.block]
 		n.p.sendAt(ready, vnetResponse, n.id, m.requester, msg{
-			kind: mData, txn: m.txn, block: m.block, version: wb.version, supplier: stats.MissCacheToCache,
+			kind: mData, txn: m.txn, block: m.block, version: wb, supplier: stats.MissCacheToCache,
 		})
 		n.p.sendAt(ready, vnetResponse, n.id, home, msg{
-			kind: mRevision, txn: m.txn, block: m.block, version: wb.version, keepCopy: false,
+			kind: mRevision, txn: m.txn, block: m.block, version: wb, keepCopy: false,
 		})
 	case n.mshr != nil && n.mshr.block == m.block && n.mshr.txn == coherence.GetX:
 		// The home granted us ownership but our fill is still in flight.
@@ -698,7 +694,7 @@ func (n *node) applyWB(e *dirEntry, m msg) {
 
 // ownerWBAck frees the writeback buffer entry.
 func (n *node) ownerWBAck(m msg) {
-	if n.wb[m.block] == nil {
+	if _, ok := n.wb[m.block]; !ok {
 		panic(fmt.Sprintf("%s: node %d writeback ack without entry", n.p.Name(), n.id))
 	}
 	delete(n.wb, m.block)

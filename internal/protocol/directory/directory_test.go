@@ -20,6 +20,13 @@ type env struct {
 
 func newEnv(t *testing.T, topo *topology.Topology, v Variant, mutate func(*Options)) *env {
 	t.Helper()
+	return newPerturbedEnv(t, topo, v, nil, mutate)
+}
+
+// newPerturbedEnv is newEnv with perturb sampling every message's extra
+// delay.
+func newPerturbedEnv(t *testing.T, topo *topology.Topology, v Variant, perturb func() sim.Duration, mutate func(*Options)) *env {
+	t.Helper()
 	k := sim.NewKernel()
 	run := &stats.Run{}
 	opts := Options{Variant: v, RetrySeed: 1}
@@ -27,7 +34,7 @@ func newEnv(t *testing.T, topo *topology.Topology, v Variant, mutate func(*Optio
 		mutate(&opts)
 	}
 	cc := cache.Config{SizeBytes: 64 * 1024, Ways: 4, BlockBytes: 64}
-	p := New(k, topo, timing.Default(), cc, run, opts)
+	p := New(k, topo, timing.Default(), cc, run, perturb, opts)
 	return &env{k: k, p: p, run: run, topo: topo}
 }
 
@@ -303,9 +310,8 @@ func TestConcurrentMixWithPerturbation(t *testing.T) {
 	// Random response delays exercise the races: held writebacks,
 	// deferred interventions, stale invals.
 	for _, v := range []Variant{Classic, Opt} {
-		e := newEnv(t, topology.MustTorus(4, 4), v, nil)
 		prng := sim.NewRand(5)
-		e.p.SetPerturbation(func() sim.Duration { return prng.Duration(3 * sim.Nanosecond) })
+		e := newPerturbedEnv(t, topology.MustTorus(4, 4), v, func() sim.Duration { return prng.Duration(3 * sim.Nanosecond) }, nil)
 		rng := sim.NewRand(77)
 		remaining := make([]int, 16)
 		for i := range remaining {

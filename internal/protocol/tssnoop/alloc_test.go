@@ -64,7 +64,7 @@ func TestMissAllocs(t *testing.T) {
 			if tc.mutate != nil {
 				tc.mutate(&opts)
 			}
-			p := New(k, topo, timing.Default(), cache.DefaultConfig(), run, opts)
+			p := New(k, topo, timing.Default(), cache.DefaultConfig(), run, nil, opts)
 			k.RunUntil(100 * sim.Nanosecond)
 
 			const block = coherence.Block(42)
@@ -119,7 +119,7 @@ func TestMissAllocsTraced(t *testing.T) {
 	run := &stats.Run{}
 	opts := DefaultOptions()
 	opts.Net.Verify = false
-	p := New(k, topo, timing.Default(), cache.DefaultConfig(), run, opts)
+	p := New(k, topo, timing.Default(), cache.DefaultConfig(), run, nil, opts)
 	k.RunUntil(100 * sim.Nanosecond)
 
 	const block = coherence.Block(42)
@@ -149,7 +149,7 @@ func TestHitAllocs(t *testing.T) {
 	run := &stats.Run{}
 	opts := DefaultOptions()
 	opts.Net.Verify = false
-	p := New(k, topo, timing.Default(), cache.DefaultConfig(), run, opts)
+	p := New(k, topo, timing.Default(), cache.DefaultConfig(), run, nil, opts)
 	k.RunUntil(100 * sim.Nanosecond)
 
 	const block = coherence.Block(7)

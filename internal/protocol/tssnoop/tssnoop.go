@@ -222,16 +222,18 @@ type pendingSend struct {
 var _ coherence.Protocol = (*Protocol)(nil)
 
 // New constructs and starts the protocol over topo, with one L2 of
-// geometry cc per node. The protocol and its address network record into
-// the kernel's probe.
-func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.Config, run *stats.Run, opts Options) *Protocol {
+// geometry cc per node. perturb, when non-nil, samples an extra delay
+// for every data message. The protocol and its address network record
+// into the kernel's probe.
+func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.Config, run *stats.Run,
+	perturb func() sim.Duration, opts Options) *Protocol {
 	if opts.Multicast && topo.Nodes() > 64 {
 		panic("tssnoop: multicast snooping limited to 64 nodes")
 	}
 	p := &Protocol{opts: opts}
 	// The address network declares its link lanes before the core's.
 	p.addr = tsnet.NewOf[addrTxn](k, topo, tsnet.Config{Params: params, Design: opts.Net}, &run.Traffic, run)
-	p.Init(k, topo, params, cc, run)
+	p.Init(k, topo, params, cc, run, perturb)
 	p.sends = sim.NewBatch(k, p.runSend)
 	p.nodes = make([]node, topo.Nodes())
 	for i := range p.nodes {

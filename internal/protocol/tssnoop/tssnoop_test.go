@@ -28,7 +28,7 @@ func newEnv(t *testing.T, topo *topology.Topology, mutate func(*Options)) *env {
 	}
 	// Small cache keeps eviction paths reachable in tests.
 	cc := cache.Config{SizeBytes: 64 * 1024, Ways: 4, BlockBytes: 64}
-	p := New(k, topo, timing.Default(), cc, run, opts)
+	p := New(k, topo, timing.Default(), cc, run, nil, opts)
 	return &env{k: k, p: p, run: run, topo: topo}
 }
 

@@ -6,7 +6,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tsnoop/internal/obs"
@@ -258,14 +257,4 @@ func (r *Run) NormalizeTo(base *Run) float64 {
 		return 0
 	}
 	return float64(r.Traffic.TotalLinkBytes()) / float64(bt)
-}
-
-// Sorted helper for deterministic map iteration in reports.
-func SortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -123,14 +123,6 @@ func TestSummaryContainsKeyFields(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	got := SortedKeys(m)
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Errorf("SortedKeys = %v", got)
-	}
-}
-
 func TestUpgradeMisses(t *testing.T) {
 	var r Run
 	r.AddMiss(MissUpgrade, 60*sim.Nanosecond)

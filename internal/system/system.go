@@ -109,17 +109,21 @@ type System struct {
 	Core controller
 	Run  *stats.Run
 
-	gen     workload.Generator
-	touched map[coherence.Block]bool
-	rngs    []*sim.Rand
-	probe   *obs.Probe
+	// cpus are the machine's processors; they issue through Proto and
+	// draw accesses from gen, which counts the blocks they touch.
+	cpus *processor.Set
+	gen  countingGen
+
+	// running counts the processors still short of the phase's quota;
+	// last is when the latest one finished.
+	running int
+	last    sim.Time
 }
 
 // controller is what a machine uses of its protocol's protocol.Core,
 // whatever message type the core's fabric carries.
 type controller interface {
 	CacheState(id int, b coherence.Block) cache.State
-	SetPerturbation(fn func() sim.Duration)
 }
 
 // MaxNodes is the largest machine Build builds: 16 times the paper's
@@ -220,52 +224,47 @@ func Build(cfg Config, gen workload.Generator) (*System, error) {
 	}
 	k := sim.NewKernel()
 	run := &stats.Run{}
-	var probe *obs.Probe
 	if cfg.Metrics || cfg.Spans {
-		probe = obs.NewProbe()
+		probe := obs.NewProbe()
 		if cfg.Spans {
 			probe.EnableSpans(cfg.SpanLog)
 		}
 		k.SetProbe(probe) // before anything that records into it is built
 	}
 
-	var proto coherence.Protocol
-	var core controller
+	// The paper's stability methodology perturbs message responses.
+	var perturb func() sim.Duration
+	if cfg.PerturbMax > 0 {
+		prng := sim.NewRand(cfg.Seed ^ 0xfeed)
+		perturb = func() sim.Duration { return prng.Duration(cfg.PerturbMax) }
+	}
+	s := &System{
+		Cfg:  cfg,
+		K:    k,
+		Topo: topo,
+		Run:  run,
+		gen:  countingGen{inner: gen, touched: make(map[coherence.Block]bool)},
+	}
 	switch cfg.Protocol {
 	case ProtoTSSnoop:
-		p := tssnoop.New(k, topo, cfg.Params, cfg.Cache, run, cfg.TSSnoop)
-		proto, core = p, &p.Core
+		p := tssnoop.New(k, topo, cfg.Params, cfg.Cache, run, perturb, cfg.TSSnoop)
+		s.Proto, s.Core = p, &p.Core
 	case ProtoDirClassic, ProtoDirOpt:
 		v := directory.Classic
 		if cfg.Protocol == ProtoDirOpt {
 			v = directory.Opt
 		}
-		p := directory.New(k, topo, cfg.Params, cfg.Cache, run, directory.Options{Variant: v, RetrySeed: cfg.Seed ^ 0x4e7247})
-		proto, core = p, &p.Core
+		p := directory.New(k, topo, cfg.Params, cfg.Cache, run, perturb, directory.Options{Variant: v, RetrySeed: cfg.Seed ^ 0x4e7247})
+		s.Proto, s.Core = p, &p.Core
 	default:
 		return nil, fmt.Errorf("system: unknown protocol %q", cfg.Protocol)
 	}
-	if cfg.PerturbMax > 0 {
-		prng := sim.NewRand(cfg.Seed ^ 0xfeed)
-		core.SetPerturbation(func() sim.Duration { return prng.Duration(cfg.PerturbMax) })
+	rngs, root := make([]*sim.Rand, cfg.Nodes), sim.NewRand(cfg.Seed)
+	for i := range rngs {
+		rngs[i] = root.Split()
 	}
-
-	s := &System{
-		Cfg:     cfg,
-		K:       k,
-		Topo:    topo,
-		Proto:   proto,
-		Core:    core,
-		Run:     run,
-		gen:     gen,
-		touched: make(map[coherence.Block]bool),
-		probe:   probe,
-	}
-	root := sim.NewRand(cfg.Seed)
-	s.rngs = make([]*sim.Rand, cfg.Nodes)
-	for i := range s.rngs {
-		s.rngs[i] = root.Split()
-	}
+	finished := func(int) { s.running, s.last = s.running-1, k.Now() }
+	s.cpus = processor.NewSet(k, &s.Proto, &s.gen, cfg.Params, run, finished, rngs)
 	return s, nil
 }
 
@@ -293,23 +292,13 @@ func (s *System) runPhase(quota int) (sim.Time, error) {
 		return 0, nil
 	}
 	start := s.K.Now()
-	remaining := s.Cfg.Nodes
-	gen := &countingGen{inner: s.gen, touched: s.touched}
-	var last sim.Time
-	for i := 0; i < s.Cfg.Nodes; i++ {
-		p := processor.New(s.K, i, s.Proto, gen, s.Cfg.Params, s.rngs[i], s.Run, quota, func(int) {
-			remaining--
-			if s.K.Now() > last {
-				last = s.K.Now()
-			}
-		})
-		p.Start()
-	}
-	s.K.RunWhile(func() bool { return remaining > 0 })
-	if remaining > 0 {
+	s.running, s.last = s.Cfg.Nodes, start
+	s.cpus.Start(quota)
+	s.K.RunWhile(func() bool { return s.running > 0 })
+	if s.running > 0 {
 		return 0, fmt.Errorf("%w at %v with %d accesses pending", ErrDeadlock, s.K.Now(), s.Proto.Pending())
 	}
-	return last - start, nil
+	return s.last - start, nil
 }
 
 // Execute runs warm-up, resets statistics, runs the measured phase, and
@@ -323,17 +312,17 @@ func (s *System) Execute() (*stats.Run, error) {
 	s.Run.Reset()
 	// Reset the probe with the statistics so the telemetry snapshot
 	// covers exactly the measured window.
-	if s.probe != nil {
-		s.probe.Reset()
+	if p := s.K.Probe(); p != nil {
+		p.Reset()
 	}
 	runtime, err := s.runPhase(s.Cfg.MeasurePerCPU)
 	if err != nil {
 		return nil, err
 	}
 	s.Run.Runtime = runtime
-	s.Run.DataTouched = int64(len(s.touched)) * int64(s.Cfg.Cache.BlockBytes)
-	if s.probe != nil {
-		s.Run.Metrics = s.probe.Finalize(int64(runtime))
+	s.Run.DataTouched = int64(len(s.gen.touched)) * int64(s.Cfg.Cache.BlockBytes)
+	if p := s.K.Probe(); p != nil {
+		s.Run.Metrics = p.Finalize(int64(runtime))
 	}
 	return s.Run, nil
 }

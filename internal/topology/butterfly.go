@@ -53,23 +53,21 @@ func Butterfly(radix int) (*Topology, error) {
 	}
 
 	// Broadcast trees: source -> stage0 -> all stage1 -> all endpoints.
-	t.trees = make([]*BroadcastTree, n)
+	t.trees = make([]BroadcastTree, n)
+	nodes := make(treeNodes, 0, 2+radix+n)
 	for src := 0; src < n; src++ {
-		root := &treeNode{vertex: Vertex{KindEndpoint, src}, inLink: -1}
-		s0 := &treeNode{vertex: Vertex{KindSwitch, stage0(src / radix)}, depth: 1, inLink: t.epOut[src]}
-		root.children = append(root.children, s0)
+		nodes = nodes[:0]
+		root := nodes.add(nil, Vertex{KindEndpoint, src}, 0, -1)
+		s0 := nodes.add(root, Vertex{KindSwitch, stage0(src / radix)}, 1, t.epOut[src])
 		for j := 0; j < radix; j++ {
-			s1 := &treeNode{vertex: Vertex{KindSwitch, stage1(j)}, depth: 2, inLink: mid[src/radix][j]}
-			s0.children = append(s0.children, s1)
+			s1 := nodes.add(s0, Vertex{KindSwitch, stage1(j)}, 2, mid[src/radix][j])
 			for k := 0; k < radix; k++ {
 				ep := j*radix + k
-				leaf := &treeNode{vertex: Vertex{KindEndpoint, ep}, depth: 3, inLink: t.epIn[ep]}
-				s1.children = append(s1.children, leaf)
+				nodes.add(s1, Vertex{KindEndpoint, ep}, 3, t.epIn[ep])
 			}
 		}
-		t.trees[src] = t.finishTree(src, root)
+		t.finishTree(src, root)
 	}
-	t.computeHops()
 	return t, nil
 }
 

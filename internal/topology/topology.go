@@ -97,13 +97,9 @@ type BroadcastTree struct {
 	// MaxDepth is the maximum of Depth; it is the Dmax term of the
 	// ordering-time assignment OT = GT_source + Dmax + S.
 	MaxDepth int
-	// Route maps a switch ID to the branches a transaction from Source
-	// takes when it arrives at that switch.
-	Route map[int][]Branch
-	// InjectDeltaD is the dD applied on the source endpoint's injection
-	// link (zero unless the injection link itself is off the longest
-	// path, which does not occur for these topologies).
-	InjectDeltaD int
+	// Route[sw] is the branch list a transaction from Source takes when
+	// it arrives at switch sw: nil when sw is not on the tree.
+	Route [][]Branch
 }
 
 // Topology is a fully constructed interconnect description.
@@ -114,8 +110,7 @@ type Topology struct {
 	links    []Link
 	epOut    []LinkID // injection link per endpoint
 	epIn     []LinkID // ejection link per endpoint
-	hops     [][]int  // endpoint-to-endpoint logical hop counts
-	trees    []*BroadcastTree
+	trees    []BroadcastTree
 }
 
 // Name returns a short human-readable topology name.
@@ -143,13 +138,14 @@ func (t *Topology) EndpointOut(ep int) LinkID { return t.epOut[ep] }
 func (t *Topology) EndpointIn(ep int) LinkID { return t.epIn[ep] }
 
 // Hops returns the logical hop count (equivalently, the number of counted
-// links) for a point-to-point message from src to dst. Hops(i, i) is 0:
-// a node reaching its own memory controller does not enter the network.
+// links) for a point-to-point message from src to dst: the broadcast
+// tree paths are minimal. Hops(i, i) is 0: a node reaching its own
+// memory controller does not enter the network.
 func (t *Topology) Hops(src, dst int) int {
 	if src == dst {
 		return 0
 	}
-	return t.hops[src][dst]
+	return t.trees[src].Depth[dst]
 }
 
 // MaxHops returns the largest point-to-point hop count from src.
@@ -180,7 +176,7 @@ func (t *Topology) MeanHops() float64 {
 }
 
 // BroadcastTree returns the broadcast tree rooted at endpoint src.
-func (t *Topology) BroadcastTree(src int) *BroadcastTree { return t.trees[src] }
+func (t *Topology) BroadcastTree(src int) *BroadcastTree { return &t.trees[src] }
 
 // BroadcastLinks returns the traffic cost (counted links) of one broadcast
 // from src.
@@ -190,21 +186,48 @@ func (t *Topology) BroadcastLinks(src int) int { return t.trees[src].TotalLinks 
 // transaction needs to reach its furthest destination.
 func (t *Topology) Dmax(src int) int { return t.trees[src].MaxDepth }
 
-// treeNode is scaffolding used while building broadcast trees.
+// treeNode is scaffolding used while building broadcast trees. A node's
+// children form a list in the order they were added, which is the order
+// of its switch's branches.
 type treeNode struct {
-	vertex   Vertex
-	depth    int
-	inLink   LinkID // link by which the broadcast reaches this vertex (-1 at root)
-	children []*treeNode
+	vertex Vertex
+	depth  int
+	inLink LinkID // link by which the broadcast reaches this vertex (-1 at root)
+	kids   int
+	first  *treeNode // first child
+	last   *treeNode // last child
+	next   *treeNode // next sibling
 }
 
-// finishTree converts a constructed tree into a BroadcastTree, computing
-// per-branch dD values from subtree residual depths.
-func (t *Topology) finishTree(src int, root *treeNode) *BroadcastTree {
-	bt := &BroadcastTree{
+// treeNodes hands out the nodes of one tree at a time: every tree of a
+// topology reuses one array, sized for the largest tree.
+type treeNodes []treeNode
+
+// add appends a child of parent (the root, when parent is nil) at
+// vertex v, depth and inLink.
+func (a *treeNodes) add(parent *treeNode, v Vertex, depth int, inLink LinkID) *treeNode {
+	*a = append(*a, treeNode{vertex: v, depth: depth, inLink: inLink})
+	nd := &(*a)[len(*a)-1]
+	if parent != nil {
+		if parent.last == nil {
+			parent.first = nd
+		} else {
+			parent.last.next = nd
+		}
+		parent.last = nd
+		parent.kids++
+	}
+	return nd
+}
+
+// finishTree converts a constructed tree into src's BroadcastTree,
+// computing per-branch dD values from subtree residual depths.
+func (t *Topology) finishTree(src int, root *treeNode) {
+	bt := &t.trees[src]
+	*bt = BroadcastTree{
 		Source: src,
 		Depth:  make([]int, t.n),
-		Route:  make(map[int][]Branch),
+		Route:  make([][]Branch, len(t.switches)),
 	}
 	for i := range bt.Depth {
 		bt.Depth[i] = -1
@@ -221,18 +244,21 @@ func (t *Topology) finishTree(src int, root *treeNode) *BroadcastTree {
 				reach |= 1 << uint(nd.vertex.Index)
 			}
 		}
-		residual := 0
-		type branchInfo struct {
-			link  LinkID
-			below int // cost(link) + residual(child)
-			reach uint64
+		// A switch's branches hold each branch's depth below in DeltaD
+		// until the residual depth is known.
+		var branches []Branch
+		if nd.vertex.Kind == KindSwitch {
+			branches = make([]Branch, nd.kids)
+			bt.Route[nd.vertex.Index] = branches
 		}
-		var infos []branchInfo
-		for _, c := range nd.children {
-			cost := t.links[c.inLink].Cost
+		residual := 0
+		i := 0
+		for c := nd.first; c != nil; c, i = c.next, i+1 {
 			below, childReach := walk(c)
-			below += cost
-			infos = append(infos, branchInfo{link: c.inLink, below: below, reach: childReach})
+			below += t.links[c.inLink].Cost // cost(link) + residual(child)
+			if branches != nil {
+				branches[i] = Branch{Link: c.inLink, DeltaD: below, Reach: childReach}
+			}
 			reach |= childReach
 			if below > residual {
 				residual = below
@@ -241,30 +267,12 @@ func (t *Topology) finishTree(src int, root *treeNode) *BroadcastTree {
 				bt.TotalLinks++
 			}
 		}
-		if nd.vertex.Kind == KindSwitch {
-			branches := make([]Branch, 0, len(infos))
-			for _, bi := range infos {
-				branches = append(branches, Branch{Link: bi.link, DeltaD: residual - bi.below, Reach: bi.reach})
-			}
-			bt.Route[nd.vertex.Index] = branches
+		for i := range branches {
+			branches[i].DeltaD = residual - branches[i].DeltaD
 		}
 		return residual, reach
 	}
 	walk(root)
-	return bt
-}
-
-// computeHops fills the endpoint-to-endpoint hop table from the broadcast
-// trees: for these topologies the broadcast tree paths are minimal, so the
-// broadcast depth equals the point-to-point hop count.
-func (t *Topology) computeHops() {
-	t.hops = make([][]int, t.n)
-	for s := 0; s < t.n; s++ {
-		t.hops[s] = make([]int, t.n)
-		for d := 0; d < t.n; d++ {
-			t.hops[s][d] = t.trees[s].Depth[d]
-		}
-	}
 }
 
 func (t *Topology) addLink(from, to Vertex, cost int) LinkID {
@@ -284,7 +292,7 @@ func (t *Topology) addLink(from, to Vertex, cost int) LinkID {
 // traffic cost of one multicast). Only defined for machines with at most
 // 64 endpoints.
 func (t *Topology) MulticastLinks(src int, mask uint64) int {
-	tree := t.trees[src]
+	tree := &t.trees[src]
 	links := 0
 	inj := t.links[t.epOut[src]]
 	if inj.Counted() {

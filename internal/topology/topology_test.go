@@ -17,7 +17,7 @@ func walkBroadcast(t *testing.T, topo *Topology, tree *BroadcastTree) (depth, su
 		d    int
 		dd   int
 	}
-	queue := []state{{link: topo.EndpointOut(tree.Source), d: topo.Link(topo.EndpointOut(tree.Source)).Cost, dd: tree.InjectDeltaD}}
+	queue := []state{{link: topo.EndpointOut(tree.Source), d: topo.Link(topo.EndpointOut(tree.Source)).Cost}}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
@@ -30,8 +30,8 @@ func walkBroadcast(t *testing.T, topo *Topology, tree *BroadcastTree) (depth, su
 			sumDD[to.Index] = cur.dd
 			continue
 		}
-		branches, ok := tree.Route[to.Index]
-		if !ok {
+		branches := tree.Route[to.Index]
+		if branches == nil {
 			t.Fatalf("no route at switch %d for source %d", to.Index, tree.Source)
 		}
 		for _, b := range branches {

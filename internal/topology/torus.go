@@ -60,12 +60,13 @@ func Torus(w, h int) (*Topology, error) {
 		return
 	}
 
-	t.trees = make([]*BroadcastTree, n)
+	t.trees = make([]BroadcastTree, n)
+	nodes := make(treeNodes, 0, 1+2*n)
 	for src := 0; src < n; src++ {
 		sx, sy := src%w, src/w
-		root := &treeNode{vertex: Vertex{KindEndpoint, src}, inLink: -1}
-		srcSw := &treeNode{vertex: Vertex{KindSwitch, src}, depth: 0, inLink: t.epOut[src]}
-		root.children = append(root.children, srcSw)
+		nodes = nodes[:0]
+		root := nodes.add(nil, Vertex{KindEndpoint, src}, 0, -1)
+		srcSw := nodes.add(root, Vertex{KindSwitch, src}, 0, t.epOut[src])
 
 		// Build the y-chain below a switch at (x, y0) (including its own
 		// endpoint ejection), returning the subtree rooted at that switch
@@ -74,9 +75,7 @@ func Torus(w, h int) (*Topology, error) {
 			y0 := colRoot.vertex.Index / w
 			eject := func(nd *treeNode) {
 				ep := nd.vertex.Index
-				nd.children = append(nd.children, &treeNode{
-					vertex: Vertex{KindEndpoint, ep}, depth: nd.depth, inLink: t.epIn[ep],
-				})
+				nodes.add(nd, Vertex{KindEndpoint, ep}, nd.depth, t.epIn[ep])
 			}
 			eject(colRoot)
 			posN, negN := ringChains(h)
@@ -90,8 +89,7 @@ func Torus(w, h int) (*Topology, error) {
 					y := wrap(y0+dir*s, h)
 					from := prev.vertex.Index
 					to := node(x, y)
-					nd := &treeNode{vertex: Vertex{KindSwitch, to}, depth: prev.depth + 1, inLink: swLink[[2]int{from, to}]}
-					prev.children = append(prev.children, nd)
+					nd := nodes.add(prev, Vertex{KindSwitch, to}, prev.depth+1, swLink[[2]int{from, to}])
 					eject(nd)
 					prev = nd
 				}
@@ -112,15 +110,13 @@ func Torus(w, h int) (*Topology, error) {
 				x := wrap(sx+dir*s, w)
 				from := prev.vertex.Index
 				to := node(x, sy)
-				nd := &treeNode{vertex: Vertex{KindSwitch, to}, depth: prev.depth + 1, inLink: swLink[[2]int{from, to}]}
-				prev.children = append(prev.children, nd)
+				nd := nodes.add(prev, Vertex{KindSwitch, to}, prev.depth+1, swLink[[2]int{from, to}])
 				buildColumn(nd, x)
 				prev = nd
 			}
 		}
-		t.trees[src] = t.finishTree(src, root)
+		t.finishTree(src, root)
 	}
-	t.computeHops()
 	return t, nil
 }
 

@@ -390,7 +390,7 @@ func (n *Network[P]) inject(src int, mask uint64, payload P) uint64 {
 	t := txn[P]{
 		src:     int32(src),
 		seq:     seq,
-		slack:   int32(n.cfg.InitialSlack + tree.InjectDeltaD*k),
+		slack:   int32(n.cfg.InitialSlack),
 		mask:    mask,
 		payload: payload,
 		sent:    n.k.Now(),
@@ -453,7 +453,6 @@ func (n *Network[P]) runHop(h *hop[P]) {
 // receiving switch may change t's slack.
 func (n *Network[P]) arriveTxn(id topology.LinkID, t *txn[P]) {
 	if p := n.probe; p != nil {
-		p.Event(obs.EvLinkTxn)
 		p.LinkTxn(int(id))
 	}
 	m := &n.links[id]
@@ -473,7 +472,6 @@ func (n *Network[P]) sendOnLink(id topology.LinkID, t *txn[P]) {
 // arriveToken completes a token's transit of link id.
 func (n *Network[P]) arriveToken(id topology.LinkID) {
 	if p := n.probe; p != nil {
-		p.Event(obs.EvLinkToken)
 		p.LinkToken(int(id))
 	}
 	m := &n.links[id]

@@ -41,11 +41,7 @@ type swState[P any] struct {
 	// propagate exactly when it is zero.
 	empty int
 
-	// routes[src] is the branch list a transaction from src takes at this
-	// switch (nil when the switch is not on src's broadcast tree),
-	// flattened from the topology's per-tree route maps at construction.
-	routes [][]topology.Branch
-	// fans[src] is routes[src] grouped by link latency, and waves the
+	// fans[src] is route(src) grouped by link latency, and waves the
 	// outputs grouped the same way: one wave item per group.
 	fans  [][]latGroup
 	waves []latGroup
@@ -75,14 +71,18 @@ func (s *swState[P]) init(n *Network[P], id int, g *grouper) {
 		empty:    len(spec.In),
 		nextFree: make([]sim.Time, len(spec.Out)),
 		pending:  make([]bool, len(spec.Out)),
-		routes:   make([][]topology.Branch, n.topo.Nodes()),
 		fans:     g.fans[id*n.topo.Nodes() : (id+1)*n.topo.Nodes()],
 	}
-	for src := 0; src < n.topo.Nodes(); src++ {
-		s.routes[src] = n.topo.BroadcastTree(src).Route[id]
-		s.fans[src] = g.group(s.routes[src])
+	for src := range s.fans {
+		s.fans[src] = g.group(s.route(int32(src)))
 	}
 	s.waves = g.group(g.outs[id])
+}
+
+// route is the branch list a transaction from src takes at this switch:
+// nil when the switch is not on src's broadcast tree.
+func (s *swState[P]) route(src int32) []topology.Branch {
+	return s.net.topo.BroadcastTree(int(src)).Route[s.id]
 }
 
 // latGroup is one link latency among a fan-out's branches, with the
@@ -183,7 +183,7 @@ func (s *swState[P]) arriveTxn(in topology.LinkID, t *txn[P]) {
 	// it earlier in logical time; slack increases to hold OT invariant.
 	t.slack += int32(s.tokens[s.net.links[in].inPos])
 
-	branches := s.routes[t.src]
+	branches := s.route(t.src)
 	if branches == nil {
 		panic(fmt.Sprintf("tsnet: switch %d has no route for source %d", s.id, t.src))
 	}
@@ -216,7 +216,7 @@ func (s *swState[P]) arriveTxn(in topology.LinkID, t *txn[P]) {
 func (s *swState[P]) deliverTxns(g int32, t *txn[P]) {
 	lat := s.fans[t.src][g].lat
 	slack := t.slack
-	branches := s.routes[t.src]
+	branches := s.route(t.src)
 	for i := range branches {
 		if b := &branches[i]; b.Reach&t.mask != 0 && s.net.links[b.Link].lat == lat {
 			t.slack = s.branchSlack(slack, b)
