@@ -15,12 +15,12 @@
 // A Fabric[P] carries payloads of one type P by value: every message in
 // flight is an item of one sim.Batch, delivered at its arrival time in
 // exactly the order one kernel event per message would give, so a
-// steady stream of sends allocates nothing and needs no free list.
+// steady stream of sends allocates nothing and needs no free list. One
+// handler consumes every delivery and dispatches on Message.Dst: the
+// protocol that owns the fabric owns every endpoint's controller.
 package network
 
 import (
-	"fmt"
-
 	"tsnoop/internal/obs"
 	"tsnoop/internal/sim"
 	"tsnoop/internal/stats"
@@ -36,7 +36,8 @@ type Message[P any] struct {
 	Payload  P
 }
 
-// Handler consumes messages delivered to one endpoint.
+// Handler consumes every message the fabric delivers, whatever its
+// destination endpoint (Message.Dst).
 type Handler[P any] func(m Message[P])
 
 // Fabric is an unloaded-latency point-to-point network carrying
@@ -52,7 +53,7 @@ type Fabric[P any] struct {
 	// responses and reports the minimum runtime over several seeds.
 	perturb func() sim.Duration
 
-	handlers []Handler[P]
+	handler Handler[P]
 	// ordered has bit v set when vnet v keeps point-to-point order;
 	// lastAt, made only then, holds each ordered stream's last arrival.
 	ordered uint64
@@ -72,20 +73,20 @@ type orderKey struct {
 }
 
 // New creates a fabric over topo using the given kernel, timing parameters
-// and traffic accountant, recording into the kernel's probe. perturb,
-// when non-nil, samples an extra delay for every message.
-// orderedVNets lists vnet numbers (below 64) that must preserve
-// point-to-point ordering.
+// and traffic accountant, recording into the kernel's probe. h consumes
+// every delivered message, for every endpoint. perturb, when non-nil,
+// samples an extra delay for every message. orderedVNets lists vnet
+// numbers (below 64) that must preserve point-to-point ordering.
 func New[P any](k *sim.Kernel, topo *topology.Topology, params timing.Params, traffic *stats.Traffic,
-	perturb func() sim.Duration, orderedVNets ...int) *Fabric[P] {
+	h Handler[P], perturb func() sim.Duration, orderedVNets ...int) *Fabric[P] {
 	f := &Fabric[P]{
-		k:        k,
-		topo:     topo,
-		params:   params,
-		traffic:  traffic,
-		perturb:  perturb,
-		handlers: make([]Handler[P], topo.Nodes()),
-		probe:    k.Probe(),
+		k:       k,
+		topo:    topo,
+		params:  params,
+		traffic: traffic,
+		perturb: perturb,
+		handler: h,
+		probe:   k.Probe(),
 	}
 	f.deliveries = sim.NewBatch(k, f.deliver)
 	for _, v := range orderedVNets {
@@ -97,22 +98,10 @@ func New[P any](k *sim.Kernel, topo *topology.Topology, params timing.Params, tr
 	return f
 }
 
-// Register installs the message handler for endpoint dst. Each endpoint
-// must register exactly once before any Send to it arrives.
-func (f *Fabric[P]) Register(dst int, h Handler[P]) {
-	if f.handlers[dst] != nil {
-		panic(fmt.Sprintf("network: endpoint %d registered twice", dst))
-	}
-	f.handlers[dst] = h
-}
-
 // Send transmits a message. Latency is the unloaded Dovh + hops*Dswitch
 // (plus perturbation); a message to self costs Dovh (network-interface
 // loopback) and no link traffic.
 func (f *Fabric[P]) Send(vnet, src, dst int, class stats.Class, bytes int, payload P) {
-	if f.handlers[dst] == nil {
-		panic(fmt.Sprintf("network: send to unregistered endpoint %d", dst))
-	}
 	hops := f.topo.Hops(src, dst)
 	lat := f.params.Dnet(hops)
 	if f.perturb != nil {
@@ -133,8 +122,8 @@ func (f *Fabric[P]) Send(vnet, src, dst int, class stats.Class, bytes int, paylo
 	f.deliveries.Add(arrive-now, Message[P]{Src: src, Dst: dst, SentAt: now, Payload: payload})
 }
 
-// deliver completes a message transit, handing the message to its
-// destination's handler.
+// deliver completes a message transit, handing the message to the
+// handler.
 func (f *Fabric[P]) deliver(m *Message[P]) {
 	if p := f.probe; p != nil {
 		p.Event(obs.EvDataMsg)
@@ -143,7 +132,7 @@ func (f *Fabric[P]) deliver(m *Message[P]) {
 		p.Span(obs.SpanDataFlight, int32(m.Dst), obs.NetLane(obs.SpanDataFlight),
 			int32(m.Src), 0, int64(m.SentAt), int64(f.k.Now()-m.SentAt))
 	}
-	f.handlers[m.Dst](*m)
+	f.handler(*m)
 }
 
 // UnloadedLatency reports the fabric's latency between two endpoints

@@ -9,17 +9,22 @@ import (
 	"tsnoop/internal/topology"
 )
 
-func newTestFabric(t *testing.T, topo *topology.Topology, perturb func() sim.Duration, ordered ...int) (*sim.Kernel, *Fabric[int], *stats.Traffic) {
+// newTestFabric builds a fabric over topo whose deliveries, to every
+// endpoint, go to h.
+func newTestFabric(t *testing.T, topo *topology.Topology, h Handler[int], perturb func() sim.Duration, ordered ...int) (*sim.Kernel, *Fabric[int], *stats.Traffic) {
 	t.Helper()
 	k := sim.NewKernel()
 	var tr stats.Traffic
-	f := New[int](k, topo, timing.Default(), &tr, perturb, ordered...)
+	f := New(k, topo, timing.Default(), &tr, h, perturb, ordered...)
 	return k, f, &tr
 }
 
+// ignore is a handler for tests that send nothing or only count traffic.
+func ignore(Message[int]) {}
+
 func TestButterflyUnloadedLatency(t *testing.T) {
 	// Table 2: one-way latency on the butterfly is Dovh + 3*Dswitch = 49 ns.
-	_, f, _ := newTestFabric(t, topology.MustButterfly(4), nil)
+	_, f, _ := newTestFabric(t, topology.MustButterfly(4), ignore, nil)
 	if got := f.UnloadedLatency(0, 15); got != 49*sim.Nanosecond {
 		t.Fatalf("latency = %v, want 49ns", got)
 	}
@@ -27,7 +32,7 @@ func TestButterflyUnloadedLatency(t *testing.T) {
 
 func TestTorusUnloadedLatencies(t *testing.T) {
 	// Table 2: torus one-way latency is Dovh + [0,4]*Dswitch.
-	_, f, _ := newTestFabric(t, topology.MustTorus(4, 4), nil)
+	_, f, _ := newTestFabric(t, topology.MustTorus(4, 4), ignore, nil)
 	if got := f.UnloadedLatency(0, 1); got != 19*sim.Nanosecond {
 		t.Fatalf("1-hop latency = %v, want 19ns", got)
 	}
@@ -37,15 +42,15 @@ func TestTorusUnloadedLatencies(t *testing.T) {
 }
 
 func TestSendDeliversWithLatency(t *testing.T) {
-	k, f, _ := newTestFabric(t, topology.MustButterfly(4), nil)
+	var k *sim.Kernel
 	var at sim.Time
 	var got Message[int]
-	f.Register(5, func(m Message[int]) { at = k.Now(); got = m })
-	for i := 0; i < 16; i++ {
-		if i != 5 {
-			f.Register(i, func(Message[int]) {})
+	k, f, _ := newTestFabric(t, topology.MustButterfly(4), func(m Message[int]) {
+		if m.Dst == 5 {
+			at = k.Now()
+			got = m
 		}
-	}
+	}, nil)
 	f.Send(0, 2, 5, stats.ClassData, timing.DataBytes, 42)
 	k.Run()
 	if at != 49*sim.Nanosecond {
@@ -57,9 +62,13 @@ func TestSendDeliversWithLatency(t *testing.T) {
 }
 
 func TestSendLocalIsLoopback(t *testing.T) {
-	k, f, tr := newTestFabric(t, topology.MustTorus(4, 4), nil)
+	var k *sim.Kernel
 	var at sim.Time
-	f.Register(3, func(m Message[int]) { at = k.Now() })
+	k, f, tr := newTestFabric(t, topology.MustTorus(4, 4), func(m Message[int]) {
+		if m.Dst == 3 {
+			at = k.Now()
+		}
+	}, nil)
 	f.Send(0, 3, 3, stats.ClassRequest, timing.CtrlBytes, 0)
 	k.Run()
 	if at != 4*sim.Nanosecond {
@@ -74,8 +83,7 @@ func TestSendLocalIsLoopback(t *testing.T) {
 }
 
 func TestTrafficChargesLinksTimesBytes(t *testing.T) {
-	k, f, tr := newTestFabric(t, topology.MustButterfly(4), nil)
-	f.Register(9, func(Message[int]) {})
+	k, f, tr := newTestFabric(t, topology.MustButterfly(4), ignore, nil)
 	f.Send(1, 0, 9, stats.ClassData, timing.DataBytes, 0)
 	k.Run()
 	if got := tr.LinkBytes(stats.ClassData); got != 3*72 {
@@ -87,10 +95,12 @@ func TestOrderedVNetNeverReorders(t *testing.T) {
 	// Perturbation that would reorder: big delay first, zero after.
 	delays := []sim.Duration{100 * sim.Nanosecond, 0, 0, 0, 0}
 	i := 0
-	k, f, _ := newTestFabric(t, topology.MustTorus(4, 4),
-		func() sim.Duration { d := delays[i%len(delays)]; i++; return d }, 2)
 	var got []int
-	f.Register(1, func(m Message[int]) { got = append(got, m.Payload) })
+	k, f, _ := newTestFabric(t, topology.MustTorus(4, 4), func(m Message[int]) {
+		if m.Dst == 1 {
+			got = append(got, m.Payload)
+		}
+	}, func() sim.Duration { d := delays[i%len(delays)]; i++; return d }, 2)
 	for n := 0; n < 5; n++ {
 		f.Send(2, 0, 1, stats.ClassMisc, timing.CtrlBytes, n)
 	}
@@ -108,10 +118,12 @@ func TestOrderedVNetNeverReorders(t *testing.T) {
 func TestUnorderedVNetCanReorder(t *testing.T) {
 	delays := []sim.Duration{100 * sim.Nanosecond, 0}
 	i := 0
-	k, f, _ := newTestFabric(t, topology.MustTorus(4, 4),
-		func() sim.Duration { d := delays[i%len(delays)]; i++; return d })
 	var got []int
-	f.Register(1, func(m Message[int]) { got = append(got, m.Payload) })
+	k, f, _ := newTestFabric(t, topology.MustTorus(4, 4), func(m Message[int]) {
+		if m.Dst == 1 {
+			got = append(got, m.Payload)
+		}
+	}, func() sim.Duration { d := delays[i%len(delays)]; i++; return d })
 	f.Send(0, 0, 1, stats.ClassMisc, timing.CtrlBytes, 0)
 	f.Send(0, 0, 1, stats.ClassMisc, timing.CtrlBytes, 1)
 	k.Run()
@@ -120,31 +132,14 @@ func TestUnorderedVNetCanReorder(t *testing.T) {
 	}
 }
 
-func TestDoubleRegisterPanics(t *testing.T) {
-	_, f, _ := newTestFabric(t, topology.MustTorus(4, 4), nil)
-	f.Register(0, func(Message[int]) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double register did not panic")
-		}
-	}()
-	f.Register(0, func(Message[int]) {})
-}
-
-func TestSendToUnregisteredPanics(t *testing.T) {
-	_, f, _ := newTestFabric(t, topology.MustTorus(4, 4), nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("send to unregistered endpoint did not panic")
-		}
-	}()
-	f.Send(0, 0, 1, stats.ClassMisc, 8, 0)
-}
-
 func TestPerturbationAddsDelay(t *testing.T) {
-	k, f, _ := newTestFabric(t, topology.MustButterfly(4), func() sim.Duration { return 3 * sim.Nanosecond })
+	var k *sim.Kernel
 	var at sim.Time
-	f.Register(4, func(Message[int]) { at = k.Now() })
+	k, f, _ := newTestFabric(t, topology.MustButterfly(4), func(m Message[int]) {
+		if m.Dst == 4 {
+			at = k.Now()
+		}
+	}, func() sim.Duration { return 3 * sim.Nanosecond })
 	f.Send(0, 0, 4, stats.ClassData, 72, 0)
 	k.Run()
 	if at != 52*sim.Nanosecond {
@@ -158,11 +153,9 @@ func TestPerturbationAddsDelay(t *testing.T) {
 // the delays without a lane.
 func TestSendDeliverAllocs(t *testing.T) {
 	rng := sim.NewRand(5)
-	k, f, _ := newTestFabric(t, topology.MustTorus(4, 4), func() sim.Duration { return rng.Duration(3 * sim.Nanosecond) }, 1)
 	got := 0
-	for i := range 16 {
-		f.Register(i, func(m Message[int]) { got += m.Payload })
-	}
+	k, f, _ := newTestFabric(t, topology.MustTorus(4, 4), func(m Message[int]) { got += m.Payload },
+		func() sim.Duration { return rng.Duration(3 * sim.Nanosecond) }, 1)
 	step := func() {
 		for vnet := range 2 {
 			for dst := range 16 {

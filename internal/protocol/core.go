@@ -16,7 +16,9 @@
 //     messages of type P by value.
 //
 // The protocol packages (tssnoop, directory) keep only their
-// transactions, MSHR contents and home state.
+// transactions, MSHR contents and home state: one home table per
+// protocol, since only a block's home (coherence.HomeOf) touches its
+// entry.
 package protocol
 
 import (
@@ -64,20 +66,22 @@ type hit struct {
 func completeHit(h *hit) { h.done(h.result) }
 
 // Init sets the core up over topo: one L2 of geometry cc per node, a
-// fresh Oracle (a violation panics), and a data fabric whose
-// orderedVNets keep point-to-point order and whose messages take the
-// extra delay perturb samples, when it is non-nil (the paper's stability
-// methodology perturbs message responses). The core and its fabric record
+// fresh Oracle (a violation panics), and a data fabric that hands every
+// delivered message to h, whose orderedVNets keep point-to-point order
+// and whose messages take the extra delay perturb samples, when it is
+// non-nil (the paper's stability methodology perturbs message
+// responses). h is the protocol's one delivery handler for all nodes:
+// it dispatches on the message's Dst. The core and its fabric record
 // into the kernel's probe. The kernel has few lanes and gives them out
 // in declaration order, so a protocol that declares lanes of its own
 // (tsnet's links) builds them before Init.
 func (c *Core[P]) Init(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.Config, run *stats.Run,
-	perturb func() sim.Duration, orderedVNets ...int) {
+	h network.Handler[P], perturb func() sim.Duration, orderedVNets ...int) {
 	*c = Core[P]{K: k, Topo: topo, Params: params, Run: run, Probe: k.Probe(), oracle: coherence.NewOracle()}
 	c.DataBytes = timing.DataMsgBytes(cc.BlockBytes)
 	k.Lane(params.L2Hit) // every hit completes L2Hit after its access
 	c.hits = sim.NewBatch(k, completeHit)
-	c.Fabric = network.New[P](k, topo, params, &run.Traffic, perturb, orderedVNets...)
+	c.Fabric = network.New(k, topo, params, &run.Traffic, h, perturb, orderedVNets...)
 	c.caches = make([]*cache.Cache, topo.Nodes())
 	for i := range c.caches {
 		c.caches[i] = cache.MustNew(cc)

@@ -15,7 +15,7 @@ func newCore(t *testing.T) *Core[struct{}] {
 	t.Helper()
 	c := &Core[struct{}]{}
 	c.Init(sim.NewKernel(), topology.MustButterfly(2), timing.Default(),
-		cache.Config{SizeBytes: 64 * 1024, Ways: 4, BlockBytes: 64}, &stats.Run{}, nil)
+		cache.Config{SizeBytes: 64 * 1024, Ways: 4, BlockBytes: 64}, &stats.Run{}, nil, nil)
 	t.Cleanup(c.Release)
 	return c
 }

@@ -26,6 +26,7 @@ package directory
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tsnoop/internal/cache"
 	"tsnoop/internal/coherence"
@@ -154,6 +155,10 @@ type mshr struct {
 	// it is ordered before the invalidating store).
 	invalVersion uint64
 	sawInval     bool
+	// deferred holds interventions that arrived before this GETX's fill
+	// did (the home granted ownership while the fill was still in
+	// flight); they are served once the miss completes.
+	deferred []msg
 }
 
 type node struct {
@@ -164,12 +169,7 @@ type node struct {
 	// wb is the writeback buffer: each evicted Modified block's version,
 	// held until the home acknowledges the writeback.
 	wb  map[coherence.Block]uint64
-	dir map[coherence.Block]*dirEntry
-	// deferred holds interventions that arrived before this node's own
-	// GETX completed (the home granted ownership while the fill was still
-	// in flight).
-	deferred map[coherence.Block][]msg
-	rng      *sim.Rand
+	rng *sim.Rand
 
 	// mshrStore is the node's single reusable MSHR: one miss is
 	// outstanding per node (blocking processors), so the value is reset
@@ -183,6 +183,10 @@ type Protocol struct {
 	opts               Options
 
 	nodes []node
+	// dir is every home directory's entries. A block's entry lives at its
+	// home (coherence.HomeOf) and only the home touches it, so the
+	// machine keeps one table.
+	dir map[coherence.Block]*dirEntry
 	// sends puts each message that waits for a ready time on the wire.
 	sends *sim.Batch[pendingSend]
 	// retries re-sends each nacked request after its backoff.
@@ -212,30 +216,20 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.
 	if topo.Nodes() > 64 {
 		panic("directory: full bit vector limited to 64 nodes")
 	}
-	p := &Protocol{opts: opts}
+	p := &Protocol{opts: opts, dir: make(map[coherence.Block]*dirEntry)}
 	var ordered []int
 	if opts.Variant == Opt {
 		// DirOpt "uses point-to-point ordering on one virtual network to
 		// avoid nacks".
 		ordered = []int{vnetForward}
 	}
-	p.Init(k, topo, params, cc, run, perturb, ordered...)
+	p.Init(k, topo, params, cc, run, p.receive, perturb, ordered...)
 	p.sends = sim.NewBatch(k, p.runSend)
 	p.retries = sim.NewBatch(k, p.runRetry)
 	p.nodes = make([]node, topo.Nodes())
 	rng := sim.NewRand(opts.RetrySeed)
 	for i := range p.nodes {
-		n := &p.nodes[i]
-		*n = node{
-			p:        p,
-			id:       i,
-			cache:    p.Cache(i),
-			wb:       make(map[coherence.Block]uint64),
-			dir:      make(map[coherence.Block]*dirEntry),
-			deferred: make(map[coherence.Block][]msg),
-			rng:      rng.Split(),
-		}
-		p.Fabric.Register(i, n.receive)
+		p.nodes[i] = node{p: p, id: i, cache: p.Cache(i), wb: make(map[coherence.Block]uint64), rng: rng.Split()}
 	}
 	return p
 }
@@ -246,19 +240,14 @@ func (p *Protocol) Name() string { return p.opts.Variant.String() }
 // DirectoryState reports the home directory state for b (tests): the
 // state, owner (or -1) and sharer count.
 func (p *Protocol) DirectoryState(b coherence.Block) (string, int, int) {
-	home := coherence.HomeOf(b, p.Topo.Nodes())
-	e, ok := p.nodes[home].dir[b]
+	e, ok := p.dir[b]
 	if !ok || e.state == dirU {
 		return "U", -1, 0
 	}
 	if e.state == dirE {
 		return "E", e.owner, 0
 	}
-	cnt := 0
-	for v := e.sharers; v != 0; v &= v - 1 {
-		cnt++
-	}
-	return "S", -1, cnt
+	return "S", -1, bits.OnesCount64(e.sharers)
 }
 
 // Access implements coherence.Protocol.
@@ -322,8 +311,9 @@ func (n *node) sendRequest() {
 	n.p.send(vnetRequest, n.id, home, msg{kind: mReq, txn: m.txn, block: m.block, requester: n.id})
 }
 
-// receive dispatches a delivered message.
-func (n *node) receive(nm network.Message[msg]) {
+// receive dispatches a message delivered to node nm.Dst.
+func (p *Protocol) receive(nm network.Message[msg]) {
+	n := &p.nodes[nm.Dst]
 	switch m := nm.Payload; m.kind {
 	case mReq:
 		n.homeRequest(m)
@@ -348,18 +338,19 @@ func (n *node) receive(nm network.Message[msg]) {
 	}
 }
 
-func (n *node) entry(b coherence.Block) *dirEntry {
-	e, ok := n.dir[b]
+// entry returns b's directory entry at its home, creating it unowned.
+func (p *Protocol) entry(b coherence.Block) *dirEntry {
+	e, ok := p.dir[b]
 	if !ok {
 		e = &dirEntry{state: dirU, owner: -1}
-		n.dir[b] = e
+		p.dir[b] = e
 	}
 	return e
 }
 
 // homeRequest processes a GETS/GETX at the home directory.
 func (n *node) homeRequest(m msg) {
-	e := n.entry(m.block)
+	e := n.p.entry(m.block)
 	if e.busy {
 		if n.p.opts.Variant == Classic {
 			n.p.send(vnetResponse, n.id, m.requester, msg{kind: mNack, block: m.block, txn: m.txn})
@@ -406,7 +397,7 @@ func (n *node) serveRequest(e *dirEntry, m msg) {
 		case dirS:
 			acks := 0
 			for s := e.sharers; s != 0; s &= s - 1 {
-				sh := bitIndex(s)
+				sh := bits.TrailingZeros64(s)
 				if sh == m.requester {
 					continue
 				}
@@ -442,15 +433,6 @@ func (n *node) serveRequest(e *dirEntry, m msg) {
 	default:
 		panic("directory: bad request kind")
 	}
-}
-
-func bitIndex(v uint64) int {
-	idx := 0
-	for v&1 == 0 {
-		v >>= 1
-		idx++
-	}
-	return idx
 }
 
 // reqNack handles a NACK: retry after backoff with jitter.
@@ -524,18 +506,16 @@ func (n *node) complete() {
 		}
 		n.insertLine(ms.block, cache.Modified, version)
 	}
-	// Keep the block: done may issue the next access, which reuses the
-	// MSHR. With no ordering point or address broadcast, the miss has no
-	// lifecycle phases beyond its total (and the data-fabric flights).
-	block := ms.block
-	n.p.Complete(n.id, block, ms.supplier, ms.issuedAt, version, ms.done, nil)
+	// Take the deferred interventions out first: done may issue the next
+	// access, which reuses the MSHR. With no ordering point or address
+	// broadcast, the miss has no lifecycle phases beyond its total (and
+	// the data-fabric flights).
+	deferred := ms.deferred
+	n.p.Complete(n.id, ms.block, ms.supplier, ms.issuedAt, version, ms.done, nil)
 
 	// Serve interventions that were waiting for this fill.
-	if dl := n.deferred[block]; len(dl) > 0 {
-		delete(n.deferred, block)
-		for _, f := range dl {
-			n.ownerFwd(f)
-		}
+	for _, f := range deferred {
+		n.ownerFwd(f)
 	}
 }
 
@@ -591,7 +571,7 @@ func (n *node) ownerFwd(m msg) {
 		})
 	case n.mshr != nil && n.mshr.block == m.block && n.mshr.txn == coherence.GetX:
 		// The home granted us ownership but our fill is still in flight.
-		n.deferred[m.block] = append(n.deferred[m.block], m)
+		n.mshr.deferred = append(n.mshr.deferred, m)
 	default:
 		panic(fmt.Sprintf("%s: node %d intervention for block %x in state %v without data",
 			n.p.Name(), n.id, m.block, state))
@@ -619,7 +599,7 @@ func (n *node) sharerInval(m msg) {
 
 // homeRevision completes a busy intervention episode at the home.
 func (n *node) homeRevision(m msg) {
-	e := n.entry(m.block)
+	e := n.p.entry(m.block)
 	if !e.busy {
 		panic(fmt.Sprintf("%s: revision for idle block %x", n.p.Name(), m.block))
 	}
@@ -664,7 +644,7 @@ func (n *node) drainQueue(e *dirEntry) {
 
 // homeWB processes a writeback at the home.
 func (n *node) homeWB(m msg) {
-	e := n.entry(m.block)
+	e := n.p.entry(m.block)
 	if e.busy {
 		// An intervention episode is in flight; hold the writeback until
 		// it resolves.

@@ -190,11 +190,11 @@ type node struct {
 	cache *cache.Cache
 	mshr  *mshr
 	wb    map[coherence.Block]wbEntry
-	mem   map[coherence.Block]*memState
 	// pred predicts the current owner per block for multicast masks,
-	// learned from snooped (always-broadcast) GETX and PUTX traffic.
-	// predFIFO implements a bounded predictor's eviction order (an
-	// unbounded one, PredictorSize 0, never evicts and keeps no FIFO).
+	// learned from snooped (always-broadcast) GETX and PUTX traffic; it
+	// is made only when prediction runs (see predicts). predFIFO
+	// implements a bounded predictor's eviction order (an unbounded one,
+	// PredictorSize 0, never evicts and keeps no FIFO).
 	pred     map[coherence.Block]int
 	predFIFO sim.FIFO[coherence.Block]
 
@@ -209,6 +209,10 @@ type Protocol struct {
 
 	addr  *tsnet.Network[addrTxn]
 	nodes []node
+	// mem is every home memory controller's per-block state. A block's
+	// entry lives at its home (coherence.HomeOf) and only the home
+	// touches it, so the machine keeps one table.
+	mem map[coherence.Block]*memState
 	// sends puts each data message on the wire at its ready time.
 	sends *sim.Batch[pendingSend]
 }
@@ -230,28 +234,23 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.
 	if opts.Multicast && topo.Nodes() > 64 {
 		panic("tssnoop: multicast snooping limited to 64 nodes")
 	}
-	p := &Protocol{opts: opts}
+	p := &Protocol{opts: opts, mem: make(map[coherence.Block]*memState)}
 	// The address network declares its link lanes before the core's.
 	p.addr = tsnet.NewOf[addrTxn](k, topo, tsnet.Config{Params: params, Design: opts.Net}, &run.Traffic, run)
-	p.Init(k, topo, params, cc, run, perturb)
+	p.Init(k, topo, params, cc, run, p.dataArrive, perturb)
 	p.sends = sim.NewBatch(k, p.runSend)
 	p.nodes = make([]node, topo.Nodes())
 	for i := range p.nodes {
 		n := &p.nodes[i]
-		*n = node{
-			p:     p,
-			id:    i,
-			cache: p.Cache(i),
-			wb:    make(map[coherence.Block]wbEntry),
-			mem:   make(map[coherence.Block]*memState),
-			pred:  make(map[coherence.Block]int),
+		*n = node{p: p, id: i, cache: p.Cache(i), wb: make(map[coherence.Block]wbEntry)}
+		if p.predicts() {
+			n.pred = make(map[coherence.Block]int)
 		}
 		var peek tsnet.PeekHandler[addrTxn]
 		if opts.EarlyProcessing {
 			peek = n.peek
 		}
 		p.addr.Register(i, n.snoop, peek)
-		p.Fabric.Register(i, n.dataArrive)
 	}
 	p.addr.Start()
 	return p
@@ -262,13 +261,24 @@ func (p *Protocol) Name() string { return "TS-Snoop" }
 
 // MemOwner returns the Synapse owner for b at its home (-1 = memory).
 func (p *Protocol) MemOwner(b coherence.Block) int {
-	home := coherence.HomeOf(b, p.Topo.Nodes())
-	ms, ok := p.nodes[home].mem[b]
-	if !ok {
-		return -1
+	if ms, ok := p.mem[b]; ok {
+		return ms.owner
 	}
-	return ms.owner
+	return -1
 }
+
+// memEntry returns b's home memory state, creating it memory-owned.
+func (p *Protocol) memEntry(b coherence.Block) *memState {
+	ms, ok := p.mem[b]
+	if !ok {
+		ms = &memState{owner: -1}
+		p.mem[b] = ms
+	}
+	return ms
+}
+
+// predicts reports whether multicast owner prediction runs.
+func (p *Protocol) predicts() bool { return p.opts.Multicast && p.opts.PredictorSize >= 0 }
 
 // Access implements coherence.Protocol.
 func (p *Protocol) Access(nodeID int, op coherence.Op, block coherence.Block, done func(coherence.AccessResult)) {
@@ -440,7 +450,7 @@ func (n *node) snoopOwn(t *addrTxn, arrived sim.Time) {
 }
 
 func (n *node) snoopForeign(src int, t *addrTxn, arrived sim.Time) {
-	if n.p.opts.Multicast && n.p.opts.PredictorSize >= 0 {
+	if n.p.predicts() {
 		// Owner prediction from the always-broadcast transactions.
 		switch t.kind {
 		case coherence.GetX:
@@ -531,11 +541,7 @@ func (n *node) snoopForeign(src int, t *addrTxn, arrived sim.Time) {
 // memorySide maintains the Synapse owner state and responds from memory
 // when memory owns the block.
 func (n *node) memorySide(src int, t *addrTxn, arrived sim.Time) {
-	ms, ok := n.mem[t.block]
-	if !ok {
-		ms = &memState{owner: -1}
-		n.mem[t.block] = ms
-	}
+	ms := n.p.memEntry(t.block)
 	switch t.kind {
 	case coherence.GetS:
 		if ms.owner != -1 && t.mask&(1<<uint(ms.owner)) == 0 {
@@ -600,19 +606,17 @@ func (n *node) memRespond(ms *memState, src int, b coherence.Block, arrived sim.
 	n.p.sendData(ready, n.id, src, dataMsg{block: b, version: ms.version, supplier: stats.MissFromMemory})
 }
 
-// dataArrive handles data network deliveries: either a writeback into
-// memory or the fill for this node's outstanding miss.
-func (n *node) dataArrive(msg network.Message[dataMsg]) {
+// dataArrive handles data network deliveries at node msg.Dst: either a
+// writeback into its memory (msg.Dst is the block's home) or the fill
+// for its outstanding miss.
+func (p *Protocol) dataArrive(msg network.Message[dataMsg]) {
+	n := &p.nodes[msg.Dst]
 	d := msg.Payload
 	if d.toMemory {
 		// The entry may not exist yet when the sender's endpoint runs
-		// physically ahead of ours; create it as memory-owned, exactly as
-		// the ordered processing will.
-		ms, ok := n.mem[d.block]
-		if !ok {
-			ms = &memState{owner: -1}
-			n.mem[d.block] = ms
-		}
+		// physically ahead of the home's; create it as memory-owned,
+		// exactly as the ordered processing will.
+		ms := p.memEntry(d.block)
 		// Writeback data can arrive out of order on the unordered data
 		// network; versions are monotonic, so the newest write wins.
 		if d.version > ms.version {
@@ -629,7 +633,7 @@ func (n *node) dataArrive(msg network.Message[dataMsg]) {
 		for len(ms.waiting) > 0 && ms.waiting[0].need <= ms.dataReceived {
 			w := ms.waiting[0]
 			ms.waiting = ms.waiting[1:]
-			n.p.sendData(w.ready, n.id, w.dst, dataMsg{block: w.block, version: ms.version, supplier: stats.MissFromMemory})
+			p.sendData(w.ready, n.id, w.dst, dataMsg{block: w.block, version: ms.version, supplier: stats.MissFromMemory})
 		}
 		return
 	}
@@ -639,7 +643,7 @@ func (n *node) dataArrive(msg network.Message[dataMsg]) {
 	}
 	m.dataArrived = true
 	m.dataVersion = d.version
-	m.dataAt = n.p.K.Now()
+	m.dataAt = p.K.Now()
 	m.supplier = d.supplier
 	if m.ordered {
 		n.complete(m)

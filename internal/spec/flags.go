@@ -78,36 +78,15 @@ func FlagNames() []string {
 }
 
 // Args renders the Spec as the explicit command-line argument list the
-// Bind flag set parses: FromArgs(s.Args()) reproduces s exactly.
+// Bind flag set parses, one -name=value per flag in Bind's name order:
+// FromArgs(s.Args()) reproduces s exactly. It binds a copy of s, so the
+// list cannot drift from Bind's vocabulary.
 func (s Spec) Args() []string {
-	b := func(v bool) string { return strconv.FormatBool(v) }
-	return []string{
-		"-benchmark", s.Benchmark,
-		"-protocol", s.Protocol,
-		"-network", s.Network,
-		"-nodes", strconv.Itoa(s.Nodes),
-		"-seed", strconv.FormatUint(s.Seed, 10),
-		"-seeds", strconv.Itoa(s.Seeds),
-		"-workers", strconv.Itoa(s.Workers),
-		"-warmup", strconv.Itoa(s.Warmup),
-		"-quota", strconv.Itoa(s.Quota),
-		"-scale", strconv.FormatFloat(s.QuotaScale, 'g', -1, 64),
-		"-warmup-scale", strconv.FormatFloat(s.WarmupScale, 'g', -1, 64),
-		"-perturb-ns", strconv.FormatInt(s.PerturbNS, 10),
-		"-slack", strconv.Itoa(s.Slack),
-		"-tokens", strconv.Itoa(s.TokensPerPort),
-		"-no-prefetch=" + b(!s.Prefetch),
-		"-early-processing=" + b(s.EarlyProcessing),
-		"-contention=" + b(s.Contention),
-		"-mosi=" + b(s.MOSI),
-		"-multicast=" + b(s.Multicast),
-		"-predictor", strconv.Itoa(s.PredictorSize),
-		"-verify=" + b(s.Verify),
-		"-metrics=" + b(s.Metrics),
-		"-spans=" + b(s.Spans),
-		"-block-bytes", strconv.Itoa(s.BlockBytes),
-		"-cache-bytes", strconv.Itoa(s.CacheBytes),
-	}
+	fs := flag.NewFlagSet("spec", flag.ContinueOnError)
+	s.Bind(fs)
+	var args []string
+	fs.VisitAll(func(f *flag.Flag) { args = append(args, "-"+f.Name+"="+f.Value.String()) })
+	return args
 }
 
 // FromArgs parses a command-line rendering back into a Spec, starting
