@@ -1,7 +1,8 @@
 // Package coherence defines the vocabulary shared by every cache
 // coherence protocol in this repository — processor operations, block
-// addresses, transaction kinds, home mapping — plus the runtime coherence
-// checker (Oracle) used by the test suites.
+// addresses, transaction kinds, home mapping — plus the dense per-run
+// block numbering (Index) that per-block state is kept by (Table) and
+// the runtime coherence checker (Oracle) used by the test suites.
 package coherence
 
 import (
@@ -92,12 +93,70 @@ type Protocol interface {
 	Release()
 }
 
+// Index numbers the blocks a run touches densely: 0, 1, 2, ... in the
+// order they are first touched. Per-block state then lives in Tables
+// indexed by that number instead of in maps keyed by the block. The zero
+// Index is empty and ready to use.
+type Index struct {
+	of map[Block]int32
+}
+
+// Of returns b's index, numbering b next when it is new.
+func (x *Index) Of(b Block) int32 {
+	i, ok := x.of[b]
+	if !ok {
+		if x.of == nil {
+			x.of = make(map[Block]int32)
+		}
+		i = int32(len(x.of))
+		x.of[b] = i
+	}
+	return i
+}
+
+// Lookup returns b's index, or false when b was never numbered.
+func (x *Index) Lookup(b Block) (int32, bool) {
+	i, ok := x.of[b]
+	return i, ok
+}
+
+// Len returns how many blocks are numbered.
+func (x *Index) Len() int { return len(x.of) }
+
+// pageBits sizes a Table page at 1<<pageBits entries.
+const pageBits = 10
+
+// Table holds one T per Index number. Its entries live in fixed-size
+// pages allocated on first access and never copied, so growing a table
+// costs one page per 1<<pageBits blocks and nothing else. A slice grown
+// by append would copy all its entries at every growth step. An entry
+// never written reads as T's zero value, which each table makes the
+// block's initial state. The zero Table is empty and ready to use.
+type Table[T any] struct {
+	pages []*[1 << pageBits]T
+}
+
+// At returns a pointer to entry i, allocating its page when needed.
+func (t *Table[T]) At(i int32) *T {
+	p := int(i >> pageBits)
+	for p >= len(t.pages) {
+		t.pages = append(t.pages, nil)
+	}
+	pg := t.pages[p]
+	if pg == nil {
+		pg = new([1 << pageBits]T)
+		t.pages[p] = pg
+	}
+	return &pg[i&(1<<pageBits-1)]
+}
+
 // Oracle checks coherence at runtime: block versions are assigned in
 // write-serialization order, so the versions each processor observes for a
 // given block must be non-decreasing ("writes to the same location are
 // seen in the same order by everybody"). A violation panics.
 type Oracle struct {
-	nextVersion map[Block]uint64
+	// nextVersion is each block's newest version, by Index number.
+	nextVersion Table[uint64]
 	// lastSeen[cpu] maps each block to the newest version cpu saw. A
 	// map per CPU, keyed by block alone, takes the runtime's 64-bit
 	// fast path; the maps are made as CPUs first observe.
@@ -106,15 +165,14 @@ type Oracle struct {
 }
 
 // NewOracle returns an empty checker.
-func NewOracle() *Oracle {
-	return &Oracle{nextVersion: make(map[Block]uint64)}
-}
+func NewOracle() *Oracle { return &Oracle{} }
 
-// WriteVersion allocates the next version of b, in the order the protocol
-// serializes stores.
-func (o *Oracle) WriteVersion(b Block) uint64 {
-	o.nextVersion[b]++
-	return o.nextVersion[b]
+// WriteVersion allocates the next version of the block numbered i in the
+// run's Index, in the order the protocol serializes stores.
+func (o *Oracle) WriteVersion(i int32) uint64 {
+	v := o.nextVersion.At(i)
+	*v++
+	return *v
 }
 
 // Observe records that cpu saw version v of block b and checks

@@ -68,3 +68,52 @@ func TestStrings(t *testing.T) {
 		t.Fatal("txn strings")
 	}
 }
+
+// Blocks are numbered 0, 1, 2, ... in first-touch order; touching a
+// block again returns its number, and Lookup never numbers a block.
+func TestIndexFirstTouchNumbering(t *testing.T) {
+	var x Index
+	if _, ok := x.Lookup(5); ok || x.Len() != 0 {
+		t.Fatal("empty index knows a block")
+	}
+	for want, b := range []Block{40, 7, 1 << 40, 0} {
+		if i := x.Of(b); i != int32(want) {
+			t.Fatalf("Of(%x) = %d, want %d", b, i, want)
+		}
+	}
+	if i := x.Of(7); i != 1 {
+		t.Fatalf("Of(7) again = %d, want 1", i)
+	}
+	if i, ok := x.Lookup(1 << 40); !ok || i != 2 {
+		t.Fatalf("Lookup(1<<40) = %d, %v; want 2, true", i, ok)
+	}
+	if _, ok := x.Lookup(8); ok {
+		t.Fatal("Lookup of an unseen block succeeded")
+	}
+	if x.Len() != 4 {
+		t.Fatalf("Len = %d, want 4 (Lookup must not number)", x.Len())
+	}
+}
+
+// Table entries on both sides of a page boundary are distinct and stay
+// in place as later pages are allocated; unwritten entries, in pages
+// already allocated or not, read as zero.
+func TestTablePages(t *testing.T) {
+	var tb Table[uint64]
+	if v := *tb.At(3); v != 0 {
+		t.Fatalf("entry of a new table = %d", v)
+	}
+	last, first := int32(1<<pageBits-1), int32(1<<pageBits)
+	p := tb.At(last)
+	*p = 11
+	*tb.At(first) = 22
+	*tb.At(5 << pageBits) = 33 // skips pages 2 to 4
+	if p != tb.At(last) || *p != 11 || *tb.At(first) != 22 || *tb.At(5 << pageBits) != 33 {
+		t.Fatal("entries moved or mixed across pages")
+	}
+	for _, i := range []int32{0, last - 1, first + 1, 3 << pageBits, 6 << pageBits} {
+		if v := *tb.At(i); v != 0 {
+			t.Fatalf("unwritten entry %d reads %d", i, v)
+		}
+	}
+}

@@ -9,6 +9,8 @@
 //   - the one L2-hit decision (Begin);
 //   - the outstanding-miss count and its MSHR-occupancy samples;
 //   - the run's coherence Oracle, which Init creates;
+//   - the run's block Index, which numbers each block at the access
+//     that first touches it, for the per-block Tables;
 //   - the report of a finished miss to the Oracle, the statistics, the
 //     probe and the processor (Complete);
 //   - the point-to-point data fabric: TS-Snoop's data network and the
@@ -48,6 +50,8 @@ type Core[P any] struct {
 	Fabric *network.Fabric[P]
 	// DataBytes is the size of a message carrying one block.
 	DataBytes int
+	// Index numbers every block the run's processors touch (Begin).
+	Index coherence.Index
 
 	oracle *coherence.Oracle
 	caches []*cache.Cache // one per node
@@ -91,18 +95,20 @@ func (c *Core[P]) Init(k *sim.Kernel, topo *topology.Topology, params timing.Par
 // Cache returns node id's L2.
 func (c *Core[P]) Cache(id int) *cache.Cache { return c.caches[id] }
 
-// Begin starts op on block b at node id. An L2 hit is a load of any
-// valid copy or a store to a Modified one. It completes here: a store
-// takes the block's next version, the Oracle observes the version, done
-// fires L2Hit later, and Begin returns true. On a miss Begin counts one
-// more outstanding miss and returns false; the protocol then owns the
-// miss until it reports it to Complete.
-func (c *Core[P]) Begin(id int, op coherence.Op, b coherence.Block, done func(coherence.AccessResult)) bool {
+// Begin starts op on block b at node id and returns b's Index number
+// with the hit decision. An L2 hit is a load of any valid copy or a
+// store to a Modified one. It completes here: a store takes the block's
+// next version, the Oracle observes the version, done fires L2Hit later,
+// and Begin reports true. On a miss Begin counts one more outstanding
+// miss and reports false; the protocol then owns the miss until it
+// reports it to Complete.
+func (c *Core[P]) Begin(id int, op coherence.Op, b coherence.Block, done func(coherence.AccessResult)) (int32, bool) {
+	idx := c.Index.Of(b)
 	l2 := c.caches[id]
 	state, version := l2.Lookup(b)
 	if (op == coherence.Load && state != cache.Invalid) || (op == coherence.Store && state == cache.Modified) {
 		if op == coherence.Store {
-			version = c.oracle.WriteVersion(b)
+			version = c.oracle.WriteVersion(idx)
 			l2.SetVersion(b, version)
 		}
 		c.oracle.Observe(id, b, version)
@@ -110,13 +116,13 @@ func (c *Core[P]) Begin(id int, op coherence.Op, b coherence.Block, done func(co
 		if pr := c.Probe; pr != nil {
 			pr.Event(obs.EvL2Hit)
 		}
-		return true
+		return idx, true
 	}
 	c.pending++
 	if pr := c.Probe; pr != nil {
 		pr.MSHROcc(c.pending)
 	}
-	return false
+	return idx, false
 }
 
 // Phases records the protocol's own lifecycle spans of a finished miss.
@@ -161,6 +167,9 @@ func (c *Core[P]) Release() {
 		l2.Release()
 	}
 }
+
+// Touched reports how many distinct blocks the run has touched.
+func (c *Core[P]) Touched() int { return c.Index.Len() }
 
 // Oracle returns the coherence checker in use.
 func (c *Core[P]) Oracle() *coherence.Oracle { return c.oracle }

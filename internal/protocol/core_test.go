@@ -36,7 +36,7 @@ func TestBeginHitDecision(t *testing.T) {
 			var got *coherence.AccessResult
 			pending := c.Pending()
 			issued := c.K.Now()
-			hit := c.Begin(1, op, b, func(r coherence.AccessResult) { got = &r })
+			_, hit := c.Begin(1, op, b, func(r coherence.AccessResult) { got = &r })
 			if hit != want {
 				t.Fatalf("%v %v: Begin = %v, want %v", st, op, hit, want)
 			}
@@ -63,7 +63,7 @@ func TestBeginHitDecision(t *testing.T) {
 // statistics and the Oracle with the latency since issue.
 func TestCompleteReportsMiss(t *testing.T) {
 	c := newCore(t)
-	if c.Begin(2, coherence.Store, 9, nil) {
+	if _, hit := c.Begin(2, coherence.Store, 9, nil); hit {
 		t.Fatal("store to an empty cache hit")
 	}
 	c.K.RunUntil(150 * sim.Nanosecond)

@@ -137,6 +137,7 @@ type dirEntry struct {
 
 type mshr struct {
 	block    coherence.Block
+	idx      int32 // block's number in the run's Index, for WriteVersion
 	op       coherence.Op
 	txn      coherence.TxnKind
 	issuedAt sim.Time
@@ -256,7 +257,8 @@ func (p *Protocol) Access(nodeID int, op coherence.Op, block coherence.Block, do
 	if n.mshr != nil {
 		panic(fmt.Sprintf("%s: node %d access while miss outstanding", p.Name(), nodeID))
 	}
-	if p.Begin(nodeID, op, block, done) {
+	idx, hit := p.Begin(nodeID, op, block, done)
+	if hit {
 		return
 	}
 	txn := coherence.GetS
@@ -264,7 +266,7 @@ func (p *Protocol) Access(nodeID int, op coherence.Op, block coherence.Block, do
 		txn = coherence.GetX
 	}
 	m := &n.mshrStore
-	*m = mshr{block: block, op: op, txn: txn, issuedAt: p.K.Now(), done: done}
+	*m = mshr{block: block, idx: idx, op: op, txn: txn, issuedAt: p.K.Now(), done: done}
 	n.mshr = m
 	n.sendRequest()
 }
@@ -502,7 +504,7 @@ func (n *node) complete() {
 		}
 	} else {
 		if ms.op == coherence.Store {
-			version = n.p.Oracle().WriteVersion(ms.block)
+			version = n.p.Oracle().WriteVersion(ms.idx)
 		}
 		n.insertLine(ms.block, cache.Modified, version)
 	}

@@ -88,13 +88,14 @@ func DefaultOptions() Options {
 // every transaction: its fields are packed into 24 bytes. requester is
 // the protocol-level requester: it differs from the tsnet source only
 // for multicast retries, which the home re-issues on the requester's
-// behalf.
+// behalf. A machine has at most 256 nodes, so it fits 16 bits.
 type addrTxn struct {
 	block coherence.Block
 	// mask is the multicast destination set (all ones for broadcasts);
 	// the home audits it against the owner state.
 	mask      uint64
-	requester int32
+	idx       int32 // block's number in the run's Index
+	requester int16
 	kind      coherence.TxnKind
 	// reinjected marks a home-issued full-broadcast retry of a failed
 	// multicast.
@@ -105,6 +106,7 @@ type addrTxn struct {
 type dataMsg struct {
 	block    coherence.Block
 	version  uint64
+	idx      int32 // block's number in the run's Index (toMemory only)
 	toMemory bool
 	supplier stats.MissKind // classification for the requester
 }
@@ -123,6 +125,7 @@ type obligation struct {
 // obligations backing array survives the reset).
 type mshr struct {
 	block    coherence.Block
+	idx      int32 // block's number in the run's Index
 	op       coherence.Op
 	kind     coherence.TxnKind
 	issuedAt sim.Time
@@ -155,9 +158,10 @@ type wbEntry struct {
 }
 
 // memState is the home memory controller's per-block state: the Synapse
-// owner bit (owner == -1 means memory owns) plus the owner identity
-// derived from the ordered stream, the memory copy's version, and
-// bookkeeping for writeback data still in flight.
+// owner bit (owned; clear while memory owns the block) plus the owner
+// identity derived from the ordered stream, the memory copy's version,
+// and bookkeeping for writeback data still in flight. The zero memState
+// is a block memory owns, untouched.
 //
 // dataOwed counts, over the whole ordered history, how many data messages
 // memory has been promised (one per ownership-ending GETS and per valid
@@ -166,7 +170,8 @@ type wbEntry struct {
 // ordering point — waiting for later writebacks too would deadlock when
 // the later writeback is owed by the very requester being answered.
 type memState struct {
-	owner        int
+	owned        bool
+	owner        int32 // the owning node while owned
 	version      uint64
 	dataOwed     int64
 	dataReceived int64
@@ -209,10 +214,19 @@ type Protocol struct {
 
 	addr  *tsnet.Network[addrTxn]
 	nodes []node
-	// mem is every home memory controller's per-block state. A block's
-	// entry lives at its home (coherence.HomeOf) and only the home
-	// touches it, so the machine keeps one table.
-	mem map[coherence.Block]*memState
+	// mem is every home memory controller's per-block state, by Index
+	// number. A block's entry lives at its home (coherence.HomeOf) and
+	// only the home touches it, so the machine keeps one table.
+	mem coherence.Table[memState]
+	// holders is a host-side shortcut, not a modelled snoop filter: for
+	// each block, by Index number, holdWords words with one bit per
+	// node. A node's bit is set when it fills the block (insertLine) and
+	// cleared when a foreign snoop finds neither a valid line nor a
+	// writeback entry, so it is set wherever the block is held and a
+	// clear bit lets the node's snoop skip its L2 probe. Every node
+	// still snoops every transaction in simulated time.
+	holders   coherence.Table[uint64]
+	holdWords int32
 	// sends puts each data message on the wire at its ready time.
 	sends *sim.Batch[pendingSend]
 }
@@ -234,7 +248,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.
 	if opts.Multicast && topo.Nodes() > 64 {
 		panic("tssnoop: multicast snooping limited to 64 nodes")
 	}
-	p := &Protocol{opts: opts, mem: make(map[coherence.Block]*memState)}
+	p := &Protocol{opts: opts, holdWords: int32(topo.Nodes()+63) / 64}
 	// The address network declares its link lanes before the core's.
 	p.addr = tsnet.NewOf[addrTxn](k, topo, tsnet.Config{Params: params, Design: opts.Net}, &run.Traffic, run)
 	p.Init(k, topo, params, cc, run, p.dataArrive, perturb)
@@ -261,20 +275,18 @@ func (p *Protocol) Name() string { return "TS-Snoop" }
 
 // MemOwner returns the Synapse owner for b at its home (-1 = memory).
 func (p *Protocol) MemOwner(b coherence.Block) int {
-	if ms, ok := p.mem[b]; ok {
-		return ms.owner
+	if i, ok := p.Index.Lookup(b); ok {
+		if ms := p.mem.At(i); ms.owned {
+			return int(ms.owner)
+		}
 	}
 	return -1
 }
 
-// memEntry returns b's home memory state, creating it memory-owned.
-func (p *Protocol) memEntry(b coherence.Block) *memState {
-	ms, ok := p.mem[b]
-	if !ok {
-		ms = &memState{owner: -1}
-		p.mem[b] = ms
-	}
-	return ms
+// holderBit returns the word of the holder mask of the block numbered
+// idx that carries node id's bit, and that bit.
+func (p *Protocol) holderBit(idx int32, id int) (*uint64, uint64) {
+	return p.holders.At(idx*p.holdWords + int32(id>>6)), 1 << uint(id&63)
 }
 
 // predicts reports whether multicast owner prediction runs.
@@ -286,7 +298,8 @@ func (p *Protocol) Access(nodeID int, op coherence.Op, block coherence.Block, do
 	if n.mshr != nil {
 		panic(fmt.Sprintf("tssnoop: node %d access while miss outstanding", nodeID))
 	}
-	if p.Begin(nodeID, op, block, done) {
+	idx, hit := p.Begin(nodeID, op, block, done)
+	if hit {
 		return
 	}
 
@@ -298,10 +311,10 @@ func (p *Protocol) Access(nodeID int, op coherence.Op, block coherence.Block, do
 	}
 	m := &n.mshrStore
 	obligations := m.obligations[:0]
-	*m = mshr{block: block, op: op, kind: kind, issuedAt: p.K.Now(), done: done}
+	*m = mshr{block: block, idx: idx, op: op, kind: kind, issuedAt: p.K.Now(), done: done}
 	m.obligations = obligations
 	n.mshr = m
-	t := addrTxn{kind: kind, block: block, requester: int32(nodeID), mask: ^uint64(0)}
+	t := addrTxn{kind: kind, block: block, idx: idx, requester: int16(nodeID), mask: ^uint64(0)}
 	if p.opts.Multicast && kind == coherence.GetS {
 		t.mask = n.multicastMask(block)
 		p.addr.InjectTo(nodeID, t.mask, t)
@@ -444,7 +457,7 @@ func (n *node) snoopOwn(t *addrTxn, arrived sim.Time) {
 		delete(n.wb, t.block)
 		if !wb.stale {
 			home := coherence.HomeOf(t.block, n.p.Topo.Nodes())
-			n.p.sendData(n.p.K.Now(), n.id, home, dataMsg{block: t.block, toMemory: true, version: wb.version})
+			n.p.sendData(n.p.K.Now(), n.id, home, dataMsg{block: t.block, idx: t.idx, toMemory: true, version: wb.version})
 		}
 	}
 }
@@ -484,7 +497,21 @@ func (n *node) snoopForeign(src int, t *addrTxn, arrived sim.Time) {
 		}
 		return
 	}
+	// A node whose holder bit is clear holds nothing to snoop.
+	held, bit := n.p.holderBit(t.idx, n.id)
+	if *held&bit == 0 {
+		if n.p.opts.Net.Verify {
+			n.mustNotHold(t.block)
+		}
+		return
+	}
 	state, version := n.cache.Peek(t.block)
+	if state == cache.Invalid {
+		if _, ok := n.wb[t.block]; !ok {
+			*held &^= bit // the block left: skip later probes
+			return
+		}
+	}
 	home := coherence.HomeOf(t.block, n.p.Topo.Nodes())
 	ready := n.p.respondReady(arrived, n.p.Params.Dcache)
 	switch t.kind {
@@ -499,7 +526,7 @@ func (n *node) snoopForeign(src int, t *addrTxn, arrived sim.Time) {
 				// MSI: the owner supplies the requester and writes back
 				// to memory, which becomes the owner again (two data
 				// messages).
-				n.p.sendData(ready, n.id, home, dataMsg{block: t.block, toMemory: true, version: version})
+				n.p.sendData(ready, n.id, home, dataMsg{block: t.block, idx: t.idx, toMemory: true, version: version})
 				n.cache.SetState(t.block, cache.Shared)
 			}
 		case state == cache.Owned:
@@ -515,7 +542,7 @@ func (n *node) snoopForeign(src int, t *addrTxn, arrived sim.Time) {
 					// PUTX. MOSI keeps ownership with the buffer until
 					// the PUTX itself is ordered, mirroring the memory
 					// controller's view.
-					n.p.sendData(ready, n.id, home, dataMsg{block: t.block, toMemory: true, version: wb.version})
+					n.p.sendData(ready, n.id, home, dataMsg{block: t.block, idx: t.idx, toMemory: true, version: wb.version})
 					wb.stale = true
 					n.wb[t.block] = wb
 				}
@@ -538,15 +565,30 @@ func (n *node) snoopForeign(src int, t *addrTxn, arrived sim.Time) {
 	}
 }
 
+// mustNotHold panics unless the node's L2 and writeback buffer both miss
+// b: a snoop that its holder bit let skip the probe must have found
+// nothing (Verify only).
+func (n *node) mustNotHold(b coherence.Block) {
+	if state, _ := n.cache.Peek(b); state != cache.Invalid {
+		panic(fmt.Sprintf("tssnoop: node %d skipped the snoop of block %x it holds in %v", n.id, b, state))
+	}
+	if _, ok := n.wb[b]; ok {
+		panic(fmt.Sprintf("tssnoop: node %d skipped the snoop of block %x in its writeback buffer", n.id, b))
+	}
+}
+
 // memorySide maintains the Synapse owner state and responds from memory
 // when memory owns the block.
 func (n *node) memorySide(src int, t *addrTxn, arrived sim.Time) {
-	ms := n.p.memEntry(t.block)
+	ms := n.p.mem.At(t.idx)
 	switch t.kind {
 	case coherence.GetS:
-		if ms.owner != -1 && t.mask&(1<<uint(ms.owner)) == 0 {
+		if ms.owned && t.mask != ^uint64(0) && t.mask&(1<<uint(ms.owner)) == 0 {
 			// Multicast audit failure: the owner was not in the predicted
-			// destination set, so nobody can supply. Re-issue the request
+			// destination set, so nobody can supply. (A broadcast reaches
+			// every owner; on a machine above 64 nodes, where multicast
+			// is off, an owner's bit would not even fit the mask, so
+			// broadcasts skip the audit.) Re-issue the request
 			// as a full broadcast on the requester's behalf; this ordered
 			// instance has no effect anywhere (the owner never saw it and
 			// every member's cache action for a GETS at S/I is a no-op).
@@ -554,37 +596,38 @@ func (n *node) memorySide(src int, t *addrTxn, arrived sim.Time) {
 			n.p.addr.Inject(n.id, addrTxn{
 				kind:       coherence.GetS,
 				block:      t.block,
-				requester:  int32(src),
+				idx:        t.idx,
+				requester:  int16(src),
 				mask:       ^uint64(0),
 				reinjected: true,
 			})
 			return
 		}
-		if ms.owner == -1 {
+		if !ms.owned {
 			n.memRespond(ms, src, t.block, arrived)
 		} else {
-			if ms.owner == src {
+			if int(ms.owner) == src {
 				panic("tssnoop: owner issued GETS for its own block")
 			}
 			if !n.p.opts.UseOwnedState {
 				// MSI: the owner supplies and writes back: memory owns
 				// again and owes one incoming data message. MOSI: the
 				// owner keeps ownership in Owned; memory does nothing.
-				ms.owner = -1
+				ms.owned = false
 				ms.dataOwed++
 			}
 		}
 	case coherence.GetX:
-		if ms.owner == -1 {
+		if !ms.owned {
 			n.memRespond(ms, src, t.block, arrived)
-		} else if ms.owner == src && !n.p.opts.UseOwnedState {
+		} else if int(ms.owner) == src && !n.p.opts.UseOwnedState {
 			// MOSI allows this: an Owned holder upgrading in place.
 			panic("tssnoop: owner issued GETX for its own block")
 		}
-		ms.owner = src
+		ms.owned, ms.owner = true, int32(src)
 	case coherence.PutX:
-		if ms.owner == src {
-			ms.owner = -1
+		if ms.owned && int(ms.owner) == src {
+			ms.owned = false
 			ms.dataOwed++
 		}
 		// Otherwise the writeback is stale: a request ordered between its
@@ -613,10 +656,11 @@ func (p *Protocol) dataArrive(msg network.Message[dataMsg]) {
 	n := &p.nodes[msg.Dst]
 	d := msg.Payload
 	if d.toMemory {
-		// The entry may not exist yet when the sender's endpoint runs
-		// physically ahead of the home's; create it as memory-owned,
-		// exactly as the ordered processing will.
-		ms := p.memEntry(d.block)
+		// The sender's endpoint may run physically ahead of the home's,
+		// so the home may not have processed the block yet; its entry
+		// then still reads memory-owned, exactly as the ordered
+		// processing will find it.
+		ms := p.mem.At(d.idx)
 		// Writeback data can arrive out of order on the unordered data
 		// network; versions are monotonic, so the newest write wins.
 		if d.version > ms.version {
@@ -660,13 +704,13 @@ func (n *node) complete(m *mshr) {
 	version := m.dataVersion
 	if m.kind == coherence.GetS {
 		if !m.loseCopy {
-			n.insertLine(m.block, cache.Shared, version)
+			n.insertLine(m.block, m.idx, cache.Shared, version)
 		}
 	} else {
 		if m.op == coherence.Store {
-			version = n.p.Oracle().WriteVersion(m.block)
+			version = n.p.Oracle().WriteVersion(m.idx)
 		}
-		n.insertLine(m.block, cache.Modified, version)
+		n.insertLine(m.block, m.idx, cache.Modified, version)
 		// Apply deferred foreign requests in their ordered sequence.
 		home := coherence.HomeOf(m.block, n.p.Topo.Nodes())
 		mosi := n.p.opts.UseOwnedState
@@ -680,7 +724,7 @@ func (n *node) complete(m *mshr) {
 					if mosi {
 						state = cache.Owned
 					} else {
-						n.p.sendData(ready, n.id, home, dataMsg{block: m.block, toMemory: true, version: version})
+						n.p.sendData(ready, n.id, home, dataMsg{block: m.block, idx: m.idx, toMemory: true, version: version})
 						state = cache.Shared
 					}
 				}
@@ -717,11 +761,15 @@ func (m *mshr) Spans(pr *obs.Probe, id int32) {
 	}
 }
 
-// insertLine fills a block, handling victim eviction: a Modified victim
-// enters the writeback buffer and broadcasts PUTX; a Shared victim is
-// dropped silently (the protocols "allow processors to silently downgrade
-// from S to I").
-func (n *node) insertLine(b coherence.Block, s cache.State, version uint64) {
+// insertLine fills block b, numbered idx, and sets the node's holder
+// bit. It handles victim eviction: a Modified victim enters the
+// writeback buffer and broadcasts PUTX; a Shared victim is dropped
+// silently (the protocols "allow processors to silently downgrade from S
+// to I"). Either way the victim's holder bit stays set until a snoop
+// finds the block gone.
+func (n *node) insertLine(b coherence.Block, idx int32, s cache.State, version uint64) {
+	held, bit := n.p.holderBit(idx, n.id)
+	*held |= bit
 	victim, evicted := n.cache.Insert(b, s, version)
 	if !evicted {
 		return
@@ -731,10 +779,15 @@ func (n *node) insertLine(b coherence.Block, s cache.State, version uint64) {
 			panic(fmt.Sprintf("tssnoop: node %d duplicate writeback for %x", n.id, victim.Block))
 		}
 		n.wb[victim.Block] = wbEntry{version: victim.Version}
+		// Every cached block was numbered when first touched.
+		vi, ok := n.p.Index.Lookup(victim.Block)
+		if !ok {
+			panic(fmt.Sprintf("tssnoop: node %d evicted unnumbered block %x", n.id, victim.Block))
+		}
 		// The requester must name the evicting node: snoop dispatches
 		// own-vs-foreign on it, so leaving it zero would misroute every
 		// writeback from a node other than 0 (node 0 would claim it and
 		// panic on its missing writeback entry).
-		n.p.addr.Inject(n.id, addrTxn{kind: coherence.PutX, block: victim.Block, requester: int32(n.id)})
+		n.p.addr.Inject(n.id, addrTxn{kind: coherence.PutX, block: victim.Block, idx: vi, requester: int16(n.id)})
 	}
 }

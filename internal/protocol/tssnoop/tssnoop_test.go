@@ -2,6 +2,7 @@ package tssnoop
 
 import (
 	"testing"
+	"unsafe"
 
 	"tsnoop/internal/cache"
 	"tsnoop/internal/coherence"
@@ -454,5 +455,74 @@ func TestWritebackFromNonZeroNode(t *testing.T) {
 	res := e.access(t, 2, coherence.Load, base)
 	if res.Kind != stats.MissFromMemory || res.Version != 1 {
 		t.Fatalf("reload = %+v, want memory/version 1", res)
+	}
+}
+
+// addrTxn is copied by value into every hop of every transaction; the
+// block's Index number rides in the bytes the 16-bit requester left.
+func TestAddrTxnSize(t *testing.T) {
+	if n := unsafe.Sizeof(addrTxn{}); n != 24 {
+		t.Fatalf("addrTxn is %d bytes, want 24", n)
+	}
+}
+
+// A node's holder bit is set when it fills the block and stays set
+// after an invalidation, until the node's next foreign snoop of the
+// block finds neither a line nor a writeback entry and clears it.
+func TestHolderMaskLazyClear(t *testing.T) {
+	e := newEnv(t, topology.MustButterfly(4), nil)
+	e.settle(200 * sim.Nanosecond)
+	const b = 9
+	holders := func() uint64 {
+		i, ok := e.p.Index.Lookup(b)
+		if !ok {
+			t.Fatal("block not numbered")
+		}
+		return *e.p.holders.At(i)
+	}
+	e.access(t, 1, coherence.Load, b)
+	if h := holders(); h != 1<<1 {
+		t.Fatalf("after node 1's fill holders = %b, want node 1", h)
+	}
+	e.access(t, 2, coherence.Store, b) // invalidates node 1's copy
+	if h := holders(); h != 1<<1|1<<2 {
+		t.Fatalf("after node 2's GETX holders = %b, want nodes 1 and 2", h)
+	}
+	e.access(t, 3, coherence.Load, b) // node 1's snoop finds nothing
+	e.settle(200 * sim.Nanosecond)
+	if h := holders(); h != 1<<2|1<<3 {
+		t.Fatalf("after node 3's GETS holders = %b, want nodes 2 and 3", h)
+	}
+}
+
+// A machine above 64 nodes broadcasts to every endpoint, though a
+// 64-bit reach mask cannot name each one, and its home audits only
+// multicast masks: node 70's load finds node 80's Modified copy, and
+// node 66's store invalidates both.
+func TestBroadcastBeyond64Nodes(t *testing.T) {
+	e := newEnv(t, topology.MustButterfly(9), nil)
+	e.settle(200 * sim.Nanosecond)
+	const b = 7
+	for _, s := range []struct {
+		node int
+		op   coherence.Op
+		want stats.MissKind
+	}{
+		{80, coherence.Store, stats.MissFromMemory},
+		{70, coherence.Load, stats.MissCacheToCache},
+		{66, coherence.Store, stats.MissFromMemory},
+	} {
+		var res *coherence.AccessResult
+		e.p.Access(s.node, s.op, b, func(r coherence.AccessResult) { res = &r })
+		deadline := e.k.Now() + 2*sim.Microsecond
+		e.k.RunWhile(func() bool { return res == nil && e.k.Now() < deadline })
+		if res == nil || res.Hit || res.Kind != s.want {
+			t.Fatalf("node %d %v: result %+v, want a %v miss", s.node, s.op, res, s.want)
+		}
+	}
+	for node, want := range map[int]cache.State{80: cache.Invalid, 70: cache.Invalid, 66: cache.Modified} {
+		if st := e.p.CacheState(node, b); st != want {
+			t.Errorf("node %d holds %v, want %v", node, st, want)
+		}
 	}
 }

@@ -109,10 +109,8 @@ type System struct {
 	Core controller
 	Run  *stats.Run
 
-	// cpus are the machine's processors; they issue through Proto and
-	// draw accesses from gen, which counts the blocks they touch.
+	// cpus are the machine's processors; they issue through Proto.
 	cpus *processor.Set
-	gen  countingGen
 
 	// running counts the processors still short of the phase's quota;
 	// last is when the latest one finished.
@@ -124,6 +122,9 @@ type System struct {
 // whatever message type the core's fabric carries.
 type controller interface {
 	CacheState(id int, b coherence.Block) cache.State
+	// Touched counts the distinct blocks accessed so far (Table 3
+	// column 2): every access the processors generate is issued.
+	Touched() int
 }
 
 // MaxNodes is the largest machine Build builds: 16 times the paper's
@@ -243,7 +244,6 @@ func Build(cfg Config, gen workload.Generator) (*System, error) {
 		K:    k,
 		Topo: topo,
 		Run:  run,
-		gen:  countingGen{inner: gen, touched: make(map[coherence.Block]bool)},
 	}
 	switch cfg.Protocol {
 	case ProtoTSSnoop:
@@ -264,24 +264,8 @@ func Build(cfg Config, gen workload.Generator) (*System, error) {
 		rngs[i] = root.Split()
 	}
 	finished := func(int) { s.running, s.last = s.running-1, k.Now() }
-	s.cpus = processor.NewSet(k, &s.Proto, &s.gen, cfg.Params, run, finished, rngs)
+	s.cpus = processor.NewSet(k, &s.Proto, gen, cfg.Params, run, finished, rngs)
 	return s, nil
-}
-
-// countingGen records distinct blocks touched (Table 3 column 2).
-type countingGen struct {
-	inner   workload.Generator
-	touched map[coherence.Block]bool
-}
-
-func (c *countingGen) Name() string          { return c.inner.Name() }
-func (c *countingGen) FootprintBytes() int64 { return c.inner.FootprintBytes() }
-func (c *countingGen) Next(cpu int, r *sim.Rand) workload.Access {
-	a := c.inner.Next(cpu, r)
-	if !c.touched[a.Block] {
-		c.touched[a.Block] = true
-	}
-	return a
 }
 
 // runPhase executes quota operations on every processor and returns the
@@ -320,7 +304,7 @@ func (s *System) Execute() (*stats.Run, error) {
 		return nil, err
 	}
 	s.Run.Runtime = runtime
-	s.Run.DataTouched = int64(len(s.gen.touched)) * int64(s.Cfg.Cache.BlockBytes)
+	s.Run.DataTouched = int64(s.Core.Touched()) * int64(s.Cfg.Cache.BlockBytes)
 	if p := s.K.Probe(); p != nil {
 		s.Run.Metrics = p.Finalize(int64(runtime))
 	}

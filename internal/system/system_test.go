@@ -1,6 +1,7 @@
 package system
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -188,5 +189,48 @@ func TestExecuteDeadlockIsTypedError(t *testing.T) {
 	}
 	if want := "with 4 accesses pending"; !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), " at ") {
 		t.Fatalf("error %q lacks the simulated time or %q", err, want)
+	}
+}
+
+// TS-Snoop's holder mask lets a node skip the L2 probe of a block it
+// cannot hold; under Verify every skipped probe asserts that the L2 and
+// the writeback buffer both miss. Over both state sets, multicast with
+// a bounded predictor, early processing and torus contention, on small
+// caches that evict, a verified run must pass and its statistics must
+// match the unverified run's.
+func TestHolderMaskVerified(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"MSI", func(*Config) {}},
+		{"MOSI", func(c *Config) { c.TSSnoop.UseOwnedState = true }},
+		{"multicast", func(c *Config) { c.TSSnoop.Multicast, c.TSSnoop.PredictorSize = true, 2 }},
+		{"early-processing", func(c *Config) { c.TSSnoop.EarlyProcessing = true }},
+		{"torus-contention", func(c *Config) { c.Network, c.TSSnoop.Net.Contention = NetTorus, true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runJSON := func(verify bool) []byte {
+				cfg := DefaultConfig(ProtoTSSnoop, NetButterfly)
+				cfg.WarmupPerCPU, cfg.MeasurePerCPU = 300, 600
+				cfg.Cache.SizeBytes, cfg.Cache.Ways = 64*1024, 4
+				cfg.PerturbMax = 3 * sim.Nanosecond
+				tc.mutate(&cfg)
+				cfg.TSSnoop.Net.Verify = verify
+				s, err := Build(cfg, workload.OLTP(cfg.Nodes))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Release()
+				out, err := json.Marshal(mustExecute(t, s))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			if got, want := runJSON(true), runJSON(false); string(got) != string(want) {
+				t.Fatalf("verified run differs:\n%s\nwant\n%s", got, want)
+			}
+		})
 	}
 }

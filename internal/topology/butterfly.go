@@ -30,6 +30,9 @@ func Butterfly(radix int) (*Topology, error) {
 	for i := range t.switches {
 		t.switches[i].ID = i
 	}
+	// Every switch has radix inputs and radix outputs: n injection, n
+	// ejection and radix*radix middle links.
+	t.reserve(3*n, radix, radix)
 	// Stage-0 switch for endpoint group g is switch g; stage-1 switch j is
 	// switch radix+j.
 	stage0 := func(g int) int { return g }
@@ -40,11 +43,10 @@ func Butterfly(radix int) (*Topology, error) {
 		t.epOut[ep] = t.addLink(Vertex{KindEndpoint, ep}, Vertex{KindSwitch, stage0(ep / radix)}, 1)
 	}
 	// Middle links: each stage-0 switch to each stage-1 switch.
-	mid := make([][]LinkID, radix)
+	mid := make([]LinkID, radix*radix) // stage-0 switch a to stage-1 j at a*radix+j
 	for a := 0; a < radix; a++ {
-		mid[a] = make([]LinkID, radix)
 		for j := 0; j < radix; j++ {
-			mid[a][j] = t.addLink(Vertex{KindSwitch, stage0(a)}, Vertex{KindSwitch, stage1(j)}, 1)
+			mid[a*radix+j] = t.addLink(Vertex{KindSwitch, stage0(a)}, Vertex{KindSwitch, stage1(j)}, 1)
 		}
 	}
 	// Ejection links: stage-1 switch j to endpoints j*radix..j*radix+radix-1.
@@ -53,20 +55,19 @@ func Butterfly(radix int) (*Topology, error) {
 	}
 
 	// Broadcast trees: source -> stage0 -> all stage1 -> all endpoints.
-	t.trees = make([]BroadcastTree, n)
 	nodes := make(treeNodes, 0, 2+radix+n)
 	for src := 0; src < n; src++ {
 		nodes = nodes[:0]
 		root := nodes.add(nil, Vertex{KindEndpoint, src}, 0, -1)
 		s0 := nodes.add(root, Vertex{KindSwitch, stage0(src / radix)}, 1, t.epOut[src])
 		for j := 0; j < radix; j++ {
-			s1 := nodes.add(s0, Vertex{KindSwitch, stage1(j)}, 2, mid[src/radix][j])
+			s1 := nodes.add(s0, Vertex{KindSwitch, stage1(j)}, 2, mid[src/radix*radix+j])
 			for k := 0; k < radix; k++ {
 				ep := j*radix + k
 				nodes.add(s1, Vertex{KindEndpoint, ep}, 3, t.epIn[ep])
 			}
 		}
-		t.finishTree(src, root)
+		t.finishTree(src, nodes)
 	}
 	return t, nil
 }

@@ -75,10 +75,12 @@ type Switch struct {
 // Branch is one output of a broadcast routing step: forward on Link, and
 // increase the transaction's slack by DeltaD (the decrease in the maximum
 // remaining pipeline depth relative to the longest branch). Reach is the
-// set of endpoints (bitmask, for machines up to 64 nodes) delivered
-// through this branch; multicast pruning drops branches whose reach does
-// not intersect the destination set, which never alters a surviving
-// copy's path and therefore preserves every ordering-time invariant.
+// set of endpoints (bitmask, bit i = endpoint i) delivered through this
+// branch; multicast pruning drops branches whose reach does not
+// intersect the destination set, which never alters a surviving copy's
+// path and therefore preserves every ordering-time invariant. Multicast
+// needs at most 64 nodes; on larger machines every endpoint from 63 up
+// shares bit 63, so a broadcast's all-ones mask still reaches them.
 type Branch struct {
 	Link   LinkID
 	DeltaD int
@@ -220,18 +222,45 @@ func (a *treeNodes) add(parent *treeNode, v Vertex, depth int, inLink LinkID) *t
 	return nd
 }
 
-// finishTree converts a constructed tree into src's BroadcastTree,
-// computing per-branch dD values from subtree residual depths.
-func (t *Topology) finishTree(src int, root *treeNode) {
-	bt := &t.trees[src]
-	*bt = BroadcastTree{
-		Source: src,
-		Depth:  make([]int, t.n),
-		Route:  make([][]Branch, len(t.switches)),
+// reserve sizes the topology for links links and gives every switch
+// room for in input and out output links, all switches' ports sharing
+// one backing array, so addLink never grows a slice. It also makes the
+// n broadcast trees, every tree's Depth sharing one backing array and
+// every tree's Route another.
+func (t *Topology) reserve(links, in, out int) {
+	t.links = make([]Link, 0, links)
+	ports := make([]LinkID, len(t.switches)*(in+out))
+	for i := range t.switches {
+		p := ports[i*(in+out):]
+		t.switches[i].In, t.switches[i].Out = p[:0:in], p[in:in:in+out]
 	}
+	n, s := t.n, len(t.switches)
+	t.trees = make([]BroadcastTree, n)
+	depth, route := make([]int, n*n), make([][]Branch, n*s)
+	for src := range t.trees {
+		t.trees[src] = BroadcastTree{
+			Source: src,
+			Depth:  depth[src*n : (src+1)*n : (src+1)*n],
+			Route:  route[src*s : (src+1)*s : (src+1)*s],
+		}
+	}
+}
+
+// finishTree converts the tree built in nodes, rooted at nodes[0], into
+// src's BroadcastTree, computing per-branch dD values from subtree
+// residual depths. Every switch's branches share one backing array.
+func (t *Topology) finishTree(src int, nodes treeNodes) {
+	bt := &t.trees[src]
 	for i := range bt.Depth {
 		bt.Depth[i] = -1
 	}
+	nb := 0
+	for i := range nodes {
+		if nodes[i].vertex.Kind == KindSwitch {
+			nb += nodes[i].kids
+		}
+	}
+	all := make([]Branch, nb)
 	var walk func(nd *treeNode) (int, uint64) // residual depth and endpoint reach below nd
 	walk = func(nd *treeNode) (int, uint64) {
 		var reach uint64
@@ -240,15 +269,13 @@ func (t *Topology) finishTree(src int, root *treeNode) {
 			if nd.depth > bt.MaxDepth {
 				bt.MaxDepth = nd.depth
 			}
-			if nd.vertex.Index < 64 {
-				reach |= 1 << uint(nd.vertex.Index)
-			}
+			reach |= 1 << uint(min(nd.vertex.Index, 63))
 		}
 		// A switch's branches hold each branch's depth below in DeltaD
 		// until the residual depth is known.
 		var branches []Branch
 		if nd.vertex.Kind == KindSwitch {
-			branches = make([]Branch, nd.kids)
+			branches, all = all[:nd.kids:nd.kids], all[nd.kids:]
 			bt.Route[nd.vertex.Index] = branches
 		}
 		residual := 0
@@ -272,7 +299,7 @@ func (t *Topology) finishTree(src int, root *treeNode) {
 		}
 		return residual, reach
 	}
-	walk(root)
+	walk(&nodes[0])
 }
 
 func (t *Topology) addLink(from, to Vertex, cost int) LinkID {

@@ -28,6 +28,10 @@ func Torus(w, h int) (*Topology, error) {
 	}
 	node := func(x, y int) int { return y*w + x }
 	wrap := func(v, m int) int { return ((v % m) + m) % m }
+	// A switch links to 2 neighbours per dimension, or 1 in a dimension
+	// of size 2, plus its own endpoint.
+	nbrs := min(w-1, 2) + min(h-1, 2)
+	t.reserve(n*(2+nbrs), 1+nbrs, 1+nbrs)
 
 	// Endpoint links (on-die, cost 0).
 	for ep := 0; ep < n; ep++ {
@@ -35,7 +39,7 @@ func Torus(w, h int) (*Topology, error) {
 		t.epIn[ep] = t.addLink(Vertex{KindSwitch, ep}, Vertex{KindEndpoint, ep}, 0)
 	}
 	// Switch-to-switch links in +x, -x, +y, -y directions.
-	swLink := make(map[[2]int]LinkID)
+	swLink := make(map[[2]int]LinkID, n*nbrs)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			from := node(x, y)
@@ -60,7 +64,6 @@ func Torus(w, h int) (*Topology, error) {
 		return
 	}
 
-	t.trees = make([]BroadcastTree, n)
 	nodes := make(treeNodes, 0, 1+2*n)
 	for src := 0; src < n; src++ {
 		sx, sy := src%w, src/w
@@ -115,7 +118,7 @@ func Torus(w, h int) (*Topology, error) {
 				prev = nd
 			}
 		}
-		t.finishTree(src, root)
+		t.finishTree(src, nodes)
 	}
 	return t, nil
 }

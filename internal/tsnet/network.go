@@ -91,7 +91,9 @@ type Design struct {
 	Contention bool
 	// Verify enables internal assertions: every transaction must be
 	// processed at exactly its ordering time, with non-negative slack
-	// throughout. The tsnet and protocol test suites keep it on;
+	// throughout. TS-Snoop also checks that every snoop its holder mask
+	// lets skip the L2 probe finds nothing. The tsnet and protocol test
+	// suites keep it on;
 	// experiment runs (system.DefaultConfig) leave it off so production
 	// figure runs skip the consensus bookkeeping entirely.
 	Verify bool
