@@ -134,7 +134,8 @@ var checkCmd = &command{
 }
 
 // stress drives one random access mix through a machine built from the
-// spec and verifies quiescence afterwards.
+// spec and verifies quiescence afterwards. A run that stops making
+// progress fails with system.ErrDeadlock rather than hanging.
 func stress(cs spec.Spec, ops, blocks int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -157,18 +158,21 @@ func stress(cs spec.Spec, ops, blocks int) (err error) {
 		remaining[i] = ops
 	}
 	left := cfg.Nodes * ops
+	waiting := 0
 	var issue func(nd int)
 	issue = func(nd int) {
 		if remaining[nd] == 0 {
 			return
 		}
 		remaining[nd]--
+		waiting++
 		b := coherence.Block(rng.Intn(blocks))
 		op := coherence.Load
 		if rng.Bool(0.5) {
 			op = coherence.Store
 		}
 		s.Proto.Access(nd, op, b, func(coherence.AccessResult) {
+			waiting--
 			left--
 			issue(nd)
 		})
@@ -176,7 +180,10 @@ func stress(cs spec.Spec, ops, blocks int) (err error) {
 	for nd := 0; nd < cfg.Nodes; nd++ {
 		issue(nd)
 	}
-	s.K.RunWhile(func() bool { return left > 0 })
+	if err := system.RunWatched(s.K, func() bool { return left > 0 },
+		func() (int, int64) { return waiting, int64(cfg.Nodes*ops - left) }); err != nil {
+		return err
+	}
 	s.K.RunUntil(s.K.Now() + 5*sim.Microsecond) // drain writebacks
 	if s.Proto.Pending() != 0 {
 		return fmt.Errorf("%d accesses still pending after drain", s.Proto.Pending())

@@ -21,6 +21,8 @@
 package network
 
 import (
+	"math/bits"
+
 	"tsnoop/internal/obs"
 	"tsnoop/internal/sim"
 	"tsnoop/internal/stats"
@@ -54,10 +56,11 @@ type Fabric[P any] struct {
 	perturb func() sim.Duration
 
 	handler Handler[P]
-	// ordered has bit v set when vnet v keeps point-to-point order;
-	// lastAt, made only then, holds each ordered stream's last arrival.
+	// ordered has bit v set when vnet v keeps point-to-point order.
+	// lastAt holds each ordered stream's last arrival: one nodes×nodes
+	// block per ordered vnet, in vnet order, indexed [src][dst].
 	ordered uint64
-	lastAt  map[orderKey]sim.Time
+	lastAt  []sim.Time
 
 	// deliveries holds every message in flight, by value: one item per
 	// message, delivered at its arrival time.
@@ -66,10 +69,6 @@ type Fabric[P any] struct {
 	// probe is the kernel's: when non-nil, it counts message deliveries
 	// (nil-guarded: bare runs pay one branch per delivery).
 	probe *obs.Probe
-}
-
-type orderKey struct {
-	vnet, src, dst int
 }
 
 // New creates a fabric over topo using the given kernel, timing parameters
@@ -92,8 +91,8 @@ func New[P any](k *sim.Kernel, topo *topology.Topology, params timing.Params, tr
 	for _, v := range orderedVNets {
 		f.ordered |= 1 << uint(v)
 	}
-	if f.ordered != 0 {
-		f.lastAt = make(map[orderKey]sim.Time)
+	if n := bits.OnesCount64(f.ordered); n > 0 {
+		f.lastAt = make([]sim.Time, n*topo.Nodes()*topo.Nodes())
 	}
 	return f
 }
@@ -109,12 +108,11 @@ func (f *Fabric[P]) Send(vnet, src, dst int, class stats.Class, bytes int, paylo
 	}
 	now := f.k.Now()
 	arrive := now + lat
-	if f.ordered&(1<<uint(vnet)) != 0 {
-		key := orderKey{vnet, src, dst}
-		if prev := f.lastAt[key]; arrive < prev {
-			arrive = prev
-		}
-		f.lastAt[key] = arrive
+	if bit := uint64(1) << uint(vnet); f.ordered&bit != 0 {
+		n := f.topo.Nodes()
+		last := &f.lastAt[(bits.OnesCount64(f.ordered&(bit-1))*n+src)*n+dst]
+		arrive = max(arrive, *last)
+		*last = arrive
 	}
 	// A local message still counts once for message statistics but
 	// occupies zero links.

@@ -115,6 +115,40 @@ func TestOrderedVNetNeverReorders(t *testing.T) {
 	}
 }
 
+// Each ordered vnet keeps one stream per (src, dst) pair: a delayed
+// message holds back later sends on its own stream only, not those on
+// another ordered vnet or between other endpoints. A fabric without
+// ordered vnets keeps no stream state.
+func TestOrderedStreamsAreIndependent(t *testing.T) {
+	delays := []sim.Duration{100 * sim.Nanosecond, 0, 0, 0, 0}
+	i := 0
+	at := map[int]sim.Time{}
+	var k *sim.Kernel
+	k, f, _ := newTestFabric(t, topology.MustTorus(4, 4), func(m Message[int]) { at[m.Payload] = k.Now() },
+		func() sim.Duration { d := delays[i]; i++; return d }, 1, 3)
+	if len(f.lastAt) != 2*16*16 {
+		t.Fatalf("lastAt holds %d streams, want 2 vnets x 16 x 16", len(f.lastAt))
+	}
+	f.Send(1, 0, 1, stats.ClassMisc, timing.CtrlBytes, 0) // delayed 100 ns
+	f.Send(3, 0, 1, stats.ClassMisc, timing.CtrlBytes, 1)
+	f.Send(1, 1, 0, stats.ClassMisc, timing.CtrlBytes, 2)
+	f.Send(1, 0, 2, stats.ClassMisc, timing.CtrlBytes, 3)
+	f.Send(1, 0, 1, stats.ClassMisc, timing.CtrlBytes, 4) // behind 0
+	k.Run()
+	for _, n := range []int{1, 2, 3} {
+		if at[n] >= at[0] {
+			t.Errorf("message %d arrived at %v, held behind another stream's delayed message (%v)", n, at[n], at[0])
+		}
+	}
+	if at[4] < at[0] {
+		t.Errorf("message 4 arrived at %v, before its stream's earlier message (%v)", at[4], at[0])
+	}
+	_, unordered, _ := newTestFabric(t, topology.MustTorus(4, 4), ignore, nil)
+	if unordered.lastAt != nil {
+		t.Fatalf("a fabric without ordered vnets made %d streams", len(unordered.lastAt))
+	}
+}
+
 func TestUnorderedVNetCanReorder(t *testing.T) {
 	delays := []sim.Duration{100 * sim.Nanosecond, 0}
 	i := 0

@@ -32,6 +32,10 @@ type Set struct {
 	onFinish func(id int)
 	think    *sim.Batch[int32]
 	procs    []Processor
+	// waiting counts the accesses issued and not yet completed, and
+	// completed those completed, over every phase.
+	waiting   int
+	completed int64
 
 	// probe is the kernel's optional telemetry hook (nil = one branch
 	// per access).
@@ -98,6 +102,10 @@ func (s *Set) Start(quota int) {
 	}
 }
 
+// Progress reports the accesses still waiting for completion and the
+// accesses completed so far.
+func (s *Set) Progress() (waiting int, completed int64) { return s.waiting, s.completed }
+
 // Start begins execution at the current simulated time.
 func (p *Processor) Start() { p.step() }
 
@@ -128,6 +136,7 @@ func (p *Processor) step() {
 func (s *Set) issueAccess(i *int32) {
 	p := &s.procs[*i]
 	s.run.MemOps++
+	s.waiting++
 	p.issuedAt = s.k.Now()
 	(*s.proto).Access(p.id, p.pending.Op, p.pending.Block, p.doneFn)
 }
@@ -136,6 +145,8 @@ func (s *Set) issueAccess(i *int32) {
 // issues (stored once in doneFn so issuing allocates no closure).
 func (p *Processor) accessDone(r coherence.AccessResult) {
 	s := p.set
+	s.waiting--
+	s.completed++
 	if r.Hit {
 		s.run.L2Hits++
 	}

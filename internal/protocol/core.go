@@ -10,7 +10,8 @@
 //   - the outstanding-miss count and its MSHR-occupancy samples;
 //   - the run's coherence Oracle, which Init creates;
 //   - the run's block Index, which numbers each block at the access
-//     that first touches it, for the per-block Tables;
+//     that first touches it, for the per-block Tables, and finds an
+//     evicted block's number (VictimIndex);
 //   - the report of a finished miss to the Oracle, the statistics, the
 //     probe and the processor (Complete);
 //   - the point-to-point data fabric: TS-Snoop's data network and the
@@ -24,6 +25,8 @@
 package protocol
 
 import (
+	"fmt"
+
 	"tsnoop/internal/cache"
 	"tsnoop/internal/coherence"
 	"tsnoop/internal/network"
@@ -166,6 +169,17 @@ func (c *Core[P]) Release() {
 	for _, l2 := range c.caches {
 		l2.Release()
 	}
+}
+
+// VictimIndex returns the Index number of block b, which node id is
+// evicting. Every cached block was numbered by the access that first
+// touched it, so an unnumbered victim panics.
+func (c *Core[P]) VictimIndex(id int, b coherence.Block) int32 {
+	i, ok := c.Index.Lookup(b)
+	if !ok {
+		panic(fmt.Sprintf("protocol: node %d evicted unnumbered block %x", id, b))
+	}
+	return i
 }
 
 // Touched reports how many distinct blocks the run has touched.

@@ -88,25 +88,28 @@ const (
 	mWBAck                   // home -> owner
 )
 
-// msg is a protocol message, sent by value. Its byte-sized fields come
-// first, so a message fits in 40 bytes.
+// msg is a protocol message, sent by value. Its byte-sized fields and
+// idx share the first word, so a message fits in 32 bytes.
 type msg struct {
 	kind msgKind
 	txn  coherence.TxnKind
 	// keepCopy on a GETS revision: whether the old owner retained a
 	// shared copy (false when it supplied from its writeback buffer).
-	keepCopy  bool
-	supplier  stats.MissKind
+	keepCopy bool
+	supplier stats.MissKind
+	// idx is block's number in the run's Index, on every message the
+	// home reads its entry for: mReq, mFwd, mRevision and mWB.
+	idx       int32
 	block     coherence.Block
-	requester int
-	version   uint64
+	requester int16
 	// ackCount rides on mData (Classic GETX): invalidation acks the
 	// requester must collect before completing.
-	ackCount int
+	ackCount int32
+	version  uint64
 }
 
 // dirState is the home directory entry state.
-type dirState int
+type dirState uint8
 
 const (
 	dirU dirState = iota // memory owns, no sharers
@@ -114,18 +117,20 @@ const (
 	dirE                 // exclusive at owner
 )
 
-// dirEntry is one block's full-bit-vector directory entry.
+// dirEntry is one block's full-bit-vector directory entry. Its zero
+// value is the initial state: memory owns the block and no node shares
+// it. owner is meaningful only in dirE. Node numbers fit in an int16,
+// since a directory has at most 64 nodes; the entry is 72 bytes.
 type dirEntry struct {
-	state   dirState
-	sharers uint64
-	owner   int
-	version uint64
-
+	state dirState
 	// busy marks an outstanding intervention episode (E-state requests).
 	busy    bool
 	busyTxn coherence.TxnKind
-	busyReq int
-	busyAt  sim.Time
+	owner   int16
+	busyReq int16
+	sharers uint64
+	version uint64
+
 	// heldWB holds writebacks that arrived during a busy episode: usually
 	// the old owner's (its intervention is served from the writeback
 	// buffer), but under perturbation also the incoming owner's, when its
@@ -184,10 +189,10 @@ type Protocol struct {
 	opts               Options
 
 	nodes []node
-	// dir is every home directory's entries. A block's entry lives at its
-	// home (coherence.HomeOf) and only the home touches it, so the
-	// machine keeps one table.
-	dir map[coherence.Block]*dirEntry
+	// dir is every home directory's entries, by Index number. A block's
+	// entry lives at its home (coherence.HomeOf) and only the home
+	// touches it, so the machine keeps one table.
+	dir coherence.Table[dirEntry]
 	// sends puts each message that waits for a ready time on the wire.
 	sends *sim.Batch[pendingSend]
 	// retries re-sends each nacked request after its backoff.
@@ -217,7 +222,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.
 	if topo.Nodes() > 64 {
 		panic("directory: full bit vector limited to 64 nodes")
 	}
-	p := &Protocol{opts: opts, dir: make(map[coherence.Block]*dirEntry)}
+	p := &Protocol{opts: opts}
 	var ordered []int
 	if opts.Variant == Opt {
 		// DirOpt "uses point-to-point ordering on one virtual network to
@@ -238,17 +243,21 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.
 // Name implements coherence.Protocol.
 func (p *Protocol) Name() string { return p.opts.Variant.String() }
 
-// DirectoryState reports the home directory state for b (tests): the
-// state, owner (or -1) and sharer count.
+// DirectoryState reports the home directory state for b (tests and
+// tsnoop check's quiescence audit): the state, owner (or -1) and sharer
+// count. A block never touched is unowned.
 func (p *Protocol) DirectoryState(b coherence.Block) (string, int, int) {
-	e, ok := p.dir[b]
-	if !ok || e.state == dirU {
+	i, ok := p.Index.Lookup(b)
+	if !ok {
 		return "U", -1, 0
 	}
-	if e.state == dirE {
-		return "E", e.owner, 0
+	switch e := p.dir.At(i); e.state {
+	case dirE:
+		return "E", int(e.owner), 0
+	case dirS:
+		return "S", -1, bits.OnesCount64(e.sharers)
 	}
-	return "S", -1, bits.OnesCount64(e.sharers)
+	return "U", -1, 0
 }
 
 // Access implements coherence.Protocol.
@@ -310,7 +319,7 @@ func (p *Protocol) classify(m msg) (stats.Class, int) {
 func (n *node) sendRequest() {
 	m := n.mshr
 	home := coherence.HomeOf(m.block, n.p.Topo.Nodes())
-	n.p.send(vnetRequest, n.id, home, msg{kind: mReq, txn: m.txn, block: m.block, requester: n.id})
+	n.p.send(vnetRequest, n.id, home, msg{kind: mReq, txn: m.txn, idx: m.idx, block: m.block, requester: int16(n.id)})
 }
 
 // receive dispatches a message delivered to node nm.Dst.
@@ -340,22 +349,12 @@ func (p *Protocol) receive(nm network.Message[msg]) {
 	}
 }
 
-// entry returns b's directory entry at its home, creating it unowned.
-func (p *Protocol) entry(b coherence.Block) *dirEntry {
-	e, ok := p.dir[b]
-	if !ok {
-		e = &dirEntry{state: dirU, owner: -1}
-		p.dir[b] = e
-	}
-	return e
-}
-
 // homeRequest processes a GETS/GETX at the home directory.
 func (n *node) homeRequest(m msg) {
-	e := n.p.entry(m.block)
+	e := n.p.dir.At(m.idx)
 	if e.busy {
 		if n.p.opts.Variant == Classic {
-			n.p.send(vnetResponse, n.id, m.requester, msg{kind: mNack, block: m.block, txn: m.txn})
+			n.p.send(vnetResponse, n.id, int(m.requester), msg{kind: mNack, block: m.block, txn: m.txn})
 			return
 		}
 		e.queue = append(e.queue, m)
@@ -374,7 +373,7 @@ func (n *node) serveRequest(e *dirEntry, m msg) {
 		case dirU, dirS:
 			e.state = dirS
 			e.sharers |= 1 << uint(m.requester)
-			n.p.sendAt(ready, vnetResponse, n.id, m.requester, msg{
+			n.p.sendAt(ready, vnetResponse, n.id, int(m.requester), msg{
 				kind: mData, txn: m.txn, block: m.block,
 				version: e.version, supplier: stats.MissFromMemory,
 			})
@@ -382,9 +381,8 @@ func (n *node) serveRequest(e *dirEntry, m msg) {
 			e.busy = true
 			e.busyTxn = coherence.GetS
 			e.busyReq = m.requester
-			e.busyAt = n.p.K.Now()
-			n.p.sendAt(ready, vnetForward, n.id, e.owner, msg{
-				kind: mFwd, txn: coherence.GetS, block: m.block, requester: m.requester,
+			n.p.sendAt(ready, vnetForward, n.id, int(e.owner), msg{
+				kind: mFwd, txn: coherence.GetS, idx: m.idx, block: m.block, requester: m.requester,
 			})
 		}
 	case coherence.GetX:
@@ -392,15 +390,15 @@ func (n *node) serveRequest(e *dirEntry, m msg) {
 		case dirU:
 			e.state = dirE
 			e.owner = m.requester
-			n.p.sendAt(ready, vnetResponse, n.id, m.requester, msg{
+			n.p.sendAt(ready, vnetResponse, n.id, int(m.requester), msg{
 				kind: mData, txn: m.txn, block: m.block,
 				version: e.version, supplier: stats.MissFromMemory,
 			})
 		case dirS:
-			acks := 0
+			var acks int32
 			for s := e.sharers; s != 0; s &= s - 1 {
 				sh := bits.TrailingZeros64(s)
-				if sh == m.requester {
+				if sh == int(m.requester) {
 					continue
 				}
 				acks++
@@ -419,7 +417,7 @@ func (n *node) serveRequest(e *dirEntry, m msg) {
 			e.state = dirE
 			e.owner = m.requester
 			e.sharers = 0
-			n.p.sendAt(ready, vnetResponse, n.id, m.requester, msg{
+			n.p.sendAt(ready, vnetResponse, n.id, int(m.requester), msg{
 				kind: mData, txn: m.txn, block: m.block,
 				version: e.version, ackCount: acks, supplier: stats.MissFromMemory,
 			})
@@ -427,9 +425,8 @@ func (n *node) serveRequest(e *dirEntry, m msg) {
 			e.busy = true
 			e.busyTxn = coherence.GetX
 			e.busyReq = m.requester
-			e.busyAt = n.p.K.Now()
-			n.p.sendAt(ready, vnetForward, n.id, e.owner, msg{
-				kind: mFwd, txn: coherence.GetX, block: m.block, requester: m.requester,
+			n.p.sendAt(ready, vnetForward, n.id, int(e.owner), msg{
+				kind: mFwd, txn: coherence.GetX, idx: m.idx, block: m.block, requester: m.requester,
 			})
 		}
 	default:
@@ -467,7 +464,7 @@ func (n *node) reqData(m msg) {
 	ms.dataArrived = true
 	ms.version = m.version
 	ms.supplier = m.supplier
-	ms.acksNeeded = m.ackCount
+	ms.acksNeeded = int(m.ackCount)
 	ms.haveAckInfo = true
 	n.maybeComplete()
 }
@@ -535,7 +532,7 @@ func (n *node) insertLine(b coherence.Block, s cache.State, version uint64) {
 	n.wb[victim.Block] = victim.Version
 	home := coherence.HomeOf(victim.Block, n.p.Topo.Nodes())
 	n.p.send(vnetResponse, n.id, home, msg{
-		kind: mWB, block: victim.Block, requester: n.id, version: victim.Version,
+		kind: mWB, idx: n.p.VictimIndex(n.id, victim.Block), block: victim.Block, requester: int16(n.id), version: victim.Version,
 	})
 }
 
@@ -547,29 +544,29 @@ func (n *node) ownerFwd(m msg) {
 	wb, inWB := n.wb[m.block]
 	switch {
 	case state == cache.Modified:
-		n.p.sendAt(ready, vnetResponse, n.id, m.requester, msg{
+		n.p.sendAt(ready, vnetResponse, n.id, int(m.requester), msg{
 			kind: mData, txn: m.txn, block: m.block, version: version, supplier: stats.MissCacheToCache,
 		})
 		if m.txn == coherence.GetS {
 			n.cache.SetState(m.block, cache.Shared)
 			n.p.sendAt(ready, vnetResponse, n.id, home, msg{
-				kind: mRevision, txn: coherence.GetS, block: m.block, version: version, keepCopy: true,
+				kind: mRevision, txn: coherence.GetS, idx: m.idx, block: m.block, version: version, keepCopy: true,
 			})
 		} else {
 			n.cache.SetState(m.block, cache.Invalid)
 			n.p.sendAt(ready, vnetResponse, n.id, home, msg{
-				kind: mRevision, txn: coherence.GetX, block: m.block, version: version,
+				kind: mRevision, txn: coherence.GetX, idx: m.idx, block: m.block, version: version,
 			})
 		}
 	case inWB:
 		// Evicted but not yet acknowledged: supply from the writeback
 		// buffer; the home will squash the writeback when it completes
 		// this episode.
-		n.p.sendAt(ready, vnetResponse, n.id, m.requester, msg{
+		n.p.sendAt(ready, vnetResponse, n.id, int(m.requester), msg{
 			kind: mData, txn: m.txn, block: m.block, version: wb, supplier: stats.MissCacheToCache,
 		})
 		n.p.sendAt(ready, vnetResponse, n.id, home, msg{
-			kind: mRevision, txn: m.txn, block: m.block, version: wb, keepCopy: false,
+			kind: mRevision, txn: m.txn, idx: m.idx, block: m.block, version: wb, keepCopy: false,
 		})
 	case n.mshr != nil && n.mshr.block == m.block && n.mshr.txn == coherence.GetX:
 		// The home granted us ownership but our fill is still in flight.
@@ -595,27 +592,24 @@ func (n *node) sharerInval(m msg) {
 		}
 	}
 	if n.p.opts.Variant == Classic {
-		n.p.send(vnetResponse, n.id, m.requester, msg{kind: mInvAck, block: m.block})
+		n.p.send(vnetResponse, n.id, int(m.requester), msg{kind: mInvAck, block: m.block})
 	}
 }
 
 // homeRevision completes a busy intervention episode at the home.
 func (n *node) homeRevision(m msg) {
-	e := n.p.entry(m.block)
+	e := n.p.dir.At(m.idx)
 	if !e.busy {
 		panic(fmt.Sprintf("%s: revision for idle block %x", n.p.Name(), m.block))
 	}
 	oldOwner := e.owner
-	if m.version > e.version {
-		e.version = m.version
-	}
+	e.version = max(e.version, m.version)
 	if e.busyTxn == coherence.GetS {
 		e.state = dirS
 		e.sharers = 1 << uint(e.busyReq)
 		if m.keepCopy {
 			e.sharers |= 1 << uint(oldOwner)
 		}
-		e.owner = -1
 	} else {
 		e.state = dirE
 		e.owner = e.busyReq
@@ -646,7 +640,7 @@ func (n *node) drainQueue(e *dirEntry) {
 
 // homeWB processes a writeback at the home.
 func (n *node) homeWB(m msg) {
-	e := n.p.entry(m.block)
+	e := n.p.dir.At(m.idx)
 	if e.busy {
 		// An intervention episode is in flight; hold the writeback until
 		// it resolves.
@@ -657,21 +651,16 @@ func (n *node) homeWB(m msg) {
 	n.drainQueue(e)
 }
 
-// applyWB resolves one writeback against a non-busy entry.
+// applyWB resolves one writeback against a non-busy entry. A stale
+// writeback, whose ownership already moved on, is acknowledged too, so
+// the writer can free its buffer; its data was already supplied through
+// the intervention path.
 func (n *node) applyWB(e *dirEntry, m msg) {
 	if e.state == dirE && e.owner == m.requester {
-		if m.version > e.version {
-			e.version = m.version
-		}
+		e.version = max(e.version, m.version)
 		e.state = dirU
-		e.owner = -1
-		n.p.send(vnetForward, n.id, m.requester, msg{kind: mWBAck, block: m.block})
-		return
 	}
-	// Stale writeback: ownership already moved on. Acknowledge so the
-	// writer can free its buffer; the data was already supplied through
-	// the intervention path.
-	n.p.send(vnetForward, n.id, m.requester, msg{kind: mWBAck, block: m.block})
+	n.p.send(vnetForward, n.id, int(m.requester), msg{kind: mWBAck, block: m.block})
 }
 
 // ownerWBAck frees the writeback buffer entry.

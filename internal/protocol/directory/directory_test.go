@@ -2,6 +2,7 @@ package directory
 
 import (
 	"testing"
+	"unsafe"
 
 	"tsnoop/internal/cache"
 	"tsnoop/internal/coherence"
@@ -382,6 +383,40 @@ func TestSelfInterventionViaWritebackBuffer(t *testing.T) {
 	}
 }
 
+// An intervention that reaches an owner after it evicted the block is
+// served from its writeback buffer, and the revision it sends the home
+// names the block's entry. Node 5 owns block 16 and evicts it; the
+// home, node 0, reads the block at the same instant, so its local
+// request finds the entry still exclusive at node 5 and forwards the
+// intervention while node 5's writeback is in flight.
+func TestInterventionServedFromWritebackBuffer(t *testing.T) {
+	for _, v := range []Variant{Classic, Opt} {
+		e := newEnv(t, topology.MustButterfly(4), v, nil)
+		const b = coherence.Block(16)      // home node 0; set 16 of 256
+		e.access(t, 5, coherence.Load, 17) // b is not the first block numbered
+		for i := range 4 {
+			e.access(t, 5, coherence.Store, b+coherence.Block(i*256))
+		}
+		var res coherence.AccessResult
+		done := false
+		e.p.Access(5, coherence.Store, b+4*256, func(coherence.AccessResult) {
+			// The fill has just evicted b into node 5's writeback buffer.
+			e.p.Access(0, coherence.Load, b, func(r coherence.AccessResult) { res, done = r, true })
+		})
+		e.k.RunWhile(func() bool { return !done })
+		e.settle(2 * sim.Microsecond)
+		if !done || res.Kind != stats.MissCacheToCache || res.Version != 1 {
+			t.Fatalf("%v: read done %v, %+v; want version 1 from node 5's writeback buffer", v, done, res)
+		}
+		if st, _, sharers := e.p.DirectoryState(b); st != "S" || sharers != 1 {
+			t.Fatalf("%v: directory %s with %d sharers, want S with the reader alone", v, st, sharers)
+		}
+		if e.p.Pending() != 0 || len(e.p.nodes[5].wb) != 0 {
+			t.Fatalf("%v: %d pending, %d writebacks unacknowledged", v, e.p.Pending(), len(e.p.nodes[5].wb))
+		}
+	}
+}
+
 func TestAccessWhileOutstandingPanics(t *testing.T) {
 	e := newEnv(t, topology.MustButterfly(4), Classic, nil)
 	e.p.Access(0, coherence.Load, 1, func(coherence.AccessResult) {})
@@ -396,5 +431,18 @@ func TestAccessWhileOutstandingPanics(t *testing.T) {
 func TestVariantNames(t *testing.T) {
 	if Classic.String() != "DirClassic" || Opt.String() != "DirOpt" {
 		t.Fatal("variant names")
+	}
+}
+
+// msg is copied by value into every message in flight, and dirEntry is
+// one block's slot of a home's Table page: with node numbers in int16
+// and idx in the bytes after the byte-sized fields, a message is 32
+// bytes and an entry 72.
+func TestMsgAndEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(msg{}); n > 40 {
+		t.Errorf("msg is %d bytes, want at most 40", n)
+	}
+	if n := unsafe.Sizeof(dirEntry{}); n != 72 {
+		t.Errorf("dirEntry is %d bytes, want 72", n)
 	}
 }

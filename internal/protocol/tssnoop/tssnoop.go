@@ -779,11 +779,7 @@ func (n *node) insertLine(b coherence.Block, idx int32, s cache.State, version u
 			panic(fmt.Sprintf("tssnoop: node %d duplicate writeback for %x", n.id, victim.Block))
 		}
 		n.wb[victim.Block] = wbEntry{version: victim.Version}
-		// Every cached block was numbered when first touched.
-		vi, ok := n.p.Index.Lookup(victim.Block)
-		if !ok {
-			panic(fmt.Sprintf("tssnoop: node %d evicted unnumbered block %x", n.id, victim.Block))
-		}
+		vi := n.p.VictimIndex(n.id, victim.Block)
 		// The requester must name the evicting node: snoop dispatches
 		// own-vs-foreign on it, so leaving it zero would misroute every
 		// writeback from a node other than 0 (node 0 would claim it and

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"tsnoop/internal/obs"
 )
@@ -359,15 +360,26 @@ func (k *Kernel) RunUntil(t Time) {
 	}
 }
 
-// RunWhile dispatches events while cond() holds and events remain. It is
-// the main loop used by the harness ("run until every processor has
-// finished its quota"). It checks cond between a group's items too, so
-// no item runs after cond turns false.
-func (k *Kernel) RunWhile(cond func() bool) {
+// RunWhile dispatches events while cond() holds and events remain ("run
+// until every processor has finished its quota"). It checks cond between
+// a group's items too, so no item runs after cond turns false. It is
+// RunWhileBefore with no time limit.
+func (k *Kernel) RunWhile(cond func() bool) { k.RunWhileBefore(math.MaxInt64, cond) }
+
+// RunWhileBefore is RunWhile that also stops before dispatching an event
+// at or after t, leaving it pending and the clock where it was. A caller
+// bounds a run that may never go idle by calling it window by window.
+// The limit is checked once per dispatch, not per item: the items left
+// in a group dispatched earlier are at Now, which is before t unless Now
+// already was at or after t, and then RunWhileBefore runs nothing.
+func (k *Kernel) RunWhileBefore(t Time, cond func() bool) {
+	if k.now >= t {
+		return
+	}
 	for cond() {
 		if k.cur == nil {
 			e, src := k.next()
-			if e == nil {
+			if e == nil || e.at >= t {
 				return
 			}
 			k.dispatch(src)

@@ -70,6 +70,12 @@ func (r *refKernel) runWhile(cond func() bool) {
 	}
 }
 
+func (r *refKernel) runWhileBefore(t Time, cond func() bool) {
+	for cond() && len(r.q) > 0 && r.q[0].at < t {
+		r.step()
+	}
+}
+
 // exEntry is one line of a dispatch log: an item or plain event and the
 // time it ran.
 type exEntry struct {
@@ -108,10 +114,10 @@ var exLeaves = func() (ws []exWork) {
 
 // exOp is one step of a program: schedule work at the current time, cut
 // the run with RunUntil(Now+until), or run until stop more items or
-// plain events have run.
+// plain events have run, with or without the limit Now+until.
 type exOp struct {
 	work  exWork
-	cut   uint8 // 0: schedule work; 1: RunUntil; 2: RunWhile
+	cut   uint8 // 0: schedule work; 1: RunUntil; 2: RunWhile; 3: RunWhileBefore
 	until Duration
 	stop  int
 }
@@ -133,6 +139,8 @@ func (op exOp) String() string {
 		return fmt.Sprintf("RunUntil(Now+%d)", op.until)
 	case 2:
 		return fmt.Sprintf("RunWhile(%d more)", op.stop)
+	case 3:
+		return fmt.Sprintf("RunWhileBefore(Now+%d, %d more)", op.until, op.stop)
 	}
 	return op.work.String()
 }
@@ -152,6 +160,9 @@ var exAlphabet = func() (ops []exOp) {
 	}
 	for _, n := range []int{1, 2} {
 		ops = append(ops, exOp{cut: 2, stop: n})
+		for _, t := range []Duration{0, 5} {
+			ops = append(ops, exOp{cut: 3, until: t, stop: n})
+		}
 	}
 	return ops
 }()
@@ -228,6 +239,11 @@ func exCheck(prog []exOp, zeroLane bool) string {
 				s.k.RunWhile(func() bool { return len(s.log) < stop })
 				stop = len(r.log) + op.stop
 				r.runWhile(func() bool { return len(r.log) < stop })
+			case 3:
+				stop := len(s.log) + op.stop
+				s.k.RunWhileBefore(s.k.Now()+op.until, func() bool { return len(s.log) < stop })
+				stop = len(r.log) + op.stop
+				r.runWhileBefore(r.now+op.until, func() bool { return len(r.log) < stop })
 			}
 		}
 		p := s.k.Pending()
@@ -245,10 +261,11 @@ func exCheck(prog []exOp, zeroLane bool) string {
 
 // Every program of up to exMaxLen steps over exAlphabet — two batches;
 // zero, lane and heap delays; items and plain events that add nothing
-// or one item; RunUntil cuts; RunWhile stops after one or two items —
-// runs on the kernel exactly as on the reference kernel, with and
-// without a lane for delay zero. By the small-scope hypothesis, a fault
-// in the batch rule, the lanes or RunWhile's stop shows up in some
+// or one item; RunUntil cuts; RunWhile stops after one or two items,
+// with and without RunWhileBefore's time limit — runs on the kernel
+// exactly as on the reference kernel, with and without a lane for delay
+// zero. By the small-scope hypothesis, a fault in the batch rule, the
+// lanes, RunWhile's stop or RunWhileBefore's limit shows up in some
 // small program.
 func TestKernelMatchesReferenceExhaustive(t *testing.T) {
 	const exMaxLen = 3

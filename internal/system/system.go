@@ -80,9 +80,10 @@ type Config struct {
 
 // DefaultConfig is the paper's machine for the given protocol/network.
 // The address network's internal ordering assertions (tsnet.Config.Verify)
-// are off: the consensus bookkeeping costs an allocation per broadcast
-// copy and buys nothing on a correct build. The tsnet and protocol test
-// suites, which construct their networks directly, keep them on.
+// are off: the consensus bookkeeping costs two allocations per injected
+// transaction (its txnDebug and the otCell every copy shares) and buys
+// nothing on a correct build. The tsnet and protocol test suites, which
+// construct their networks directly, keep them on.
 func DefaultConfig(protocol, network string) Config {
 	ts := tssnoop.DefaultOptions()
 	ts.Net.Verify = false
@@ -204,11 +205,36 @@ func BuildTopology(network string, nodes int) (*topology.Topology, error) {
 	return topology.Torus(w, nodes/w)
 }
 
-// ErrDeadlock reports a phase whose processors stopped issuing with
-// accesses still outstanding: the kernel ran out of events before every
-// processor reached its quota. Execute wraps it with the simulated time
-// and the protocol's pending count.
+// ErrDeadlock reports a phase whose processors stopped making progress
+// before every processor reached its quota: the kernel ran out of
+// events, or accesses waited a whole StallWindow while none completed.
+// Execute wraps it with the simulated time and the count of accesses
+// still waiting.
 var ErrDeadlock = errors.New("system: processors did not finish (protocol deadlock?)")
+
+// StallWindow is how long, in simulated time, accesses may wait with
+// none completing before a run counts as deadlocked. The slowest
+// unloaded miss takes about 0.26 µs, so a window is thousands of misses
+// long.
+const StallWindow = sim.Millisecond
+
+// RunWatched runs k while running holds, one StallWindow at a time.
+// progress reports the accesses still waiting and those completed so
+// far. RunWatched returns an error wrapping ErrDeadlock when the kernel
+// runs out of events, or when accesses waited through a whole window
+// and none completed: TS-Snoop's token waves keep its kernel busy
+// forever, so a stuck run would otherwise never return. Windows cut the
+// run only between dispatches, so they change nothing it does.
+func RunWatched(k *sim.Kernel, running func() bool, progress func() (waiting int, completed int64)) error {
+	for limit := k.Now() + StallWindow; running(); limit += StallWindow {
+		waiting, completed := progress()
+		k.RunWhileBefore(limit, running)
+		if w, c := progress(); running() && (k.Pending() == 0 || waiting > 0 && c == completed) {
+			return fmt.Errorf("%w at %v with %d accesses pending", ErrDeadlock, k.Now(), w)
+		}
+	}
+	return nil
+}
 
 // Build assembles a machine running gen. The kernel starts at time zero.
 // Each node's L2 arrays come from a pool shared by every machine of the
@@ -278,9 +304,8 @@ func (s *System) runPhase(quota int) (sim.Time, error) {
 	start := s.K.Now()
 	s.running, s.last = s.Cfg.Nodes, start
 	s.cpus.Start(quota)
-	s.K.RunWhile(func() bool { return s.running > 0 })
-	if s.running > 0 {
-		return 0, fmt.Errorf("%w at %v with %d accesses pending", ErrDeadlock, s.K.Now(), s.Proto.Pending())
+	if err := RunWatched(s.K, func() bool { return s.running > 0 }, s.cpus.Progress); err != nil {
+		return 0, err
 	}
 	return s.last - start, nil
 }

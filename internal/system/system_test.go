@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"tsnoop/internal/coherence"
 	"tsnoop/internal/sim"
@@ -189,6 +190,59 @@ func TestExecuteDeadlockIsTypedError(t *testing.T) {
 	}
 	if want := "with 4 accesses pending"; !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), " at ") {
 		t.Fatalf("error %q lacks the simulated time or %q", err, want)
+	}
+}
+
+// lossy is a protocol that loses node 3's first miss completion: the
+// processor waits for it forever while the others run on.
+type lossy struct {
+	coherence.Protocol
+	lost bool
+}
+
+func (l *lossy) Access(node int, op coherence.Op, b coherence.Block, done func(coherence.AccessResult)) {
+	if node == 3 && !l.lost {
+		next := done
+		done = func(r coherence.AccessResult) {
+			if !r.Hit && !l.lost {
+				l.lost = true
+				return
+			}
+			next(r)
+		}
+	}
+	l.Protocol.Access(node, op, b, done)
+}
+
+// A run whose miss never completes returns ErrDeadlock under both
+// protocol families: a directory's kernel runs out of events, but
+// TS-Snoop's token waves keep its kernel busy, so only the stall window
+// ends the run. Execute runs in a goroutine so that a run that never
+// returns fails the test instead of hanging it.
+func TestExecuteLostCompletionDeadlocks(t *testing.T) {
+	for _, protocol := range []string{ProtoTSSnoop, ProtoDirClassic, ProtoDirOpt} {
+		t.Run(protocol, func(t *testing.T) {
+			cfg := DefaultConfig(protocol, NetButterfly)
+			cfg.WarmupPerCPU, cfg.MeasurePerCPU = 50, 50
+			s, err := Build(cfg, workload.OLTP(cfg.Nodes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Proto = &lossy{Protocol: s.Proto}
+			errc := make(chan error, 1)
+			go func() {
+				_, err := s.Execute()
+				errc <- err
+			}()
+			select {
+			case err := <-errc:
+				if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), "with 1 accesses pending") {
+					t.Fatalf("Execute error %v, want ErrDeadlock with 1 access pending", err)
+				}
+			case <-time.After(60 * time.Second):
+				t.Fatal("Execute still running after 60 s: the lost completion was never detected")
+			}
+		})
 	}
 }
 

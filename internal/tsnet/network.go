@@ -93,9 +93,9 @@ type Design struct {
 	// processed at exactly its ordering time, with non-negative slack
 	// throughout. TS-Snoop also checks that every snoop its holder mask
 	// lets skip the L2 probe finds nothing. The tsnet and protocol test
-	// suites keep it on;
-	// experiment runs (system.DefaultConfig) leave it off so production
-	// figure runs skip the consensus bookkeeping entirely.
+	// suites keep it on; experiment runs (system.DefaultConfig) leave it
+	// off so production figure runs skip the consensus bookkeeping
+	// entirely.
 	Verify bool
 }
 
