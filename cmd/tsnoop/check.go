@@ -14,6 +14,7 @@ import (
 	"tsnoop/internal/protocol/tssnoop"
 	"tsnoop/internal/sim"
 	"tsnoop/internal/spec"
+	"tsnoop/internal/stats"
 	"tsnoop/internal/system"
 	"tsnoop/internal/workload"
 )
@@ -112,7 +113,10 @@ var checkCmd = &command{
 					cs.Seed = uint64(seed)
 					jobs = append(jobs, job{
 						name: fmt.Sprintf("%s/%s/mosi=%v/mcast=%v/seed=%d", c.protocol, c.network, c.mosi, c.multicast, seed),
-						run:  func() error { return stress(cs, *ops, *blocks) },
+						run: func() error {
+							_, err := stress(cs, *ops, *blocks)
+							return err
+						},
 					})
 				}
 			}
@@ -134,9 +138,10 @@ var checkCmd = &command{
 }
 
 // stress drives one random access mix through a machine built from the
-// spec and verifies quiescence afterwards. A run that stops making
-// progress fails with system.ErrDeadlock rather than hanging.
-func stress(cs spec.Spec, ops, blocks int) (err error) {
+// spec, verifies quiescence afterwards and returns the run's counters.
+// A run that stops making progress fails with system.ErrDeadlock rather
+// than hanging.
+func stress(cs spec.Spec, ops, blocks int) (run *stats.Run, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
@@ -145,11 +150,11 @@ func stress(cs spec.Spec, ops, blocks int) (err error) {
 	gen := workload.Uniform(1024, 0.5, 10, cs.Nodes)
 	cfg, buildErr := cs.ConfigFor(gen)
 	if buildErr != nil {
-		return buildErr
+		return nil, buildErr
 	}
 	s, buildErr := system.Build(cfg, gen)
 	if buildErr != nil {
-		return buildErr
+		return nil, buildErr
 	}
 
 	rng := sim.NewRand(cs.Seed * 7919)
@@ -182,15 +187,15 @@ func stress(cs spec.Spec, ops, blocks int) (err error) {
 	}
 	if err := system.RunWatched(s.K, func() bool { return left > 0 },
 		func() (int, int64) { return waiting, int64(cfg.Nodes*ops - left) }); err != nil {
-		return err
+		return nil, err
 	}
 	s.K.RunUntil(s.K.Now() + 5*sim.Microsecond) // drain writebacks
 	if s.Proto.Pending() != 0 {
-		return fmt.Errorf("%d accesses still pending after drain", s.Proto.Pending())
+		return nil, fmt.Errorf("%d accesses still pending after drain", s.Proto.Pending())
 	}
 	err = verifyQuiescence(s, blocks, cs.MOSI)
 	s.Release()
-	return err
+	return s.Run, err
 }
 
 // verifyQuiescence checks SWMR and controller agreement once traffic has

@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"tsnoop/internal/spec"
+	"tsnoop/internal/stats"
 )
 
 // execTsnoop runs a subcommand in-process and returns stdout/stderr.
@@ -256,6 +257,29 @@ func TestCheckSmoke(t *testing.T) {
 	out, _ := execTsnoop(t, "check", "-seeds", "2", "-ops", "60", "-workers", "1")
 	if !strings.Contains(out, "20 stress runs passed (10 combos x 2 seeds") {
 		t.Fatalf("check output unexpected:\n%s", out)
+	}
+}
+
+// check with 4 KiB caches and 160 hot blocks reaches the writeback
+// path, which the default 8 hot blocks never do: TS-Snoop evicts
+// Modified blocks. Without multicast every ordered request is a miss's
+// GETS or GETX or a dirty victim's PUTX, so the requests beyond the
+// misses count the writebacks.
+func TestCheckWritebackCoverage(t *testing.T) {
+	out, _ := execTsnoop(t, "check", "-seeds", "2", "-ops", "200", "-cache-bytes", "4096", "-blocks", "160")
+	if !strings.Contains(out, "20 stress runs passed (10 combos x 2 seeds, 200 ops/cpu, 160 hot blocks)") {
+		t.Fatalf("check output unexpected:\n%s", out)
+	}
+	cs := spec.Default()
+	cs.Protocol, cs.Network = "TS-Snoop", "butterfly"
+	cs.PerturbNS, cs.PredictorSize, cs.CacheBytes = 3, 4, 4096
+	run, err := stress(cs, 200, 160)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wb := run.Traffic.Messages(stats.ClassRequest) - run.TotalMisses(); wb <= 0 {
+		t.Fatalf("%d requests for %d misses: no Modified block was evicted",
+			run.Traffic.Messages(stats.ClassRequest), run.TotalMisses())
 	}
 }
 

@@ -3,8 +3,7 @@
 // fixed-bucket histograms, and a stable-field Metrics snapshot the
 // probe renders once at the end of a run.
 //
-// The probe follows the same discipline as the PR 5 txnDebug hook:
-// every call site is guarded by `if p := x.probe; p != nil { ... }`,
+// Every call site is guarded by `if p := x.probe; p != nil { ... }`,
 // so with metrics disabled the entire layer costs one nil check per
 // site — zero allocations, no maps, no interface boxing. With metrics
 // enabled the probe still never allocates on the hot path: all

@@ -7,6 +7,7 @@ import (
 	"tsnoop/internal/coherence"
 	"tsnoop/internal/obs"
 	"tsnoop/internal/sim"
+	"tsnoop/internal/sim/simtest"
 	"tsnoop/internal/stats"
 	"tsnoop/internal/timing"
 	"tsnoop/internal/topology"
@@ -18,7 +19,8 @@ import (
 // misses: broadcast or multicast, global ordering, foreign snoops,
 // memory-side owner update, data-network delivery, and MSHR completion.
 // Once the block's memory state is warm, the whole path must not
-// allocate. Uninstrumented network (Verify off), as experiment runs use.
+// allocate. The network is uninstrumented (Verify off), as experiment
+// runs use, unless a case says otherwise.
 func TestMissAllocs(t *testing.T) {
 	type access struct {
 		node int
@@ -36,6 +38,13 @@ func TestMissAllocs(t *testing.T) {
 		// GETX miss through the ordered handler.
 		name: "store ping-pong",
 		ops:  []access{{0, coherence.Store}, {1, coherence.Store}},
+	}, {
+		// The same under Verify: the ordering checks read tsnet's side
+		// table, and the handoffs the nodes would ignore still run, to
+		// check that they do nothing.
+		name:   "store ping-pong verified",
+		mutate: func(o *Options) { o.Net.Verify = true },
+		ops:    []access{{0, coherence.Store}, {1, coherence.Store}},
 	}, {
 		// Nodes holding the block in I consume the GETX on arrival: the
 		// peek handler's path.
@@ -81,7 +90,7 @@ func TestMissAllocs(t *testing.T) {
 				a := tc.ops[next]
 				p.Access(a.node, a.op, block, doneFn)
 				next = (next + 1) % len(tc.ops)
-				k.RunWhile(func() bool { return !done })
+				simtest.RunWhile(t, k, 20*sim.Microsecond, "miss incomplete", func() bool { return !done })
 			}
 			// Warm up: touch the block from every node of the rotation.
 			for i := 0; i < 8; i++ {
@@ -130,7 +139,7 @@ func TestMissAllocsTraced(t *testing.T) {
 		done = false
 		p.Access(node, coherence.Store, block, doneFn)
 		node = 1 - node
-		k.RunWhile(func() bool { return !done })
+		simtest.RunWhile(t, k, 20*sim.Microsecond, "miss incomplete", func() bool { return !done })
 	}
 	for i := 0; i < 8; i++ {
 		miss()
@@ -158,7 +167,7 @@ func TestHitAllocs(t *testing.T) {
 	access := func(op coherence.Op) {
 		done = false
 		p.Access(3, op, block, doneFn)
-		k.RunWhile(func() bool { return !done })
+		simtest.RunWhile(t, k, 20*sim.Microsecond, "access incomplete", func() bool { return !done })
 	}
 	access(coherence.Store) // install the block in M
 	access(coherence.Store)

@@ -6,6 +6,7 @@ import (
 	"tsnoop/internal/cache"
 	"tsnoop/internal/coherence"
 	"tsnoop/internal/sim"
+	"tsnoop/internal/sim/simtest"
 	"tsnoop/internal/stats"
 	"tsnoop/internal/topology"
 )
@@ -99,7 +100,7 @@ func TestMOSIUpgradeLosesRace(t *testing.T) {
 	done := 0
 	e.p.Access(5, coherence.Store, 7, func(coherence.AccessResult) { done++ })
 	e.p.Access(3, coherence.Store, 7, func(coherence.AccessResult) { done++ })
-	e.k.RunWhile(func() bool { return done < 2 })
+	simtest.RunWhile(t, e.k, 20*sim.Microsecond, "done < 2", func() bool { return done < 2 })
 	e.settle(sim.Microsecond)
 	owners := 0
 	for nd := 0; nd < 16; nd++ {
@@ -187,7 +188,7 @@ func TestMOSIStressInvariants(t *testing.T) {
 		for nd := 0; nd < 16; nd++ {
 			issue(nd)
 		}
-		e.k.RunWhile(func() bool { return left > 0 })
+		simtest.RunWhile(t, e.k, runLimit, "accesses left", func() bool { return left > 0 })
 		e.settle(2 * sim.Microsecond)
 		if e.p.Pending() != 0 {
 			t.Fatalf("%s: pending = %d", topo.Name(), e.p.Pending())

@@ -6,6 +6,7 @@ import (
 	"tsnoop/internal/cache"
 	"tsnoop/internal/coherence"
 	"tsnoop/internal/sim"
+	"tsnoop/internal/sim/simtest"
 	"tsnoop/internal/stats"
 	"tsnoop/internal/topology"
 )
@@ -140,7 +141,7 @@ func TestMulticastStressCoherent(t *testing.T) {
 			for nd := 0; nd < 16; nd++ {
 				issue(nd)
 			}
-			e.k.RunWhile(func() bool { return left > 0 })
+			simtest.RunWhile(t, e.k, runLimit, "accesses left", func() bool { return left > 0 })
 			e.settle(2 * sim.Microsecond)
 			if e.p.Pending() != 0 {
 				t.Fatalf("%s/pred=%d: pending %d", topo.Name(), predSize, e.p.Pending())

@@ -222,13 +222,28 @@ type Protocol struct {
 	// each block, by Index number, holdWords words with one bit per
 	// node. A node's bit is set when it fills the block (insertLine) and
 	// cleared when a foreign snoop finds neither a valid line nor a
-	// writeback entry, so it is set wherever the block is held and a
-	// clear bit lets the node's snoop skip its L2 probe. Every node
-	// still snoops every transaction in simulated time.
+	// writeback entry, so it is set wherever the block is held. A clear
+	// bit lets the node skip the handoff (see acts) or, when it still
+	// snoops for its MSHR, its L2 probe. Every node still snoops every
+	// transaction in simulated time.
 	holders   coherence.Table[uint64]
 	holdWords int32
+	// handoffs carries each ordered transaction to a node's controllers
+	// after the network-exit overhead Dovh. Every item takes Dovh, so
+	// one batch on one lane keeps them in the logical order.
+	handoffs *sim.Batch[handoff]
 	// sends puts each data message on the wire at its ready time.
 	sends *sim.Batch[pendingSend]
+}
+
+// handoff is an ordered transaction on its way to node's controllers.
+type handoff struct {
+	t       addrTxn
+	arrived sim.Time
+	node    int32
+	// skip marks a handoff the node would not act on, scheduled only
+	// under Verify to check that it does nothing (see mustIgnore).
+	skip bool
 }
 
 // pendingSend is a data message waiting for its ready time.
@@ -248,11 +263,21 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.
 	if opts.Multicast && topo.Nodes() > 64 {
 		panic("tssnoop: multicast snooping limited to 64 nodes")
 	}
+	if params.Dovh <= 0 {
+		// A handoff is its own item of the handoffs batch, Dovh after
+		// the token wave that processed it, never part of that wave, so
+		// no wave can finish an access midway: RunWhile's condition is
+		// checked between items.
+		panic("tssnoop: Params.Dovh must be positive")
+	}
 	p := &Protocol{opts: opts, holdWords: int32(topo.Nodes()+63) / 64}
-	// The address network declares its link lanes before the core's.
+	// The address network declares its link lanes, then the handoffs
+	// theirs, before the core's.
 	p.addr = tsnet.NewOf[addrTxn](k, topo, tsnet.Config{Params: params, Design: opts.Net}, &run.Traffic, run)
+	k.Lane(params.Dovh)
 	p.Init(k, topo, params, cc, run, p.dataArrive, perturb)
 	p.sends = sim.NewBatch(k, p.runSend)
+	p.handoffs = sim.NewBatch(k, p.runHandoff)
 	p.nodes = make([]node, topo.Nodes())
 	for i := range p.nodes {
 		n := &p.nodes[i]
@@ -264,7 +289,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, cc cache.
 		if opts.EarlyProcessing {
 			peek = n.peek
 		}
-		p.addr.Register(i, n.snoop, peek)
+		p.addr.Register(i, n.order, peek)
 	}
 	p.addr.Start()
 	return p
@@ -405,18 +430,77 @@ func (n *node) peek(src int, seq uint64, t addrTxn, slackTicks int) bool {
 	return false
 }
 
+// order receives one transaction from the global logical order at its
+// processing time, and hands it to the node's controllers after the
+// network-exit overhead when the node may act on it.
+func (n *node) order(_ int, _ uint64, t addrTxn, arrived sim.Time) {
+	acts := n.acts(&t)
+	if acts || n.p.opts.Net.Verify {
+		n.p.handoffs.Add(n.p.Params.Dovh, handoff{t: t, arrived: arrived, node: int32(n.id), skip: !acts})
+	}
+}
+
+// acts reports whether the node's snoop of t, Dovh from now, may do
+// anything. The requester, the home and an owner predictor always act;
+// elsewhere a writeback does nothing. Otherwise the node acts
+// only when it has an MSHR for the block, in any state, or its holder
+// bit is set. Without either, no fill of the block can land before the
+// handoff runs: a miss the node issues from now on orders after t, and
+// its own handoff runs after t's in the batch's FIFO order. So the
+// snoop would find no ordered MSHR and a clear holder bit, and return.
+func (n *node) acts(t *addrTxn) bool {
+	if int(t.requester) == n.id || n.p.predicts() || coherence.HomeOf(t.block, n.p.Topo.Nodes()) == n.id {
+		return true
+	}
+	if t.kind == coherence.PutX {
+		return false
+	}
+	if m := n.mshr; m != nil && m.block == t.block {
+		return true
+	}
+	held, bit := n.p.holderBit(t.idx, n.id)
+	return *held&bit != 0
+}
+
+// runHandoff completes a handoff after the network-exit overhead.
+func (p *Protocol) runHandoff(h *handoff) {
+	n := &p.nodes[h.node]
+	if h.skip {
+		n.mustIgnore(&h.t)
+		return
+	}
+	n.snoop(&h.t, h.arrived)
+}
+
+// mustIgnore panics unless the snoop of t that acts skipped would have
+// done nothing: the node holds no ordered MSHR for the block, its
+// holder bit is clear and neither its L2 nor its writeback buffer has
+// the block (Verify only). A foreign writeback does nothing anyway.
+func (n *node) mustIgnore(t *addrTxn) {
+	if t.kind == coherence.PutX {
+		return
+	}
+	if m := n.mshr; m != nil && m.block == t.block && m.ordered {
+		panic(fmt.Sprintf("tssnoop: node %d skipped %v of block %x with its miss ordered", n.id, t.kind, t.block))
+	}
+	if held, bit := n.p.holderBit(t.idx, n.id); *held&bit != 0 {
+		panic(fmt.Sprintf("tssnoop: node %d skipped %v of block %x with its holder bit set", n.id, t.kind, t.block))
+	}
+	n.mustNotHold(t.block)
+}
+
 // snoop processes one transaction from the global logical order: first the
 // cache-controller side, then (when this node is the block's home) the
 // memory-controller side.
-func (n *node) snoop(src int, seq uint64, t addrTxn, arrived sim.Time) {
+func (n *node) snoop(t *addrTxn, arrived sim.Time) {
 	req := int(t.requester)
 	if req == n.id {
-		n.snoopOwn(&t, arrived)
+		n.snoopOwn(t, arrived)
 	} else {
-		n.snoopForeign(req, &t, arrived)
+		n.snoopForeign(req, t, arrived)
 	}
 	if coherence.HomeOf(t.block, n.p.Topo.Nodes()) == n.id {
-		n.memorySide(req, &t, arrived)
+		n.memorySide(req, t, arrived)
 	}
 }
 

@@ -1,12 +1,14 @@
 package tssnoop
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 
 	"tsnoop/internal/cache"
 	"tsnoop/internal/coherence"
 	"tsnoop/internal/sim"
+	"tsnoop/internal/sim/simtest"
 	"tsnoop/internal/stats"
 	"tsnoop/internal/timing"
 	"tsnoop/internal/topology"
@@ -33,6 +35,9 @@ func newEnv(t *testing.T, topo *topology.Topology, mutate func(*Options)) *env {
 	return &env{k: k, p: p, run: run, topo: topo}
 }
 
+// runLimit bounds the simulated time of a stress run: each takes ~22 µs.
+const runLimit = 200 * sim.Microsecond
+
 // access drives one blocking access to completion and returns the result.
 func (e *env) access(t *testing.T, node int, op coherence.Op, b coherence.Block) coherence.AccessResult {
 	t.Helper()
@@ -42,10 +47,8 @@ func (e *env) access(t *testing.T, node int, op coherence.Op, b coherence.Block)
 		res = r
 		doneAt = e.k.Now()
 	})
-	e.k.RunWhile(func() bool { return doneAt < 0 })
-	if doneAt < 0 {
-		t.Fatalf("access node %d %v %x never completed", node, op, b)
-	}
+	simtest.RunWhile(t, e.k, 20*sim.Microsecond, fmt.Sprintf("node %d %v %x incomplete", node, op, b),
+		func() bool { return doneAt < 0 })
 	return res
 }
 
@@ -247,10 +250,7 @@ func TestConcurrentStoresSerialize(t *testing.T) {
 	for nd := 0; nd < 16; nd++ {
 		e.p.Access(nd, coherence.Store, 3, func(r coherence.AccessResult) { completed++ })
 	}
-	e.k.RunWhile(func() bool { return completed < 16 })
-	if completed != 16 {
-		t.Fatalf("completed = %d", completed)
-	}
+	simtest.RunWhile(t, e.k, 20*sim.Microsecond, "completed < 16", func() bool { return completed < 16 })
 	// One node ends as owner with version 16.
 	owners := 0
 	for nd := 0; nd < 16; nd++ {
@@ -294,8 +294,7 @@ func TestConcurrentLoadStoreMix(t *testing.T) {
 		for nd := 0; nd < 16; nd++ {
 			issue(nd)
 		}
-		e.k.RunWhile(func() bool { return totalLeft > 16*120-16*120 || e.p.Pending() > 0 })
-		e.k.RunWhile(func() bool { return e.p.Pending() > 0 })
+		simtest.RunWhile(t, e.k, runLimit, "accesses left or pending", func() bool { return totalLeft > 0 || e.p.Pending() > 0 })
 		if e.p.Pending() != 0 {
 			t.Fatalf("%s: pending = %d after drain", topo.Name(), e.p.Pending())
 		}
@@ -466,6 +465,27 @@ func TestAddrTxnSize(t *testing.T) {
 	}
 }
 
+// An ordered transaction rides a handoff item to a node's controllers;
+// at most 64 bytes, Go copies it inline.
+func TestHandoffSize(t *testing.T) {
+	if n := unsafe.Sizeof(handoff{}); n > 64 {
+		t.Fatalf("handoff is %d bytes, want at most 64", n)
+	}
+}
+
+// The handoffs model the network-exit overhead Dovh as their own batch
+// items, so a machine without it is refused.
+func TestZeroDovhPanics(t *testing.T) {
+	params := timing.Default()
+	params.Dovh = 0
+	defer func() {
+		if recover() == nil {
+			t.Error("zero Dovh did not panic")
+		}
+	}()
+	New(sim.NewKernel(), topology.MustButterfly(4), params, cache.DefaultConfig(), &stats.Run{}, nil, DefaultOptions())
+}
+
 // A node's holder bit is set when it fills the block and stays set
 // after an invalidation, until the node's next foreign snoop of the
 // block finds neither a line nor a writeback entry and clears it.
@@ -514,9 +534,8 @@ func TestBroadcastBeyond64Nodes(t *testing.T) {
 	} {
 		var res *coherence.AccessResult
 		e.p.Access(s.node, s.op, b, func(r coherence.AccessResult) { res = &r })
-		deadline := e.k.Now() + 2*sim.Microsecond
-		e.k.RunWhile(func() bool { return res == nil && e.k.Now() < deadline })
-		if res == nil || res.Hit || res.Kind != s.want {
+		simtest.RunWhile(t, e.k, 2*sim.Microsecond, "access incomplete", func() bool { return res == nil })
+		if res.Hit || res.Kind != s.want {
 			t.Fatalf("node %d %v: result %+v, want a %v miss", s.node, s.op, res, s.want)
 		}
 	}

@@ -89,8 +89,8 @@ type Spec struct {
 	// Verify re-enables the address network's internal ordering
 	// assertions for TS-Snoop runs (tsnet.Config.Verify). Off by
 	// default: the assertions are pure instrumentation — they can never
-	// change a run's statistics — and cost an allocation per broadcast
-	// copy, so experiment runs skip them. The network and protocol test
+	// change a run's statistics — and cost wall time, so experiment runs
+	// skip them. The network and protocol test
 	// suites keep them on independently of this knob.
 	//
 	// The field is omitted from JSON when false — the one exception to

@@ -5,6 +5,7 @@ import (
 
 	"tsnoop/internal/coherence"
 	"tsnoop/internal/sim"
+	"tsnoop/internal/sim/simtest"
 	"tsnoop/internal/workload"
 )
 
@@ -36,7 +37,7 @@ func TestProtocolsFunctionallyEquivalent(t *testing.T) {
 			done := false
 			var got uint64
 			s.Proto.Access(nd, op, b, func(r coherence.AccessResult) { got = r.Version; done = true })
-			s.K.RunWhile(func() bool { return !done })
+			simtest.RunWhile(t, s.K, 20*sim.Microsecond, "access incomplete", func() bool { return !done })
 			versions = append(versions, got)
 		}
 		return versions

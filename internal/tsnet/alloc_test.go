@@ -2,6 +2,7 @@ package tsnet
 
 import (
 	"testing"
+	"unsafe"
 
 	"tsnoop/internal/obs"
 	"tsnoop/internal/sim"
@@ -9,18 +10,20 @@ import (
 	"tsnoop/internal/topology"
 )
 
-// TestBroadcastAllocs pins the allocation-free steady state of the
-// address network: an uncontended broadcast — injection, 21 link
-// deliveries, 16 reorder insertions, ordered handler handoffs, and the
-// token traffic interleaved with it — must not allocate once the
-// backing arrays are warm. Uninstrumented configuration
-// (Verify off), as experiment runs use.
-func TestBroadcastAllocs(t *testing.T) {
+// broadcastAllocs returns the allocations per steady-state broadcast on
+// the 16-node butterfly, with Verify as given and probe attached to the
+// kernel when non-nil: injection, 21 link deliveries, 16 reorder
+// insertions, the ordered handler calls, and the token traffic
+// interleaved with them.
+func broadcastAllocs(verify bool, probe *obs.Probe) float64 {
 	topo := topology.MustButterfly(4)
 	k := sim.NewKernel()
+	if probe != nil {
+		k.SetProbe(probe)
+	}
 	run := &stats.Run{}
 	cfg := DefaultConfig()
-	cfg.Verify = false
+	cfg.Verify = verify
 	net := New(k, topo, cfg, &run.Traffic, run)
 	delivered := 0
 	for ep := 0; ep < topo.Nodes(); ep++ {
@@ -28,24 +31,36 @@ func TestBroadcastAllocs(t *testing.T) {
 	}
 	net.Start()
 	k.RunUntil(100 * sim.Nanosecond)
-	// Warm up: a few broadcasts size the batches' item slices, the
-	// reorder heaps, and the endpoint outboxes.
 	src := 0
-	for i := 0; i < 8; i++ {
+	broadcast := func() {
 		want := delivered + topo.Nodes()
 		net.Inject(src, nil)
 		src = (src + 1) % topo.Nodes()
 		k.RunWhile(func() bool { return delivered < want })
 	}
+	// Warm up: a few broadcasts size the batches' item slices and the
+	// reorder heaps.
+	for i := 0; i < 8; i++ {
+		broadcast()
+	}
+	return testing.AllocsPerRun(200, broadcast)
+}
 
-	allocs := testing.AllocsPerRun(200, func() {
-		want := delivered + topo.Nodes()
-		net.Inject(src, nil)
-		src = (src + 1) % topo.Nodes()
-		k.RunWhile(func() bool { return delivered < want })
-	})
-	if allocs != 0 {
+// TestBroadcastAllocs pins the allocation-free steady state of the
+// address network once the backing arrays are warm, uninstrumented
+// (Verify off), as experiment runs use.
+func TestBroadcastAllocs(t *testing.T) {
+	if allocs := broadcastAllocs(false, nil); allocs != 0 {
 		t.Errorf("steady-state broadcast allocates %v/op, want 0", allocs)
+	}
+}
+
+// TestBroadcastAllocsVerified pins the Verify budget: the ordering-time
+// consensus and formula checks read a per-source side table sized at
+// New, so a checked broadcast allocates nothing either.
+func TestBroadcastAllocsVerified(t *testing.T) {
+	if allocs := broadcastAllocs(true, nil); allocs != 0 {
+		t.Errorf("verified steady-state broadcast allocates %v/op, want 0", allocs)
 	}
 }
 
@@ -55,35 +70,7 @@ func TestBroadcastAllocs(t *testing.T) {
 // not allocate — every probe recorder is integer arithmetic over
 // storage allocated once at build time.
 func TestBroadcastAllocsWithProbe(t *testing.T) {
-	topo := topology.MustButterfly(4)
-	k := sim.NewKernel()
-	probe := obs.NewProbe()
-	k.SetProbe(probe)
-	run := &stats.Run{}
-	cfg := DefaultConfig()
-	cfg.Verify = false
-	net := New(k, topo, cfg, &run.Traffic, run)
-	delivered := 0
-	for ep := 0; ep < topo.Nodes(); ep++ {
-		net.Register(ep, func(int, uint64, any, sim.Time) { delivered++ }, nil)
-	}
-	net.Start()
-	k.RunUntil(100 * sim.Nanosecond)
-	src := 0
-	for i := 0; i < 8; i++ {
-		want := delivered + topo.Nodes()
-		net.Inject(src, nil)
-		src = (src + 1) % topo.Nodes()
-		k.RunWhile(func() bool { return delivered < want })
-	}
-
-	allocs := testing.AllocsPerRun(200, func() {
-		want := delivered + topo.Nodes()
-		net.Inject(src, nil)
-		src = (src + 1) % topo.Nodes()
-		k.RunWhile(func() bool { return delivered < want })
-	})
-	if allocs != 0 {
+	if allocs := broadcastAllocs(false, obs.NewProbe()); allocs != 0 {
 		t.Errorf("instrumented steady-state broadcast allocates %v/op, want 0", allocs)
 	}
 }
@@ -93,37 +80,34 @@ func TestBroadcastAllocsWithProbe(t *testing.T) {
 // reorder_dwell per broadcast, into a pre-sized ring), the steady-state
 // broadcast must still allocate nothing.
 func TestBroadcastAllocsTraced(t *testing.T) {
-	topo := topology.MustButterfly(4)
-	k := sim.NewKernel()
 	probe := obs.NewProbe()
 	probe.EnableSpans(obs.NewSpanLog(1 << 12))
-	k.SetProbe(probe)
-	run := &stats.Run{}
-	cfg := DefaultConfig()
-	cfg.Verify = false
-	net := New(k, topo, cfg, &run.Traffic, run)
-	delivered := 0
-	for ep := 0; ep < topo.Nodes(); ep++ {
-		net.Register(ep, func(int, uint64, any, sim.Time) { delivered++ }, nil)
-	}
-	net.Start()
-	k.RunUntil(100 * sim.Nanosecond)
-	src := 0
-	for i := 0; i < 8; i++ {
-		want := delivered + topo.Nodes()
-		net.Inject(src, nil)
-		src = (src + 1) % topo.Nodes()
-		k.RunWhile(func() bool { return delivered < want })
-	}
-
-	allocs := testing.AllocsPerRun(200, func() {
-		want := delivered + topo.Nodes()
-		net.Inject(src, nil)
-		src = (src + 1) % topo.Nodes()
-		k.RunWhile(func() bool { return delivered < want })
-	})
-	if allocs != 0 {
+	if allocs := broadcastAllocs(false, probe); allocs != 0 {
 		t.Errorf("span-traced steady-state broadcast allocates %v/op, want 0", allocs)
+	}
+}
+
+// A copy of a 24 B payload such as TS-Snoop's addrTxn (two words, an
+// int32, an int16 and two bytes) rides a 48 B txn in a 64 B hop item,
+// which Go copies inline rather than through runtime.duffcopy.
+func TestHopItemSize(t *testing.T) {
+	type payload struct {
+		block, mask uint64
+		idx         int32
+		requester   int16
+		kind, flag  uint8
+	}
+	for _, c := range []struct {
+		what      string
+		got, want uintptr
+	}{
+		{"payload", unsafe.Sizeof(payload{}), 24},
+		{"txn", unsafe.Sizeof(txn[payload]{}), 48},
+		{"hop", unsafe.Sizeof(hop[payload]{}), 64},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.what, c.got, c.want)
+		}
 	}
 }
 

@@ -25,27 +25,27 @@
 // reorder queue. Per-port switch state lives in dense slices indexed by
 // local port position, the endpoint reorder queues are hand-rolled
 // heaps of inline values, and all hot-path work is batch items rather
-// than closures. The Verify instrumentation fields live behind a debug
-// pointer that uninstrumented runs never touch.
+// than closures. A copy carries only what routing and ordering read:
+// the Verify and probe instrumentation lives in a per-source side table
+// (flightRing) that uninstrumented runs never touch.
 //
-// All of the network's work goes through two sim.Batch values, so a run
-// of same-instant work costs one kernel dispatch:
+// All of the network's work goes through one sim.Batch, the hop batch,
+// so a run of same-instant work costs one kernel dispatch. It carries
+// every link transit (injections, contended departures, endpoint token
+// echoes, and the fan-out waves), each contended port's service and the
+// start of logical time. A switch fans out one wave item per distinct
+// link latency, not one per link: a token propagation sends one per
+// output latency, a cut-through switch one per latency among a
+// transaction's surviving branches. Each wave delivers on its links in
+// port or route order, as one event per link would have. sim.Batch runs
+// each item exactly where its own event would have run, so arrivals,
+// their same-time ties and every ordered processing happen as with one
+// event per link.
 //
-//   - the hop batch carries every link transit (injections, contended
-//     departures, endpoint token echoes, and the fan-out waves), each
-//     contended port's service and the start of logical time. A switch
-//     fans out one wave item per distinct link latency, not one per
-//     link: a token propagation sends one per output latency, a
-//     cut-through switch one per latency among a transaction's surviving
-//     branches. Each wave delivers on its links in port or route order,
-//     as one event per link would have.
-//   - the handoff batch carries every ordered handoff to a controller;
-//     one batch serves the whole network, since every handoff takes
-//     Dovh.
-//
-// sim.Batch runs each item exactly where its own event would have run,
-// so arrivals, their same-time ties and every ordered processing happen
-// as with one event per link and per handoff.
+// An endpoint calls its ordered handler at processing time. The
+// network-exit overhead Dovh between processing and the controller is
+// the receiver's to model (see OrderedHandler), so a receiver that will
+// not act on a transaction pays nothing for it.
 //
 // A token hop does O(1) work: a switch counts its empty input ports and
 // propagates exactly when that count reaches zero, only a contended
@@ -56,6 +56,8 @@ package tsnet
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"tsnoop/internal/obs"
 	"tsnoop/internal/sim"
@@ -92,10 +94,10 @@ type Design struct {
 	// Verify enables internal assertions: every transaction must be
 	// processed at exactly its ordering time, with non-negative slack
 	// throughout. TS-Snoop also checks that every snoop its holder mask
-	// lets skip the L2 probe finds nothing. The tsnet and protocol test
-	// suites keep it on; experiment runs (system.DefaultConfig) leave it
-	// off so production figure runs skip the consensus bookkeeping
-	// entirely.
+	// lets skip the L2 probe finds nothing, and that every handoff it
+	// skips would have done nothing. The tsnet and protocol test suites
+	// keep it on; experiment runs (system.DefaultConfig) leave it off so
+	// production figure runs skip the consensus bookkeeping entirely.
 	Verify bool
 }
 
@@ -115,7 +117,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// OrderedHandler receives transactions in the global logical order.
+// OrderedHandler receives transactions in the global logical order, at
+// the instant the endpoint processes each one. The network-exit overhead
+// Dovh that separates processing from the controller is the receiver's
+// to model: TS-Snoop hands a transaction to its controllers Dovh later,
+// and only at nodes that may act on it.
 type OrderedHandler[P any] func(src int, seq uint64, payload P, arrived sim.Time)
 
 // PeekHandler observes a transaction when it arrives at an endpoint,
@@ -133,23 +139,6 @@ type OrderedHandler[P any] func(src int, seq uint64, payload P, arrived sim.Time
 // injection (TokensPerPort*Dmax + InitialSlack).
 type PeekHandler[P any] func(src int, seq uint64, payload P, slackTicks int) (consumed bool)
 
-// otCell is shared by all broadcast copies of one transaction; under
-// Verify it checks that every endpoint computes the identical ordering
-// time, which is what guarantees the global total order.
-type otCell struct {
-	set bool
-	val uint64
-}
-
-// txnDebug carries the Verify-only instrumentation of a transaction
-// copy: the formula ordering time and the cross-endpoint consensus cell
-// (shared by every copy of one injection). Uninstrumented runs leave dbg
-// nil and never touch any of it.
-type txnDebug struct {
-	ot   uint64  // formula ordering time GT_src + Dmax + S
-	cell *otCell // cross-endpoint ordering-time consensus
-}
-
 // txn is an in-flight copy of an address transaction, held by value.
 // Broadcast fan-out duplicates the copy per branch; each copy carries
 // its own slack. mask is the destination set (all ones for a
@@ -157,15 +146,69 @@ type txnDebug struct {
 // it, which never changes a surviving copy's path, so ordering times
 // remain globally consistent between multicasts and broadcasts. src and
 // slack are int32, last, to keep the hop items that carry copies small.
+// What only Verify and the probe read is in the source's flightRing.
 type txn[P any] struct {
 	seq     uint64
 	mask    uint64
 	payload P
-	sent    sim.Time
-	dbg     *txnDebug
 	src     int32
 	slack   int32
 }
+
+// flight is the side-table entry of one injected transaction: the
+// fields Verify and the probe read at each endpoint arrival, which no
+// copy needs to carry.
+type flight struct {
+	sent sim.Time // injection time (the probe's addr_flight span)
+	ot   uint64   // Verify: formula ordering time GT_src + Dmax + S
+	// due is the ordering time the first arriving copy computed, or
+	// MaxUint64 before it: under Verify every endpoint must agree.
+	due uint64
+	// left counts the destination endpoints still to arrive; the
+	// entry is free at 0.
+	left int32
+}
+
+// flightRing holds one source's in-flight side-table entries, indexed
+// by sequence number modulo its power-of-two length. Entries at or
+// after base are live or free; every entry before base is free, so
+// the ring holds every live entry while nextSeq-base fits it. It grows
+// only when a source has more transactions in flight than it holds.
+type flightRing struct {
+	slots []flight
+	base  uint64 // the oldest live sequence number, or nextSeq
+}
+
+func (r *flightRing) at(seq uint64) *flight { return &r.slots[seq&uint64(len(r.slots)-1)] }
+
+// add records transaction seq, the source's next.
+func (r *flightRing) add(seq uint64, f flight) {
+	if seq-r.base >= uint64(len(r.slots)) {
+		old := r.slots
+		r.slots = make([]flight, 2*len(old))
+		for s := r.base; s < seq; s++ {
+			*r.at(s) = old[s&uint64(len(old)-1)]
+		}
+	}
+	*r.at(seq) = f
+}
+
+// arrived counts one copy of seq in and frees its entry after the
+// last; next is the source's next sequence number.
+func (r *flightRing) arrived(seq, next uint64) {
+	f := r.at(seq)
+	f.left--
+	if f.left > 0 {
+		return
+	}
+	for r.base < next && r.at(r.base).left == 0 {
+		r.base++
+	}
+}
+
+// flightSlots is each source's initial side-table length: a blocking
+// node rarely has more than a miss and a writeback in flight.
+const flightSlots = 8
 
 // linkMeta is the precomputed per-link delivery information consulted on
 // every transaction and token hop: the link latency and the destination,
@@ -191,18 +234,19 @@ type Network[P any] struct {
 	// probe is the kernel's, read once by New. When non-nil it records
 	// deterministic telemetry: per-link transit counts, buffer and
 	// reorder-queue occupancy, and token stall episodes. Every call site
-	// is nil-guarded (the txnDebug pattern), so uninstrumented runs pay
-	// one branch per site.
+	// is nil-guarded, so uninstrumented runs pay one branch per site.
 	probe *obs.Probe
+	// flights is the per-source side table, made only under Verify or
+	// with a probe (nil otherwise).
+	flights []flightRing
 
 	switches  []swState[P]
 	endpoints []epState[P]
 	nextSeq   []uint64
 	links     []linkMeta
 
-	// hops carries every hop item, handoffs every ordered handoff.
-	hops     *sim.Batch[hop[P]]
-	handoffs *sim.Batch[handoff[P]]
+	// hops carries every hop item.
+	hops *sim.Batch[hop[P]]
 
 	started bool
 
@@ -225,12 +269,6 @@ func NewOf[P any](k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *s
 	if cfg.TokensPerPort < 1 {
 		panic("tsnet: TokensPerPort must be >= 1")
 	}
-	if cfg.Params.Dovh <= 0 {
-		// A handoff is its own batch item, never part of a fan-out wave,
-		// so no wave can finish an access midway: RunWhile's condition
-		// is checked between items.
-		panic("tsnet: Params.Dovh must be positive")
-	}
 	n := &Network[P]{
 		k:       k,
 		topo:    topo,
@@ -241,7 +279,13 @@ func NewOf[P any](k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *s
 		nextSeq: make([]uint64, topo.Nodes()),
 	}
 	n.hops = sim.NewBatch(k, n.runHop)
-	n.handoffs = sim.NewBatch(k, n.runHandoff)
+	if cfg.Verify || n.probe != nil {
+		n.flights = make([]flightRing, topo.Nodes())
+		slots := make([]flight, flightSlots*topo.Nodes())
+		for i := range n.flights {
+			n.flights[i].slots = slots[i*flightSlots : (i+1)*flightSlots : (i+1)*flightSlots]
+		}
+	}
 	n.links = make([]linkMeta, len(topo.Links()))
 	for i, l := range topo.Links() {
 		n.links[i] = linkMeta{
@@ -249,11 +293,10 @@ func NewOf[P any](k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *s
 			toSwitch: l.To.Kind == topology.KindSwitch,
 			toIndex:  int32(l.To.Index),
 		}
-		// Every token and transaction hop takes its link's latency, and
-		// every handoff takes Dovh: the kernel's fixed-delay lanes.
+		// Every token and transaction hop takes its link's latency: the
+		// kernel's fixed-delay lanes.
 		k.Lane(n.links[i].lat)
 	}
-	k.Lane(cfg.Params.Dovh)
 	for _, sw := range topo.Switches() {
 		for pos, id := range sw.In {
 			n.links[id].inPos = int32(pos)
@@ -395,17 +438,22 @@ func (n *Network[P]) inject(src int, mask uint64, payload P) uint64 {
 		slack:   int32(n.cfg.InitialSlack),
 		mask:    mask,
 		payload: payload,
-		sent:    n.k.Now(),
 	}
-	if n.cfg.Verify {
+	if n.flights != nil {
 		// OT = GT_source + Dmax + S, in endpoint tick units. (Standing
 		// tokens on a zero-cost injection link can shift the realized
 		// ordering time by up to k ticks; arrival checks allow exactly
 		// that.)
-		t.dbg = &txnDebug{
-			ot:   n.endpoints[src].gt + uint64(tree.MaxDepth*k) + uint64(n.cfg.InitialSlack),
-			cell: &otCell{},
+		left := n.topo.Nodes()
+		if mask != ^uint64(0) {
+			left = bits.OnesCount64(mask & (^uint64(0) >> (64 - left)))
 		}
+		n.flights[src].add(seq, flight{
+			sent: n.k.Now(),
+			ot:   n.endpoints[src].gt + uint64(tree.MaxDepth*k) + uint64(n.cfg.InitialSlack),
+			due:  math.MaxUint64,
+			left: int32(left),
+		})
 	}
 	n.sendOnLink(n.topo.EndpointOut(src), &t)
 	return seq
@@ -540,24 +588,9 @@ func (e *epState[P]) arriveTxn(t *txn[P]) {
 		panic(fmt.Sprintf("tsnet: negative slack %d at endpoint %d", t.slack, e.id))
 	}
 	due := e.gt + uint64(t.slack)
-	if e.net.cfg.Verify {
-		// Every endpoint must reconstruct the identical ordering time:
-		// this is the property that makes the reorder queues agree on a
-		// single global order.
-		if !t.dbg.cell.set {
-			t.dbg.cell.set = true
-			t.dbg.cell.val = due
-		} else if t.dbg.cell.val != due {
-			panic(fmt.Sprintf("tsnet: endpoint %d txn %d/%d ordering time %d disagrees with consensus %d (slack %d, gt %d)",
-				e.id, t.src, t.seq, due, t.dbg.cell.val, t.slack, e.gt))
-		}
-		// And it must match the paper's formula, shifted no later than the
-		// standing-token phase of a zero-cost injection link (at most
-		// TokensPerPort ticks) and never earlier.
-		if due < t.dbg.ot || due > t.dbg.ot+uint64(e.net.cfg.TokensPerPort) {
-			panic(fmt.Sprintf("tsnet: endpoint %d txn %d/%d due tick %d outside [OT, OT+%d], OT %d",
-				e.id, t.src, t.seq, due, e.net.cfg.TokensPerPort, t.dbg.ot))
-		}
+	var sent sim.Time
+	if e.net.flights != nil {
+		sent = e.checkFlight(t, due)
 	}
 	if e.peek != nil {
 		if e.peek(int(t.src), t.seq, t.payload, int(t.slack)) {
@@ -583,23 +616,37 @@ func (e *epState[P]) arriveTxn(t *txn[P]) {
 		// One addr_flight span per endpoint delivery: this copy's
 		// injection-to-arrival transit, observed at the arriving node.
 		p.Span(obs.SpanAddrFlight, int32(e.id), obs.NetLane(obs.SpanAddrFlight), t.src, t.seq,
-			int64(t.sent), int64(e.net.k.Now()-t.sent))
+			int64(sent), int64(e.net.k.Now()-sent))
 	}
 }
 
-// handoff is one item of the handoff batch: endpoint e hands q to its
-// controller.
-type handoff[P any] struct {
-	e *epState[P]
-	q queued[P]
-}
-
-// runHandoff completes a handoff after the network-exit overhead.
-func (n *Network[P]) runHandoff(h *handoff[P]) {
-	if p := n.probe; p != nil {
-		p.Event(obs.EvOrderedHandoff)
+// checkFlight reads copy t's side-table entry as it arrives with
+// ordering time due, runs Verify's checks on it, counts the copy in
+// and returns the injection time.
+func (e *epState[P]) checkFlight(t *txn[P], due uint64) sim.Time {
+	r := &e.net.flights[t.src]
+	f := r.at(t.seq)
+	sent := f.sent
+	if e.net.cfg.Verify {
+		// Every endpoint must reconstruct the identical ordering time:
+		// this is the property that makes the reorder queues agree on a
+		// single global order.
+		if f.due == math.MaxUint64 {
+			f.due = due
+		} else if f.due != due {
+			panic(fmt.Sprintf("tsnet: endpoint %d txn %d/%d ordering time %d disagrees with consensus %d (slack %d, gt %d)",
+				e.id, t.src, t.seq, due, f.due, t.slack, e.gt))
+		}
+		// And it must match the paper's formula, shifted no later than the
+		// standing-token phase of a zero-cost injection link (at most
+		// TokensPerPort ticks) and never earlier.
+		if due < f.ot || due > f.ot+uint64(e.net.cfg.TokensPerPort) {
+			panic(fmt.Sprintf("tsnet: endpoint %d txn %d/%d due tick %d outside [OT, OT+%d], OT %d",
+				e.id, t.src, t.seq, due, e.net.cfg.TokensPerPort, f.ot))
+		}
 	}
-	h.e.handler(int(h.q.src), h.q.seq, h.q.payload, h.q.arrived)
+	r.arrived(t.seq, e.net.nextSeq[t.src])
+	return sent
 }
 
 func (e *epState[P]) process(q *queued[P]) {
@@ -609,6 +656,7 @@ func (e *epState[P]) process(q *queued[P]) {
 		// this endpoint's reorder queue.
 		p.Span(obs.SpanReorderDwell, int32(e.id), obs.NetLane(obs.SpanReorderDwell), q.src, q.seq,
 			int64(q.arrived), int64(e.net.k.Now()-q.arrived))
+		p.Event(obs.EvOrderedHandoff)
 	}
 	if e.net.TestHook != nil {
 		e.net.TestHook(e.id, int(q.src), q.seq, e.gt, q.dueTick)
@@ -616,8 +664,5 @@ func (e *epState[P]) process(q *queued[P]) {
 	if e.handler == nil {
 		panic(fmt.Sprintf("tsnet: endpoint %d has no ordered handler", e.id))
 	}
-	// Hand off to the protocol controller after the network-exit overhead
-	// (Dovh). All handoffs share the same delay, so the controller sees
-	// transactions in exactly the logical order.
-	e.net.handoffs.Add(e.net.cfg.Params.Dovh, handoff[P]{e: e, q: *q})
+	e.handler(int(q.src), q.seq, q.payload, q.arrived)
 }

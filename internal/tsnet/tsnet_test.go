@@ -366,16 +366,81 @@ func TestBadConfigPanics(t *testing.T) {
 		}()
 		New(k, topo, cfg, &tr, &stats.Run{})
 	}()
-	cfg = DefaultConfig()
-	cfg.Params.Dovh = 0
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("zero Dovh did not panic")
+}
+
+// The ordered handler runs at the instant its endpoint processes the
+// transaction, not Dovh later: the network-exit overhead is the
+// receiver's to model.
+func TestOrderedHandlerRunsAtProcessing(t *testing.T) {
+	for _, topo := range []*topology.Topology{topology.MustButterfly(4), topology.MustTorus(4, 4)} {
+		k := sim.NewKernel()
+		run := &stats.Run{}
+		net := New(k, topo, DefaultConfig(), &run.Traffic, run)
+		processedAt := make([]sim.Time, topo.Nodes())
+		handled := 0
+		for ep := 0; ep < topo.Nodes(); ep++ {
+			net.Register(ep, func(src int, seq uint64, _ any, _ sim.Time) {
+				handled++
+				if now := k.Now(); now != processedAt[ep] {
+					t.Errorf("%s ep%d: handler ran at %v, processed at %v", topo.Name(), ep, now, processedAt[ep])
+				}
+			}, nil)
+		}
+		net.TestHook = func(ep, _ int, _ uint64, _, _ uint64) { processedAt[ep] = k.Now() }
+		net.Start()
+		k.RunUntil(100 * sim.Nanosecond)
+		net.Inject(3, nil)
+		net.Inject(9, nil)
+		k.RunUntil(600 * sim.Nanosecond)
+		if handled != 2*topo.Nodes() {
+			t.Fatalf("%s: handled %d copies, want %d", topo.Name(), handled, 2*topo.Nodes())
+		}
+	}
+}
+
+// Every side-table entry is freed once the last copy of its
+// transaction arrives, however many destinations a multicast names, and
+// a source with more transactions in flight than its ring holds grows
+// the ring without losing one: Verify's consensus checks would panic on
+// a mixed-up entry.
+func TestFlightRingFreesEveryEntry(t *testing.T) {
+	for _, topo := range []*topology.Topology{topology.MustButterfly(4), topology.MustTorus(4, 4)} {
+		k, net, logs, _ := buildNet(t, topo, DefaultConfig())
+		k.RunUntil(100 * sim.Nanosecond)
+		rng := sim.NewRand(5)
+		// A burst of 3*flightSlots from source 2 at one instant.
+		for i := 0; i < 3*flightSlots; i++ {
+			net.Inject(2, nil)
+		}
+		for i := 0; i < 200; i++ {
+			k.RunUntil(k.Now() + sim.Time(rng.Int63n(int64(20*sim.Nanosecond))))
+			src := rng.Intn(topo.Nodes())
+			if rng.Bool(0.5) {
+				net.Inject(src, nil)
+				continue
 			}
-		}()
-		New(k, topo, cfg, &tr, &stats.Run{})
-	}()
+			// Every multicast names endpoint 0.
+			net.InjectTo(src, rng.Uint64()&(1<<uint(topo.Nodes())-1)|1, nil)
+		}
+		k.RunUntil(k.Now() + 2*sim.Microsecond)
+		if want := 3*flightSlots + 200; len(logs[0]) != want {
+			t.Fatalf("%s: endpoint 0 processed %d transactions, want %d", topo.Name(), len(logs[0]), want)
+		}
+		if n := len(net.flights[2].slots); n <= flightSlots {
+			t.Errorf("%s: source 2's ring holds %d entries after a burst of %d", topo.Name(), n, 3*flightSlots)
+		}
+		for src := range net.flights {
+			r := &net.flights[src]
+			if r.base != net.nextSeq[src] {
+				t.Errorf("%s: source %d's oldest live entry is %d, want none (next %d)", topo.Name(), src, r.base, net.nextSeq[src])
+			}
+			for i := range r.slots {
+				if r.slots[i].left != 0 {
+					t.Errorf("%s: source %d slot %d still waits for %d copies", topo.Name(), src, i, r.slots[i].left)
+				}
+			}
+		}
+	}
 }
 
 func TestMoreTokensPerPort(t *testing.T) {
