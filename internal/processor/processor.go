@@ -44,16 +44,12 @@ type Set struct {
 
 // Processor drives one node's memory operations.
 type Processor struct {
-	set  *Set
-	slot int32 // index in set.procs: the think batch's item
-	id   int
-	rng  *sim.Rand
+	set *Set
+	id  int // node id and index in set.procs; the think batch's item
+	rng *sim.Rand
 
 	quota    int
 	executed int
-	finished bool
-	// FinishedAt is the simulated time the quota completed.
-	FinishedAt sim.Time
 
 	// pending is the access the current think period ends by issuing,
 	// doneFn its completion callback, bound once so the
@@ -77,19 +73,10 @@ func NewSet(k *sim.Kernel, proto *coherence.Protocol, gen workload.Generator, pa
 	s.think = sim.NewBatch(k, s.issueAccess)
 	for i := range s.procs {
 		p := &s.procs[i]
-		p.set, p.slot, p.id, p.rng = s, int32(i), i, rngs[i]
+		p.set, p.id, p.rng = s, i, rngs[i]
 		p.doneFn = p.accessDone
 	}
 	return s
-}
-
-// New creates a lone processor for node id executing quota memory
-// operations.
-func New(k *sim.Kernel, id int, proto coherence.Protocol, gen workload.Generator,
-	params timing.Params, rng *sim.Rand, run *stats.Run, quota int, onFinish func(int)) *Processor {
-	p := &NewSet(k, &proto, gen, params, run, onFinish, []*sim.Rand{rng}).procs[0]
-	p.id, p.quota = id, quota
-	return p
 }
 
 // Start begins a phase at the current simulated time: every processor
@@ -97,7 +84,7 @@ func New(k *sim.Kernel, id int, proto coherence.Protocol, gen workload.Generator
 func (s *Set) Start(quota int) {
 	for i := range s.procs {
 		p := &s.procs[i]
-		p.quota, p.executed, p.finished = quota, 0, false
+		p.quota, p.executed = quota, 0
 		p.step()
 	}
 }
@@ -106,20 +93,9 @@ func (s *Set) Start(quota int) {
 // accesses completed so far.
 func (s *Set) Progress() (waiting int, completed int64) { return s.waiting, s.completed }
 
-// Start begins execution at the current simulated time.
-func (p *Processor) Start() { p.step() }
-
-// Finished reports whether the quota is done.
-func (p *Processor) Finished() bool { return p.finished }
-
-// Executed returns completed memory operations.
-func (p *Processor) Executed() int { return p.executed }
-
 func (p *Processor) step() {
 	s := p.set
 	if p.executed >= p.quota {
-		p.finished = true
-		p.FinishedAt = s.k.Now()
 		if s.onFinish != nil {
 			s.onFinish(p.id)
 		}
@@ -128,10 +104,10 @@ func (p *Processor) step() {
 	p.pending = s.gen.Next(p.id, p.rng)
 	think := sim.Duration(p.pending.Think) * s.params.InstrTime
 	s.run.Instructions += int64(p.pending.Think)
-	s.think.Add(think, p.slot)
+	s.think.Add(think, int32(p.id))
 }
 
-// issueAccess ends a think period: the processor in slot i issues its
+// issueAccess ends a think period: processor i issues its
 // pending memory operation.
 func (s *Set) issueAccess(i *int32) {
 	p := &s.procs[*i]

@@ -36,17 +36,24 @@ func completeEvent(a0, _ any, _ int64) {
 	f.done(f.res)
 }
 
+// newSet builds a one-processor Set for node 0 over proto, drawing from
+// the stream seeded with seed.
+func newSet(k *sim.Kernel, proto *fakeProto, gen workload.Generator, seed uint64, run *stats.Run, onFinish func(int)) *Set {
+	var cp coherence.Protocol = proto
+	return NewSet(k, &cp, gen, timing.Default(), run, onFinish, []*sim.Rand{sim.NewRand(seed)})
+}
+
 func TestProcessorExecutesQuota(t *testing.T) {
 	k := sim.NewKernel()
 	run := &stats.Run{}
 	proto := &fakeProto{k: k, lat: 100 * sim.Nanosecond}
 	gen := workload.Uniform(1024, 0.3, 20, 1)
 	finished := -1
-	p := New(k, 0, proto, gen, timing.Default(), sim.NewRand(1), run, 50, func(id int) { finished = id })
-	p.Start()
+	s := newSet(k, proto, gen, 1, run, func(id int) { finished = id })
+	s.Start(50)
 	k.Run()
-	if !p.Finished() || p.Executed() != 50 {
-		t.Fatalf("finished=%v executed=%d", p.Finished(), p.Executed())
+	if waiting, executed := s.Progress(); waiting != 0 || executed != 50 {
+		t.Fatalf("waiting=%d executed=%d", waiting, executed)
 	}
 	if finished != 0 {
 		t.Fatalf("onFinish got %d", finished)
@@ -73,17 +80,18 @@ func TestProcessorTimingIncludesThinkAndLatency(t *testing.T) {
 	lat := 50 * sim.Nanosecond
 	proto := &fakeProto{k: k, lat: lat}
 	gen := workload.Uniform(1024, 0, 40, 1)
-	p := New(k, 0, proto, gen, timing.Default(), sim.NewRand(2), run, 20, nil)
-	p.Start()
+	var finishedAt sim.Time
+	s := newSet(k, proto, gen, 2, run, func(int) { finishedAt = k.Now() })
+	s.Start(20)
 	k.Run()
 	min := sim.Time(20) * (1*timing.Default().InstrTime + lat)
-	if p.FinishedAt < min {
-		t.Fatalf("finished at %v, faster than physically possible %v", p.FinishedAt, min)
+	if finishedAt < min {
+		t.Fatalf("finished at %v, faster than physically possible %v", finishedAt, min)
 	}
 	// Sanity upper bound: mean think 40 instr = 10ns each; generous cap.
 	max := sim.Time(20) * (200*timing.Default().InstrTime + lat + 100*sim.Nanosecond)
-	if p.FinishedAt > max {
-		t.Fatalf("finished at %v, beyond plausible bound %v", p.FinishedAt, max)
+	if finishedAt > max {
+		t.Fatalf("finished at %v, beyond plausible bound %v", finishedAt, max)
 	}
 }
 
@@ -93,9 +101,9 @@ func TestProcessorZeroQuotaFinishesImmediately(t *testing.T) {
 	proto := &fakeProto{k: k, lat: sim.Nanosecond}
 	gen := workload.Uniform(16, 0, 10, 1)
 	called := false
-	p := New(k, 0, proto, gen, timing.Default(), sim.NewRand(3), run, 0, func(int) { called = true })
-	p.Start()
-	if !p.Finished() || !called {
+	s := newSet(k, proto, gen, 3, run, func(int) { called = true })
+	s.Start(0)
+	if _, executed := s.Progress(); executed != 0 || !called {
 		t.Fatal("zero-quota processor did not finish synchronously")
 	}
 }
@@ -108,11 +116,12 @@ func TestProcessorCycleAllocs(t *testing.T) {
 	run := &stats.Run{}
 	proto := &fakeProto{k: k, lat: 100 * sim.Nanosecond}
 	gen := workload.Uniform(1024, 0.3, 20, 1)
-	p := New(k, 0, proto, gen, timing.Default(), sim.NewRand(4), run, 1<<30, nil)
-	p.Start()
+	s := newSet(k, proto, gen, 4, run, nil)
+	s.Start(1 << 30)
+	executed := func() int64 { _, n := s.Progress(); return n }
 	cycle := func() {
-		want := p.Executed() + 1
-		k.RunWhile(func() bool { return p.Executed() < want })
+		want := executed() + 1
+		k.RunWhile(func() bool { return executed() < want })
 	}
 	for range 16 {
 		cycle()
@@ -120,7 +129,7 @@ func TestProcessorCycleAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, cycle); a != 0 {
 		t.Errorf("think/issue/complete cycle allocates %v/op, want 0", a)
 	}
-	if p.Executed() != 16+1001 || run.MemOps != 16+1001 {
-		t.Fatalf("executed %d, issued %d; want 1017 each", p.Executed(), run.MemOps)
+	if executed() != 16+1001 || run.MemOps != 16+1001 {
+		t.Fatalf("executed %d, issued %d; want 1017 each", executed(), run.MemOps)
 	}
 }

@@ -115,9 +115,8 @@ type dataMsg struct {
 // but before the miss completed: this node is the logical owner and must
 // supply once its data arrives.
 type obligation struct {
-	kind    coherence.TxnKind
-	src     int
-	arrived sim.Time
+	kind coherence.TxnKind
+	src  int
 }
 
 // mshr tracks the node's single outstanding miss (blocking processors).
@@ -241,9 +240,6 @@ type handoff struct {
 	t       addrTxn
 	arrived sim.Time
 	node    int32
-	// skip marks a handoff the node would not act on, scheduled only
-	// under Verify to check that it does nothing (see mustIgnore).
-	skip bool
 }
 
 // pendingSend is a data message waiting for its ready time.
@@ -432,11 +428,13 @@ func (n *node) peek(src int, seq uint64, t addrTxn, slackTicks int) bool {
 
 // order receives one transaction from the global logical order at its
 // processing time, and hands it to the node's controllers after the
-// network-exit overhead when the node may act on it.
+// network-exit overhead when the node may act on it. Under Verify, a
+// node that skips a request checks right away that it holds nothing.
 func (n *node) order(_ int, _ uint64, t addrTxn, arrived sim.Time) {
-	acts := n.acts(&t)
-	if acts || n.p.opts.Net.Verify {
-		n.p.handoffs.Add(n.p.Params.Dovh, handoff{t: t, arrived: arrived, node: int32(n.id), skip: !acts})
+	if n.acts(&t) {
+		n.p.handoffs.Add(n.p.Params.Dovh, handoff{t: t, arrived: arrived, node: int32(n.id)})
+	} else if n.p.opts.Net.Verify && t.kind != coherence.PutX {
+		n.mustNotHold(t.block)
 	}
 }
 
@@ -463,31 +461,7 @@ func (n *node) acts(t *addrTxn) bool {
 }
 
 // runHandoff completes a handoff after the network-exit overhead.
-func (p *Protocol) runHandoff(h *handoff) {
-	n := &p.nodes[h.node]
-	if h.skip {
-		n.mustIgnore(&h.t)
-		return
-	}
-	n.snoop(&h.t, h.arrived)
-}
-
-// mustIgnore panics unless the snoop of t that acts skipped would have
-// done nothing: the node holds no ordered MSHR for the block, its
-// holder bit is clear and neither its L2 nor its writeback buffer has
-// the block (Verify only). A foreign writeback does nothing anyway.
-func (n *node) mustIgnore(t *addrTxn) {
-	if t.kind == coherence.PutX {
-		return
-	}
-	if m := n.mshr; m != nil && m.block == t.block && m.ordered {
-		panic(fmt.Sprintf("tssnoop: node %d skipped %v of block %x with its miss ordered", n.id, t.kind, t.block))
-	}
-	if held, bit := n.p.holderBit(t.idx, n.id); *held&bit != 0 {
-		panic(fmt.Sprintf("tssnoop: node %d skipped %v of block %x with its holder bit set", n.id, t.kind, t.block))
-	}
-	n.mustNotHold(t.block)
-}
+func (p *Protocol) runHandoff(h *handoff) { p.nodes[h.node].snoop(&h.t, h.arrived) }
 
 // snoop processes one transaction from the global logical order: first the
 // cache-controller side, then (when this node is the block's home) the
@@ -495,7 +469,7 @@ func (n *node) mustIgnore(t *addrTxn) {
 func (n *node) snoop(t *addrTxn, arrived sim.Time) {
 	req := int(t.requester)
 	if req == n.id {
-		n.snoopOwn(t, arrived)
+		n.snoopOwn(t)
 	} else {
 		n.snoopForeign(req, t, arrived)
 	}
@@ -504,7 +478,7 @@ func (n *node) snoop(t *addrTxn, arrived sim.Time) {
 	}
 }
 
-func (n *node) snoopOwn(t *addrTxn, arrived sim.Time) {
+func (n *node) snoopOwn(t *addrTxn) {
 	switch t.kind {
 	case coherence.GetS, coherence.GetX:
 		m := n.mshr
@@ -571,7 +545,7 @@ func (n *node) snoopForeign(src int, t *addrTxn, arrived sim.Time) {
 	// finds us as the logical owner: defer the supply to completion.
 	if m := n.mshr; m != nil && m.block == t.block && m.ordered {
 		if m.kind == coherence.GetX {
-			m.obligations = append(m.obligations, obligation{kind: t.kind, src: src, arrived: arrived})
+			m.obligations = append(m.obligations, obligation{kind: t.kind, src: src})
 			return
 		}
 		// Our GETS ordered first; a foreign GETX ordered behind it takes
@@ -589,64 +563,51 @@ func (n *node) snoopForeign(src int, t *addrTxn, arrived sim.Time) {
 		}
 		return
 	}
-	state, version := n.cache.Peek(t.block)
-	if state == cache.Invalid {
-		if _, ok := n.wb[t.block]; !ok {
-			*held &^= bit // the block left: skip later probes
-			return
-		}
-	}
-	home := coherence.HomeOf(t.block, n.p.Topo.Nodes())
 	ready := n.p.respondReady(arrived, n.p.Params.Dcache)
-	switch t.kind {
-	case coherence.GetS:
-		switch {
-		case state == cache.Modified:
-			n.p.sendData(ready, n.id, src, dataMsg{block: t.block, version: version, supplier: stats.MissCacheToCache})
-			if n.p.opts.UseOwnedState {
-				// MOSI: retain ownership in Owned; no memory writeback.
-				n.cache.SetState(t.block, cache.Owned)
-			} else {
-				// MSI: the owner supplies the requester and writes back
-				// to memory, which becomes the owner again (two data
-				// messages).
-				n.p.sendData(ready, n.id, home, dataMsg{block: t.block, idx: t.idx, toMemory: true, version: version})
-				n.cache.SetState(t.block, cache.Shared)
-			}
-		case state == cache.Owned:
-			// MOSI: the Owned copy supplies every subsequent reader.
-			n.p.sendData(ready, n.id, src, dataMsg{block: t.block, version: version, supplier: stats.MissCacheToCache})
-		default:
-			if wb, ok := n.wb[t.block]; ok && !wb.stale {
-				// The block is in our writeback buffer: we are still the
-				// owner in logical order; supply from the buffer.
-				n.p.sendData(ready, n.id, src, dataMsg{block: t.block, version: wb.version, supplier: stats.MissCacheToCache})
-				if !n.p.opts.UseOwnedState {
-					// MSI: ownership returns to memory now; squash the
-					// PUTX. MOSI keeps ownership with the buffer until
-					// the PUTX itself is ordered, mirroring the memory
-					// controller's view.
-					n.p.sendData(ready, n.id, home, dataMsg{block: t.block, idx: t.idx, toMemory: true, version: wb.version})
-					wb.stale = true
-					n.wb[t.block] = wb
-				}
-			}
+	if state, version := n.cache.Peek(t.block); state != cache.Invalid {
+		if s := n.answer(t.kind, src, t.block, t.idx, state, version, ready); s != state {
+			n.cache.SetState(t.block, s)
 		}
-	case coherence.GetX:
-		switch {
-		case state == cache.Modified || state == cache.Owned:
-			n.p.sendData(ready, n.id, src, dataMsg{block: t.block, version: version, supplier: stats.MissCacheToCache})
-			n.cache.SetState(t.block, cache.Invalid)
-		case state == cache.Shared:
-			n.cache.SetState(t.block, cache.Invalid)
-		default:
-			if wb, ok := n.wb[t.block]; ok && !wb.stale {
-				n.p.sendData(ready, n.id, src, dataMsg{block: t.block, version: wb.version, supplier: stats.MissCacheToCache})
-				wb.stale = true
-				n.wb[t.block] = wb
+		return
+	}
+	// A writeback entry whose PUTX has not ordered is still the owner in
+	// logical order and answers as a Modified line would. It goes stale
+	// unless it stays the owner, which only a MOSI GETS allows; memory's
+	// view of the owner makes the same choice.
+	wb, ok := n.wb[t.block]
+	if !ok {
+		*held &^= bit // the block left: skip later probes
+		return
+	}
+	if !wb.stale && !n.answer(t.kind, src, t.block, t.idx, cache.Modified, wb.version, ready).Dirty() {
+		wb.stale = true
+		n.wb[t.block] = wb
+	}
+}
+
+// answer applies the owner rule to a foreign request of kind from src
+// for block b, numbered idx, that finds this node's copy in state s with
+// the given version, and returns the copy's next state. A Modified or
+// Owned copy is the logical owner and supplies src at ready. On a GETS,
+// MSI also writes the copy back to memory, which owns the block again,
+// and leaves it Shared; MOSI keeps it Owned. A GETX leaves every copy
+// Invalid, and a GETS leaves a Shared or Invalid copy alone.
+func (n *node) answer(kind coherence.TxnKind, src int, b coherence.Block, idx int32, s cache.State, version uint64, ready sim.Time) cache.State {
+	if s.Dirty() {
+		n.p.sendData(ready, n.id, src, dataMsg{block: b, version: version, supplier: stats.MissCacheToCache})
+		if kind == coherence.GetS {
+			if n.p.opts.UseOwnedState {
+				return cache.Owned
 			}
+			home := coherence.HomeOf(b, n.p.Topo.Nodes())
+			n.p.sendData(ready, n.id, home, dataMsg{block: b, idx: idx, toMemory: true, version: version})
+			return cache.Shared
 		}
 	}
+	if kind == coherence.GetX {
+		return cache.Invalid
+	}
+	return s
 }
 
 // mustNotHold panics unless the node's L2 and writeback buffer both miss
@@ -795,29 +756,10 @@ func (n *node) complete(m *mshr) {
 			version = n.p.Oracle().WriteVersion(m.idx)
 		}
 		n.insertLine(m.block, m.idx, cache.Modified, version)
-		// Apply deferred foreign requests in their ordered sequence.
-		home := coherence.HomeOf(m.block, n.p.Topo.Nodes())
-		mosi := n.p.opts.UseOwnedState
+		// Answer deferred foreign requests in their ordered sequence.
 		state := cache.Modified
 		for _, ob := range m.obligations {
-			ready := now + n.p.Params.Dcache
-			switch ob.kind {
-			case coherence.GetS:
-				if state == cache.Modified || state == cache.Owned {
-					n.p.sendData(ready, n.id, ob.src, dataMsg{block: m.block, version: version, supplier: stats.MissCacheToCache})
-					if mosi {
-						state = cache.Owned
-					} else {
-						n.p.sendData(ready, n.id, home, dataMsg{block: m.block, idx: m.idx, toMemory: true, version: version})
-						state = cache.Shared
-					}
-				}
-			case coherence.GetX:
-				if state == cache.Modified || state == cache.Owned {
-					n.p.sendData(ready, n.id, ob.src, dataMsg{block: m.block, version: version, supplier: stats.MissCacheToCache})
-				}
-				state = cache.Invalid
-			}
+			state = n.answer(ob.kind, ob.src, m.block, m.idx, state, version, now+n.p.Params.Dcache)
 		}
 		if state != cache.Modified {
 			n.cache.SetState(m.block, state)
@@ -850,8 +792,15 @@ func (m *mshr) Spans(pr *obs.Probe, id int32) {
 // writeback buffer and broadcasts PUTX; a Shared victim is dropped
 // silently (the protocols "allow processors to silently downgrade from S
 // to I"). Either way the victim's holder bit stays set until a snoop
-// finds the block gone.
+// finds the block gone. The filled block has no writeback entry, since
+// its PUTX orders before the node's own later miss; Verify checks this,
+// so snoopForeign reads the buffer only for an invalid line.
 func (n *node) insertLine(b coherence.Block, idx int32, s cache.State, version uint64) {
+	if n.p.opts.Net.Verify {
+		if _, ok := n.wb[b]; ok {
+			panic(fmt.Sprintf("tssnoop: node %d fills block %x with its writeback pending", n.id, b))
+		}
+	}
 	held, bit := n.p.holderBit(idx, n.id)
 	*held |= bit
 	victim, evicted := n.cache.Insert(b, s, version)

@@ -64,6 +64,32 @@ var knobDigests = map[string]string{
 	"barnes/torus/contention":            "5c03f8dbe870f2ad03eea21a6474ff5976a0692af55eaaefd7ddddb255ba565a",
 	"barnes/torus/mosi+multicast":        "10086740e3c76cbb6d81e4149179de87c743c4ae9605d3888240ccaea76af00f",
 	"barnes/torus/tokens2+slack0":        "006cf12ce3cafb1637f67be5eb5b437a774a047324973c646b007aded7faa43a",
+
+	// 4 KiB caches with 3 ns perturbation evict Modified blocks often
+	// enough that foreign requests find them in the writeback buffer, so
+	// these pin the buffer's owner answers under MSI and MOSI. Captured
+	// when the buffer, the cache line and deferred obligations still
+	// each wrote the owner rule out separately.
+	"OLTP/butterfly/cache4KiB":           "55fd87b92053c8c007f45bcedbcf244b5af4d2208d91ffe452b00887d048e03f",
+	"OLTP/butterfly/mosi+cache4KiB":      "06a9e8ce577138fd6acf16e177d83074199bd034c1cb8d1ad4cb428c988e9b5c",
+	"OLTP/torus/cache4KiB":               "7a6bfb3b995fa95533b16d6a1d90c9015ca7610ebedaeefbe6d15a5f0eba47e4",
+	"OLTP/torus/mosi+cache4KiB":          "c499c82adba0137da0973ce14c3c42f1ce66d2d251a404b50fdadad7e6e248c4",
+	"DSS/butterfly/cache4KiB":            "be583f6c22e42e25393150cdfefa12011dd9a8e38a72562a3e8b0b859c0cd45c",
+	"DSS/butterfly/mosi+cache4KiB":       "a5aa116b3c9a897a793a1cc1fa451e0e48a2bfec31d55386bdc44e3a83b0095f",
+	"DSS/torus/cache4KiB":                "2112f14cb4638e23e4914e0fef89dce16db953acc973fc9da609e31b9384c33b",
+	"DSS/torus/mosi+cache4KiB":           "b59813a4b24f9650d96705a2494d15c7660c06c8372abd8f2cf643a5d12b8a6b",
+	"apache/butterfly/cache4KiB":         "caf2982a575c09a998a4d8a7b03e3303b0ab87bc5550bd529fe1c24174f3e1d4",
+	"apache/butterfly/mosi+cache4KiB":    "b274716e98eacd1e293f6bde738d1c4f5987f1dc99821ae5e3ccc00176e63b10",
+	"apache/torus/cache4KiB":             "4c3ec873edd31c6ec464182a75fe32d366440de822d32f7fae77365db48b271b",
+	"apache/torus/mosi+cache4KiB":        "b5015e828aeba6f697fd1140b68a576b94fb6b2aa7ee37ad55f178bb6f673680",
+	"altavista/butterfly/cache4KiB":      "eb8f5a63571949667a6d5c382c7731bc0137a5dc6185e6a4a0938b5fc5840a13",
+	"altavista/butterfly/mosi+cache4KiB": "6f6ced677eb4df99ea3fb1ed9a3e598deb86de178b49c57f416161023f1199c3",
+	"altavista/torus/cache4KiB":          "3b12bef4bd6f7fc654a554dc6c1144e42ac5bd21e15b15c06a8040aa863ed621",
+	"altavista/torus/mosi+cache4KiB":     "9558d61d59fbc0a03121056fb4418252536932bb871c85df30c2d5d298230d71",
+	"barnes/butterfly/cache4KiB":         "5fc89ac9ff3b9c3e0339c6650df6cded9eac386759fe8ed224a7628978b924b0",
+	"barnes/butterfly/mosi+cache4KiB":    "1a9975d8c2e6859279249cd58708f1d8e5b8c20ea3255696c3e4400c4b9686c6",
+	"barnes/torus/cache4KiB":             "b11b2cd1e899a9b16590a2d10aacf147f4876cbd7fa2f9376fe5aa8865640faa",
+	"barnes/torus/mosi+cache4KiB":        "e1f1d3c78b55a503caa0615ef2383efe24f61ffe30d0bb3deeba8382d6106e8c",
 }
 
 // knobVariants are the design-knob settings the digest table covers.
@@ -76,6 +102,8 @@ var knobVariants = []struct {
 	{"contention", []Option{WithContention()}},
 	{"mosi+multicast", []Option{WithMOSI(), WithMulticast()}},
 	{"tokens2+slack0", []Option{WithTokensPerPort(2), WithSlack(0)}},
+	{"cache4KiB", []Option{WithCacheBytes(4096), WithPerturbNS(3), WithWarmup(500), WithQuota(500)}},
+	{"mosi+cache4KiB", []Option{WithMOSI(), WithCacheBytes(4096), WithPerturbNS(3), WithWarmup(500), WithQuota(500)}},
 }
 
 func TestKnobDigests(t *testing.T) {

@@ -93,11 +93,12 @@ type Design struct {
 	Contention bool
 	// Verify enables internal assertions: every transaction must be
 	// processed at exactly its ordering time, with non-negative slack
-	// throughout. TS-Snoop also checks that every snoop its holder mask
-	// lets skip the L2 probe finds nothing, and that every handoff it
-	// skips would have done nothing. The tsnet and protocol test suites
-	// keep it on; experiment runs (system.DefaultConfig) leave it off so
-	// production figure runs skip the consensus bookkeeping entirely.
+	// throughout. TS-Snoop also checks that a node its holder mask lets
+	// skip a request, or the request's L2 probe, holds nothing, and that
+	// a block it fills has no writeback pending. The tsnet and protocol
+	// test suites keep it on; experiment runs (system.DefaultConfig)
+	// leave it off so production figure runs skip the consensus
+	// bookkeeping entirely.
 	Verify bool
 }
 
