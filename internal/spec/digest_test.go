@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -90,26 +91,63 @@ var knobDigests = map[string]string{
 	"barnes/butterfly/mosi+cache4KiB":    "1a9975d8c2e6859279249cd58708f1d8e5b8c20ea3255696c3e4400c4b9686c6",
 	"barnes/torus/cache4KiB":             "b11b2cd1e899a9b16590a2d10aacf147f4876cbd7fa2f9376fe5aa8865640faa",
 	"barnes/torus/mosi+cache4KiB":        "e1f1d3c78b55a503caa0615ef2383efe24f61ffe30d0bb3deeba8382d6106e8c",
+
+	// Three tokens per port with slack 3 order every transaction at the
+	// same picosecond as one token with slack 1 (each link is three
+	// ticks deep), so these equal the default digests while running
+	// three times the tokens. nodes4 and nodes64 cover the smallest
+	// butterfly and torus, 3-stage butterflies and the 8x8 torus.
+	// Captured when every token was simulated.
+	"OLTP/butterfly/tokens3+slack3":      "694bedd8b8546f9be94e5b798d46297c54f2b1bd3556ba4116420474a3503a71",
+	"OLTP/butterfly/nodes4":              "404ed6cad9bc6cd25f0b6b3b1ed4bf3cea0b059306c6e80855d281f9f9f1da15",
+	"OLTP/butterfly/nodes64":             "4c7961d781db5f1d5fd1dc32d79a361efaacafbf29a5fa0e788b8b6446163f91",
+	"OLTP/torus/tokens3+slack3":          "a4446fc368add657fc22fb070b9c590d94ffbe35d3e9adf380972e24ff6dddb8",
+	"OLTP/torus/nodes4":                  "d21ae7165f91c22b1c4ce09d3f2676a4c784fce5eef1d9a34f0146ce5182a010",
+	"OLTP/torus/nodes64":                 "d5a0bd0a5c55bc334007951f8caf8175588c60e10c573f59c0b1bef676b4b877",
+	"DSS/butterfly/tokens3+slack3":       "bc686e9bd29a068a0e0dc7ff86e47b17f04db9db366ba9c6a57fc059f16e1014",
+	"DSS/butterfly/nodes4":               "7cf274fa069b39a9d41aa352268d39758a01456829d19dedd01a49d4980f1b2a",
+	"DSS/torus/tokens3+slack3":           "a21044ed7500751c28cb741158c0b55288d2cb257261d63a3d42ed00468fcf81",
+	"DSS/torus/nodes4":                   "cfda10ba93518fc4cd1bdaf07ad23e588db453faea7b41f831b646e666434c3b",
+	"apache/butterfly/tokens3+slack3":    "c8283cf085288041aae9ac9589dd1a3852423bd3a20b4a5bda2460496be65002",
+	"apache/butterfly/nodes4":            "66ea4cb7d698036d2242bdc67c6902e00f221d8a5be4699ff53b2a2f89a2dfae",
+	"apache/torus/tokens3+slack3":        "412468cd1f07e08bba049921f2cb47a8980f9a02ac40a6f73f07cb1240979f59",
+	"apache/torus/nodes4":                "395c6411b85f0f592ece7bbb52c1df4c27126a932ccc50a01671913ec97301d8",
+	"altavista/butterfly/tokens3+slack3": "eb179a8623e7af8c3aadbe5836ef1a4feeaca6e45ddcde9a8d5c97c2907d096e",
+	"altavista/butterfly/nodes4":         "59fcf7dec8ec4c71d524ef8e1d1391f36e6e5c83cd940e406aa56db303b35ee5",
+	"altavista/torus/tokens3+slack3":     "f8f1ea6d1a72123d8560328aeb6044b6df96a1824a02db506c0a8546111c32d8",
+	"altavista/torus/nodes4":             "4af756b891d071f58c726b23d7fa46e2cb04c7aa36e9a6b02b20e00282f70bf0",
+	"barnes/butterfly/tokens3+slack3":    "70f2bde02503dd96f888c351b0159c17fbecd0cef69bca91dd8d19df53cc3443",
+	"barnes/butterfly/nodes4":            "5ec9275d15653edf91cedac9aac6f05db9311ce2abc0f14935f9268cee79024d",
+	"barnes/torus/tokens3+slack3":        "e1c129cc868f6e9762c484c2bcae555204d43a009bd87197a588b72f7e127531",
+	"barnes/torus/nodes4":                "5a2fc05ad5762949f694b75e72d388b479ae646f4856ea9f09bde1cc3f376d57",
 }
 
-// knobVariants are the design-knob settings the digest table covers.
+// knobVariants are the design-knob settings the digest table covers:
+// on every benchmark, or only on those named in only.
 var knobVariants = []struct {
 	name string
 	opts []Option
+	only []string
 }{
-	{"default", nil},
-	{"early", []Option{WithEarlyProcessing()}},
-	{"contention", []Option{WithContention()}},
-	{"mosi+multicast", []Option{WithMOSI(), WithMulticast()}},
-	{"tokens2+slack0", []Option{WithTokensPerPort(2), WithSlack(0)}},
-	{"cache4KiB", []Option{WithCacheBytes(4096), WithPerturbNS(3), WithWarmup(500), WithQuota(500)}},
-	{"mosi+cache4KiB", []Option{WithMOSI(), WithCacheBytes(4096), WithPerturbNS(3), WithWarmup(500), WithQuota(500)}},
+	{"default", nil, nil},
+	{"early", []Option{WithEarlyProcessing()}, nil},
+	{"contention", []Option{WithContention()}, nil},
+	{"mosi+multicast", []Option{WithMOSI(), WithMulticast()}, nil},
+	{"tokens2+slack0", []Option{WithTokensPerPort(2), WithSlack(0)}, nil},
+	{"cache4KiB", []Option{WithCacheBytes(4096), WithPerturbNS(3), WithWarmup(500), WithQuota(500)}, nil},
+	{"mosi+cache4KiB", []Option{WithMOSI(), WithCacheBytes(4096), WithPerturbNS(3), WithWarmup(500), WithQuota(500)}, nil},
+	{"tokens3+slack3", []Option{WithTokensPerPort(3), WithSlack(3)}, nil},
+	{"nodes4", []Option{WithNodes(4)}, nil},
+	{"nodes64", []Option{WithNodes(64)}, []string{"OLTP"}},
 }
 
 func TestKnobDigests(t *testing.T) {
 	for _, bench := range Benchmarks() {
 		for _, network := range []string{"butterfly", "torus"} {
 			for _, v := range knobVariants {
+				if v.only != nil && !slices.Contains(v.only, bench) {
+					continue
+				}
 				name := fmt.Sprintf("%s/%s/%s", bench, network, v.name)
 				t.Run(name, func(t *testing.T) {
 					opts := append([]Option{WithNetwork(network), WithWarmup(60), WithQuota(120)}, v.opts...)
