@@ -572,7 +572,9 @@ func benchProtocolMiss(b *testing.B, proto string) {
 		done = false
 		blk := coherence.Block(1<<22 + i)
 		s.Proto.Access(i%16, coherence.Load, blk, doneFn)
-		s.K.RunWhile(func() bool { return !done })
+		if err := system.RunAccess(s.K, &done); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -613,6 +615,8 @@ func benchProtocolMissSteady(b *testing.B, proto string) {
 	for i := 0; i < b.N; i++ {
 		done = false
 		s.Proto.Access(i%2, coherence.Store, blk, doneFn)
-		s.K.RunWhile(func() bool { return !done })
+		if err := system.RunAccess(s.K, &done); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

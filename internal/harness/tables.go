@@ -25,12 +25,27 @@ type Table2Row struct {
 // probeEnv drives single misses through a real protocol instance.
 type probeEnv struct{ sys *system.System }
 
-func (e *probeEnv) access(node int, op coherence.Op, b coherence.Block) sim.Time {
+// access runs one access to completion and returns its latency. An
+// access that never completes fails with an error wrapping
+// system.ErrDeadlock (see system.RunAccess).
+func (e *probeEnv) access(node int, op coherence.Op, b coherence.Block) (sim.Time, error) {
 	var lat sim.Time
 	done := false
 	e.sys.Proto.Access(node, op, b, func(r coherence.AccessResult) { lat = r.Latency; done = true })
-	e.sys.K.RunWhile(func() bool { return !done })
-	return lat
+	if err := system.RunAccess(e.sys.K, &done); err != nil {
+		return 0, fmt.Errorf("harness: probe access of block %d by node %d: %w", b, node, err)
+	}
+	return lat, nil
+}
+
+// afterOwner returns the latency of req's load of b once owner has
+// stored to it and the machine has settled for a microsecond.
+func (e *probeEnv) afterOwner(req, owner int, b coherence.Block) (sim.Time, error) {
+	if _, err := e.access(owner, coherence.Store, b); err != nil {
+		return 0, err
+	}
+	e.settle(sim.Microsecond)
+	return e.access(req, coherence.Load, b)
 }
 
 func (e *probeEnv) settle(d sim.Duration) { e.sys.K.RunUntil(e.sys.K.Now() + d) }
@@ -55,8 +70,8 @@ func blockFor(home, i, nodes int) coherence.Block {
 }
 
 // meanOverPairs averages a probe latency over every (requester, partner)
-// pair with requester != partner.
-func meanOverPairs(nodes int, f func(req, partner, trial int) sim.Time) sim.Time {
+// pair with requester != partner, stopping at the first error.
+func meanOverPairs(nodes int, f func(req, partner, trial int) (sim.Time, error)) (sim.Time, error) {
 	var sum sim.Time
 	count := 0
 	trial := 0
@@ -65,12 +80,16 @@ func meanOverPairs(nodes int, f func(req, partner, trial int) sim.Time) sim.Time
 			if req == partner {
 				continue
 			}
-			sum += f(req, partner, trial)
+			lat, err := f(req, partner, trial)
+			if err != nil {
+				return 0, err
+			}
+			sum += lat
 			trial++
 			count++
 		}
 	}
-	return sim.Time(int64(sum) / int64(count))
+	return sim.Time(int64(sum) / int64(count)), nil
 }
 
 // Table2 regenerates the unloaded-latency table for one network by both
@@ -91,39 +110,33 @@ func Table2(network string, workers int) ([]Table2Row, error) {
 	// caches when done.
 	probes := []struct {
 		proto   string
-		measure func(e *probeEnv) sim.Time
+		measure func(e *probeEnv) (sim.Time, error)
 	}{
 		// Memory latency measured on the directory protocol (its request
 		// and response paths are exact).
-		{system.ProtoDirOpt, func(dir *probeEnv) sim.Time {
-			return meanOverPairs(nodes, func(req, home, trial int) sim.Time {
+		{system.ProtoDirOpt, func(dir *probeEnv) (sim.Time, error) {
+			return meanOverPairs(nodes, func(req, home, trial int) (sim.Time, error) {
 				return dir.access(req, coherence.Load, blockFor(home, trial, nodes))
 			})
 		}},
 		// Directory 3-hop: owner takes M first, then the requester loads.
-		{system.ProtoDirOpt, func(dir3 *probeEnv) sim.Time {
-			return meanOverPairs(nodes, func(req, owner, trial int) sim.Time {
+		{system.ProtoDirOpt, func(dir3 *probeEnv) (sim.Time, error) {
+			return meanOverPairs(nodes, func(req, owner, trial int) (sim.Time, error) {
 				home := (owner + 5) % nodes // a third party (wraps over all homes)
 				if home == req {
 					home = (home + 1) % nodes
 				}
-				b := blockFor(home, 1000+trial, nodes)
-				dir3.access(owner, coherence.Store, b)
-				dir3.settle(sim.Microsecond)
-				return dir3.access(req, coherence.Load, b)
+				return dir3.afterOwner(req, owner, blockFor(home, 1000+trial, nodes))
 			})
 		}},
 		// Timestamp snooping cache-to-cache.
-		{system.ProtoTSSnoop, func(ts *probeEnv) sim.Time {
-			return meanOverPairs(nodes, func(req, owner, trial int) sim.Time {
+		{system.ProtoTSSnoop, func(ts *probeEnv) (sim.Time, error) {
+			return meanOverPairs(nodes, func(req, owner, trial int) (sim.Time, error) {
 				home := (owner + 5) % nodes
 				if home == req {
 					home = (home + 1) % nodes
 				}
-				b := blockFor(home, 2000+trial, nodes)
-				ts.access(owner, coherence.Store, b)
-				ts.settle(sim.Microsecond)
-				return ts.access(req, coherence.Load, b)
+				return ts.afterOwner(req, owner, blockFor(home, 2000+trial, nodes))
 			})
 		}},
 	}
@@ -133,7 +146,7 @@ func Table2(network string, workers int) ([]Table2Row, error) {
 			return 0, err
 		}
 		defer e.sys.Release()
-		return probes[i].measure(e), nil
+		return probes[i].measure(e)
 	})
 	if err != nil {
 		return nil, err

@@ -96,7 +96,7 @@ var knobDigests = map[string]string{
 	// same picosecond as one token with slack 1 (each link is three
 	// ticks deep), so these equal the default digests while running
 	// three times the tokens. nodes4 and nodes64 cover the smallest
-	// butterfly and torus, 3-stage butterflies and the 8x8 torus.
+	// butterfly and torus, the radix-8 butterfly and the 8x8 torus.
 	// Captured when every token was simulated.
 	"OLTP/butterfly/tokens3+slack3":      "694bedd8b8546f9be94e5b798d46297c54f2b1bd3556ba4116420474a3503a71",
 	"OLTP/butterfly/nodes4":              "404ed6cad9bc6cd25f0b6b3b1ed4bf3cea0b059306c6e80855d281f9f9f1da15",

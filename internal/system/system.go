@@ -237,6 +237,18 @@ func RunWatched(k *sim.Kernel, running func() bool, progress func() (waiting int
 	return nil
 }
 
+// RunAccess runs k until *done is set, as RunWatched does: one access
+// that never completes returns an error wrapping ErrDeadlock after a
+// StallWindow instead of spinning on the token waves.
+func RunAccess(k *sim.Kernel, done *bool) error {
+	return RunWatched(k, func() bool { return !*done }, func() (int, int64) {
+		if *done {
+			return 0, 1
+		}
+		return 1, 0
+	})
+}
+
 // Build assembles a machine running gen. The kernel starts at time zero.
 // Each node's L2 arrays come from a pool shared by every machine of the
 // same cache geometry; Release returns them once the run is over. A

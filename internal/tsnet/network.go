@@ -31,27 +31,37 @@
 //
 // All of the network's work goes through one sim.Batch, the hop batch,
 // so a run of same-instant work costs one kernel dispatch. It carries
-// every link transit (injections, contended departures, endpoint token
-// echoes, and the fan-out waves), each contended port's service and the
-// start of logical time. A switch fans out one wave item per distinct
-// link latency, not one per link: a token propagation sends one per
-// output latency, a cut-through switch one per latency among a
-// transaction's surviving branches. Each wave delivers on its links in
-// port or route order, as one event per link would have. sim.Batch runs
-// each item exactly where its own event would have run, so arrivals,
-// their same-time ties and every ordered processing happen as with one
-// event per link.
+// every link transit (injections, contended departures and the fan-out
+// waves), each contended port's service and the token flow. A switch
+// fans a transaction out with one wave item per distinct link latency
+// among its surviving branches, not one per link, and each wave
+// delivers on its links in route order, as one event per link would
+// have. sim.Batch runs each item exactly where its own event would have
+// run, so arrivals, their same-time ties and every ordered processing
+// happen as with one event per link.
 //
 // An endpoint calls its ordered handler at processing time. The
 // network-exit overhead Dovh between processing and the controller is
 // the receiver's to model (see OrderedHandler), so a receiver that will
 // not act on a transaction pays nothing for it.
 //
-// A token hop does O(1) work: a switch counts its empty input ports and
-// propagates exactly when that count reaches zero, only a contended
-// switch (the only kind that buffers) scans its buffer for zero slack,
-// and an endpoint caches its reorder queue's earliest due tick, so a
-// tick with nothing due never touches the heap.
+// An uncontended network does not simulate its tokens. No transaction
+// ever holds a token back there, so the token flow is the same in every
+// run of one topology and token count: Start records it once as a
+// table of phases (see schedule), each a run of token items that one
+// earlier phase sent over links of one latency, and the run replays the
+// table with one hop item per phase, where that run of token items
+// would have been. A phase item advances the guarantee time of the
+// endpoints its tokens reach, in their order, processing whatever falls
+// due, and sets the token counts that entering transactions read; the
+// probe's token counters replay from the table only when a probe is
+// attached. The idle butterfly runs one item per 15 ns token beat, the
+// torus at most three. Contention mode simulates every token, and
+// there a token hop does O(1) work: a switch counts its empty input
+// ports and propagates exactly when that count reaches zero, sending one
+// wave item per output latency. In both modes an endpoint caches its
+// reorder queue's earliest due tick, so a tick with nothing due never
+// touches the heap.
 package tsnet
 
 import (
@@ -122,7 +132,10 @@ func DefaultConfig() Config {
 // the instant the endpoint processes each one. The network-exit overhead
 // Dovh that separates processing from the controller is the receiver's
 // to model: TS-Snoop hands a transaction to its controllers Dovh later,
-// and only at nodes that may act on it.
+// and only at nodes that may act on it. A handler must not inject
+// synchronously: an uncontended network processes a whole token phase
+// as one item (see Network.Start), so a handler that sends schedules
+// the send, as TS-Snoop schedules each handoff Dovh later.
 type OrderedHandler[P any] func(src int, seq uint64, payload P, arrived sim.Time)
 
 // PeekHandler observes a transaction when it arrives at an endpoint,
@@ -243,11 +256,25 @@ type Network[P any] struct {
 
 	switches  []swState[P]
 	endpoints []epState[P]
+	clocks    []clock // by endpoint
 	nextSeq   []uint64
 	links     []linkMeta
 
 	// hops carries every hop item.
 	hops *sim.Batch[hop[P]]
+
+	// sched is the token schedule an uncontended network replays, one
+	// hop item per phase, or nil when every token is simulated. snap
+	// holds every switch input's token count after the last phase run,
+	// indexed by link. inPhase is set while a phase processes.
+	sched   *schedule
+	snap    []int32
+	inPhase bool
+	// rec records the schedule while Start runs the token code on a
+	// private kernel; nil otherwise.
+	rec *recorder
+	// tokenLevel simulates every token even when uncontended (tests).
+	tokenLevel bool
 
 	started bool
 
@@ -316,13 +343,16 @@ func NewOf[P any](k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *s
 		n.probe.SizeNetwork(latPS, topo.NumSwitches())
 	}
 	g := newGrouper(topo, n.links)
+	ports := newSwitchPorts(topo)
 	n.switches = make([]swState[P], topo.NumSwitches())
 	for i := range n.switches {
-		n.switches[i].init(n, i, g)
+		ports = n.switches[i].init(n, i, g, ports)
 	}
 	n.endpoints = make([]epState[P], topo.Nodes())
+	n.clocks = make([]clock, topo.Nodes())
 	for i := range n.endpoints {
-		n.endpoints[i] = epState[P]{net: n, id: i, queue: newReorderQueue[P]()}
+		n.endpoints[i] = epState[P]{net: n, id: i}
+		n.clocks[i].due = math.MaxUint64
 	}
 	return n
 }
@@ -341,11 +371,33 @@ func (n *Network[P]) Register(ep int, ordered OrderedHandler[P], peek PeekHandle
 // Start seeds the initial tokens ("each node and switch begin operation
 // with one (or more) tokens on each input port") and begins logical time.
 // Call after all endpoints are registered.
+//
+// An uncontended network's tokens never wait for a transaction, so
+// Start takes their schedule, recorded by the first network of the same
+// topology and token count, and the run replays it a phase at a time
+// (see schedule). A phase processes every transaction its ticks make
+// due as one item. So an ordered handler must not inject synchronously
+// (inject panics inside a phase), and a kernel RunWhile whose condition
+// an ordered handler turns false stops after the phase, not after the
+// tick that processed it.
 func (n *Network[P]) Start() {
 	if n.started {
 		panic("tsnet: Start called twice")
 	}
 	n.started = true
+	if !n.cfg.Contention && !n.tokenLevel {
+		n.sched = n.schedule()
+		n.snap = n.sched.initial
+		n.hops.Add(0, hop[P]{kind: hopPhase})
+		return
+	}
+	n.seed()
+	// Kick the system at the current time (see start).
+	n.hops.Add(0, hop[P]{kind: hopStart})
+}
+
+// seed places the initial tokens.
+func (n *Network[P]) seed() {
 	for i := range n.switches {
 		sw := &n.switches[i]
 		for j := range sw.tokens {
@@ -366,8 +418,6 @@ func (n *Network[P]) Start() {
 			e.credits = n.cfg.TokensPerPort
 		}
 	}
-	// Kick the system at the current time (see start).
-	n.hops.Add(0, hop[P]{kind: hopStart})
 }
 
 // start kicks the system at start time: endpoints tick on their initial
@@ -386,7 +436,7 @@ func (n *Network[P]) start() {
 }
 
 // GT returns endpoint ep's guarantee time (ticks performed).
-func (n *Network[P]) GT(ep int) uint64 { return n.endpoints[ep].gt }
+func (n *Network[P]) GT(ep int) uint64 { return n.clocks[ep].gt }
 
 // QueueLen returns the current reorder-queue depth at endpoint ep.
 func (n *Network[P]) QueueLen(ep int) int { return n.endpoints[ep].queue.len() }
@@ -418,6 +468,9 @@ func (n *Network[P]) InjectTo(src int, mask uint64, payload P) uint64 {
 func (n *Network[P]) inject(src int, mask uint64, payload P) uint64 {
 	if !n.started {
 		panic("tsnet: Inject before Start")
+	}
+	if n.inPhase {
+		panic("tsnet: Inject from an ordered handler inside a token phase")
 	}
 	seq := n.nextSeq[src]
 	n.nextSeq[src]++
@@ -451,7 +504,7 @@ func (n *Network[P]) inject(src int, mask uint64, payload P) uint64 {
 		}
 		n.flights[src].add(seq, flight{
 			sent: n.k.Now(),
-			ot:   n.endpoints[src].gt + uint64(tree.MaxDepth*k) + uint64(n.cfg.InitialSlack),
+			ot:   n.clocks[src].gt + uint64(tree.MaxDepth*k) + uint64(n.cfg.InitialSlack),
 			due:  math.MaxUint64,
 			left: int32(left),
 		})
@@ -470,15 +523,18 @@ const (
 	hopTxnWave                  // switch id's copies of t on route group g
 	hopServe                    // switch id serves its output link g
 	hopStart                    // the network starts logical time
+	hopPhase                    // phase id of the token schedule runs
 )
 
 // hop is one item of the hop batch. For the waves, id is the switch and
 // g the index of its latency group; for a port service, g is the output
-// link. The item holds its copy t by value and runs in place.
+// link. While Start records the token schedule, ph is the phase a token
+// item belongs to. The item holds its copy t by value and runs in place.
 type hop[P any] struct {
 	kind hopKind
 	id   int32
 	g    int32
+	ph   int32
 	t    txn[P]
 }
 
@@ -497,6 +553,8 @@ func (n *Network[P]) runHop(h *hop[P]) {
 		n.switches[h.id].servePort(topology.LinkID(h.g))
 	case hopStart:
 		n.start()
+	case hopPhase:
+		n.runPhase(h.id)
 	}
 }
 
@@ -525,6 +583,9 @@ func (n *Network[P]) arriveToken(id topology.LinkID) {
 	if p := n.probe; p != nil {
 		p.LinkToken(int(id))
 	}
+	if r := n.rec; r != nil {
+		r.transits = append(r.transits, int32(id))
+	}
 	m := &n.links[id]
 	if m.toSwitch {
 		n.switches[m.toIndex].arriveToken(int(m.inPos))
@@ -536,7 +597,7 @@ func (n *Network[P]) arriveToken(id topology.LinkID) {
 // sendToken schedules delivery of one token across an endpoint's
 // output link. Switches send theirs as waves (swState.deliverTokens).
 func (n *Network[P]) sendToken(id topology.LinkID) {
-	n.hops.Add(n.links[id].lat, hop[P]{kind: hopToken, id: int32(id)})
+	n.addToken(n.links[id].lat, hop[P]{kind: hopToken, id: int32(id)})
 }
 
 // epState is an endpoint network interface: a one-input, one-output node
@@ -545,7 +606,6 @@ func (n *Network[P]) sendToken(id topology.LinkID) {
 type epState[P any] struct {
 	net     *Network[P]
 	id      int
-	gt      uint64
 	credits int
 	queue   reorderQueue[P]
 	handler OrderedHandler[P]
@@ -557,9 +617,25 @@ func (e *epState[P]) arriveToken() {
 	e.tick()
 }
 
-// tick advances the endpoint's guarantee time by one: process every
-// transaction with ordering time strictly below the new GT, then pass a
+// tick advances the endpoint's guarantee time by one and passes a
 // token onward to the adjacent switch.
+func (e *epState[P]) tick() {
+	e.net.advance(int32(e.id))
+	if r := e.net.rec; r != nil {
+		r.ticks = append(r.ticks, int32(e.id))
+	}
+	e.net.sendToken(e.net.topo.EndpointOut(e.id))
+}
+
+// clock is an endpoint's guarantee time (ticks performed) and the due
+// tick of its reorder queue's head, MaxUint64 when the queue is empty.
+// The clocks sit in one dense array, so a token phase that ticks every
+// endpoint touches a few cache lines, and an endpoint's own state only
+// when something falls due.
+type clock struct{ gt, due uint64 }
+
+// advance advances endpoint ep's guarantee time by one and processes
+// every transaction with ordering time strictly below the new GT.
 //
 // The strict inequality implements the paper's guarantee-time definition
 // ("GT ... is guaranteed to be less than the OTs of any transactions that
@@ -571,24 +647,35 @@ func (e *epState[P]) arriveToken() {
 // endpoint; draining OT <= GT could split same-OT transactions across
 // batches differently at different endpoints and invert the tie-break
 // order.
-func (e *epState[P]) tick() {
-	e.gt++
-	for e.queue.due < e.gt {
+//
+// A tick only shrinks the queue, so it leaves ReorderOccupancy's peak
+// to the pushes; the probe samples every tick's depth.
+func (n *Network[P]) advance(ep int32) {
+	c := &n.clocks[ep]
+	c.gt++
+	if c.due < c.gt {
+		n.endpoints[ep].drain(c)
+	}
+	if p := n.probe; p != nil {
+		p.ReorderOcc(n.endpoints[ep].queue.len())
+	}
+}
+
+// drain processes every transaction due before the endpoint's clock c.
+func (e *epState[P]) drain(c *clock) {
+	for c.due < c.gt {
 		e.process(&e.queue.h[0])
 		e.queue.pop()
+		c.due = e.queue.head()
 	}
-	e.net.run.ReorderOccupancy.Set(e.queue.len())
-	if p := e.net.probe; p != nil {
-		p.ReorderOcc(e.queue.len())
-	}
-	e.net.sendToken(e.net.topo.EndpointOut(e.id))
 }
 
 func (e *epState[P]) arriveTxn(t *txn[P]) {
 	if t.slack < 0 {
 		panic(fmt.Sprintf("tsnet: negative slack %d at endpoint %d", t.slack, e.id))
 	}
-	due := e.gt + uint64(t.slack)
+	c := &e.net.clocks[e.id]
+	due := c.gt + uint64(t.slack)
 	var sent sim.Time
 	if e.net.flights != nil {
 		sent = e.checkFlight(t, due)
@@ -611,6 +698,7 @@ func (e *epState[P]) arriveTxn(t *txn[P]) {
 		payload: t.payload,
 		arrived: e.net.k.Now(),
 	})
+	c.due = e.queue.head()
 	e.net.run.ReorderOccupancy.Set(e.queue.len())
 	if p := e.net.probe; p != nil {
 		p.ReorderOcc(e.queue.len())
@@ -636,7 +724,7 @@ func (e *epState[P]) checkFlight(t *txn[P], due uint64) sim.Time {
 			f.due = due
 		} else if f.due != due {
 			panic(fmt.Sprintf("tsnet: endpoint %d txn %d/%d ordering time %d disagrees with consensus %d (slack %d, gt %d)",
-				e.id, t.src, t.seq, due, f.due, t.slack, e.gt))
+				e.id, t.src, t.seq, due, f.due, t.slack, e.net.clocks[e.id].gt))
 		}
 		// And it must match the paper's formula, shifted no later than the
 		// standing-token phase of a zero-cost injection link (at most
@@ -660,7 +748,7 @@ func (e *epState[P]) process(q *queued[P]) {
 		p.Event(obs.EvOrderedHandoff)
 	}
 	if e.net.TestHook != nil {
-		e.net.TestHook(e.id, int(q.src), q.seq, e.gt, q.dueTick)
+		e.net.TestHook(e.id, int(q.src), q.seq, e.net.clocks[e.id].gt, q.dueTick)
 	}
 	if e.handler == nil {
 		panic(fmt.Sprintf("tsnet: endpoint %d has no ordered handler", e.id))

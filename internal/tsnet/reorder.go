@@ -43,14 +43,20 @@ func (a *queued[P]) before(b *queued[P]) bool {
 // endpoint. It is a hand-rolled 4-ary min-heap of inline queued values:
 // no container/heap interface boxing, no per-entry allocation, and one
 // backing array reused for the life of the endpoint (vacated slots are
-// zeroed so dead payloads are not retained). due caches the head's due
-// tick, so a tick with nothing due never touches the heap.
+// zeroed so dead payloads are not retained). The endpoint's clock
+// caches the head's due tick, so a tick with nothing due never touches
+// the heap.
 type reorderQueue[P any] struct {
-	h   []queued[P]
-	due uint64 // h[0].dueTick, or MaxUint64 when empty
+	h []queued[P]
 }
 
-func newReorderQueue[P any]() reorderQueue[P] { return reorderQueue[P]{due: math.MaxUint64} }
+// head returns the head's due tick, or MaxUint64 when the queue is empty.
+func (q *reorderQueue[P]) head() uint64 {
+	if len(q.h) == 0 {
+		return math.MaxUint64
+	}
+	return q.h[0].dueTick
+}
 
 func (q *reorderQueue[P]) push(e queued[P]) {
 	h := append(q.h, e)
@@ -64,7 +70,6 @@ func (q *reorderQueue[P]) push(e queued[P]) {
 		i = p
 	}
 	q.h = h
-	q.due = h[0].dueTick
 }
 
 // pop removes the highest-priority transaction, h[0]. The queue must
@@ -97,10 +102,6 @@ func (q *reorderQueue[P]) pop() {
 		}
 		h[i], h[min] = h[min], h[i]
 		i = min
-	}
-	q.due = math.MaxUint64
-	if n > 0 {
-		q.due = h[0].dueTick
 	}
 }
 

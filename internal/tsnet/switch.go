@@ -55,28 +55,46 @@ type swState[P any] struct {
 	nextFree []sim.Time
 	pending  []bool
 
-	// props counts token propagations: the switch's implicit GT.
-	props uint64
 }
 
-// init builds switch id, taking its latency groups from g.
-func (s *swState[P]) init(n *Network[P], id int, g *grouper) {
+// init builds switch id, taking its latency groups from g and its
+// per-port state from the front of ports, which it returns advanced.
+func (s *swState[P]) init(n *Network[P], id int, g *grouper, ports switchPorts) switchPorts {
 	spec := n.topo.Switches()[id]
+	in, out := len(spec.In), len(spec.Out)
 	*s = swState[P]{
 		net:      n,
 		id:       id,
 		in:       spec.In,
 		out:      spec.Out,
-		tokens:   make([]int, len(spec.In)),
-		empty:    len(spec.In),
-		nextFree: make([]sim.Time, len(spec.Out)),
-		pending:  make([]bool, len(spec.Out)),
+		tokens:   ports.tokens[:in:in],
+		empty:    in,
+		nextFree: ports.nextFree[:out:out],
+		pending:  ports.pending[:out:out],
 		fans:     g.fans[id*n.topo.Nodes() : (id+1)*n.topo.Nodes()],
 	}
 	for src := range s.fans {
 		s.fans[src] = g.group(s.route(int32(src)))
 	}
 	s.waves = g.group(g.outs[id])
+	return switchPorts{ports.tokens[in:], ports.nextFree[out:], ports.pending[out:]}
+}
+
+// switchPorts backs every switch's per-port state, so a network's
+// switches cost three allocations however many there are.
+type switchPorts struct {
+	tokens   []int
+	nextFree []sim.Time
+	pending  []bool
+}
+
+func newSwitchPorts(topo *topology.Topology) switchPorts {
+	in, out := 0, 0
+	for _, sw := range topo.Switches() {
+		in += len(sw.In)
+		out += len(sw.Out)
+	}
+	return switchPorts{make([]int, in), make([]sim.Time, out), make([]bool, out)}
 }
 
 // route is the branch list a transaction from src takes at this switch:
@@ -154,9 +172,6 @@ func (g *grouper) group(bs []topology.Branch) []latGroup {
 	return g.groups[start:len(g.groups):len(g.groups)]
 }
 
-// GT returns the switch's guarantee time (tokens propagated).
-func (s *swState[P]) GT() uint64 { return s.props }
-
 // arriveToken handles a token arriving on the input port at position
 // inPos of the switch's In list.
 func (s *swState[P]) arriveToken(inPos int) {
@@ -181,7 +196,7 @@ func (s *swState[P]) arriveTxn(in topology.LinkID, t *txn[P]) {
 	// Case 1 of the slack recurrence: entering the switch, the
 	// transaction moves past the tokens waiting on its input port, making
 	// it earlier in logical time; slack increases to hold OT invariant.
-	t.slack += int32(s.tokens[s.net.links[in].inPos])
+	t.slack += s.net.tokensAt(in)
 
 	branches := s.route(t.src)
 	if branches == nil {
@@ -331,13 +346,15 @@ func (s *swState[P]) tryPropagate() {
 		for i := range s.buffered {
 			s.buffered[i].slack--
 		}
-		s.props++
 		if p := s.net.probe; p != nil {
 			p.TokenAdvance(s.id, int64(s.net.k.Now()))
 		}
+		if r := s.net.rec; r != nil {
+			r.props = append(r.props, int32(s.id))
+		}
 		// One wave item per distinct output latency: see deliverTokens.
 		for g := range s.waves {
-			s.net.hops.Add(s.waves[g].lat, hop[P]{kind: hopTokenWave, id: int32(s.id), g: int32(g)})
+			s.net.addToken(s.waves[g].lat, hop[P]{kind: hopTokenWave, id: int32(s.id), g: int32(g)})
 		}
 	}
 }

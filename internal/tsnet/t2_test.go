@@ -30,10 +30,9 @@ func TestDebugTokens2(t *testing.T) {
 	fmt.Println()
 	for sw := 0; sw < 16; sw++ {
 		s := &net.switches[sw]
-		fmt.Printf("sw%d props=%d tokens=", sw, s.props)
-		for pos, in := range topo.Switches()[sw].In {
-			l := topo.Link(in)
-			fmt.Printf("%v:%d ", l.From, s.tokens[pos])
+		fmt.Printf("sw%d tokens=", sw)
+		for _, in := range s.in {
+			fmt.Printf("%v:%d ", topo.Link(in).From, net.tokensAt(in))
 		}
 		fmt.Println()
 	}
