@@ -54,7 +54,6 @@ type swState[P any] struct {
 	// Out position.
 	nextFree []sim.Time
 	pending  []bool
-
 }
 
 // init builds switch id, taking its latency groups from g and its
