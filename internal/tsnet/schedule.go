@@ -256,6 +256,11 @@ func (r *recorder) enter(x int32) bool {
 	}
 	lo := int32(len(r.keys) - r.links)
 	r.sortPending()
+	if r.order[0] != x {
+		// A phase's items must run back to back, first among what is
+		// pending; the replay would misplace them otherwise.
+		panic(fmt.Sprintf("tsnet: token phase %d runs before phase %d", x, r.order[0]))
+	}
 	now := r.k.Now()
 	for _, q := range r.order {
 		r.keys = append(r.keys, int32(r.insts[q].at-now))
@@ -335,26 +340,38 @@ func (r *recorder) finish(y, last int32) {
 		props:    slices.Clip(r.props),
 		kids:     slices.Clip(r.kids),
 	}
-	// counts backs every distinct count vector, in order of first use.
-	var counts []int32
-	share := func(at int32) []int32 {
-		v := r.keys[at : at+int32(r.links)]
-		for lo := 0; lo < len(counts); lo += r.links {
-			if slices.Equal(counts[lo:lo+r.links], v) {
-				return counts[lo : lo+r.links : lo+r.links]
-			}
-		}
-		counts = append(counts, v...)
-		return counts[len(counts)-r.links : len(counts) : len(counts)]
-	}
-	s.initial = share(r.insts[r.started[0]].key.lo)
+	// The counts before each phase start its state key: the root's are
+	// the initial counts, and each run phase's are those before the next.
+	// Phases with equal counts share one copy of them.
+	n := int32(r.links)
+	before := make([]int32, len(r.started)+1)
 	for j, id := range r.started {
-		next := last
-		if j+1 < len(r.started) {
-			next = r.insts[r.started[j+1]].key.lo
+		before[j] = r.insts[id].key.lo
+	}
+	before[len(r.started)] = last
+	var firsts []int32 // before's first index of each distinct vector
+	which := make([]int, len(before))
+	for j, at := range before {
+		which[j] = slices.IndexFunc(firsts, func(f int32) bool {
+			return slices.Equal(r.keys[before[f]:before[f]+n], r.keys[at:at+n])
+		})
+		if which[j] < 0 {
+			which[j] = len(firsts)
+			firsts = append(firsts, int32(j))
 		}
+	}
+	counts := make([]int32, 0, len(firsts)*r.links)
+	for _, f := range firsts {
+		counts = append(counts, r.keys[before[f]:before[f]+n]...)
+	}
+	vector := func(j int) []int32 {
+		lo := which[j] * r.links
+		return counts[lo : lo+r.links : lo+r.links]
+	}
+	s.initial = vector(0)
+	for j, id := range r.started {
 		in := &r.insts[id]
-		s.phases[id] = phase{ticks: in.ticks, transits: in.transits, props: in.props, kids: in.kids, counts: share(next)}
+		s.phases[id] = phase{ticks: in.ticks, transits: in.transits, props: in.props, kids: in.kids, counts: vector(j + 1)}
 	}
 	r.sched = s
 }
