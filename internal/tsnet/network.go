@@ -620,7 +620,8 @@ func (e *epState[P]) arriveToken() {
 // tick advances the endpoint's guarantee time by one and passes a
 // token onward to the adjacent switch.
 func (e *epState[P]) tick() {
-	e.net.advance(int32(e.id))
+	ep := [1]int32{int32(e.id)}
+	e.net.advance(ep[:])
 	if r := e.net.rec; r != nil {
 		r.ticks = append(r.ticks, int32(e.id))
 	}
@@ -634,8 +635,9 @@ func (e *epState[P]) tick() {
 // when something falls due.
 type clock struct{ gt, due uint64 }
 
-// advance advances endpoint ep's guarantee time by one and processes
-// every transaction with ordering time strictly below the new GT.
+// advance advances the guarantee time of each endpoint in eps by one,
+// in order, and processes every transaction with ordering time strictly
+// below its new GT.
 //
 // The strict inequality implements the paper's guarantee-time definition
 // ("GT ... is guaranteed to be less than the OTs of any transactions that
@@ -650,23 +652,28 @@ type clock struct{ gt, due uint64 }
 //
 // A tick only shrinks the queue, so it leaves ReorderOccupancy's peak
 // to the pushes; the probe samples every tick's depth.
-func (n *Network[P]) advance(ep int32) {
-	c := &n.clocks[ep]
-	c.gt++
-	if c.due < c.gt {
-		n.endpoints[ep].drain(c)
-	}
-	if p := n.probe; p != nil {
-		p.ReorderOcc(n.endpoints[ep].queue.len())
+// A tick with nothing due and no probe is a load, a store and a
+// compare: a token phase ticks many endpoints, and few have work.
+func (n *Network[P]) advance(eps []int32) {
+	for _, ep := range eps {
+		c := &n.clocks[ep]
+		c.gt++
+		if c.due < c.gt || n.probe != nil {
+			n.endpoints[ep].drain(c)
+		}
 	}
 }
 
-// drain processes every transaction due before the endpoint's clock c.
+// drain processes every transaction due before the endpoint's clock c
+// and gives the probe the queue's depth after the tick.
 func (e *epState[P]) drain(c *clock) {
 	for c.due < c.gt {
 		e.process(&e.queue.h[0])
 		e.queue.pop()
 		c.due = e.queue.head()
+	}
+	if p := e.net.probe; p != nil {
+		p.ReorderOcc(e.queue.len())
 	}
 }
 

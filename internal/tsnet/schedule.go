@@ -63,9 +63,7 @@ func (n *Network[P]) runPhase(i int32) {
 	ph := &s.phases[i]
 	n.snap = ph.counts
 	n.inPhase = true
-	for _, ep := range s.ticks[ph.ticks.lo:ph.ticks.hi] {
-		n.advance(ep)
-	}
+	n.advance(s.ticks[ph.ticks.lo:ph.ticks.hi])
 	n.inPhase = false
 	if p := n.probe; p != nil {
 		for _, l := range s.transits[ph.transits.lo:ph.transits.hi] {

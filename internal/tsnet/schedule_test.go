@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"tsnoop/internal/obs"
@@ -228,4 +229,37 @@ func TestInjectInsidePhasePanics(t *testing.T) {
 		}
 	}()
 	k.RunUntil(sim.Microsecond)
+}
+
+// Networks of one shape share one recorded schedule, whichever of
+// several goroutines builds first, and a shared schedule runs each
+// network alike. Run under -race, this checks the schedule table's
+// locking.
+func TestScheduleSharedAcrossGoroutines(t *testing.T) {
+	topos := []*topology.Topology{topology.MustButterfly(3), topology.MustTorus(3, 3)}
+	scheds := make([]*schedule, 8)
+	gts := make([]uint64, len(scheds))
+	var wg sync.WaitGroup
+	for i := range scheds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			topo := topos[i%len(topos)]
+			k := sim.NewKernel()
+			run := &stats.Run{}
+			net := New(k, topo, DefaultConfig(), &run.Traffic, run)
+			for ep := 0; ep < topo.Nodes(); ep++ {
+				net.Register(ep, func(int, uint64, any, sim.Time) {}, nil)
+			}
+			net.Start()
+			k.RunUntil(sim.Microsecond)
+			scheds[i], gts[i] = net.sched, net.GT(topo.Nodes()-1)
+		}()
+	}
+	wg.Wait()
+	for i := range scheds {
+		if j := i % len(topos); scheds[i] != scheds[j] || gts[i] != gts[j] {
+			t.Errorf("network %d: schedule %p and GT %d, network %d: %p and %d", i, scheds[i], gts[i], j, scheds[j], gts[j])
+		}
+	}
 }
