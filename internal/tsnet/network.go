@@ -651,9 +651,9 @@ type clock struct{ gt, due uint64 }
 // order.
 //
 // A tick only shrinks the queue, so it leaves ReorderOccupancy's peak
-// to the pushes; the probe samples every tick's depth.
-// A tick with nothing due and no probe is a load, a store and a
-// compare: a token phase ticks many endpoints, and few have work.
+// to the pushes; the probe samples every tick's depth. A tick with
+// nothing due and no probe is a load, a store and a compare: a token
+// phase ticks many endpoints, and few of them have work.
 func (n *Network[P]) advance(eps []int32) {
 	for _, ep := range eps {
 		c := &n.clocks[ep]

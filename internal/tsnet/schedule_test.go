@@ -206,6 +206,12 @@ func TestPhaseReplayCost(t *testing.T) {
 		if net.TokenRounds == 0 {
 			t.Errorf("%s: no token rounds counted", c.topo.Name())
 		}
+		// Idle, every reorder-queue sample is a tick's, one per endpoint
+		// per beat. Both networks share the tick code, so count them.
+		want := int64(c.topo.Nodes() * periods)
+		if got, tok := net.ReorderOccupancy.Count, tokNet.ReorderOccupancy.Count; got != want || tok != want {
+			t.Errorf("%s: %d reorder samples, token level %d, want %d", c.topo.Name(), got, tok, want)
+		}
 	}
 }
 
