@@ -276,7 +276,10 @@ func TestHTTPBadRequests(t *testing.T) {
 // TestHTTPRejectsUnbuildableMachine pins that a machine system.Build
 // cannot build is a bad request caught by validation: no job is
 // created, no simulation runs and panics, and the body is the one-line
-// spec error rather than a retried panic's stack.
+// spec error rather than a retried panic's stack. Tokens per port above
+// system.MaxTokensPerPort are refused too: recording the token schedule
+// of a 256-node torus with 1000 of them would exhaust memory, a fatal
+// error no recover catches.
 func TestHTTPRejectsUnbuildableMachine(t *testing.T) {
 	sv, srv := newTestServer(t, "", nil)
 	// An 81-node TS-Snoop spec is buildable on its own, but its grid
@@ -290,6 +293,7 @@ func TestHTTPRejectsUnbuildableMachine(t *testing.T) {
 		{"/v1/runs", spec.New("barnes", spec.WithMulticast(), spec.WithNodes(81), spec.WithQuota(50)).JSON()},
 		{"/v1/runs", spec.New("barnes", spec.WithNodes(12), spec.WithQuota(50)).JSON()},
 		{"/v1/runs", []byte(`{"benchmark":"barnes","network":"torus","nodes":1000000000000000003}`)},
+		{"/v1/runs", []byte(`{"benchmark":"barnes","network":"torus","nodes":256,"tokens_per_port":1000}`)},
 		{"/v1/grids", ts81.JSON()},
 		{"/v1/sweeps", fmt.Appendf(nil, `{"sweep":"ablation","spec":%s}`, ts81.JSON())},
 	} {

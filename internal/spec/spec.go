@@ -270,8 +270,8 @@ func (s Spec) validateMachine() error {
 	if s.Slack < 0 {
 		return fmt.Errorf("spec: slack must not be negative, got %d", s.Slack)
 	}
-	if s.TokensPerPort < 1 {
-		return fmt.Errorf("spec: tokens-per-port must be at least 1, got %d", s.TokensPerPort)
+	if s.TokensPerPort < 1 || s.TokensPerPort > system.MaxTokensPerPort {
+		return fmt.Errorf("spec: tokens-per-port must be 1 to %d, got %d", system.MaxTokensPerPort, s.TokensPerPort)
 	}
 	if s.BlockBytes < 0 || s.CacheBytes < 0 {
 		return fmt.Errorf("spec: cache geometry must not be negative, got block %d / cache %d", s.BlockBytes, s.CacheBytes)

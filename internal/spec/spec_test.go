@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"tsnoop/internal/system"
 )
 
 // varied returns a Spec with every field moved off its default, for
@@ -74,6 +76,7 @@ func TestValidateOneLineErrors(t *testing.T) {
 		{"perturb", func(s *Spec) { s.PerturbNS = -1 }, "perturb"},
 		{"slack", func(s *Spec) { s.Slack = -1 }, "slack"},
 		{"tokens", func(s *Spec) { s.TokensPerPort = 0 }, "tokens"},
+		{"tokens above the bound", func(s *Spec) { s.TokensPerPort = system.MaxTokensPerPort + 1 }, "tokens-per-port must be 1 to 4"},
 		{"cache", func(s *Spec) { s.BlockBytes = -64 }, "cache geometry"},
 	}
 	for _, c := range cases {
@@ -90,6 +93,15 @@ func TestValidateOneLineErrors(t *testing.T) {
 		if strings.Contains(err.Error(), "\n") {
 			t.Errorf("%s: error is not one line: %q", c.name, err)
 		}
+	}
+}
+
+// The most tokens per port a machine may start with validates, on the
+// largest torus: its token schedule records in bounded memory.
+func TestValidateTokensAtBound(t *testing.T) {
+	s := New("barnes", WithNetwork(system.NetTorus), WithNodes(system.MaxNodes), WithTokensPerPort(system.MaxTokensPerPort))
+	if err := s.Validate(); err != nil {
+		t.Fatalf("tokens per port at the bound: %v", err)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"tsnoop/internal/stats"
 	"tsnoop/internal/timing"
 	"tsnoop/internal/topology"
+	"tsnoop/internal/tsnet"
 	"tsnoop/internal/workload"
 )
 
@@ -132,6 +133,11 @@ type controller interface {
 // MaxNodes is the largest machine Build builds: 16 times the paper's
 // 16-node server and 4 times the largest sweep point.
 const MaxNodes = 256
+
+// MaxTokensPerPort is the most tokens per switch input port a TS-Snoop
+// network starts with: recording an uncontended network's token
+// schedule takes memory in proportion to it.
+const MaxTokensPerPort = tsnet.MaxTokensPerPort
 
 // CheckShape reports why Build cannot build nodes nodes on network
 // running protocol (multicast is TS-Snoop's multicast snooping), or nil:

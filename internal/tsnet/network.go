@@ -22,8 +22,8 @@
 // The implementation is allocation-free at steady state. The network is
 // generic in its payload type P, and every transaction copy travels by
 // value: in a hop item, in a switch's buffer and in an endpoint's
-// reorder queue. Per-port switch state lives in dense slices indexed by
-// local port position, the endpoint reorder queues are hand-rolled
+// reorder queue. Per-output switch state lives in dense slices indexed
+// by local port position, the endpoint reorder queues are hand-rolled
 // heaps of inline values, and all hot-path work is batch items rather
 // than closures. A copy carries only what routing and ordering read:
 // the Verify and probe instrumentation lives in a per-source side table
@@ -47,21 +47,27 @@
 //
 // An uncontended network does not simulate its tokens. No transaction
 // ever holds a token back there, so the token flow is the same in every
-// run of one topology and token count: Start records it once as a
-// table of phases (see schedule), each a run of token items that one
-// earlier phase sent over links of one latency, and the run replays the
-// table with one hop item per phase, where that run of token items
-// would have been. A phase item advances the guarantee time of the
-// endpoints its tokens reach, in their order, processing whatever falls
-// due, and sets the token counts that entering transactions read; the
-// probe's token counters replay from the table only when a probe is
-// attached. The idle butterfly runs one item per 15 ns token beat, the
-// torus at most three. Contention mode simulates every token, and
-// there a token hop does O(1) work: a switch counts its empty input
-// ports and propagates exactly when that count reaches zero, sending one
-// wave item per output latency. In both modes an endpoint caches its
-// reorder queue's earliest due tick, so a tick with nothing due never
-// touches the heap.
+// run of one topology and token count: Start records it once, on a
+// network and kernel of its own, as a table of phases (see schedule),
+// each a run of token items that one earlier phase sent over links of
+// one latency, and the run replays the table with one hop item per
+// phase, where that run of token items would have been. A phase item
+// advances the guarantee time of the endpoints its tokens reach, in
+// their order, processing whatever falls due, and sets the token counts
+// that entering transactions read; the probe's token counters replay
+// from the table only when a probe is attached. The idle butterfly runs
+// one item per 15 ns token beat, the torus at most three. Contention
+// mode simulates every token.
+//
+// The token state is one array, the tokens waiting on each switch input
+// link: the paper's counter per input port. Where tokens are simulated,
+// a token hop adds one to its link's count and a switch propagates
+// while every one of its inputs holds a token, taking one from each and
+// sending one wave item per output latency; a replayed phase instead
+// points the network at the counts recorded after it. Either way,
+// case-1 slack reads the count of the link a transaction enters on. An
+// endpoint caches its reorder queue's earliest due tick, so a tick with
+// nothing due never touches the heap.
 package tsnet
 
 import (
@@ -93,7 +99,8 @@ type Design struct {
 	// destination processing."
 	InitialSlack int
 	// TokensPerPort is the number of tokens each input port starts with
-	// (the paper: "one (or more)"). More tokens let GT run further ahead.
+	// (the paper: "one (or more)"), 1 to MaxTokensPerPort. More tokens
+	// let GT run further ahead.
 	TokensPerPort int
 	// Contention, when true, serializes each switch output port: one
 	// transaction occupies an output for Params.Dswitch. The paper's
@@ -111,6 +118,11 @@ type Design struct {
 	// bookkeeping entirely.
 	Verify bool
 }
+
+// MaxTokensPerPort bounds Design.TokensPerPort. The token schedule an
+// uncontended network records takes time and memory in proportion to
+// the tokens per port; every experiment uses 3 or fewer.
+const MaxTokensPerPort = 4
 
 // DefaultConfig returns the configuration used for the paper's
 // experiments: the default timing, slack 1, one token per port, no
@@ -226,14 +238,12 @@ const flightSlots = 8
 
 // linkMeta is the precomputed per-link delivery information consulted on
 // every transaction and token hop: the link latency and the destination,
-// plus the link's position within its destination switch's input list
-// and its source switch's output list (the indexes of the dense per-port
-// state slices).
+// plus the link's position within its source switch's output list (the
+// index of the dense per-output state slices).
 type linkMeta struct {
 	lat      sim.Duration
 	toSwitch bool
 	toIndex  int32
-	inPos    int32 // position in To-switch's In list (when toSwitch)
 	outPos   int32 // position in From-switch's Out list (when From is a switch)
 }
 
@@ -263,18 +273,20 @@ type Network[P any] struct {
 	// hops carries every hop item.
 	hops *sim.Batch[hop[P]]
 
+	// counts holds the tokens waiting on each switch input, indexed by
+	// link (links into endpoints hold 0): the token state. Where every
+	// token is simulated, the network owns it; an uncontended network
+	// points it at the replayed schedule's counts after each phase and
+	// never writes it.
+	counts []int32
 	// sched is the token schedule an uncontended network replays, one
-	// hop item per phase, or nil when every token is simulated. snap
-	// holds every switch input's token count after the last phase run,
-	// indexed by link. inPhase is set while a phase processes.
+	// hop item per phase, or nil when every token is simulated. inPhase
+	// is set while a phase processes.
 	sched   *schedule
-	snap    []int32
 	inPhase bool
-	// rec records the schedule while Start runs the token code on a
-	// private kernel; nil otherwise.
+	// rec, on a network built to record a schedule, is its recorder;
+	// nil otherwise.
 	rec *recorder
-	// tokenLevel simulates every token even when uncontended (tests).
-	tokenLevel bool
 
 	started bool
 
@@ -294,8 +306,8 @@ func NewOf[P any](k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *s
 	if cfg.InitialSlack < 0 {
 		panic("tsnet: negative initial slack")
 	}
-	if cfg.TokensPerPort < 1 {
-		panic("tsnet: TokensPerPort must be >= 1")
+	if cfg.TokensPerPort < 1 || cfg.TokensPerPort > MaxTokensPerPort {
+		panic(fmt.Sprintf("tsnet: TokensPerPort must be 1 to %d, got %d", MaxTokensPerPort, cfg.TokensPerPort))
 	}
 	n := &Network[P]{
 		k:       k,
@@ -326,9 +338,6 @@ func NewOf[P any](k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *s
 		k.Lane(n.links[i].lat)
 	}
 	for _, sw := range topo.Switches() {
-		for pos, id := range sw.In {
-			n.links[id].inPos = int32(pos)
-		}
 		for pos, id := range sw.Out {
 			n.links[id].outPos = int32(pos)
 		}
@@ -373,37 +382,37 @@ func (n *Network[P]) Register(ep int, ordered OrderedHandler[P], peek PeekHandle
 // Call after all endpoints are registered.
 //
 // An uncontended network's tokens never wait for a transaction, so
-// Start takes their schedule, recorded by the first network of the same
-// topology and token count, and the run replays it a phase at a time
-// (see schedule). A phase processes every transaction its ticks make
-// due as one item. So an ordered handler must not inject synchronously
-// (inject panics inside a phase), and a kernel RunWhile whose condition
-// an ordered handler turns false stops after the phase, not after the
-// tick that processed it.
+// Start takes their schedule, recorded on a network of its own the first
+// time a network of the same shape starts, and the run replays it a
+// phase at a time (see schedule). A phase processes every transaction
+// its ticks make due as one item. So an ordered handler must not inject
+// synchronously (inject panics inside a phase), and a kernel RunWhile
+// whose condition an ordered handler turns false stops after the phase,
+// not after the tick that processed it.
 func (n *Network[P]) Start() {
 	if n.started {
 		panic("tsnet: Start called twice")
 	}
-	n.started = true
-	if !n.cfg.Contention && !n.tokenLevel {
-		n.sched = n.schedule()
-		n.snap = n.sched.initial
-		n.hops.Add(0, hop[P]{kind: hopPhase})
+	if n.cfg.Contention {
+		n.startTokens()
 		return
 	}
-	n.seed()
-	// Kick the system at the current time (see start).
-	n.hops.Add(0, hop[P]{kind: hopStart})
+	n.started = true
+	n.sched = n.schedule()
+	n.counts = n.sched.initial
+	n.hops.Add(0, hop[P]{kind: hopPhase})
 }
 
-// seed places the initial tokens.
-func (n *Network[P]) seed() {
-	for i := range n.switches {
-		sw := &n.switches[i]
-		for j := range sw.tokens {
-			sw.tokens[j] = n.cfg.TokensPerPort
+// startTokens places the initial tokens and starts the network
+// simulating every one: contention mode, a schedule's recording, and
+// the reference the replay is tested against.
+func (n *Network[P]) startTokens() {
+	n.started = true
+	n.counts = make([]int32, len(n.links))
+	for _, sw := range n.topo.Switches() {
+		for _, in := range sw.In {
+			n.counts[in] = int32(n.cfg.TokensPerPort)
 		}
-		sw.empty = 0
 	}
 	for i := range n.endpoints {
 		e := &n.endpoints[i]
@@ -418,6 +427,8 @@ func (n *Network[P]) seed() {
 			e.credits = n.cfg.TokensPerPort
 		}
 	}
+	// Kick the system at the current time (see start).
+	n.hops.Add(0, hop[P]{kind: hopStart})
 }
 
 // start kicks the system at start time: endpoints tick on their initial
@@ -437,9 +448,6 @@ func (n *Network[P]) start() {
 
 // GT returns endpoint ep's guarantee time (ticks performed).
 func (n *Network[P]) GT(ep int) uint64 { return n.clocks[ep].gt }
-
-// QueueLen returns the current reorder-queue depth at endpoint ep.
-func (n *Network[P]) QueueLen(ep int) int { return n.endpoints[ep].queue.len() }
 
 // Inject broadcasts an address transaction from src. It returns the
 // per-source sequence number that, with src, names the transaction in the
@@ -528,7 +536,7 @@ const (
 
 // hop is one item of the hop batch. For the waves, id is the switch and
 // g the index of its latency group; for a port service, g is the output
-// link. While Start records the token schedule, ph is the phase a token
+// link. On a network recording a schedule, ph is the phase a token
 // item belongs to. The item holds its copy t by value and runs in place.
 type hop[P any] struct {
 	kind hopKind
@@ -588,7 +596,7 @@ func (n *Network[P]) arriveToken(id topology.LinkID) {
 	}
 	m := &n.links[id]
 	if m.toSwitch {
-		n.switches[m.toIndex].arriveToken(int(m.inPos))
+		n.switches[m.toIndex].arriveToken(id)
 	} else {
 		n.endpoints[m.toIndex].arriveToken()
 	}

@@ -32,8 +32,8 @@ type schedule struct {
 	transits []int32 // links, one per token transit
 	props    []int32 // switches, one per token propagation
 	kids     []kid
-	// initial is every switch input's token count before the root
-	// phase, indexed like phase.counts.
+	// initial is the token counts before the root phase, indexed like
+	// phase.counts.
 	initial []int32
 }
 
@@ -42,9 +42,9 @@ type span struct{ lo, hi int32 }
 
 // phase is one entry of the schedule: its endpoint ticks in order, its
 // token transits and propagations (which only the probe counts), the
-// phases it adds, and every switch input's token count after it,
-// indexed by input link (links into endpoints read 0). Phases with
-// equal counts share one copy of them.
+// phases it adds, and the token counts after it, indexed like
+// Network.counts. Phases with equal counts share one copy of them,
+// which every network replaying the schedule reads and none writes.
 type phase struct {
 	ticks, transits, props, kids span
 	counts                       []int32
@@ -61,7 +61,7 @@ type kid struct {
 func (n *Network[P]) runPhase(i int32) {
 	s := n.sched
 	ph := &s.phases[i]
-	n.snap = ph.counts
+	n.counts = ph.counts
 	n.inPhase = true
 	n.advance(s.ticks[ph.ticks.lo:ph.ticks.hi])
 	n.inPhase = false
@@ -79,16 +79,7 @@ func (n *Network[P]) runPhase(i int32) {
 	}
 }
 
-// tokensAt returns the number of tokens waiting on switch input link in.
-func (n *Network[P]) tokensAt(in topology.LinkID) int32 {
-	if n.sched != nil {
-		return n.snap[in]
-	}
-	m := &n.links[in]
-	return int32(n.switches[m.toIndex].tokens[m.inPos])
-}
-
-// addToken adds a token item. While Start records the schedule, it
+// addToken adds a token item. On a network recording a schedule, it
 // first stamps the item with the phase it joins.
 func (n *Network[P]) addToken(d sim.Duration, h hop[P]) {
 	if r := n.rec; r != nil {
@@ -121,61 +112,44 @@ func (n *Network[P]) schedule() *schedule {
 	defer schedules.Unlock()
 	s := schedules.m[key]
 	if s == nil {
-		s = n.record()
+		s = record(n.topo, n.cfg)
 		schedules.m[key] = s
 	}
 	return s
 }
 
-// record runs the token code alone on a private kernel, a phase at a
-// time, until the network's state at the start of a phase repeats its
-// state at the start of an earlier one, and returns the phases run.
-// That state is every switch input's token count and the pending
-// phases in kernel order, each with its time from now and its token
-// items: from equal states the token code runs alike.
-func (n *Network[P]) record() *schedule {
-	k, hops, probe := n.k, n.hops, n.probe
-	r := &recorder{k: sim.NewKernel(), cur: -1, links: len(n.links)}
-	for i := range n.links {
-		r.k.Lane(n.links[i].lat)
-	}
-	n.k, n.probe, n.rec = r.k, nil, r
-	n.hops = sim.NewBatch(r.k, func(h *hop[P]) {
+// record builds a network of topo's shape, with cfg's timing and tokens
+// per port, on a kernel of its own, and runs its token code alone, a
+// phase at a time, until the network's state at the start of a phase
+// repeats its state at the start of an earlier one. It returns the
+// phases run. That state is the token counts and the pending phases in
+// kernel order, each with its time from now and its token items: from
+// equal states the token code runs alike.
+func record(topo *topology.Topology, cfg Config) *schedule {
+	// Only the timing and the tokens per port shape the token flow. The
+	// token code reads no traffic or run statistics, and the kernel has
+	// no probe.
+	cfg.Design = Design{TokensPerPort: cfg.TokensPerPort}
+	n := NewOf[struct{}](sim.NewKernel(), topo, cfg, nil, nil)
+	r := &recorder{k: n.k, cur: -1, links: len(n.links)}
+	n.rec = r
+	n.hops = sim.NewBatch(n.k, func(h *hop[struct{}]) {
 		if h.ph != r.cur {
-			r.keys = n.appendCounts(r.keys)
+			r.keys = append(r.keys, n.counts...)
 			if r.enter(h.ph) {
 				return
 			}
 		}
 		n.runHop(h)
 	})
-	n.seed()
 	r.insts = append(r.insts, instance{parent: -1})
 	r.pending = append(r.pending, 0)
-	n.hops.Add(0, hop[P]{kind: hopStart})
-	r.k.RunWhile(func() bool { return r.sched == nil })
+	n.startTokens()
+	n.k.RunWhile(func() bool { return r.sched == nil })
 	if r.sched == nil {
 		panic("tsnet: the token schedule ran dry")
 	}
-	n.k, n.hops, n.probe, n.rec = k, hops, probe, nil
-	for i := range n.clocks {
-		n.clocks[i].gt = 0
-	}
 	return r.sched
-}
-
-// appendCounts appends every link's token count to dst, 0 for a link
-// into an endpoint.
-func (n *Network[P]) appendCounts(dst []int32) []int32 {
-	lo := len(dst)
-	dst = append(dst, make([]int32, len(n.links))...)
-	for i := range n.switches {
-		s := &n.switches[i]
-		for pos, in := range s.in {
-			dst[lo+int(in)] = int32(s.tokens[pos])
-		}
-	}
-	return dst
 }
 
 // maxPhases bounds a recording. Every network the specs build repeats

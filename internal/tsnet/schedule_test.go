@@ -13,18 +13,21 @@ import (
 	"tsnoop/internal/topology"
 )
 
-// newTokenLevel builds a network that simulates every token even when
-// uncontended: the reference the phase replay must match.
-func newTokenLevel(k *sim.Kernel, topo *topology.Topology, cfg Config, run *stats.Run) *Network[any] {
-	n := New(k, topo, cfg, &run.Traffic, run)
-	n.tokenLevel = true
-	return n
+// start starts n replaying its token schedule, or, at token level,
+// simulating every token as contention mode and the recorder do: the
+// reference the phase replay must match.
+func start[P any](n *Network[P], tokenLevel bool) {
+	if tokenLevel {
+		n.startTokens()
+	} else {
+		n.Start()
+	}
 }
 
 // replayRun is one network's record of a replayRun script.
 type replayRun struct {
-	order, gts string // processing log and GT samples
-	run, net   []byte // stats.Run and the probe's network metrics, as JSON
+	order, gts, counts string // processing log, GT and token-count samples
+	run, net           []byte // stats.Run and the probe's network metrics, as JSON
 }
 
 // runScript drives one network, phase replay or token level, through a
@@ -36,20 +39,15 @@ func runScript(t *testing.T, topo *topology.Topology, cfg Config, tokenLevel boo
 	probe := obs.NewProbe()
 	k.SetProbe(probe)
 	run := &stats.Run{}
-	var net *Network[any]
-	if tokenLevel {
-		net = newTokenLevel(k, topo, cfg, run)
-	} else {
-		net = New(k, topo, cfg, &run.Traffic, run)
-	}
+	net := New(k, topo, cfg, &run.Traffic, run)
 	for ep := 0; ep < topo.Nodes(); ep++ {
 		net.Register(ep, func(int, uint64, any, sim.Time) {}, nil)
 	}
-	var order, gts strings.Builder
+	var order, gts, counts strings.Builder
 	net.TestHook = func(ep, src int, seq uint64, gt, ot uint64) {
 		fmt.Fprintln(&order, k.Now(), ep, src, seq, gt, ot)
 	}
-	net.Start()
+	start(net, tokenLevel)
 	rng := sim.NewRand(uint64(topo.Nodes()*100 + cfg.TokensPerPort*10 + cfg.InitialSlack))
 	at := func() sim.Time {
 		if rng.Bool(0.5) {
@@ -74,6 +72,8 @@ func runScript(t *testing.T, topo *topology.Topology, cfg Config, tokenLevel boo
 			fmt.Fprint(&gts, " ", net.GT(ep))
 		}
 		fmt.Fprintln(&gts)
+		// The counts an entering transaction's case-1 slack reads.
+		fmt.Fprintln(&counts, k.Now(), net.counts)
 	}
 	for i := 0; i < 40; i++ {
 		k.AtCall(at(), sample, nil, nil, 0)
@@ -85,7 +85,7 @@ func runScript(t *testing.T, topo *topology.Topology, cfg Config, tokenLevel boo
 			t.Fatalf("injection %d never ran", i)
 		}
 	}
-	r := replayRun{order: order.String(), gts: gts.String()}
+	r := replayRun{order: order.String(), gts: gts.String(), counts: counts.String()}
 	var err error
 	if r.run, err = json.Marshal(run); err != nil {
 		t.Fatal(err)
@@ -112,9 +112,10 @@ func firstDiff(a, b string) string {
 
 // Replaying the recorded token schedule must leave every ordered
 // processing where token-level simulation puts it, to the picosecond,
-// with the same GT and ordering time, every sampled GT equal, and the
-// run's statistics and network metrics byte-identical: on both fabrics
-// at three sizes, with 1-3 tokens per port, slack 0-3 and Verify on.
+// with the same GT and ordering time, every sampled GT and token count
+// equal, and the run's statistics and network metrics byte-identical:
+// on both fabrics at three sizes, with 1-3 tokens per port, slack 0-3
+// and Verify on.
 func TestPhaseReplayMatchesTokens(t *testing.T) {
 	topos := []*topology.Topology{
 		topology.MustButterfly(2), topology.MustButterfly(4), topology.MustButterfly(8),
@@ -137,6 +138,9 @@ func TestPhaseReplayMatchesTokens(t *testing.T) {
 					}
 					if got.gts != want.gts {
 						t.Errorf("GT samples differ at %s", firstDiff(got.gts, want.gts))
+					}
+					if got.counts != want.counts {
+						t.Errorf("token-count samples differ at %s", firstDiff(got.counts, want.counts))
 					}
 					if string(got.run) != string(want.run) {
 						t.Errorf("stats.Run = %s, want %s", got.run, want.run)
@@ -170,12 +174,7 @@ func TestPhaseReplayCost(t *testing.T) {
 			probe := obs.NewProbe()
 			k.SetProbe(probe)
 			run := &stats.Run{}
-			var n *Network[any]
-			if tokenLevel {
-				n = newTokenLevel(k, c.topo, DefaultConfig(), run)
-			} else {
-				n = New(k, c.topo, DefaultConfig(), &run.Traffic, run)
-			}
+			n := New(k, c.topo, DefaultConfig(), &run.Traffic, run)
 			n.hops = sim.NewBatch(k, func(h *hop[any]) {
 				items++
 				n.runHop(h)
@@ -183,7 +182,7 @@ func TestPhaseReplayCost(t *testing.T) {
 			for ep := 0; ep < c.topo.Nodes(); ep++ {
 				n.Register(ep, func(int, uint64, any, sim.Time) {}, nil)
 			}
-			n.Start()
+			start(n, tokenLevel)
 			dt := n.cfg.Params.Dswitch
 			// Start well past the schedule's transient, on the beat.
 			k.RunUntil(100*dt - 1)

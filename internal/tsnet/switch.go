@@ -19,13 +19,14 @@ type bufEntry[P any] struct {
 	enq sim.Time
 }
 
-// swState is a network switch: token counters per input port, a
-// transaction buffer, and the token-passing logic that maintains logical
-// time. The switch is standard except for that logic, which runs in
-// parallel with normal message routing (Section 2.2).
+// swState is a network switch: a transaction buffer and the
+// token-passing logic that maintains logical time. The switch is
+// standard except for that logic, which runs in parallel with normal
+// message routing (Section 2.2). Its token counter per input port is the
+// network's count for that input link (Network.counts).
 //
-// All per-port state is held in dense slices indexed by the port's
-// position in the switch's In/Out link lists (positions come from the
+// Per-output state is held in dense slices indexed by the port's
+// position in the switch's Out link list (positions come from the
 // Network's precomputed link metadata), so the hot path performs no map
 // operations and the buffer reuses one backing array for the life of the
 // run.
@@ -35,11 +36,6 @@ type swState[P any] struct {
 
 	in  []topology.LinkID // the switch's input links (shared with topology)
 	out []topology.LinkID // the switch's output links (shared with topology)
-
-	tokens []int // token counter per input port, indexed by In position
-	// empty counts the input ports holding no token: the switch may
-	// propagate exactly when it is zero.
-	empty int
 
 	// fans[src] is route(src) grouped by link latency, and waves the
 	// outputs grouped the same way: one wave item per group.
@@ -60,14 +56,12 @@ type swState[P any] struct {
 // per-port state from the front of ports, which it returns advanced.
 func (s *swState[P]) init(n *Network[P], id int, g *grouper, ports switchPorts) switchPorts {
 	spec := n.topo.Switches()[id]
-	in, out := len(spec.In), len(spec.Out)
+	out := len(spec.Out)
 	*s = swState[P]{
 		net:      n,
 		id:       id,
 		in:       spec.In,
 		out:      spec.Out,
-		tokens:   ports.tokens[:in:in],
-		empty:    in,
 		nextFree: ports.nextFree[:out:out],
 		pending:  ports.pending[:out:out],
 		fans:     g.fans[id*n.topo.Nodes() : (id+1)*n.topo.Nodes()],
@@ -76,24 +70,22 @@ func (s *swState[P]) init(n *Network[P], id int, g *grouper, ports switchPorts) 
 		s.fans[src] = g.group(s.route(int32(src)))
 	}
 	s.waves = g.group(g.outs[id])
-	return switchPorts{ports.tokens[in:], ports.nextFree[out:], ports.pending[out:]}
+	return switchPorts{ports.nextFree[out:], ports.pending[out:]}
 }
 
-// switchPorts backs every switch's per-port state, so a network's
-// switches cost three allocations however many there are.
+// switchPorts backs every switch's per-output state, so a network's
+// switches cost two allocations however many there are.
 type switchPorts struct {
-	tokens   []int
 	nextFree []sim.Time
 	pending  []bool
 }
 
 func newSwitchPorts(topo *topology.Topology) switchPorts {
-	in, out := 0, 0
+	out := 0
 	for _, sw := range topo.Switches() {
-		in += len(sw.In)
 		out += len(sw.Out)
 	}
-	return switchPorts{make([]int, in), make([]sim.Time, out), make([]bool, out)}
+	return switchPorts{make([]sim.Time, out), make([]bool, out)}
 }
 
 // route is the branch list a transaction from src takes at this switch:
@@ -171,14 +163,10 @@ func (g *grouper) group(bs []topology.Branch) []latGroup {
 	return g.groups[start:len(g.groups):len(g.groups)]
 }
 
-// arriveToken handles a token arriving on the input port at position
-// inPos of the switch's In list.
-func (s *swState[P]) arriveToken(inPos int) {
-	s.tokens[inPos]++
-	if s.tokens[inPos] == 1 {
-		s.empty--
-	}
-	if s.empty == 0 {
+// arriveToken handles a token arriving on input link in.
+func (s *swState[P]) arriveToken(in topology.LinkID) {
+	s.net.counts[in]++
+	if s.holdsTokens() {
 		s.tryPropagate()
 	}
 }
@@ -195,7 +183,7 @@ func (s *swState[P]) arriveTxn(in topology.LinkID, t *txn[P]) {
 	// Case 1 of the slack recurrence: entering the switch, the
 	// transaction moves past the tokens waiting on its input port, making
 	// it earlier in logical time; slack increases to hold OT invariant.
-	t.slack += s.net.tokensAt(in)
+	t.slack += s.net.counts[in]
 
 	branches := s.route(t.src)
 	if branches == nil {
@@ -325,7 +313,7 @@ func (s *swState[P]) servePort(link topology.LinkID) {
 // them, making them later in logical time), and decrements every input's
 // token counter.
 func (s *swState[P]) tryPropagate() {
-	for s.empty == 0 {
+	for s.holdsTokens() {
 		// Only a contended switch buffers, so only it can stall.
 		if s.net.cfg.Contention && s.zeroSlackBuffered() {
 			// A token-wait episode starts when propagation is blocked by
@@ -336,11 +324,9 @@ func (s *swState[P]) tryPropagate() {
 			}
 			return
 		}
-		for i := range s.tokens {
-			s.tokens[i]--
-			if s.tokens[i] == 0 {
-				s.empty++
-			}
+		counts := s.net.counts
+		for _, in := range s.in {
+			counts[in]--
 		}
 		for i := range s.buffered {
 			s.buffered[i].slack--
@@ -356,6 +342,17 @@ func (s *swState[P]) tryPropagate() {
 			s.net.addToken(s.waves[g].lat, hop[P]{kind: hopTokenWave, id: int32(s.id), g: int32(g)})
 		}
 	}
+}
+
+// holdsTokens reports whether every input port holds a token.
+func (s *swState[P]) holdsTokens() bool {
+	counts := s.net.counts
+	for _, in := range s.in {
+		if counts[in] == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // zeroSlackBuffered reports whether a buffered transaction has zero

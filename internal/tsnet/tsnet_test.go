@@ -346,26 +346,25 @@ func TestBadConfigPanics(t *testing.T) {
 	topo := topology.MustButterfly(4)
 	k := sim.NewKernel()
 	var tr stats.Traffic
-	cfg := DefaultConfig()
-	cfg.InitialSlack = -1
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative slack did not panic")
-			}
+	for _, c := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"negative slack", func(c *Config) { c.InitialSlack = -1 }},
+		{"zero tokens", func(c *Config) { c.TokensPerPort = 0 }},
+		{"tokens above MaxTokensPerPort", func(c *Config) { c.TokensPerPort = MaxTokensPerPort + 1 }},
+	} {
+		cfg := DefaultConfig()
+		c.set(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", c.name)
+				}
+			}()
+			New(k, topo, cfg, &tr, &stats.Run{})
 		}()
-		New(k, topo, cfg, &tr, &stats.Run{})
-	}()
-	cfg = DefaultConfig()
-	cfg.TokensPerPort = 0
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("zero tokens did not panic")
-			}
-		}()
-		New(k, topo, cfg, &tr, &stats.Run{})
-	}()
+	}
 }
 
 // The ordered handler runs at the instant its endpoint processes the
